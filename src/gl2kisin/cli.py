@@ -356,8 +356,6 @@ def build_parser():
     common = _Parser(add_help=False)
     common.add_argument("--config", help="path to a profile JSON config")
     common.add_argument("--mode", choices=["strict", "permissive"], help="override validation mode")
-    common.add_argument("--seed", type=int, default=None, help="override the RNG seed")
-    common.add_argument("--jobs", type=int, default=1, help="worker processes for bulk commands")
     common.add_argument("--out", help="write the JSON report to this path instead of stdout")
 
     sub = parser.add_subparsers(dest="command")
@@ -400,6 +398,8 @@ def build_parser():
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--prec", type=int, default=4)
     p.add_argument("--p", type=int, default=2, help="field characteristic when no config is given")
+    p.add_argument("--seed", type=int, default=None, help="override the RNG seed")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.set_defaults(func=cmd_oracle)
 
     return parser

@@ -1,35 +1,70 @@
-"""Kernel computations mod p with a compiled fast path.
+"""Sparse kernel computation mod p, in pure Python."""
 
-The compiled backend (_fastkernel, built from the .pyx source when Cython
-and a C compiler are available) and the pure-Python fallback (_purekernel)
-share one contract: identical canonical output for identical input.  Set
-GL2KISIN_BACKEND=pure or =fast to force a choice; forcing "fast" raises if
-the extension is missing.
-"""
-
-import os
-
-from . import _purekernel
-
-_FORCED = os.environ.get("GL2KISIN_BACKEND", "").strip().lower()
-if _FORCED not in ("", "pure", "fast"):
-    raise ImportError("GL2KISIN_BACKEND must be 'pure' or 'fast', not %r" % _FORCED)
-
+# The one kernel implementation; perfbench records it beside its timings.
 BACKEND = "pure"
-_impl = _purekernel
-if _FORCED != "pure":
-    try:
-        from . import _fastkernel as _impl  # type: ignore[no-redef]
-
-        BACKEND = "fast"
-    except ImportError:
-        if _FORCED == "fast":
-            raise
 
 
 def kernel_basis(rows, ncols, p):
-    """Kernel basis and rank of a sparse matrix mod p; see _purekernel."""
-    return _impl.kernel_basis(rows, ncols, p)
+    """Kernel of a sparse integer matrix mod p.
+
+    rows: iterable of {column: value} dicts (values arbitrary ints).
+    Returns (basis, rank) where basis is a list of length-ncols lists with
+    entries in 0..p-1, one vector per free column in ascending column order:
+    the vector for free column j has a 1 at j and minus the reduced-echelon
+    pivot-row entries at the pivot columns.
+    """
+    pivots = {}
+    for row in rows:
+        r = {}
+        for c, v in row.items():
+            v %= p
+            if v:
+                r[c] = v
+        while r:
+            c = min(r)
+            piv = pivots.get(c)
+            if piv is None:
+                inv = pow(r[c], -1, p)
+                pivots[c] = {k: (v * inv) % p for k, v in r.items()}
+                break
+            coef = r.pop(c)
+            for k, v in piv.items():
+                if k == c:
+                    continue
+                nv = (r.get(k, 0) - coef * v) % p
+                if nv:
+                    r[k] = nv
+                elif k in r:
+                    del r[k]
+    # back-substitution: clear later pivot columns from earlier pivot rows
+    pivot_cols = sorted(pivots)
+    for ci in range(len(pivot_cols) - 1, -1, -1):
+        row = pivots[pivot_cols[ci]]
+        for c2 in pivot_cols[ci + 1 :]:
+            coef = row.get(c2)
+            if not coef:
+                continue
+            del row[c2]
+            for k, v in pivots[c2].items():
+                if k == c2:
+                    continue
+                nv = (row.get(k, 0) - coef * v) % p
+                if nv:
+                    row[k] = nv
+                elif k in row:
+                    del row[k]
+    basis = []
+    for j in range(ncols):
+        if j in pivots:
+            continue
+        vec = [0] * ncols
+        vec[j] = 1
+        for c in pivot_cols:
+            coef = pivots[c].get(j)
+            if coef:
+                vec[c] = p - coef
+        basis.append(vec)
+    return basis, len(pivot_cols)
 
 
 def kernel_dim(rows, ncols, p):

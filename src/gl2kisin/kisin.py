@@ -9,6 +9,7 @@ canonical (s, nu) pairs of weights.ExtendedWeylElt components.
 import math
 from dataclasses import dataclass
 
+from . import fp_linalg
 from .errors import ConfigError, InternalCheckError, PreconditionError
 from .laurent import (
     Laurent,
@@ -341,30 +342,6 @@ def shapes_of_kisin(data):
 # first-order rigidity of the gauge normal form
 
 
-def _field_kernel_dim(rows, ncols, field):
-    # small dense Gaussian elimination over an arbitrary finite field
-    pivots = {}
-    for row in rows:
-        r = dict(row)
-        while r:
-            c = min(r)
-            piv = pivots.get(c)
-            if piv is None:
-                inv = r[c].inverse()
-                pivots[c] = {k: v * inv for k, v in r.items()}
-                break
-            coef = r.pop(c)
-            for k, v in piv.items():
-                if k == c:
-                    continue
-                nv = r.get(k, field.zero()) - coef * v
-                if nv:
-                    r[k] = nv
-                elif k in r:
-                    del r[k]
-    return ncols - len(pivots)
-
-
 def torus_rigidity_dims(data, H=4):
     """Dimension of the space of first-order diagonal basis perturbations
     preserving all gauge degree bounds, against the expected count.
@@ -406,25 +383,23 @@ def torus_rigidity_dims(data, H=4):
                 continue
             # P_lk = a * (h_l^(i) - phi(h_k^(i-1))); constrain degrees > bound
             maxdeg = a.degree() + p * H
-            coeffs = a.coeffs.items()
+            coeffs = a.terms.items()
             for g in range(bound + 1, maxdeg + 1):
                 row = {}
                 for d, coeff in coeffs:
                     e = g - d
                     if 0 <= e <= H:
                         col = var(i, l - 1, e)
-                        row[col] = row.get(col, field.zero()) + coeff
+                        row[col] = row.get(col, 0) + coeff
                     if e >= 0 and e % p == 0 and e // p <= H:
                         col = var(iprev, k - 1, e // p)
-                        row[col] = row.get(col, field.zero()) - coeff
-                row = {c: v for c, v in row.items() if v}
-                if row:
-                    rows.append(row)
+                        row[col] = row.get(col, 0) - coeff
+                rows.append(row)
         # determinant: det * (h_1 + h_2 - phi(h_1') - phi(h_2')); degrees
         # above n1 + n2 must vanish
         det = A.det()
         maxdeg = det.degree() + p * H
-        coeffs = det.coeffs.items()
+        coeffs = det.terms.items()
         for g in range(n1 + n2 + 1, maxdeg + 1):
             row = {}
             for d, coeff in coeffs:
@@ -432,13 +407,11 @@ def torus_rigidity_dims(data, H=4):
                 if 0 <= e <= H:
                     for comp in (0, 1):
                         col = var(i, comp, e)
-                        row[col] = row.get(col, field.zero()) + coeff
+                        row[col] = row.get(col, 0) + coeff
                 if e >= 0 and e % p == 0 and e // p <= H:
                     for comp in (0, 1):
                         col = var(iprev, comp, e // p)
-                        row[col] = row.get(col, field.zero()) - coeff
-            row = {c: v for c, v in row.items() if v}
-            if row:
-                rows.append(row)
-    dim = _field_kernel_dim(rows, ncols, field)
+                        row[col] = row.get(col, 0) - coeff
+            rows.append(row)
+    dim = fp_linalg.kernel_dim(rows, ncols, p)
     return dim, 2 * f

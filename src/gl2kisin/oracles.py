@@ -8,9 +8,14 @@ F_2 at truncation v^4.
 
 import itertools
 
-from .errors import ConfigError
+from .errors import ConfigError, PreconditionError
 from .laurent import Laurent
 from .matrices import Mat2
+
+# Most candidate pairs (unit series, series) that coset_certify may enumerate
+# in its first half; the second half has fewer.  F_2 at v^4 is 128 pairs,
+# F_3 at v^3 486 and F_4 at v^4 49,152.
+MAX_COSET_PAIRS = 1 << 16
 
 
 def _unit_polys(field, prec):
@@ -53,9 +58,19 @@ def coset_certify(M, component, prec=4):
     rows involve disjoint unknowns, so the search factors into two
     independent halves.
 
-    Returns True when a witness exists, False otherwise.
+    Returns True when a witness exists, False otherwise.  Raises
+    PreconditionError when the search has more than MAX_COSET_PAIRS
+    candidate pairs.
     """
     field = M.field
+    q = field.order
+    # (q-1) q^(prec-1) unit series times q^prec series; the exponent cap
+    # keeps a huge prec from building a huge int and cannot change the answer
+    if (q - 1) * q ** min(2 * prec - 1, 64) > MAX_COSET_PAIRS:
+        raise PreconditionError(
+            "coset search over F_%d at v^%d exceeds %d candidate pairs"
+            % (q, prec, MAX_COSET_PAIRS)
+        )
     s, nu = component
     det = M.det()
     if det.is_zero():

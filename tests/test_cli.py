@@ -242,6 +242,9 @@ class TestExitCodes:
     def test_unknown_command(self, capsys):
         rc, _ = run(capsys, ["frobnicate"])
         assert rc == 1
+        # --jobs belongs to oracle only
+        rc, _ = run(capsys, ["kisin", "--jobs", "2"])
+        assert rc == 1
 
     def test_no_command(self, capsys):
         rc, _ = run(capsys, [])
@@ -264,6 +267,16 @@ class TestExitCodes:
             )
         )
         rc, _ = run(capsys, ["describe", "--config", str(path)])
+        assert rc == 2
+        # a coset search over F_31^2 above the candidate-pair cap
+        path = tmp_path / "big_coset.json"
+        path.write_text(
+            json.dumps(
+                {"p": 31, "f": 1, "r": [13], "a": [7], "alpha": [3], "beta": [5],
+                 "field_degree": 2}
+            )
+        )
+        rc, _ = run(capsys, ["oracle", "--kind", "coset", "--config", str(path), "--trials", "3"])
         assert rc == 2
 
     def test_internal_error_path(self, monkeypatch, capsys, f1_config):
