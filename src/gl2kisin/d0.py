@@ -81,18 +81,20 @@ def jh_component(rho, sigma, profile=None):
     ranges = []
     for j in range(f):
         sign = profile.signs[j]
+        # the budget admits no coordinate above 3 (floor(4 / 2) = 2 > 1)
+        top = min(p - 1 - diffs[j], 4)
         if sign == 1:
             ranges.append(range(-diffs[j], 1))
         elif sign == -1:
-            ranges.append(range(0, p - 1 - diffs[j]))
+            ranges.append(range(0, top))
         else:
-            ranges.append(range(-diffs[j], p - 1 - diffs[j]))
+            ranges.append(range(-diffs[j], top))
+    # product over ascending ranges yields the offsets in lexicographic order
     offsets = [
         a
         for a in itertools.product(*ranges)
         if sum(max(aj // 2, 0) for aj in a) <= 1
     ]
-    offsets.sort()
     labels = tuple(t_lambda(sigma, a, p) for a in offsets)
     return ComponentStructure(socle=sigma, profile=profile, offsets=tuple(offsets), labels=labels)
 

@@ -6,7 +6,6 @@ with superscript i is built from alpha_j, beta_j, r_j and a_i.  Shapes are the
 canonical (s, nu) pairs of weights.ExtendedWeylElt components.
 """
 
-import math
 from dataclasses import dataclass
 
 from . import fp_linalg
@@ -124,6 +123,16 @@ def verify_recovery(rho, wtilde):
 # gauge / height predicates
 
 
+def _entry_bounds(component):
+    """Highest degree allowed in each entry (row-major) of a matrix in gauge
+    normal form for the (s, nu) component: nu_k in column k, less one at
+    (1,2) when s = 0 and at (1,1) when s = 1."""
+    s, (n1, n2) = component
+    if s == 0:
+        return n1, n2 - 1, n1, n2
+    return n1 - 1, n2, n1, n2
+
+
 def gauge_check(M, component):
     """Degree-bound normal-form test against a single (s, nu) component.
 
@@ -133,16 +142,14 @@ def gauge_check(M, component):
     the swap), and det(M) must be nonzero of degree exactly nu1 + nu2 so the
     leading coefficient matrix is invertible.
     """
-    s, (n1, n2) = component
+    n1, n2 = component[1]
     d = M.det()
     if d.is_zero() or d.degree() != n1 + n2:
         return False
-    d11, d12, d21, d22 = [max(t) if t else -math.inf for t in M.terms()]
-    if d11 > n1 or d21 > n1 or d12 > n2 or d22 > n2:
-        return False
-    if s == 0:
-        return d12 <= n2 - 1
-    return d11 <= n1 - 1
+    for t, b in zip(M.terms(), _entry_bounds(component)):
+        if t and max(t) > b:
+            return False
+    return True
 
 
 def height_check(M, lam, bound_mode="exact"):
@@ -363,55 +370,37 @@ def torus_rigidity_dims(data, H=4):
     idx = index_of(data.wtilde)
     ncols = 2 * f * (H + 1)
 
-    def var(i, comp, d):
-        return (i * 2 + comp) * (H + 1) + d
+    p = rho.p
+
+    def var(i, comp):
+        return (i * 2 + comp) * (H + 1)
+
+    def rows_above(terms, bound, here, prev):
+        # rows of terms * (h - phi(h')) in the degrees above bound, one per
+        # degree some term reaches: h sums the polynomials whose degree-0
+        # columns are `here`, h' those at `prev`, and phi(h') carries
+        # coefficient e of h' at degree p*e
+        by_degree = {}
+        for d, coeff in terms.items():
+            for e in range(H + 1):
+                for g, cols, c in ((d + e, here, coeff), (d + p * e, prev, -coeff)):
+                    if g > bound:
+                        row = by_degree.setdefault(g, {})
+                        for col in cols:
+                            row[col + e] = row.get(col + e, 0) + c
+        return by_degree.values()
 
     rows = []
-    p = rho.p
     for i in range(f):
         iprev = (i - 1) % f
         A = data.mats[i]
-        s, (n1, n2) = ADM_COMPONENTS[idx[i]]
-        bounds = {(1, 1): n1, (2, 1): n1, (1, 2): n2, (2, 2): n2}
-        if s == 0:
-            bounds[(1, 2)] = n2 - 1
-        else:
-            bounds[(1, 1)] = n1 - 1
-        for (l, k), bound in bounds.items():
-            a = (A.a11, A.a12, A.a21, A.a22)[(l - 1) * 2 + (k - 1)]
-            if a.is_zero():
-                continue
-            # P_lk = a * (h_l^(i) - phi(h_k^(i-1))); constrain degrees > bound
-            maxdeg = a.degree() + p * H
-            coeffs = a.terms.items()
-            for g in range(bound + 1, maxdeg + 1):
-                row = {}
-                for d, coeff in coeffs:
-                    e = g - d
-                    if 0 <= e <= H:
-                        col = var(i, l - 1, e)
-                        row[col] = row.get(col, 0) + coeff
-                    if e >= 0 and e % p == 0 and e // p <= H:
-                        col = var(iprev, k - 1, e // p)
-                        row[col] = row.get(col, 0) - coeff
-                rows.append(row)
-        # determinant: det * (h_1 + h_2 - phi(h_1') - phi(h_2')); degrees
-        # above n1 + n2 must vanish
-        det = A.det()
-        maxdeg = det.degree() + p * H
-        coeffs = det.terms.items()
-        for g in range(n1 + n2 + 1, maxdeg + 1):
-            row = {}
-            for d, coeff in coeffs:
-                e = g - d
-                if 0 <= e <= H:
-                    for comp in (0, 1):
-                        col = var(i, comp, e)
-                        row[col] = row.get(col, 0) + coeff
-                if e >= 0 and e % p == 0 and e // p <= H:
-                    for comp in (0, 1):
-                        col = var(iprev, comp, e // p)
-                        row[col] = row.get(col, 0) - coeff
-            rows.append(row)
+        component = ADM_COMPONENTS[idx[i]]
+        # P_lk = A_lk * (h_l^(i) - phi(h_k^(i-1))), entries row-major
+        for q, (a, bound) in enumerate(zip(A.terms(), _entry_bounds(component))):
+            l, k = divmod(q, 2)
+            rows.extend(rows_above(a, bound, (var(i, l),), (var(iprev, k),)))
+        # det * (h_1 + h_2 - phi(h_1') - phi(h_2')), bounded by nu_1 + nu_2
+        both, both_prev = (var(i, 0), var(i, 1)), (var(iprev, 0), var(iprev, 1))
+        rows.extend(rows_above(A.det().terms, sum(component[1]), both, both_prev))
     dim = fp_linalg.kernel_dim(rows, ncols, p)
     return dim, 2 * f

@@ -28,6 +28,11 @@ from .weights import (
 STRICT_MIN_DEPTH = 12
 
 
+def _is_int(value):
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class RhoBar:
     """Validated profile (p, f, r, a, alpha, beta, irreducible, mode).
 
@@ -144,15 +149,21 @@ class RhoBar:
     @classmethod
     def from_config(cls, cfg):
         try:
-            p = int(cfg["p"])
-            f = int(cfg["f"])
-            r = cfg["r"]
-            a = cfg["a"]
-            alpha = cfg["alpha"]
-            beta = cfg["beta"]
-        except (KeyError, TypeError, ValueError) as exc:
+            p, f, r, a, alpha, beta = (cfg[k] for k in ("p", "f", "r", "a", "alpha", "beta"))
+        except (KeyError, TypeError) as exc:
             raise ConfigError("config is missing required fields: %s" % exc)
-        degree = int(cfg.get("field_degree", 1))
+        degree = cfg.get("field_degree", 1)
+        irreducible = cfg.get("irreducible", False)
+        for name, value in (("p", p), ("f", f), ("field_degree", degree)):
+            if not _is_int(value):
+                raise ConfigError("%s must be an integer, got %r" % (name, value))
+        for name, value in (("r", r), ("a", a), ("alpha", alpha), ("beta", beta)):
+            if not isinstance(value, list):
+                raise ConfigError("%s must be a list, got %r" % (name, value))
+        if not all(_is_int(x) for x in r):
+            raise ConfigError("r must hold integers, got %r" % (r,))
+        if not isinstance(irreducible, bool):
+            raise ConfigError("irreducible must be true or false, got %r" % (irreducible,))
         modulus = cfg.get("field_modulus")
         field = FiniteField(p, degree, tuple(modulus) if modulus else None)
         return cls(
@@ -162,7 +173,7 @@ class RhoBar:
             a,
             alpha,
             beta,
-            irreducible=bool(cfg.get("irreducible", False)),
+            irreducible=irreducible,
             mode=cfg.get("mode", "strict"),
             field=field,
         )

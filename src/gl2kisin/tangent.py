@@ -167,79 +167,50 @@ def assemble_system(rho, b=None, degree_bound=None, min_degree=0):
     rows = []
     system = TangentSystem(rho, b, degree_bound, min_degree, rows)
 
-    def bump(row, col, val):
-        val %= p
-        if val:
-            row[col] = (row.get(col, 0) + val) % p
-
-    def add_m(row, j, comp, e, val):
-        if min_degree <= e <= degree_bound:
-            bump(row, system.col_m(j, comp, e), val)
-
-    def add_param(row, j, name, val):
-        bump(row, system.col_param(j, name), val)
-
     for j in range(f):
         sd = slots[j]
         jm = (j - 1) % f
-        a11, a21, a22 = sd.a11.to_int(), sd.a21.to_int(), sd.a22.to_int()
+        delta = ((sd.a11.to_int(), 0), (sd.a21.to_int(), sd.a22.to_int()))
         sh = sd.shift
-        emin = min(-2, min_degree, p * min_degree - sh)
-        for e in range(emin, degree_bound + 1):
-            # entry (1,1): a11 m11' + a21 m12' - a11 phi(m11) - P11
-            row = {}
-            add_m(row, jm, M11, e, a11)
-            add_m(row, jm, M12, e, a21)
-            if e % p == 0:
-                add_m(row, j, M11, e // p, -a11)
-            if e == 0:
-                add_param(row, j, "p11_0", -1)
-            elif e == -1:
-                add_param(row, j, "p11_m1", -1)
-            elif e == -2:
-                add_param(row, j, "p11_m2", -1)
-            if row:
-                rows.append((("rec", j, 1, 1, e), row))
-            # entry (1,2): a22 m12' - a11 v^sh phi(m12) - P12
-            row = {}
-            add_m(row, jm, M12, e, a22)
-            if (e - sh) % p == 0:
-                add_m(row, j, M12, (e - sh) // p, -a11)
-            if e == -1:
-                add_param(row, j, "p12_m1", -1)
-            elif e == -2:
-                add_param(row, j, "p12_m2", -1)
-            if row:
-                rows.append((("rec", j, 1, 2, e), row))
-            # entry (2,1): a11 m21' + a21 m22' - a21 phi(m11) - a22 v^-sh phi(m21) - P21
-            row = {}
-            add_m(row, jm, M21, e, a11)
-            add_m(row, jm, M22, e, a21)
-            if e % p == 0:
-                add_m(row, j, M11, e // p, -a21)
-            if (e + sh) % p == 0:
-                add_m(row, j, M21, (e + sh) // p, -a22)
-            if e == 0:
-                add_param(row, j, "p21_0", -1)
-            elif e == -1:
-                add_param(row, j, "p21_m1", -1)
-            if row:
-                rows.append((("rec", j, 2, 1, e), row))
-            # entry (2,2): a22 m22' - a21 v^sh phi(m12) - a22 phi(m22) - P22
-            row = {}
-            add_m(row, jm, M22, e, a22)
-            if (e - sh) % p == 0:
-                add_m(row, j, M12, (e - sh) // p, -a21)
-            if e % p == 0:
-                add_m(row, j, M22, e // p, -a22)
-            if e == 0:
-                add_param(row, j, "p22_0", -1)
-            elif e == -1:
-                add_param(row, j, "p22_m1", -1)
-            elif e == -2:
-                add_param(row, j, "p22_m2", -1)
-            if row:
-                rows.append((("rec", j, 2, 2, e), row))
+        # coefficient e of entry (l,k) of the slot-j recurrence
+        #   sum_t M^(j-1)_lt Delta_tk - sum_t Delta_lt v^(sh*(k-t)) phi(m_tk) - P_lk
+        # where phi(m) carries coefficient d of m at degree p*d; the columns
+        # below are those of degree 0, so degree d sits d further on, and the
+        # values are nonzero residues
+        entries = []
+        for l in (1, 2):
+            for k in (1, 2):
+                prev = [
+                    (system.col_m(jm, 2 * l + t - 3, 0), delta[t - 1][k - 1])
+                    for t in (1, 2)
+                    if delta[t - 1][k - 1]
+                ]
+                here = [
+                    (sh * (k - t), system.col_m(j, 2 * t + k - 3, 0), p - delta[l - 1][t - 1])
+                    for t in (1, 2)
+                    if delta[l - 1][t - 1]
+                ]
+                params = {}  # degree -> column of p<l><k>_<0|m1|m2>, where PARAM_NAMES has it
+                for e, suffix in ((0, "0"), (-1, "m1"), (-2, "m2")):
+                    name = "p%d%d_%s" % (l, k, suffix)
+                    if name in _PARAM_INDEX:
+                        params[e] = system.col_param(j, name)
+                entries.append((l, k, prev, here, params))
+        for e in range(min(-2, min_degree, p * min_degree - sh), degree_bound + 1):
+            in_window = min_degree <= e <= degree_bound
+            for l, k, prev, here, params in entries:
+                row = {}
+                if in_window:
+                    for col, val in prev:
+                        row[col + e] = (row.get(col + e, 0) + val) % p
+                for x, col, val in here:
+                    d, rem = divmod(e - x, p)
+                    if not rem and min_degree <= d <= degree_bound:
+                        row[col + d] = (row.get(col + d, 0) + val) % p
+                if e in params:
+                    row[params[e]] = (row.get(params[e], 0) - 1) % p
+                if row:
+                    rows.append((("rec", j, l, k, e), row))
 
     for j in range(f - 1):
         rows.append((("pin", "p11_0", j), {system.col_param(j, "p11_0"): 1}))

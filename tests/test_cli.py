@@ -126,6 +126,7 @@ def test_tangent(capsys, f1_config):
     assert rc == 0
     assert doc["degree_bound"] == 31
     assert doc["columns"] == 142
+    assert doc["rows"] == 142
     assert (doc["kernel_dim"], doc["param_kernel_dim"], doc["m_kernel_dim"]) == (1, 0, 1)
     assert doc["injective"] is True
     assert all(doc["consequences"].values())
@@ -234,10 +235,18 @@ class TestExitCodes:
         assert rc == 1
 
     def test_invalid_profile(self, tmp_path, capsys):
+        good = {"p": 31, "f": 1, "r": [13], "a": [7], "alpha": [3], "beta": [5]}
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"p": 10, "f": 1, "r": [3], "a": [1], "alpha": [1], "beta": [1]}))
-        rc, _ = run(capsys, ["describe", "--config", str(path)])
-        assert rc == 1
+        for bad in (
+            {"p": 10, "r": [3], "a": [1], "alpha": [1], "beta": [1]},
+            {"r": 13},
+            {"r": [13.5]},
+            {"f": True},
+            {"a": [0], "irreducible": "no"},
+        ):
+            path.write_text(json.dumps(dict(good, **bad)))
+            assert cli.main(["describe", "--config", str(path)]) == 1, bad
+            assert capsys.readouterr().err.startswith("config error:"), bad
 
     def test_unknown_command(self, capsys):
         rc, _ = run(capsys, ["frobnicate"])

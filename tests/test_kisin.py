@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -16,7 +17,7 @@ from gl2kisin.kisin import (
     torus_rigidity_dims,
     verify_recovery,
 )
-from gl2kisin.laurent import Laurent
+from gl2kisin.laurent import Laurent, phi_twist
 from gl2kisin.matrices import Mat2, monomial_matrix
 from gl2kisin.rho import RhoBar, x_rho
 from gl2kisin.weights import ADM_COMPONENTS, from_index, index_of
@@ -328,9 +329,56 @@ def test_shapes_of_kisin_match_labels(rng):
 
 def test_torus_rigidity_fixture_dims(f1_nonsplit, f2_mixed, f1_irred):
     for rho in (f1_nonsplit, f2_mixed, f1_irred):
-        w = x_rho(rho)[0]
-        dim, expected = torus_rigidity_dims(kisin_matrices(rho, w))
-        assert dim == expected == 2 * rho.f
+        for w in x_rho(rho):
+            data = kisin_matrices(rho, w)
+            for H in (1, 2, 4, 6):
+                dim, expected = torus_rigidity_dims(data, H)
+                assert dim == expected == 2 * rho.f
+
+
+def test_torus_rigidity_brute_force():
+    """Count every perturbation h of degree <= H = 1 whose movements keep the
+    gauge degree bounds, by Laurent arithmetic; the solutions form the kernel,
+    so there are p^dim of them."""
+    H = 1
+    for p in (5, 7):
+        F = GF(p)
+        for a, irreducible in ((1, False), (0, False), (0, True)):
+            rho = RhoBar(p=p, f=1, r=(2,), a=(F(a),), alpha=(F(2),), beta=(F(3),),
+                         irreducible=irreducible, mode="permissive")
+            for w in x_rho(rho):
+                data = kisin_matrices(rho, w)
+                slots = []  # (entries, det, highest degree per entry then of the det)
+                for A, k in zip(data.mats, index_of(w)):
+                    s, (n1, n2) = ADM_COMPONENTS[k]
+                    if s == 0:
+                        bounds = (n1, n2 - 1, n1, n2, n1 + n2)
+                    else:
+                        bounds = (n1 - 1, n2, n1, n2, n1 + n2)
+                    slots.append((A.entries(), A.det(), bounds))
+
+                def keeps_bounds(h):
+                    for i, ((a11, a12, a21, a22), det, bounds) in enumerate(slots):
+                        h1, h2 = h[i]
+                        g1, g2 = (phi_twist(x) for x in h[i - 1])
+                        moves = (
+                            h1 * a11 - a11 * g1,
+                            h1 * a12 - a12 * g2,
+                            h2 * a21 - a21 * g1,
+                            h2 * a22 - a22 * g2,
+                            det * (h1 + h2 - g1 - g2),
+                        )
+                        if any(m.degree() > b for m, b in zip(moves, bounds)):
+                            return False
+                    return True
+
+                solutions = 0
+                for c in itertools.product(range(p), repeat=2 * rho.f * (H + 1)):
+                    polys = [Laurent(F, dict(enumerate(c[n : n + H + 1])))
+                             for n in range(0, len(c), H + 1)]
+                    solutions += keeps_bounds(list(zip(polys[::2], polys[1::2])))
+                dim, _expected = torus_rigidity_dims(data, H)
+                assert solutions == p ** dim, (rho, w)
 
 
 def test_torus_rigidity_extension_field_refused():
