@@ -2,7 +2,8 @@
 
 Every command reads an optional JSON profile config and emits one JSON
 report on stdout (or --out).  Exit codes: 0 success, 1 bad configuration,
-2 precondition violated, 3 internal invariant failed.
+2 precondition violated, 3 internal invariant failed or any other
+unexpected error.
 """
 
 import argparse
@@ -427,6 +428,10 @@ def main(argv=None):
         return 2
     except InternalCheckError as exc:
         print("internal check failed: %s" % exc, file=sys.stderr)
+        return 3
+    except Exception as exc:
+        # any other failure is a bug too: one line, no traceback
+        print("internal error: %r" % (exc,), file=sys.stderr)
         return 3
 
 

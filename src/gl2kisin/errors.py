@@ -1,7 +1,7 @@
 """Error taxonomy shared by the library and the CLI.
 
 The CLI maps these to exit codes: ConfigError -> 1, PreconditionError -> 2,
-InternalCheckError -> 3.
+InternalCheckError -> 3, and any other exception to 3 as well.
 """
 
 

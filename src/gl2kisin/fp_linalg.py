@@ -1,17 +1,21 @@
-"""Sparse kernel computation mod p, in pure Python."""
+"""Sparse kernel and rank computation mod p, in pure Python.
+
+Every phase touches only nonzero entries: the forward elimination reduces
+each row against the pivot rows its entries meet, back-substitution clears
+each pivot row at the later pivot columns it holds, and `rank` stops after
+the forward pass.
+"""
 
 # The one kernel implementation; perfbench records it beside its timings.
 BACKEND = "pure"
 
 
-def kernel_basis(rows, ncols, p):
-    """Kernel of a sparse integer matrix mod p.
+def _echelon(rows, p):
+    """Forward elimination: {pivot column: pivot row}.
 
-    rows: iterable of {column: value} dicts (values arbitrary ints).
-    Returns (basis, rank) where basis is a list of length-ncols lists with
-    entries in 0..p-1, one vector per free column in ascending column order:
-    the vector for free column j has a 1 at j and minus the reduced-echelon
-    pivot-row entries at the pivot columns.
+    rows: iterable of {column: value} dicts (values arbitrary ints).  Each
+    pivot row is a {column: residue} dict with a 1 at its pivot column, its
+    smallest column.
     """
     pivots = {}
     for row in rows:
@@ -36,15 +40,31 @@ def kernel_basis(rows, ncols, p):
                     r[k] = nv
                 elif k in r:
                     del r[k]
-    # back-substitution: clear later pivot columns from earlier pivot rows
-    pivot_cols = sorted(pivots)
-    for ci in range(len(pivot_cols) - 1, -1, -1):
-        row = pivots[pivot_cols[ci]]
-        for c2 in pivot_cols[ci + 1 :]:
-            coef = row.get(c2)
-            if not coef:
-                continue
-            del row[c2]
+    return pivots
+
+
+def rank(rows, p):
+    """Rank mod p of a sparse integer matrix given as {column: value} rows."""
+    return len(_echelon(rows, p))
+
+
+def kernel_basis(rows, ncols, p):
+    """Kernel of a sparse integer matrix mod p.
+
+    rows: iterable of {column: value} dicts (values arbitrary ints).
+    Returns (basis, rank) where basis is a list of length-ncols lists with
+    entries in 0..p-1, one vector per free column in ascending column order:
+    the vector for free column j has a 1 at j and minus the reduced-echelon
+    pivot-row entries at the pivot columns.
+    """
+    pivots = _echelon(rows, p)
+    # back-substitution, last pivot first: the later pivot rows are already
+    # reduced, so subtracting one adds only free columns, and one pass over
+    # this row's own later pivot columns leaves it reduced too
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        for c2 in [k for k in row if k > c and k in pivots]:
+            coef = row.pop(c2)
             for k, v in pivots[c2].items():
                 if k == c2:
                     continue
@@ -53,20 +73,18 @@ def kernel_basis(rows, ncols, p):
                     row[k] = nv
                 elif k in row:
                     del row[k]
-    basis = []
-    for j in range(ncols):
-        if j in pivots:
-            continue
-        vec = [0] * ncols
-        vec[j] = 1
-        for c in pivot_cols:
-            coef = pivots[c].get(j)
-            if coef:
-                vec[c] = p - coef
-        basis.append(vec)
-    return basis, len(pivot_cols)
+    # a reduced pivot row holds, besides its pivot, only free columns
+    free = {j: i for i, j in enumerate(j for j in range(ncols) if j not in pivots)}
+    basis = [[0] * ncols for _ in free]
+    for j, i in free.items():
+        basis[i][j] = 1
+    for c, row in pivots.items():
+        for k, v in row.items():
+            if k != c:
+                basis[free[k]][c] = p - v
+    return basis, len(pivots)
 
 
 def kernel_dim(rows, ncols, p):
-    basis, _rank = kernel_basis(rows, ncols, p)
-    return len(basis)
+    """Dimension of the kernel mod p, without building a basis."""
+    return ncols - rank(rows, p)

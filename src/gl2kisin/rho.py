@@ -157,14 +157,17 @@ class RhoBar:
         for name, value in (("p", p), ("f", f), ("field_degree", degree)):
             if not _is_int(value):
                 raise ConfigError("%s must be an integer, got %r" % (name, value))
-        for name, value in (("r", r), ("a", a), ("alpha", alpha), ("beta", beta)):
+        modulus = cfg.get("field_modulus")
+        lists = {"r": r, "a": a, "alpha": alpha, "beta": beta}
+        if modulus is not None:
+            lists["field_modulus"] = modulus
+        for name, value in lists.items():
             if not isinstance(value, list):
                 raise ConfigError("%s must be a list, got %r" % (name, value))
-        if not all(_is_int(x) for x in r):
-            raise ConfigError("r must hold integers, got %r" % (r,))
+            if not all(_is_int(x) for x in value):
+                raise ConfigError("%s must hold integers, got %r" % (name, value))
         if not isinstance(irreducible, bool):
             raise ConfigError("irreducible must be true or false, got %r" % (irreducible,))
-        modulus = cfg.get("field_modulus")
         field = FiniteField(p, degree, tuple(modulus) if modulus else None)
         return cls(
             p,

@@ -247,15 +247,7 @@ class TangentReport:
 
 
 def _projected_rank(vectors, p):
-    rows = []
-    for v in vectors:
-        row = {i: c for i, c in enumerate(v) if c % p}
-        if row:
-            rows.append(row)
-    if not rows:
-        return 0
-    ncols = max(max(r) for r in rows) + 1
-    return fp_linalg.kernel_basis(rows, ncols, p)[1]
+    return fp_linalg.rank([{i: c for i, c in enumerate(v) if c} for v in vectors], p)
 
 
 def solve_claim(system):

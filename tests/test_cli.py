@@ -243,6 +243,8 @@ class TestExitCodes:
             {"r": [13.5]},
             {"f": True},
             {"a": [0], "irreducible": "no"},
+            {"field_modulus": 5},
+            {"alpha": [True]},
         ):
             path.write_text(json.dumps(dict(good, **bad)))
             assert cli.main(["describe", "--config", str(path)]) == 1, bad
@@ -253,6 +255,8 @@ class TestExitCodes:
         assert rc == 1
         # --jobs belongs to oracle only
         rc, _ = run(capsys, ["kisin", "--jobs", "2"])
+        assert rc == 1
+        rc, _ = run(capsys, ["adm", "--f", "-1"])
         assert rc == 1
 
     def test_no_command(self, capsys):
@@ -287,6 +291,9 @@ class TestExitCodes:
         )
         rc, _ = run(capsys, ["oracle", "--kind", "coset", "--config", str(path), "--trials", "3"])
         assert rc == 2
+        # an admissible set above weights.MAX_ADM_ELEMENTS
+        rc, _ = run(capsys, ["adm", "--f", "11"])
+        assert rc == 2
 
     def test_internal_error_path(self, monkeypatch, capsys, f1_config):
         def boom(args):
@@ -296,6 +303,17 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "cmd_describe", boom)
         rc = cli.main(["describe", "--config", f1_config])
         assert rc == 3
+
+    def test_unexpected_exception(self, monkeypatch, capsys, f1_config):
+        def boom(args):
+            raise KeyError("forced")
+
+        monkeypatch.setattr(cli, "cmd_describe", boom)
+        rc = cli.main(["describe", "--config", f1_config])
+        assert rc == 3
+        err = capsys.readouterr().err
+        # one line, no traceback
+        assert err == "internal error: KeyError('forced')\n"
 
 
 def test_console_script_entry_point():
