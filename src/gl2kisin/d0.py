@@ -11,10 +11,11 @@ closure under moving any offset one step toward zero.
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import ConfigError, InternalCheckError, PreconditionError
 from .rho import serre_weights
-from .weights import t_lambda
+from .weights import SerreWeightLabel, t_lambda
 
 
 @dataclass(frozen=True)
@@ -72,31 +73,81 @@ def jh_component(rho, sigma, profile=None):
     """Constituents of the component generated by sigma.
 
     Offsets a run through the translation window of sigma, one-sided on the
-    supported slots, subject to the budget sum_j max(floor(a_j / 2), 0) <= 1.
+    supported slots, subject to the budget sum_j max(floor(a_j / 2), 0) <= 1,
+    in lexicographic order.  The label of a is weights.t_lambda(sigma, a, p),
+    folded from per-slot tables: r'_j depends only on (a_j, the parity of
+    a_{j+1}), and the twist is sigma's plus half of
+    delta_0 * (p^f - 1) + sum_j (d_j - r'_j) * p^j, where delta_0 is the
+    parity of a_0.
     """
     if profile is None:
         profile = socle_profile(rho, sigma)
     f, p = rho.f, rho.p
-    diffs = sigma.diffs
     ranges = []
-    for j in range(f):
-        sign = profile.signs[j]
+    for d, sign in zip(sigma.diffs, profile.signs):
         # the budget admits no coordinate above 3 (floor(4 / 2) = 2 > 1)
-        top = min(p - 1 - diffs[j], 4)
+        top = min(p - 1 - d, 4)
         if sign == 1:
-            ranges.append(range(-diffs[j], 1))
+            ranges.append(range(-d, 1))
         elif sign == -1:
             ranges.append(range(0, top))
         else:
-            ranges.append(range(-diffs[j], top))
-    # product over ascending ranges yields the offsets in lexicographic order
-    offsets = [
-        a
-        for a in itertools.product(*ranges)
-        if sum(max(aj // 2, 0) for aj in a) <= 1
-    ]
-    labels = tuple(t_lambda(sigma, a, p) for a in offsets)
-    return ComponentStructure(socle=sigma, profile=profile, offsets=tuple(offsets), labels=labels)
+            ranges.append(range(-d, top))
+    offsets = _admitted_offsets(ranges)
+    labels = ()
+    if offsets:
+        # every value of every range occurs in some admitted offset, so the
+        # tables check the window exactly where t_lambda would
+        tables = [_slot_table(d, rng, j, p) for j, (d, rng) in enumerate(zip(sigma.diffs, ranges))]
+        m = p ** f - 1
+        rprime, contributions = [], []
+        for j, table in enumerate(tables):
+            k = (j + 1) % f
+            entries = [table[a[j]][a[k] & 1] for a in offsets]
+            rprime.append(map(itemgetter(0), entries))
+            contributions.append(map(itemgetter(1), entries))
+        # each sum is even: for odd p it is sum_j a_j + #{j : a_j odd} mod 2,
+        # and at p = 2 the window admits only the zero offset
+        num = map(sum, zip([(a[0] & 1) * m for a in offsets], *contributions))
+        twists = [(sigma.twist + x // 2) % m for x in num]
+        labels = tuple(map(SerreWeightLabel, zip(*rprime), twists))
+    return ComponentStructure(socle=sigma, profile=profile, offsets=offsets, labels=labels)
+
+
+def _admitted_offsets(ranges):
+    """The offsets in the product of the ascending ranges that the budget
+    admits, in lexicographic order: every coordinate is at most 1, or
+    exactly one lies in {2, 3}.
+
+    Built from the last slot back: an admitted suffix starts with a value
+    <= 1 followed by an admitted suffix, or with a value in {2, 3} followed
+    by a suffix of values <= 1, and every value <= 1 sorts before {2, 3}.
+    """
+    admitted, low_only = [()], [()]
+    for rng in reversed(ranges):
+        low = [w for w in rng if w <= 1]
+        high = [w for w in rng if w > 1]
+        admitted = [(w,) + s for w in low for s in admitted] + [
+            (w,) + s for w in high for s in low_only
+        ]
+        low_only = [(w,) + s for w in low for s in low_only]
+    return tuple(admitted)
+
+
+def _slot_table(d, rng, j, p):
+    """Slot j of the label fold at base difference d: for each offset w in
+    rng, the pairs (r'_j, (d - r'_j) * p^j) when the offset at slot j + 1 is
+    even and when it is odd (the two cases of weights.t_lambda)."""
+    pj = p ** j
+    table = {}
+    for w in rng:
+        if not 0 <= d + w <= p - 2:
+            raise PreconditionError(
+                "graph point %d at slot %d is outside the window of base difference %d" % (w, j, d)
+            )
+        even, odd = d + w, p - 2 - d - w
+        table[w] = ((even, (d - even) * pj), (odd, (d - odd) * pj))
+    return table
 
 
 def offset_below(b, a):
@@ -136,49 +187,52 @@ class D0Report:
 
 
 def d0_checks(rho):
-    """Run the structural checks over every component of the profile."""
+    """Run the structural checks over every component of the profile.
+
+    Each label is hashed once, into one count over all components.
+    """
     weights = serre_weights(rho)
     wlabels = set(weights.labels())
     comps = tuple(jh_component(rho, lab) for lab in weights.labels())
-
-    per_component_distinct = all(len(set(c.labels)) == len(c.labels) for c in comps)
-
     zero = (0,) * rho.f
-    hits = []
-    for c in comps:
-        for a, lab in zip(c.offsets, c.labels):
-            if lab in wlabels:
-                hits.append((c.socle, a, lab))
-    weight_set_only_socles = Counter(lab for _s, _a, lab in hits) == Counter(wlabels) and all(
-        a == zero and socle == lab for socle, a, lab in hits
+    # before the label count, so that its offset sets and the count are
+    # never held at the same time
+    downward_closed = all(_downward_closed(c.offsets, rho.f) for c in comps)
+
+    counts = Counter(itertools.chain.from_iterable(c.labels for c in comps))
+    globally_multiplicity_free = len(counts) == sum(len(c.labels) for c in comps)
+    # a repeat inside a component is a repeat overall
+    per_component_distinct = globally_multiplicity_free or all(
+        len(set(c.labels)) == len(c.labels) for c in comps
     )
-
-    socles = set()
-    for c in comps:
-        socles.add(c.labels[c.offsets.index(zero)])
-    socles_match = socles == wlabels
-
-    downward_closed = True
-    for c in comps:
-        have = set(c.offsets)
-        for a in c.offsets:
-            if not set(one_step_down(a)) <= have:
-                downward_closed = False
-                break
-        if not downward_closed:
-            break
-
-    total = sum(len(c.labels) for c in comps)
-    globally_multiplicity_free = len({lab for c in comps for lab in c.labels}) == total
+    at_zero = [c.labels[c.offsets.index(zero)] for c in comps]
+    # each weight occurs exactly once overall, and that once is at offset
+    # zero of a component it is the socle of
+    weight_set_only_socles = all(counts[w] == 1 for w in wlabels) and wlabels <= {
+        c.socle for c, lab in zip(comps, at_zero) if lab == c.socle
+    }
 
     return D0Report(
         components=comps,
         per_component_distinct=per_component_distinct,
         weight_set_only_socles=weight_set_only_socles,
-        socles_match=socles_match,
+        socles_match=set(at_zero) == wlabels,
         downward_closed=downward_closed,
         globally_multiplicity_free=globally_multiplicity_free,
     )
+
+
+def _downward_closed(offsets, f):
+    """Moving any offset one step toward zero in one coordinate gives an
+    offset again (a zero coordinate stays, giving the offset itself)."""
+    have = set(offsets)
+    columns = [list(map(itemgetter(j), offsets)) for j in range(f)]
+    for j, col in enumerate(columns):
+        toward_zero = {x: x - 1 if x > 0 else x + 1 if x < 0 else 0 for x in set(col)}
+        stepped = zip(*columns[:j], map(toward_zero.__getitem__, col), *columns[j + 1 :])
+        if not have.issuperset(stepped):
+            return False
+    return True
 
 
 def serre_weight_dim(label):

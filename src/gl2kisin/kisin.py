@@ -354,9 +354,20 @@ def torus_rigidity_dims(data, H=4):
     preserving all gauge degree bounds, against the expected count.
 
     Perturbing the basis of slot i by 1 + eps*h^(i) (h diagonal with
-    polynomial entries of degree <= H) moves the matrix by
-    h^(i) A^(i) - A^(i) phi(h^(i-1)); the degree bounds on that movement and
-    on the first-order determinant form a linear system over the field.
+    polynomial entries of degree <= H) moves the matrix A = A^(i) by
+    P = h^(i) A - A phi(h^(i-1)); the degree bounds of _entry_bounds on that
+    movement form a linear system over the field.
+
+    The bound deg <= nu1 + nu2 on the first-order determinant adds nothing,
+    so it has no rows.  With h = h^(i), h' = h^(i-1), P_lk = a_lk (h_l -
+    phi(h'_k)), and the first-order determinant is
+        tr(adj(A) P) = a22 P11 + a11 P22 - a12 P21 - a21 P12
+                     = det(A) (h1 + h2 - phi(h1') - phi(h2')).
+    The entry rows force deg P_lk <= b_lk, A itself meets deg a_lk <= b_lk
+    (it is in gauge normal form, which is checked), and _entry_bounds gives
+    b11 + b22 <= nu1 + nu2 and b12 + b21 <= nu1 + nu2.  So every product in
+    tr(adj(A) P) has degree <= nu1 + nu2: each determinant coefficient above
+    nu1 + nu2 is a sum of products that the entry rows already force to 0.
 
     OUTPUT: (kernel_dimension, expected) with expected = 2f, the constant
     rescaling in each slot.  Prime-field profiles only: the coefficient
@@ -377,17 +388,16 @@ def torus_rigidity_dims(data, H=4):
 
     def rows_above(terms, bound, here, prev):
         # rows of terms * (h - phi(h')) in the degrees above bound, one per
-        # degree some term reaches: h sums the polynomials whose degree-0
-        # columns are `here`, h' those at `prev`, and phi(h') carries
+        # degree some term reaches: h is the polynomial whose degree-0
+        # column is `here`, h' the one at `prev`, and phi(h') carries
         # coefficient e of h' at degree p*e
         by_degree = {}
         for d, coeff in terms.items():
             for e in range(H + 1):
-                for g, cols, c in ((d + e, here, coeff), (d + p * e, prev, -coeff)):
+                for g, col, c in ((d + e, here, coeff), (d + p * e, prev, -coeff)):
                     if g > bound:
                         row = by_degree.setdefault(g, {})
-                        for col in cols:
-                            row[col + e] = row.get(col + e, 0) + c
+                        row[col + e] = row.get(col + e, 0) + c
         return by_degree.values()
 
     rows = []
@@ -395,12 +405,13 @@ def torus_rigidity_dims(data, H=4):
         iprev = (i - 1) % f
         A = data.mats[i]
         component = ADM_COMPONENTS[idx[i]]
+        if not gauge_check(A, component):
+            raise PreconditionError(
+                "slot matrix %d is not in gauge normal form for %r" % (i, component)
+            )
         # P_lk = A_lk * (h_l^(i) - phi(h_k^(i-1))), entries row-major
         for q, (a, bound) in enumerate(zip(A.terms(), _entry_bounds(component))):
             l, k = divmod(q, 2)
-            rows.extend(rows_above(a, bound, (var(i, l),), (var(iprev, k),)))
-        # det * (h_1 + h_2 - phi(h_1') - phi(h_2')), bounded by nu_1 + nu_2
-        both, both_prev = (var(i, 0), var(i, 1)), (var(iprev, 0), var(iprev, 1))
-        rows.extend(rows_above(A.det().terms, sum(component[1]), both, both_prev))
+            rows.extend(rows_above(a, bound, var(i, l), var(iprev, k)))
     dim = fp_linalg.kernel_dim(rows, ncols, p)
     return dim, 2 * f

@@ -18,6 +18,12 @@ from .errors import ConfigError, PreconditionError
 from .laurent import Laurent, phi_twist
 from .matrices import Mat2
 
+# assemble_system builds at most this many columns, else PreconditionError.
+# The largest system the tests and the benchmark build has 2,470 (p 101,
+# f 3, degree bound 202); one of 65,532 columns (p 101, f 3, degree bound
+# 5457) takes about 0.8 s and 61 MiB for `gl2kisin tangent` on a 2-vCPU Xeon.
+MAX_TANGENT_COLUMNS = 2**16
+
 # per-slot low-degree correction parameters; p<entry>_<degree> sits in the
 # (entry) position of the correction matrix with v-degree (m2 = -2, m1 = -1)
 PARAM_NAMES = (
@@ -166,6 +172,11 @@ def assemble_system(rho, b=None, degree_bound=None, min_degree=0):
     slots = slot_data(rho)
     rows = []
     system = TangentSystem(rho, b, degree_bound, min_degree, rows)
+    if system.ncols > MAX_TANGENT_COLUMNS:
+        raise PreconditionError(
+            "the rigidity system at degrees %d..%d has %d columns, above the cap of %d"
+            % (min_degree, degree_bound, system.ncols, MAX_TANGENT_COLUMNS)
+        )
 
     for j in range(f):
         sd = slots[j]

@@ -100,9 +100,6 @@ class ExtendedWeylElt:
         """Per component, the pair (nu', w) with s t_nu = t_{nu'} w."""
         return tuple((s_apply(s, nu), s) for s, nu in self.parts)
 
-    def translation_sum(self):
-        return tuple(nu for _, nu in self.parts)
-
     def __eq__(self, other):
         return isinstance(other, ExtendedWeylElt) and self.parts == other.parts
 

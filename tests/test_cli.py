@@ -294,6 +294,18 @@ class TestExitCodes:
         # an admissible set above weights.MAX_ADM_ELEMENTS
         rc, _ = run(capsys, ["adm", "--f", "11"])
         assert rc == 2
+        # rigidity systems above tangent.MAX_TANGENT_COLUMNS, by either end
+        # of the degree window
+        path = tmp_path / "nonsplit.json"
+        path.write_text(
+            json.dumps({"p": 31, "f": 1, "r": [13], "a": [7], "alpha": [3], "beta": [5]})
+        )
+        for extra in (
+            ["--degree-bound", str(10**9)],
+            ["--min-degree", str(-(10**9))],
+        ):
+            rc, _ = run(capsys, ["tangent", "--config", str(path)] + extra)
+            assert rc == 2, extra
 
     def test_internal_error_path(self, monkeypatch, capsys, f1_config):
         def boom(args):

@@ -1,8 +1,14 @@
+import dataclasses
 import itertools
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gl2kisin import d0
 from gl2kisin.d0 import (
+    SocleProfile,
     d0_checks,
     jh_component,
     offset_below,
@@ -12,7 +18,7 @@ from gl2kisin.d0 import (
 )
 from gl2kisin.errors import ConfigError
 from gl2kisin.rho import serre_weights
-from gl2kisin.weights import make_label
+from gl2kisin.weights import make_label, t_lambda
 
 from conftest import random_profile
 
@@ -151,3 +157,82 @@ def test_component_socles_are_weight_set(rng):
     rep = d0_checks(rho)
     socles = {c.socle for c in rep.components}
     assert socles == set(serre_weights(rho).labels())
+
+
+@st.composite
+def bases(draw):
+    """A prime, a base label with diffs in the labelling window, and signs."""
+    p = draw(st.sampled_from((5, 7, 11, 13, 17, 19, 23, 29, 31, 37)))
+    f = draw(st.integers(1, 3))
+    diffs = tuple(draw(st.lists(st.integers(0, p - 2), min_size=f, max_size=f)))
+    twist = draw(st.integers(0, p**f - 2))
+    signs = tuple(draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=f, max_size=f)))
+    return p, make_label(diffs, twist, p), signs
+
+
+@given(bases())
+@settings(max_examples=60, deadline=None)
+def test_jh_component_matches_reference(base):
+    """Offsets equal the budget-filtered product of the per-slot ranges, and
+    every label equals weights.t_lambda at its offset."""
+    p, sigma, signs = base
+    f = len(signs)
+    ranges = []
+    for d, sign in zip(sigma.diffs, signs):
+        top = min(p - 1 - d, 4)
+        ranges.append({1: range(-d, 1), -1: range(0, top), 0: range(-d, top)}[sign])
+    expected = [
+        a for a in itertools.product(*ranges) if sum(max(aj // 2, 0) for aj in a) <= 1
+    ]
+    # with the signs given, jh_component reads only p and f of the profile
+    comp = jh_component(SimpleNamespace(p=p, f=f), sigma, SocleProfile(signs))
+    assert list(comp.offsets) == expected
+    assert list(comp.labels) == [t_lambda(sigma, a, p) for a in expected]
+
+
+def _checks_on_doctored(monkeypatch, rho, doctor):
+    monkeypatch.setattr(d0, "jh_component", lambda rho, sigma: doctor(jh_component(rho, sigma)))
+    rep = d0_checks(rho)
+    flags = (
+        rep.per_component_distinct,
+        rep.weight_set_only_socles,
+        rep.socles_match,
+        rep.downward_closed,
+        rep.globally_multiplicity_free,
+    )
+    return flags, rep.passed
+
+
+def _repeat_label(c):
+    return dataclasses.replace(c, labels=c.labels[:-1] + c.labels[-2:-1])
+
+
+def _drop_step(c):
+    gone = one_step_down(c.offsets[-1])[0]
+    keep = [i for i, a in enumerate(c.offsets) if a != gone]
+    return dataclasses.replace(
+        c,
+        offsets=tuple(c.offsets[i] for i in keep),
+        labels=tuple(c.labels[i] for i in keep),
+    )
+
+
+def _move_socle(c):
+    i = c.offsets.index((0,) * len(c.offsets[0]))
+    labels = list(c.labels)
+    labels[i], labels[i + 1] = labels[i + 1], labels[i]
+    return dataclasses.replace(c, labels=tuple(labels))
+
+
+@pytest.mark.parametrize(
+    "doctor, flags",
+    [
+        # (distinct, weight set only socles, socles match, closed, globally free)
+        (_repeat_label, (False, True, True, True, False)),
+        (_drop_step, (True, True, True, False, True)),
+        (_move_socle, (True, False, False, True, True)),
+    ],
+)
+def test_checks_fail_on_doctored_component(monkeypatch, f1_nonsplit, doctor, flags):
+    assert _checks_on_doctored(monkeypatch, f1_nonsplit, lambda c: c) == ((True,) * 5, True)
+    assert _checks_on_doctored(monkeypatch, f1_nonsplit, doctor) == (flags, False)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -379,6 +380,16 @@ def test_torus_rigidity_brute_force():
                     solutions += keeps_bounds(list(zip(polys[::2], polys[1::2])))
                 dim, _expected = torus_rigidity_dims(data, H)
                 assert solutions == p ** dim, (rho, w)
+
+
+def test_torus_rigidity_refuses_non_gauge_matrix(f1_nonsplit):
+    """The determinant bound has no rows because gauge normal form implies
+    it; a slot matrix outside that form is refused, not measured."""
+    data = kisin_matrices(f1_nonsplit, x_rho(f1_nonsplit)[0])
+    (A,) = data.mats
+    raised = dataclasses.replace(data, mats=(A * monomial_matrix(F31, 0, (1, 1)),))
+    with pytest.raises(PreconditionError):
+        torus_rigidity_dims(raised)
 
 
 def test_torus_rigidity_extension_field_refused():
