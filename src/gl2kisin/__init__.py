@@ -15,12 +15,10 @@ from .weights import (
     SerreWeightLabel,
     adm_set,
     classify_weight,
-    ext_graph_lambda,
     from_index,
     index_of,
     make_label,
     t_lambda,
-    window_check,
 )
 from .rho import (
     RhoBar,
@@ -65,12 +63,10 @@ __all__ = [
     "SerreWeightLabel",
     "adm_set",
     "classify_weight",
-    "ext_graph_lambda",
     "from_index",
     "index_of",
     "make_label",
     "t_lambda",
-    "window_check",
     "RhoBar",
     "inertia_exponents",
     "serre_weights",

@@ -30,6 +30,7 @@ from .laurent import Laurent
 from .oracles import coset_certify, random_truncated_invertible
 from .rho import (
     RhoBar,
+    _is_int,
     inertia_exponents,
     serre_weights,
     tau_presentation,
@@ -54,6 +55,8 @@ def _load_config(args):
         raise ConfigError("cannot read config: %s" % exc)
     except json.JSONDecodeError as exc:
         raise ConfigError("config is not valid JSON: %s" % exc)
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be a JSON object, got %r" % (cfg,))
     if args.mode:
         cfg = dict(cfg, mode=args.mode)
     return cfg
@@ -64,10 +67,20 @@ def _load_rho(args):
     return RhoBar.from_config(cfg), cfg
 
 
+def _config_int(cfg, name, default=None):
+    # an integer field of the config, by the rule of RhoBar.from_config
+    if name not in cfg and default is None:
+        raise ConfigError("config is missing required field %r" % name)
+    value = cfg.get(name, default)
+    if not _is_int(value):
+        raise ConfigError("%s must be an integer, got %r" % (name, value))
+    return value
+
+
 def _seed(args, cfg):
     if args.seed is not None:
         return args.seed
-    return int(cfg.get("seed", 0)) if cfg else 0
+    return _config_int(cfg, "seed", 0) if cfg else 0
 
 
 def _parse_ints(text, what):
@@ -96,7 +109,7 @@ def cmd_describe(args):
         {
             "semisimple": rho.semisimple(),
             "zero_count": rho.zero_count(),
-            "free_slots": list(rho.free_slots()),
+            "free_slots": rho.free_slots(),
             "depth": rho.depth(),
             "weight_count": len(serre_weights(rho)),
             "inertia": {
@@ -114,7 +127,7 @@ def cmd_weights(args):
     ws = serre_weights(rho)
     return {
         "count": len(ws),
-        "entries": [{"b": list(b), "label": label} for b, label in ws.entries],
+        "entries": [{"b": b, "label": label} for b, label in ws.entries],
     }
 
 
@@ -130,30 +143,28 @@ def cmd_adm(args):
     return {
         "f": f,
         "count": len(elements),
-        "elements": [{"index": list(index_of(w)), "name": repr(w)} for w in elements],
+        "elements": [{"index": w, "name": repr(w)} for w in elements],
     }
 
 
 def cmd_xset(args):
     rho, _cfg = _load_rho(args)
-    out = {
-        "x_rho": [list(index_of(w)) for w in x_rho(rho)],
-    }
-    out["count"] = len(out["x_rho"])
+    xs = x_rho(rho)
+    out = {"x_rho": xs, "count": len(xs)}
     if args.sigma:
         b = _parse_ints(args.sigma, "--sigma")
-        out["sigma_b"] = list(b)
-        out["x_sigma"] = [list(index_of(w)) for w in x_sigma(rho, b)]
+        out["sigma_b"] = b
+        out["x_sigma"] = x_sigma(rho, b)
     return out
 
 
 def _type_entry(rho, w):
     pres = tau_presentation(rho, w)
     return {
-        "index": list(index_of(w)),
-        "s_tau": list(pres.s_tau),
-        "mu_tau": [list(x) for x in pres.mu_tau],
-        "mu_plus_eta": [list(x) for x in pres.mu_plus_eta],
+        "index": w,
+        "s_tau": pres.s_tau,
+        "mu_tau": pres.mu_tau,
+        "mu_plus_eta": pres.mu_plus_eta,
         "generic_depth": pres.generic_depth,
     }
 
@@ -169,7 +180,7 @@ def cmd_types(args):
 def cmd_kisin(args):
     rho, _cfg = _load_rho(args)
     wtilde = _parse_wtilde(rho, args.wtilde) if args.wtilde else None
-    targets = [wtilde] if wtilde else list(x_rho(rho))
+    targets = [wtilde] if wtilde else x_rho(rho)
     reports = []
     for w in targets:
         data = kisin_matrices(rho, w)
@@ -185,12 +196,12 @@ def cmd_kisin(args):
                     "gauge": gauge_check(m, comp),
                     "height_exact": height_check(m, (2, 1)),
                     "height_window": height_check(m, (2, 1), "window"),
-                    "shape": {"s": sh.s, "nu": list(sh.nu), "adm_index": sh.adm_index()},
+                    "shape": {"s": sh.s, "nu": sh.nu, "adm_index": sh.adm_index()},
                     "matrix": m,
                 }
             )
         entry = {
-            "index": list(idx),
+            "index": idx,
             "type": _type_entry(rho, w),
             "recovery": verify_recovery(rho, w),
             "per_slot": per_slot,
@@ -201,7 +212,7 @@ def cmd_kisin(args):
         reports.append(entry)
     if wtilde:
         report = reports[0]
-        report["etale"] = list(etale_matrices(rho))
+        report["etale"] = etale_matrices(rho)
         return report
     return {"count": len(reports), "elements": reports}
 
@@ -248,7 +259,7 @@ def cmd_d0(args):
         components.append(
             {
                 "socle": comp.socle,
-                "signs": list(comp.profile.signs),
+                "signs": comp.profile.signs,
                 "size": len(comp),
                 "dim": sum(d0_mod.serre_weight_dim(lab) for lab in comp.labels),
             }
@@ -317,8 +328,8 @@ def cmd_oracle(args):
             "residual_ok": tangent_mod.residual_check(report),
         }
     if cfg is not None:
-        p = int(cfg["p"])
-        degree = int(cfg.get("field_degree", 1))
+        p = _config_int(cfg, "p")
+        degree = _config_int(cfg, "field_degree", 1)
     else:
         p, degree = args.p, 1
     seed0 = _seed(args, cfg)

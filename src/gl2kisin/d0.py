@@ -150,11 +150,6 @@ def _slot_table(d, rng, j, p):
     return table
 
 
-def offset_below(b, a):
-    """Partial order on offsets: b lies between zero and a componentwise."""
-    return all(0 <= bj <= aj or aj <= bj <= 0 for bj, aj in zip(b, a))
-
-
 def one_step_down(a):
     """Offsets obtained by moving one coordinate a single step toward 0."""
     out = []

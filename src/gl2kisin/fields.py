@@ -249,7 +249,12 @@ def _table_ops(p, degree, modulus):
 
 
 class FieldElement:
-    """One element of a FiniteField, held as its residue n in [0, q)."""
+    """One element of a FiniteField, held as its residue n in [0, q).
+
+    An element equals the elements of the same field with the same residue
+    and the int equal to that residue, so F(3) == 3 but F(3) != 34 and
+    F(3) != -28; the hash is the residue's, as for that int.
+    """
 
     __slots__ = ("field", "n")
 
@@ -338,7 +343,7 @@ class FieldElement:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            return self.n == other % self.field.order
+            return self.n == other
         return (
             isinstance(other, FieldElement)
             and self.field == other.field
@@ -346,7 +351,7 @@ class FieldElement:
         )
 
     def __hash__(self):
-        return hash((self.field.p, self.field.degree, self.coeffs))
+        return hash(self.n)
 
     def __repr__(self):
         if self.field.degree == 1:

@@ -340,11 +340,6 @@ def shape_of(M):
     return shape
 
 
-def shapes_of_kisin(data):
-    """Shape components of every matrix in a KisinData, superscript order."""
-    return tuple(shape_of(m).component() for m in data.mats)
-
-
 # ---------------------------------------------------------------------------
 # first-order rigidity of the gauge normal form
 

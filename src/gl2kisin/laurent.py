@@ -211,9 +211,6 @@ class Laurent:
     def coeff(self, deg):
         return FieldElement(self.field, self.terms.get(deg, 0))
 
-    def is_polynomial(self):
-        return all(d >= 0 for d in self.terms)
-
     def shift(self, k):
         """Multiply by v^k."""
         return _new(self.field, {d + k: c for d, c in self.terms.items()})

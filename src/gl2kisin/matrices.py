@@ -5,8 +5,6 @@ t22) and computes on them directly; a11..a22 wrap them as Laurent
 polynomials.
 """
 
-import math
-
 from .errors import ConfigError
 from .laurent import Laurent, add_terms, mul_terms, neg_terms, sub_terms, truncate_terms
 
@@ -51,12 +49,6 @@ class Mat2:
     a22 = property(lambda self: Laurent.from_terms(self.field, self.t22))
 
     @classmethod
-    def from_rows(cls, field, rows):
-        (a11, a12), (a21, a22) = rows
-        conv = lambda x: x if isinstance(x, Laurent) else Laurent.const(field, x)
-        return cls(field, conv(a11), conv(a12), conv(a21), conv(a22))
-
-    @classmethod
     def identity(cls, field):
         return _mat(field, {0: 1}, {}, {}, {0: 1})
 
@@ -83,9 +75,6 @@ class Mat2:
 
     def entries(self):
         return (self.a11, self.a12, self.a21, self.a22)
-
-    def rows(self):
-        return ((self.a11, self.a12), (self.a21, self.a22))
 
     def __add__(self, other):
         f = self.field
@@ -127,15 +116,8 @@ class Mat2:
             f, sub_terms(f, mul_terms(f, self.t11, self.t22), mul_terms(f, self.t12, self.t21))
         )
 
-    def transpose(self):
-        return _mat(self.field, self.t11, self.t21, self.t12, self.t22)
-
     def truncate(self, prec):
         return _mat(self.field, *map(truncate_terms, self.terms(), (prec,) * 4))
-
-    def min_valuation(self):
-        """Least valuation over the nonzero entries (inf for the zero matrix)."""
-        return min(map(min, filter(None, self.terms())), default=math.inf)
 
     def __eq__(self, other):
         return (

@@ -222,15 +222,6 @@ class SerreWeightSet:
     def labels(self):
         return [label for _, label in self.entries]
 
-    def b_vectors(self):
-        return [b for b, _ in self.entries]
-
-    def label_of(self, b):
-        for bv, label in self.entries:
-            if bv == tuple(b):
-                return label
-        raise PreconditionError("b-vector %r is not in the weight set" % (b,))
-
     def __len__(self):
         return len(self.entries)
 
@@ -318,7 +309,7 @@ class TypePresentation:
     wtilde: ExtendedWeylElt
     s_tau: tuple  # f S2-elements (0/1)
     mu_tau: tuple  # Weight
-    mu_plus_eta: tuple  # Weight, = mu_tau + eta componentwise
+    mu_plus_eta: tuple  # Weight, = mu_tau + (1, 0) componentwise
     generic_depth: int
 
 
@@ -333,7 +324,7 @@ def tau_presentation(rho, wtilde):
     """Type presentation attached to an admissible element.
 
     Star the element, write each component in left-translation form t_nu' w,
-    then read (mu_tau + eta)_j from the two-row table keyed by (nu', w, s_j)
+    then read (mu_plus_eta)_j from the two-row table keyed by (nu', w, s_j)
     and set s_tau_j = s_j * w_j^{-1}.
     """
     if wtilde.f != rho.f:

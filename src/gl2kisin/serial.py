@@ -14,28 +14,24 @@ from .matrices import Mat2
 from .weights import ExtendedWeylElt, SerreWeightLabel, index_of
 
 
-def to_jsonable(obj):
+def _terms(terms):
+    return sorted(terms.items())
+
+
+def _encode(obj):
+    # json.dumps calls this for every value it cannot encode itself
     if isinstance(obj, FieldElement):
-        return obj.to_int()
+        return obj.n
     if isinstance(obj, Laurent):
-        return [[d, n] for d, n in sorted(obj.terms.items())]
+        return _terms(obj.terms)
     if isinstance(obj, Mat2):
-        return [
-            [to_jsonable(obj.a11), to_jsonable(obj.a12)],
-            [to_jsonable(obj.a21), to_jsonable(obj.a22)],
-        ]
+        return [[_terms(obj.t11), _terms(obj.t12)], [_terms(obj.t21), _terms(obj.t22)]]
     if isinstance(obj, ExtendedWeylElt):
-        return list(index_of(obj))
+        return index_of(obj)
     if isinstance(obj, SerreWeightLabel):
-        return {"diffs": list(obj.diffs), "twist": obj.twist}
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(x) for x in obj]
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, float, str)):
-        return obj
+        return {"diffs": obj.diffs, "twist": obj.twist}
     raise TypeError("cannot serialize %r" % (type(obj),))
 
 
 def dumps(obj):
-    return json.dumps(to_jsonable(obj), sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, default=_encode, sort_keys=True, indent=2) + "\n"

@@ -51,19 +51,6 @@ def classify_weight(lam, p):
     return WeightClass(dominant, p_restricted, regular, depth)
 
 
-def eta(f):
-    """The per-component shift (1, 0)."""
-    return ((1, 0),) * f
-
-
-def weight_sub(lam, mu):
-    return tuple((a1 - b1, a2 - b2) for (a1, a2), (b1, b2) in zip(lam, mu))
-
-
-def weight_add(lam, mu):
-    return tuple((a1 + b1, a2 + b2) for (a1, a2), (b1, b2) in zip(lam, mu))
-
-
 # ---------------------------------------------------------------------------
 # extended Weyl elements and the admissible set
 
@@ -95,10 +82,6 @@ class ExtendedWeylElt:
         for s, nu in reversed(self.parts):
             out.append((s, s_apply(s, nu)))
         return ExtendedWeylElt(out)
-
-    def left_translation_form(self):
-        """Per component, the pair (nu', w) with s t_nu = t_{nu'} w."""
-        return tuple((s_apply(s, nu), s) for s, nu in self.parts)
 
     def __eq__(self, other):
         return isinstance(other, ExtendedWeylElt) and self.parts == other.parts
@@ -175,11 +158,6 @@ def make_label(diffs, twist, p):
     return SerreWeightLabel(tuple(int(d) for d in diffs), twist % (p ** f - 1))
 
 
-def window_check(mu, omega, p):
-    """True iff 0 <= gap_j + omega_j <= p - 2 for every component."""
-    return all(0 <= pair_gap(pair) + w <= p - 2 for pair, w in zip(mu, omega))
-
-
 def _graph_data(diffs, omega, p):
     f = len(diffs)
     for r, w in zip(diffs, omega):
@@ -198,21 +176,6 @@ def _graph_data(diffs, omega, p):
     if num % 2:
         raise PreconditionError("graph twist is not integral")  # unreachable for valid input
     return tuple(rprime), num // 2
-
-
-def ext_graph_lambda(mu, omega, p):
-    """Label of the graph point omega relative to the base weight mu.
-
-    INPUT: mu a Weight whose components are (r_j, 0); omega an integer vector.
-    OUTPUT: SerreWeightLabel with the two-case difference formula and the
-    half-integer twist, reduced mod p^f - 1.
-    """
-    for pair in mu:
-        if pair[1] != 0:
-            raise ConfigError("base weight components must have the form (r_j, 0)")
-    diffs = tuple(pair[0] for pair in mu)
-    rprime, e = _graph_data(diffs, omega, p)
-    return make_label(rprime, e, p)
 
 
 def t_lambda(base, omega, p):

@@ -1,11 +1,16 @@
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
-from gl2kisin import cli
+from gl2kisin import cli, serial
 from gl2kisin.errors import InternalCheckError
+from gl2kisin.fields import GF
+from gl2kisin.laurent import Laurent
+from gl2kisin.matrices import Mat2
+from gl2kisin.weights import from_index, make_label
 
 
 @pytest.fixture
@@ -249,6 +254,19 @@ class TestExitCodes:
             path.write_text(json.dumps(dict(good, **bad)))
             assert cli.main(["describe", "--config", str(path)]) == 1, bad
             assert capsys.readouterr().err.startswith("config error:"), bad
+        # oracle reads p, field_degree and seed itself, by the same rule
+        for bad in (
+            dict(good, seed="abc"),
+            dict(good, seed=True),
+            dict(good, field_degree="x"),
+            {k: v for k, v in good.items() if k != "p"},
+            [good],
+        ):
+            path.write_text(json.dumps(bad))
+            assert cli.main(["oracle", "--config", str(path), "--trials", "1"]) == 1, bad
+            assert capsys.readouterr().err.startswith("config error:"), bad
+        assert cli.main(["describe", "--config", str(path), "--mode", "strict"]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_unknown_command(self, capsys):
         rc, _ = run(capsys, ["frobnicate"])
@@ -328,6 +346,26 @@ class TestExitCodes:
         assert err == "internal error: KeyError('forced')\n"
 
 
+def test_serial_encodes_library_types():
+    F = GF(3, 2)
+    m = Mat2(
+        F,
+        Laurent.from_pairs(F, [(2, 1), (-1, 4)]),
+        Laurent.zero(F),
+        Laurent.const(F, F(5)),
+        Laurent.monomial(F, 1, 0),
+    )
+    doc = {"z": F(5), "m": m, "w": from_index((2, 3)), "label": make_label((13,), 40, 31)}
+    assert json.loads(serial.dumps(doc)) == {
+        "label": {"diffs": [13], "twist": 10},
+        "m": [[[[-1, 4], [2, 1]], []], [[[0, 5]], [[0, 1]]]],
+        "w": [2, 3],
+        "z": 5,
+    }
+    with pytest.raises(TypeError):
+        serial.dumps({"x": object()})
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "gl2kisin.cli", "adm", "--f", "1"],
@@ -336,3 +374,78 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 3
+
+
+# A strict f=3 profile over F_37 and an f=2 profile over F_31^2, beside the
+# f1/f2 fixtures above.
+F3_P37_CONFIG = {
+    "p": 37, "f": 3, "r": [14, 17, 20], "a": [5, 0, 11],
+    "alpha": [3, 2, 7], "beta": [5, 11, 13], "mode": "strict",
+}
+F2_F31SQ_CONFIG = {
+    "p": 31, "f": 2, "r": [13, 15], "a": [0, 500], "alpha": [3, 700],
+    "beta": [5, 11], "field_degree": 2, "mode": "strict",
+}
+
+# sha256 of stdout per case; any change to a report's bytes shows here.
+STDOUT_DIGESTS = {
+    "f1 describe": "4b8b304b7e66070c618558f613a6773bdfe5347033ec789fab73d2ee21643afb",
+    "f1 weights": "49e3ae402e58d762ec0879d0cb867644f42a197bc71f7a2d4594723b6d65c4b9",
+    "f1 xset": "bed8a1d3ce98a58232f90202408cb277ebfc0ebbd54f568c85097670d838cdfa",
+    "f1 types": "d8dd6a9d9fe4b918eb6d2b653dc65425b90904fbea42c9b02f3dd488ef6867ef",
+    "f1 kisin": "c354be6f1bdb2e351d863ebd1b9674a30707d7a3b73a075e92f7d4417ee848f8",
+    "f1 d0": "8dc8a3f972d4307063939ff9adda30a0d31a751e55aa5f58f470cdda58c570bc",
+    "f1 tangent": "da4a377aec62f517611ff310f95fb7d9975682f518e76fe0faf72830b1bc568b",
+    "f1 tangent --stability": "4217d14bbce25d7ab6de54f2279ae061647365debe6fbb19393a94fb7db6cf4c",
+    "f1 tangent --negative-control": "8f78b676e9f46fa13dedc3cc85089979c4ed40350065a6a181223aff1d014476",
+    "f2 describe": "fc982106a298f2437dd2c02a9374c6314bfce150e2add54688ebd6ae8e7c55ce",
+    "f2 weights": "f1ec389ae321e7668cb1289318365187031a290342a206169f4efecc604a8e86",
+    "f2 xset": "f5b927a1304f5c9d9ad47096ac34b0d2c53880e59117bdd01c3bc7bbd3d681d8",
+    "f2 types": "5b795b5f7a6becfe35b5ccc626c518b9ed558c8a32e8605dac83d3150cd9498f",
+    "f2 kisin": "13a633c56e98960ffabc489ca75df414f2449e142c31d4318c9b1fa01cca8b28",
+    "f2 d0": "3dcd3d9656ee63285be13e74b259013cf385afe6ede6629e0d500c7733e69163",
+    "f2 tangent": "53a9d289ad97ffd1f88f83050022298ec18f079bbe678f2c32249a5d99dafae2",
+    "f2 tangent --stability": "bb0df29db5a002706207334f86f015ed07969d8b02ecd7c8349aabe165e50255",
+    "f2 tangent --negative-control": "9d32cea5654b308d2df4971f68ac0af717ee364b4a38c28d0c31f2da87da6e20",
+    "f3_p37 describe": "3ee1f789b78b7b1646a789bfc6a776805377a3fe31eeecb21d7f86c073a6f4a3",
+    "f3_p37 weights": "bdd990865d53f17a45b908dae01c9ce17cf04ab9ee4eff9834669249d4514380",
+    "f3_p37 xset": "27a54f50cfc6f82e06c1b4cd8430cc1d5dbb570ea5266ef23e9d0390cc05a6a5",
+    "f3_p37 types": "aaf05234f584964af9d620367d07c48e56455f13b099c2f7b092c57c8ba8b635",
+    "f3_p37 kisin": "13a96447d57e938d177268c4b4559ab3274d177798e2d6fc7e15185930017809",
+    "f3_p37 d0": "ff083500ec37cbb95051753806134057ffdcf584f0e4844b4d665455ea1c2c1d",
+    "f3_p37 tangent": "68a16d8d1246b7ef23776e6a994a6a5ca94bd93ec47d2f16747d1c7d1f3440dd",
+    "f3_p37 tangent --stability": "4270ee32e69fbe65032063bda54ca9145eae5ad17dd8e52a56a482f60a7b5a1e",
+    "f3_p37 tangent --negative-control": "b97380eaec7a7b123ce34d1eb7690134b10b252d0a246a0ed9ffa8f5516b9cfd",
+    "f2_f31sq describe": "71a3f14802125c4dce34764846e7320c3ec5adc32e3cee6c7b476a10b66f2379",
+    "f2_f31sq weights": "f1ec389ae321e7668cb1289318365187031a290342a206169f4efecc604a8e86",
+    "f2_f31sq xset": "f5b927a1304f5c9d9ad47096ac34b0d2c53880e59117bdd01c3bc7bbd3d681d8",
+    "f2_f31sq types": "5b795b5f7a6becfe35b5ccc626c518b9ed558c8a32e8605dac83d3150cd9498f",
+    "f2_f31sq kisin": "c499197b467e205deaa51274074a75c14d4cff1a4ea42d8154db467eec5c31e8",
+    "f2_f31sq d0": "3dcd3d9656ee63285be13e74b259013cf385afe6ede6629e0d500c7733e69163",
+    "adm f2": "21682ed73dcebbb7745112caeddcd8b1b93b03ab4d2ba88875b7f6a989b8dfbd",
+    "oracle coset": "b4d59af55c8d1b5b503413b3429b4646dee32ff262f64e100215c15e2910ee79",
+}
+
+
+def _digest_cases(configs):
+    for name, path in configs.items():
+        for cmd in ("describe", "weights", "xset", "types", "kisin", "d0"):
+            yield "%s %s" % (name, cmd), [cmd, "--config", path]
+        if name != "f2_f31sq":  # the rigidity system is over prime fields only
+            for flags in ([], ["--stability"], ["--negative-control"]):
+                yield " ".join([name, "tangent"] + flags), ["tangent", "--config", path] + flags
+    yield "adm f2", ["adm", "--f", "2"]
+    yield "oracle coset", ["oracle", "--kind", "coset", "--trials", "20", "--seed", "7"]
+
+
+def test_stdout_digests(tmp_path, capsys, f1_config, f2_config):
+    configs = {"f1": f1_config, "f2": f2_config}
+    for name, cfg in (("f3_p37", F3_P37_CONFIG), ("f2_f31sq", F2_F31SQ_CONFIG)):
+        path = tmp_path / (name + ".json")
+        path.write_text(json.dumps(cfg))
+        configs[name] = str(path)
+    digests = {}
+    for case, argv in _digest_cases(configs):
+        assert cli.main(argv) == 0, case
+        digests[case] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == STDOUT_DIGESTS

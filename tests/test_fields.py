@@ -162,6 +162,18 @@ def test_int_coercion_in_arithmetic():
     assert x == 12
 
 
+def test_equality_with_ints_agrees_with_hash():
+    # an element equals the int of its residue only, and hashes like it
+    F = GF(31)
+    assert len({F(3), 3}) == 1
+    assert F(3) != 34
+    assert F(3) != -28
+    for K in (F, GF(3, 2)):
+        for x in K.elements():
+            assert x == x.to_int()
+            assert hash(x) == hash(x.to_int())
+
+
 def test_field_constructor_errors():
     with pytest.raises(ConfigError):
         GF(9)  # prime power as p: must be GF(3, 2)

@@ -14,7 +14,6 @@ from gl2kisin.kisin import (
     iwahori_check,
     kisin_matrices,
     shape_of,
-    shapes_of_kisin,
     torus_rigidity_dims,
     verify_recovery,
 )
@@ -314,7 +313,7 @@ def test_shapes_of_kisin_match_labels(rng):
         for w in x_rho(rho):
             data = kisin_matrices(rho, w)
             idx = index_of(w)
-            got = shapes_of_kisin(data)
+            got = [shape_of(m).component() for m in data.mats]
             for i in range(rho.f):
                 expected = (
                     ADM_COMPONENTS[1]

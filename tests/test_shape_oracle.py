@@ -73,7 +73,7 @@ def test_random_generator_contract():
         det = M.det()
         assert det
         assert det.valuation() <= 3
-        assert all(e.is_polynomial() for e in M.entries())
+        assert all(min(e.terms) >= 0 for e in M.entries() if e)
         assert all(e.degree() < 4 for e in M.entries() if e)
 
 

@@ -9,16 +9,11 @@ from gl2kisin.weights import (
     ExtendedWeylElt,
     adm_set,
     classify_weight,
-    eta,
-    ext_graph_lambda,
     from_index,
     index_of,
     make_label,
     s_apply,
     t_lambda,
-    weight_add,
-    weight_sub,
-    window_check,
 )
 
 
@@ -70,22 +65,15 @@ def test_star_reverses_and_inverts_components():
     )
 
 
-def test_left_translation_form():
-    w = from_index((2,))
-    ((nu, s),) = w.left_translation_form()
-    assert s == 1 and nu == (1, 2)  # s t_(2,1) = t_(1,2) s
-    assert from_index((1,)).left_translation_form() == (((2, 1), 0),)
-
-
 def test_monomial_matrix_matches_translation_form():
-    # multiplying the two monomial factorizations of the same element agrees
+    # s t_nu = t_{s(nu)} s: multiplying the two monomial factorizations of
+    # the same element agrees
     from gl2kisin.fields import GF
 
     F = GF(5)
     for idx in ((1,), (2,), (3,)):
         (s, nu) = from_index(idx).parts[0]
-        ((nu2, s2),) = from_index(idx).left_translation_form()
-        assert monomial_matrix(F, s, nu) == monomial_matrix(F, 0, nu2) * monomial_matrix(F, s2, (0, 0))
+        assert monomial_matrix(F, s, nu) == monomial_matrix(F, 0, s_apply(s, nu)) * monomial_matrix(F, s, (0, 0))
 
 
 class TestClassify:
@@ -105,19 +93,6 @@ class TestClassify:
 
     def test_componentwise_min(self):
         assert classify_weight(((3, 0), (20, 0)), 31).depth == 3
-
-
-def test_weight_arithmetic():
-    lam = ((5, 2), (1, 0))
-    assert weight_add(lam, eta(2)) == ((6, 2), (2, 0))
-    assert weight_sub(weight_add(lam, lam), lam) == lam
-
-
-def test_window_check():
-    assert window_check(((13, 0),), (1,), 31)
-    assert window_check(((13, 0),), (-13,), 31)
-    assert not window_check(((13, 0),), (-14,), 31)
-    assert not window_check(((13, 0),), (17,), 31)  # 13 + 17 > 29
 
 
 # ---------------------------------------------------------------------------
@@ -168,13 +143,6 @@ def test_graph_label_against_reference():
             got = t_lambda(base, omega, p)
             assert got.diffs == rp
             assert got.twist == (3 + e) % (p**f - 1)
-
-
-def test_graph_label_base_form():
-    # the weight-level entry point insists on components (r_j, 0)
-    assert ext_graph_lambda(((13, 0),), (1,), 31) == t_lambda(make_label((13,), 0, 31), (1,), 31)
-    with pytest.raises(ConfigError):
-        ext_graph_lambda(((13, 1),), (0,), 31)
 
 
 def test_graph_label_not_additive():
