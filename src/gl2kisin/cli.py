@@ -7,6 +7,7 @@ unexpected error.
 """
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -63,8 +64,7 @@ def _load_config(args):
 
 
 def _load_rho(args):
-    cfg = _load_config(args)
-    return RhoBar.from_config(cfg), cfg
+    return RhoBar.from_config(_load_config(args))
 
 
 def _config_int(cfg, name, default=None):
@@ -102,7 +102,7 @@ def _parse_wtilde(rho, text):
 
 
 def cmd_describe(args):
-    rho, _cfg = _load_rho(args)
+    rho = _load_rho(args)
     inert = inertia_exponents(rho)
     out = rho.to_config()
     out.update(
@@ -123,7 +123,7 @@ def cmd_describe(args):
 
 
 def cmd_weights(args):
-    rho, _cfg = _load_rho(args)
+    rho = _load_rho(args)
     ws = serre_weights(rho)
     return {
         "count": len(ws),
@@ -133,9 +133,9 @@ def cmd_weights(args):
 
 def cmd_adm(args):
     if args.config:
-        rho, _cfg = _load_rho(args)
+        rho = _load_rho(args)
         f = rho.f
-    elif args.f:
+    elif args.f is not None:
         f = args.f
     else:
         raise ConfigError("adm needs --config or --f")
@@ -148,7 +148,7 @@ def cmd_adm(args):
 
 
 def cmd_xset(args):
-    rho, _cfg = _load_rho(args)
+    rho = _load_rho(args)
     xs = x_rho(rho)
     out = {"x_rho": xs, "count": len(xs)}
     if args.sigma:
@@ -158,10 +158,9 @@ def cmd_xset(args):
     return out
 
 
-def _type_entry(rho, w):
-    pres = tau_presentation(rho, w)
+def _type_entry(pres):
     return {
-        "index": w,
+        "index": pres.wtilde,
         "s_tau": pres.s_tau,
         "mu_tau": pres.mu_tau,
         "mu_plus_eta": pres.mu_plus_eta,
@@ -170,15 +169,15 @@ def _type_entry(rho, w):
 
 
 def cmd_types(args):
-    rho, _cfg = _load_rho(args)
+    rho = _load_rho(args)
     if args.wtilde:
-        return _type_entry(rho, _parse_wtilde(rho, args.wtilde))
-    entries = [_type_entry(rho, w) for w in x_rho(rho)]
+        return _type_entry(tau_presentation(rho, _parse_wtilde(rho, args.wtilde)))
+    entries = [_type_entry(tau_presentation(rho, w)) for w in x_rho(rho)]
     return {"count": len(entries), "types": entries}
 
 
 def cmd_kisin(args):
-    rho, _cfg = _load_rho(args)
+    rho = _load_rho(args)
     wtilde = _parse_wtilde(rho, args.wtilde) if args.wtilde else None
     targets = [wtilde] if wtilde else x_rho(rho)
     reports = []
@@ -202,7 +201,7 @@ def cmd_kisin(args):
             )
         entry = {
             "index": idx,
-            "type": _type_entry(rho, w),
+            "type": _type_entry(data.tau),
             "recovery": verify_recovery(rho, w),
             "per_slot": per_slot,
         }
@@ -218,7 +217,7 @@ def cmd_kisin(args):
 
 
 def cmd_tangent(args):
-    rho, cfg = _load_rho(args)
+    rho = _load_rho(args)
     b = _parse_ints(args.b, "--b") if args.b else None
     system = tangent_mod.assemble_system(
         rho, b=b, degree_bound=args.degree_bound, min_degree=args.min_degree
@@ -252,7 +251,7 @@ def cmd_tangent(args):
 
 
 def cmd_d0(args):
-    rho, _cfg = _load_rho(args)
+    rho = _load_rho(args)
     report = d0_mod.d0_checks(rho)
     components = []
     for comp in report.components:
@@ -332,9 +331,11 @@ def cmd_oracle(args):
         degree = _config_int(cfg, "field_degree", 1)
     else:
         p, degree = args.p, 1
+    if args.trials < 0:
+        raise ConfigError("--trials must be >= 0, got %d" % args.trials)
     seed0 = _seed(args, cfg)
     worker = _BATCHES[args.kind]
-    jobs = max(args.jobs, 1)
+    jobs = max(1, min(args.jobs, args.trials))
     chunks = [
         (p, degree, seed0, list(range(k, args.trials, jobs)), args.prec)
         for k in range(jobs)
@@ -363,6 +364,7 @@ def cmd_oracle(args):
 # parser
 
 
+@functools.cache  # built on first use, not at import
 def build_parser():
     parser = _Parser(prog="gl2kisin", description=__doc__)
     common = _Parser(add_help=False)
@@ -372,27 +374,20 @@ def build_parser():
 
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("describe", parents=[common], help="profile summary")
-    p.set_defaults(func=cmd_describe)
-
-    p = sub.add_parser("weights", parents=[common], help="weight set of the profile")
-    p.set_defaults(func=cmd_weights)
+    sub.add_parser("describe", parents=[common], help="profile summary")
+    sub.add_parser("weights", parents=[common], help="weight set of the profile")
 
     p = sub.add_parser("adm", parents=[common], help="admissible elements")
     p.add_argument("--f", type=int, help="number of slots when no config is given")
-    p.set_defaults(func=cmd_adm)
 
     p = sub.add_parser("xset", parents=[common], help="allowed admissible elements")
     p.add_argument("--sigma", help="weight selector b as comma-separated 0/1")
-    p.set_defaults(func=cmd_xset)
 
     p = sub.add_parser("types", parents=[common], help="type presentations")
     p.add_argument("--wtilde", help="one admissible element as comma-separated indices")
-    p.set_defaults(func=cmd_types)
 
     p = sub.add_parser("kisin", parents=[common], help="gauge-form matrices and classification")
     p.add_argument("--wtilde", help="one admissible element as comma-separated indices")
-    p.set_defaults(func=cmd_kisin)
 
     p = sub.add_parser("tangent", parents=[common], help="first-order rigidity system")
     p.add_argument("--b", help="weight selector as comma-separated 0/1")
@@ -400,10 +395,8 @@ def build_parser():
     p.add_argument("--min-degree", type=int, default=0)
     p.add_argument("--negative-control", action="store_true", help="drop the pivot pin")
     p.add_argument("--stability", action="store_true", help="re-solve one Frobenius step higher")
-    p.set_defaults(func=cmd_tangent)
 
-    p = sub.add_parser("d0", parents=[common], help="composition-series checks")
-    p.set_defaults(func=cmd_d0)
+    sub.add_parser("d0", parents=[common], help="composition-series checks")
 
     p = sub.add_parser("oracle", parents=[common], help="brute-force cross-checks")
     p.add_argument("--kind", choices=sorted(_BATCHES) + ["tangent-residual"], default="coset")
@@ -412,20 +405,19 @@ def build_parser():
     p.add_argument("--p", type=int, default=2, help="field characteristic when no config is given")
     p.add_argument("--seed", type=int, default=None, help="override the RNG seed")
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
-    p.set_defaults(func=cmd_oracle)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if not getattr(args, "func", None):
+        args = build_parser().parse_args(argv)
+        if not args.command:
             raise ConfigError("no command given; see --help")
-        report = args.func(args)
+        # looked up per call, so a replaced cmd_<name> is the one that runs
+        report = globals()["cmd_" + args.command](args)
         text = serial.dumps(report)
-        if getattr(args, "out", None):
+        if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text)
         else:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -325,11 +326,46 @@ class TestExitCodes:
             rc, _ = run(capsys, ["tangent", "--config", str(path)] + extra)
             assert rc == 2, extra
 
+    def test_negative_trials(self, capsys):
+        assert cli.main(["oracle", "--kind", "coset", "--trials", "-5"]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_jobs_capped_at_trials(self, monkeypatch, capsys):
+        import multiprocessing
+
+        pools = []
+        get_context = multiprocessing.get_context
+
+        class RecordingContext:
+            def __init__(self, method):
+                self.ctx = get_context(method)
+
+            def Pool(self, processes):
+                pools.append(processes)
+                return self.ctx.Pool(processes)
+
+        monkeypatch.setattr(multiprocessing, "get_context", RecordingContext)
+        argv = ["oracle", "--kind", "coset", "--seed", "3"]
+        outs = []
+        for trials, jobs in (("2", "3"), ("2", "1"), ("1", "3"), ("1", "1")):
+            assert cli.main(argv + ["--trials", trials, "--jobs", jobs]) == 0
+            outs.append(capsys.readouterr().out)
+        # two trials get two workers, one trial runs in-process
+        assert pools == [2]
+        assert outs[0] == outs[1] and outs[2] == outs[3]
+
+    def test_adm_f_zero(self, capsys):
+        # --f 0 is given; adm_set's own range check accepts it
+        rc, doc = run(capsys, ["adm", "--f", "0"])
+        assert rc == 0
+        assert (doc["f"], doc["count"]) == (0, 1)
+
     def test_internal_error_path(self, monkeypatch, capsys, f1_config):
         def boom(args):
             raise InternalCheckError("forced")
 
-        # build_parser resolves cmd_describe from module globals on each call
+        # main looks cmd_<command> up in the module globals on each call,
+        # so the replacement runs although the parser is cached
         monkeypatch.setattr(cli, "cmd_describe", boom)
         rc = cli.main(["describe", "--config", f1_config])
         assert rc == 3
@@ -344,6 +380,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         # one line, no traceback
         assert err == "internal error: KeyError('forced')\n"
+
+
+def test_parser_built_once(monkeypatch, capsys):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    assert cli.main(["adm", "--f", "1"]) == 0
+    # the root, the shared options and one parser per command
+    assert len(built) == 11
+    assert cli.main(["describe"]) == 1
+    assert len(built) == 11
 
 
 def test_serial_encodes_library_types():
@@ -367,10 +420,13 @@ def test_serial_encodes_library_types():
 
 
 def test_console_script_entry_point():
+    # run from the directory holding the imported package, so that a bare
+    # checkout needs no PYTHONPATH
     proc = subprocess.run(
         [sys.executable, "-m", "gl2kisin.cli", "adm", "--f", "1"],
         capture_output=True,
         text=True,
+        cwd=os.path.dirname(os.path.dirname(cli.__file__)),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 3

@@ -1,13 +1,11 @@
 import dataclasses
 import itertools
-import random
 
 import pytest
 
 from gl2kisin.errors import ConfigError, PreconditionError
 from gl2kisin.fields import GF
 from gl2kisin.kisin import (
-    Shape,
     etale_matrices,
     gauge_check,
     height_check,

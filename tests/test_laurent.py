@@ -11,6 +11,10 @@ from gl2kisin.laurent import Laurent, phi_twist, series_div, series_inverse
 
 F31 = GF(31)
 F9 = GF(3, 2)
+F8 = GF(2, 3)
+# the ring laws run over the prime field and over two extension fields, whose
+# products and inverses take the field.add/mul/inv path instead of int residues
+RING_FIELDS = (F31, F9, F8)
 
 
 def rand_laurent(field, rng, lo=-4, hi=6, terms=5):
@@ -53,21 +57,23 @@ def test_truncate_and_shift():
 @settings(max_examples=60, deadline=None)
 def test_valuation_additive(seed):
     rng = random.Random(seed)
-    a, b = rand_laurent(F31, rng), rand_laurent(F31, rng)
-    prod = a * b
-    # over a field (a domain) valuations and degrees are exactly additive
-    assert prod.valuation() == a.valuation() + b.valuation()
-    assert prod.degree() == a.degree() + b.degree()
+    for field in RING_FIELDS:
+        a, b = rand_laurent(field, rng), rand_laurent(field, rng)
+        prod = a * b
+        # over a field (a domain) valuations and degrees are exactly additive
+        assert prod.valuation() == a.valuation() + b.valuation(), field
+        assert prod.degree() == a.degree() + b.degree(), field
 
 
 @given(st.integers(0, 10**6))
 @settings(max_examples=60, deadline=None)
 def test_mul_distributes(seed):
     rng = random.Random(seed)
-    a, b, c = (rand_laurent(F31, rng) for _ in range(3))
-    assert a * (b + c) == a * b + a * c
-    assert (a * b) * c == a * (b * c)
-    assert a * b == b * a
+    for field in RING_FIELDS:
+        a, b, c = (rand_laurent(field, rng) for _ in range(3))
+        assert a * (b + c) == a * b + a * c, field
+        assert (a * b) * c == a * (b * c), field
+        assert a * b == b * a, field
 
 
 def test_scalar_and_int_coercion():
@@ -100,19 +106,20 @@ def test_phi_twist():
 class TestSeriesInverse:
     def test_unit_contract(self):
         rng = random.Random(11)
-        for _ in range(40):
-            f = rand_laurent(F31, rng)
-            if f.is_zero():
-                continue
-            prec = rng.randrange(1, 9)
-            g = series_inverse(f, prec)
-            # terms of g live in [-val(f), prec)
-            if prec + f.valuation() >= 1:
-                assert g.valuation() == -f.valuation()
-            assert g.degree() < prec or g.is_zero()
-            # f*g = 1 up to the contracted precision
-            err = f * g - 1
-            assert err.is_zero() or err.valuation() >= prec + f.valuation()
+        for field in RING_FIELDS:
+            for _ in range(40):
+                f = rand_laurent(field, rng)
+                if f.is_zero():
+                    continue
+                prec = rng.randrange(1, 9)
+                g = series_inverse(f, prec)
+                # terms of g live in [-val(f), prec)
+                if prec + f.valuation() >= 1:
+                    assert g.valuation() == -f.valuation(), field
+                assert g.degree() < prec or g.is_zero(), field
+                # f*g = 1 up to the contracted precision
+                err = f * g - 1
+                assert err.is_zero() or err.valuation() >= prec + f.valuation(), field
 
     def test_simple_closed_form(self):
         # (1 - v)^-1 = 1 + v + v^2 + ...
@@ -137,16 +144,17 @@ class TestSeriesInverse:
 
 def test_series_div():
     rng = random.Random(13)
-    for _ in range(40):
-        a, b = rand_laurent(F31, rng), rand_laurent(F31, rng)
-        if b.is_zero():
-            continue
-        prec = rng.randrange(0, 8)
-        q = series_div(a, b, prec)
-        assert q.degree() < prec or q.is_zero()
-        err = a - b * q
-        assert err.is_zero() or err.valuation() >= prec + b.valuation()
-    assert series_div(Laurent.zero(F31), Laurent.const(F31, 2), 5).is_zero()
+    for field in RING_FIELDS:
+        for _ in range(40):
+            a, b = rand_laurent(field, rng), rand_laurent(field, rng)
+            if b.is_zero():
+                continue
+            prec = rng.randrange(0, 8)
+            q = series_div(a, b, prec)
+            assert q.degree() < prec or q.is_zero(), field
+            err = a - b * q
+            assert err.is_zero() or err.valuation() >= prec + b.valuation(), field
+        assert series_div(Laurent.zero(field), Laurent.const(field, 2), 5).is_zero()
 
 
 def test_exact_division_recovers_quotient():

@@ -1,8 +1,6 @@
-import itertools
-
 import pytest
 
-from gl2kisin.errors import ConfigError, InternalCheckError, PreconditionError
+from gl2kisin.errors import ConfigError, PreconditionError
 from gl2kisin.fields import GF
 from gl2kisin.rho import (
     RhoBar,

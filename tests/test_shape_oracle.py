@@ -18,11 +18,21 @@ F2 = GF(2)
 
 
 def test_agreement_on_random_matrices():
-    rng = random.Random(99)
-    for _ in range(200):
-        M = random_truncated_invertible(F2, rng)
-        comp = shape_of(M).component()
-        assert coset_certify(M, comp)
+    # (field, matrices, how many of them are also certified at v^-k M)
+    for field, trials, shifted in ((F2, 200, 20), (GF(3), 100, 10), (GF(2, 2), 50, 5)):
+        rng = random.Random(99)
+        for i in range(trials):
+            M = random_truncated_invertible(field, rng)
+            s, nu = shape_of(M).component()
+            assert coset_certify(M, (s, nu)), (field, i)
+            if i >= shifted:
+                continue
+            # v^-k M has negative valuations, and nu moves by (-k, -k)
+            for k in (1, 2, 3):
+                N = M.scale(Laurent.monomial(field, 1, -k))
+                comp = shape_of(N).component()
+                assert comp == (s, (nu[0] - k, nu[1] - k)), (field, i, k)
+                assert coset_certify(N, comp), (field, i, k)
 
 
 def test_rejects_wrong_component():
