@@ -260,7 +260,7 @@ def cmd_d0(args):
                 "socle": comp.socle,
                 "signs": comp.profile.signs,
                 "size": len(comp),
-                "dim": sum(d0_mod.serre_weight_dim(lab) for lab in comp.labels),
+                "dim": comp.dim,
             }
         )
     return {

@@ -11,7 +11,7 @@ from gl2kisin.errors import InternalCheckError
 from gl2kisin.fields import GF
 from gl2kisin.laurent import Laurent
 from gl2kisin.matrices import Mat2
-from gl2kisin.weights import from_index, make_label
+from gl2kisin.weights import SerreWeightLabel, from_index, make_label
 
 
 @pytest.fixture
@@ -163,6 +163,26 @@ def test_d0(capsys, f2_config):
         (272, [0, 1], 67136),
         (76, [0, -1], 18278),
     ]
+
+
+@pytest.mark.parametrize("a", [[5, 7, 11], [0, 7, 11], [0, 0, 0]])
+def test_d0_builds_few_labels(monkeypatch, tmp_path, capsys, a):
+    """The report compares constituents by key: the labels it builds are
+    the weight set and socle_profile's translations, not one per
+    constituent."""
+    path = tmp_path / "f3.json"
+    path.write_text(json.dumps(dict(F3_P37_CONFIG, a=a)))
+    built = []
+    init = SerreWeightLabel.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SerreWeightLabel, "__init__", counting_init)
+    rc, doc = run(capsys, ["d0", "--config", str(path)])
+    assert rc == 0 and doc["passed"]
+    assert 0 < len(built) < 0.05 * doc["total_constituents"]
 
 
 def test_oracle_coset(capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -11,13 +12,15 @@ from gl2kisin.d0 import (
     SocleProfile,
     d0_checks,
     jh_component,
+    label_key,
+    labels_of_keys,
     one_step_down,
     serre_weight_dim,
     socle_profile,
 )
-from gl2kisin.errors import ConfigError
+from gl2kisin.errors import ConfigError, InternalCheckError, PreconditionError
 from gl2kisin.rho import serre_weights
-from gl2kisin.weights import make_label, t_lambda
+from gl2kisin.weights import SerreWeightLabel, make_label, t_lambda
 
 from conftest import random_profile
 
@@ -87,6 +90,7 @@ def test_component_mixed_frozen(f2_mixed):
         for c in rep.components
     ]
     assert stats == [((0, 1), 272, 67136), ((0, -1), 76, 18278)]
+    assert [c.dim for c in rep.components] == [67136, 18278]
 
 
 def test_irreducible_components(f1_irred):
@@ -181,8 +185,104 @@ def test_jh_component_matches_reference(base):
     assert list(comp.labels) == [t_lambda(sigma, a, p) for a in expected]
 
 
+@given(bases())
+@settings(max_examples=60, deadline=None)
+def test_component_dim_matches_labels(base):
+    p, sigma, signs = base
+    comp = jh_component(SimpleNamespace(p=p, f=len(signs)), sigma, SocleProfile(signs))
+    assert comp.dim == sum(serre_weight_dim(l) for l in comp.labels)
+
+
+PRIMES_TO_37 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+@st.composite
+def labels(draw):
+    """A prime up to 37 and a label with diffs in [0, p - 1]."""
+    p = draw(st.sampled_from(PRIMES_TO_37))
+    f = draw(st.integers(1, 3))
+    diffs = tuple(draw(st.lists(st.integers(0, p - 1), min_size=f, max_size=f)))
+    return p, SerreWeightLabel(diffs, draw(st.integers(0, p**f - 2)))
+
+
+@given(labels(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_label_key_round_trip_and_injective(drawn, data):
+    p, label = drawn
+    f = len(label.diffs)
+    diffs = tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=f, max_size=f)))
+    other = SerreWeightLabel(diffs, data.draw(st.integers(0, p**f - 2)))
+    keys = [label_key(label, p), label_key(other, p)]
+    assert labels_of_keys(keys, p, f) == (label, other)
+    assert (keys[0] == keys[1]) == (label == other)
+
+
+def _signs_by_full_search(sigma, wlabels, p):
+    """Every sign vector in {0, 1, -1}^f whose one-sided translations of
+    sigma are all defined and generate exactly wlabels."""
+    matches = []
+    for cand in itertools.product((0, 1, -1), repeat=len(sigma.diffs)):
+        opts = [(0,) if c == 0 else (0, c) for c in cand]
+        try:
+            generated = {t_lambda(sigma, om, p) for om in itertools.product(*opts)}
+        except PreconditionError:
+            continue
+        if generated == wlabels:
+            matches.append(cand)
+    return matches
+
+
+def test_socle_profile_matches_full_search():
+    """On the profiles of acceptance criterion 9."""
+    rng = random.Random(5008)
+    for p in (31, 37):
+        for f in (1, 2, 3):
+            rhos = [
+                random_profile(rng, p, f, zero_positions=zeros, deep=True)
+                for zeros in itertools.chain.from_iterable(
+                    itertools.combinations(range(f), k) for k in range(f + 1)
+                )
+            ]
+            rhos.append(random_profile(rng, p, f, irreducible=True, deep=True))
+            for rho in rhos:
+                wlabels = set(serre_weights(rho).labels())
+                for sigma in wlabels:
+                    expected = _signs_by_full_search(sigma, wlabels, p)
+                    assert [socle_profile(rho, sigma).signs] == expected
+
+
+@given(bases(), st.sampled_from(("as generated", "one dropped", "one added")), st.data())
+@settings(max_examples=100, deadline=None)
+def test_socle_profile_matches_full_search_on_bases(base, change, data):
+    """Weight sets generated by the drawn signs around the drawn base, also
+    with one label dropped or one foreign label added."""
+    p, sigma, signs = base
+    f = len(signs)
+    opts = [(0,) if c == 0 else (0, c) for c in signs]
+    try:
+        generated = [t_lambda(sigma, om, p) for om in itertools.product(*opts)]
+    except PreconditionError:
+        return  # the drawn signs leave the window of sigma
+    if change == "one dropped" and len(generated) > 1:
+        generated.pop(data.draw(st.integers(1, len(generated) - 1)))
+    elif change == "one added":
+        diffs = data.draw(st.lists(st.integers(0, p - 2), min_size=f, max_size=f))
+        generated.append(make_label(diffs, data.draw(st.integers(0, p**f - 2)), p))
+    wlabels = set(generated)
+    support = sum(1 for c in signs if c)
+    rho = SimpleNamespace(p=p, f=f, zero_count=lambda: support)
+    matches = _signs_by_full_search(sigma, wlabels, p)
+    if len(matches) == 1 and sum(1 for c in matches[0] if c) == support:
+        assert socle_profile(rho, sigma, wlabels).signs == matches[0]
+    else:
+        with pytest.raises(InternalCheckError):
+            socle_profile(rho, sigma, wlabels)
+
+
 def _checks_on_doctored(monkeypatch, rho, doctor):
-    monkeypatch.setattr(d0, "jh_component", lambda rho, sigma: doctor(jh_component(rho, sigma)))
+    monkeypatch.setattr(
+        d0, "jh_component", lambda rho, sigma, **kw: doctor(jh_component(rho, sigma, **kw))
+    )
     rep = d0_checks(rho)
     flags = (
         rep.per_component_distinct,
@@ -195,7 +295,7 @@ def _checks_on_doctored(monkeypatch, rho, doctor):
 
 
 def _repeat_label(c):
-    return dataclasses.replace(c, labels=c.labels[:-1] + c.labels[-2:-1])
+    return dataclasses.replace(c, keys=c.keys[:-1] + c.keys[-2:-1])
 
 
 def _drop_step(c):
@@ -204,15 +304,15 @@ def _drop_step(c):
     return dataclasses.replace(
         c,
         offsets=tuple(c.offsets[i] for i in keep),
-        labels=tuple(c.labels[i] for i in keep),
+        keys=tuple(c.keys[i] for i in keep),
     )
 
 
 def _move_socle(c):
     i = c.offsets.index((0,) * len(c.offsets[0]))
-    labels = list(c.labels)
-    labels[i], labels[i + 1] = labels[i + 1], labels[i]
-    return dataclasses.replace(c, labels=tuple(labels))
+    keys = list(c.keys)
+    keys[i], keys[i + 1] = keys[i + 1], keys[i]
+    return dataclasses.replace(c, keys=tuple(keys))
 
 
 @pytest.mark.parametrize(
