@@ -153,6 +153,8 @@ def cmd_xset(args):
     out = {"x_rho": xs, "count": len(xs)}
     if args.sigma:
         b = _parse_ints(args.sigma, "--sigma")
+        if len(b) != rho.f or any(bj not in (-1, 0, 1) for bj in b):
+            raise ConfigError("--sigma needs %d values in {-1, 0, 1}" % rho.f)
         out["sigma_b"] = b
         out["x_sigma"] = x_sigma(rho, b)
     return out
@@ -222,14 +224,13 @@ def cmd_tangent(args):
     system = tangent_mod.assemble_system(
         rho, b=b, degree_bound=args.degree_bound, min_degree=args.min_degree
     )
-    if args.negative_control:
-        system = system.without(("pin", "p21_0"))
-    report = tangent_mod.solve_claim(system)
+    solved = system.without(("pin", "p21_0")) if args.negative_control else system
+    report = tangent_mod.solve_claim(solved)
     out = {
         "degree_bound": system.degree_bound,
         "min_degree": system.min_degree,
         "columns": system.ncols,
-        "rows": len(system.rows),
+        "rows": len(solved.rows),
         "kernel_dim": report.kernel_dim,
         "param_kernel_dim": report.param_kernel_dim,
         "m_kernel_dim": report.m_kernel_dim,
@@ -239,8 +240,11 @@ def cmd_tangent(args):
         "residual_ok": tangent_mod.residual_check(report),
     }
     if args.stability:
-        first, higher, stable = tangent_mod.stability_check(
-            rho, b=b, degree_bound=args.degree_bound, min_degree=args.min_degree
+        # the full system at these degrees is solved once: here, or above
+        # when no pin was dropped
+        first = tangent_mod.solve_claim(system) if args.negative_control else report
+        _, higher, stable = tangent_mod.stability_check(
+            rho, b=b, degree_bound=args.degree_bound, min_degree=args.min_degree, first=first
         )
         out["stability"] = {
             "higher_degree_bound": higher.system.degree_bound,
@@ -381,7 +385,7 @@ def build_parser():
     p.add_argument("--f", type=int, help="number of slots when no config is given")
 
     p = sub.add_parser("xset", parents=[common], help="allowed admissible elements")
-    p.add_argument("--sigma", help="weight selector b as comma-separated 0/1")
+    p.add_argument("--sigma", help="weight selector b as comma-separated values in {-1, 0, 1}")
 
     p = sub.add_parser("types", parents=[common], help="type presentations")
     p.add_argument("--wtilde", help="one admissible element as comma-separated indices")
@@ -418,8 +422,11 @@ def main(argv=None):
         report = globals()["cmd_" + args.command](args)
         text = serial.dumps(report)
         if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
+            try:
+                with open(args.out, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ConfigError("cannot write report: %s" % exc)
         else:
             sys.stdout.write(text)
         return 0

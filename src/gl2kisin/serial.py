@@ -3,10 +3,17 @@
 Field elements encode as their integer representation, Laurent polynomials
 as sorted [degree, int] pairs, matrices as nested 2x2 lists, extended Weyl
 elements as component-index lists, weight labels as {"diffs", "twist"}.
-dumps always sorts keys so output is byte-stable for fixed input.
+
+The report bytes are those of json.dumps(obj, default=_encode,
+sort_keys=True, indent=2) plus a trailing newline: dict keys sorted, a
+2-space indent, "," at line ends, empty containers as [] and {}, strings
+with ASCII escapes, tuples as lists.  dumps writes them in one recursive
+pass, because with an indent the json module runs its pure-Python encoder.
+Keys must be strings; a float, a set or any other unknown value raises
+TypeError.
 """
 
-import json
+from json.encoder import encode_basestring_ascii as _string
 
 from .fields import FieldElement
 from .laurent import Laurent
@@ -19,7 +26,8 @@ def _terms(terms):
 
 
 def _encode(obj):
-    # json.dumps calls this for every value it cannot encode itself
+    # the JSON form of every value that is not a str, int, bool, None,
+    # list, tuple or dict
     if isinstance(obj, FieldElement):
         return obj.n
     if isinstance(obj, Laurent):
@@ -33,5 +41,52 @@ def _encode(obj):
     raise TypeError("cannot serialize %r" % (type(obj),))
 
 
+def _write(obj, out, nl):
+    # out: the list of pieces; nl: a newline plus the indent of obj's line.
+    # Plain ints are the commonest value, so they are tested first; a bool
+    # fails that test and is written by its own branch below.
+    if type(obj) is int:
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write(item, out, inner)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError("keys must be str, got %r" % (key,))
+            out.append(sep + _string(key) + ": ")
+            _write(obj[key], out, inner)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(obj, str):
+        out.append(_string(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    else:
+        _write(_encode(obj), out, nl)
+
+
 def dumps(obj):
-    return json.dumps(obj, default=_encode, sort_keys=True, indent=2) + "\n"
+    out = []
+    _write(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)

@@ -386,11 +386,16 @@ def residual_check(report):
     return True
 
 
-def stability_check(rho, b=None, degree_bound=None, min_degree=0):
+def stability_check(rho, b=None, degree_bound=None, min_degree=0, first=None):
     """Solve at the degree bound and again one Frobenius step higher; the
     reported dimensions must not move.  Returns (report, report_higher,
-    stable)."""
-    first = solve_claim(assemble_system(rho, b, degree_bound, min_degree))
+    stable).
+
+    first: the caller's solve_claim report of the full system of rho at b,
+    degree_bound and min_degree, when it has one; that system is then not
+    assembled and solved a second time."""
+    if first is None:
+        first = solve_claim(assemble_system(rho, b, degree_bound, min_degree))
     higher = solve_claim(
         assemble_system(rho, b, first.system.degree_bound + rho.p, min_degree)
     )

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from gl2kisin import cli, serial
+from gl2kisin import cli, fp_linalg, serial, tangent
 from gl2kisin.errors import InternalCheckError
 from gl2kisin.fields import GF
 from gl2kisin.laurent import Laurent
@@ -154,6 +154,31 @@ def test_tangent_stability(capsys, f1_config):
     assert doc["stability"]["higher_dims"] == [1, 0, 1]
 
 
+def test_tangent_stability_solves_each_system_once(monkeypatch, capsys, f1_config):
+    calls = {"assemble_system": 0, "kernel_basis": 0}
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    counting(tangent, "assemble_system")
+    counting(fp_linalg, "kernel_basis")
+    rc, doc = run(capsys, ["tangent", "--config", f1_config, "--stability"])
+    assert rc == 0 and doc["stability"]["stable"]
+    # the system at the degree bound and the one a Frobenius step higher
+    assert calls == {"assemble_system": 2, "kernel_basis": 2}
+    # the negative control solves the full system once more, for stability
+    calls.update(assemble_system=0, kernel_basis=0)
+    rc, doc = run(capsys, ["tangent", "--config", f1_config, "--stability", "--negative-control"])
+    assert rc == 0 and doc["stability"]["stable"] and not doc["injective"]
+    assert calls == {"assemble_system": 2, "kernel_basis": 3}
+
+
 def test_d0(capsys, f2_config):
     rc, doc = run(capsys, ["d0", "--config", f2_config])
     assert rc == 0
@@ -253,6 +278,22 @@ class TestExitCodes:
     def test_unreadable_config(self, capsys):
         rc, _ = run(capsys, ["describe", "--config", "/no/such/file.json"])
         assert rc == 1
+
+    def test_unwritable_out(self, tmp_path, capsys, f1_config):
+        target = tmp_path / "no_such_dir" / "report.json"
+        for out in (target, tmp_path):  # a missing directory, a directory
+            assert cli.main(["describe", "--config", f1_config, "--out", str(out)]) == 1
+            assert capsys.readouterr().err.startswith("config error: cannot write report:")
+
+    def test_xset_sigma(self, capsys, f1_config, f2_config):
+        # malformed: wrong length, a value outside {-1, 0, 1}, not integers
+        for config, sigma in ((f1_config, "1,1"), (f1_config, "5"), (f2_config, "0,2"), (f1_config, "x")):
+            assert cli.main(["xset", "--config", config, "--sigma", sigma]) == 1, sigma
+            assert capsys.readouterr().err.startswith("config error:"), sigma
+        # well formed, but not a b-vector of the weight set
+        for config, sigma in ((f1_config, "1"), (f1_config, "-1"), (f2_config, "1,0")):
+            assert cli.main(["xset", "--config", config, "--sigma", sigma]) == 2, sigma
+            assert capsys.readouterr().err.startswith("precondition failed:"), sigma
 
     def test_bad_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -474,6 +515,7 @@ STDOUT_DIGESTS = {
     "f1 tangent": "da4a377aec62f517611ff310f95fb7d9975682f518e76fe0faf72830b1bc568b",
     "f1 tangent --stability": "4217d14bbce25d7ab6de54f2279ae061647365debe6fbb19393a94fb7db6cf4c",
     "f1 tangent --negative-control": "8f78b676e9f46fa13dedc3cc85089979c4ed40350065a6a181223aff1d014476",
+    "f1 tangent --stability --negative-control": "5fa57ec4e46ca3257f9a11c5f85baedeff9aaab2372115e3a5d0e5edf7516b2f",
     "f2 describe": "fc982106a298f2437dd2c02a9374c6314bfce150e2add54688ebd6ae8e7c55ce",
     "f2 weights": "f1ec389ae321e7668cb1289318365187031a290342a206169f4efecc604a8e86",
     "f2 xset": "f5b927a1304f5c9d9ad47096ac34b0d2c53880e59117bdd01c3bc7bbd3d681d8",
@@ -483,6 +525,7 @@ STDOUT_DIGESTS = {
     "f2 tangent": "53a9d289ad97ffd1f88f83050022298ec18f079bbe678f2c32249a5d99dafae2",
     "f2 tangent --stability": "bb0df29db5a002706207334f86f015ed07969d8b02ecd7c8349aabe165e50255",
     "f2 tangent --negative-control": "9d32cea5654b308d2df4971f68ac0af717ee364b4a38c28d0c31f2da87da6e20",
+    "f2 tangent --stability --negative-control": "210b85f58ea82d68a27e6c9367e24efe8a13e368465267b4fa44ae28b1014a06",
     "f3_p37 describe": "3ee1f789b78b7b1646a789bfc6a776805377a3fe31eeecb21d7f86c073a6f4a3",
     "f3_p37 weights": "bdd990865d53f17a45b908dae01c9ce17cf04ab9ee4eff9834669249d4514380",
     "f3_p37 xset": "27a54f50cfc6f82e06c1b4cd8430cc1d5dbb570ea5266ef23e9d0390cc05a6a5",
@@ -492,6 +535,7 @@ STDOUT_DIGESTS = {
     "f3_p37 tangent": "68a16d8d1246b7ef23776e6a994a6a5ca94bd93ec47d2f16747d1c7d1f3440dd",
     "f3_p37 tangent --stability": "4270ee32e69fbe65032063bda54ca9145eae5ad17dd8e52a56a482f60a7b5a1e",
     "f3_p37 tangent --negative-control": "b97380eaec7a7b123ce34d1eb7690134b10b252d0a246a0ed9ffa8f5516b9cfd",
+    "f3_p37 tangent --stability --negative-control": "7e01b89bbc1142e4650ad9f0a266164e09c80d74a48c2f1e09f80866330a5f3e",
     "f2_f31sq describe": "71a3f14802125c4dce34764846e7320c3ec5adc32e3cee6c7b476a10b66f2379",
     "f2_f31sq weights": "f1ec389ae321e7668cb1289318365187031a290342a206169f4efecc604a8e86",
     "f2_f31sq xset": "f5b927a1304f5c9d9ad47096ac34b0d2c53880e59117bdd01c3bc7bbd3d681d8",
@@ -508,7 +552,9 @@ def _digest_cases(configs):
         for cmd in ("describe", "weights", "xset", "types", "kisin", "d0"):
             yield "%s %s" % (name, cmd), [cmd, "--config", path]
         if name != "f2_f31sq":  # the rigidity system is over prime fields only
-            for flags in ([], ["--stability"], ["--negative-control"]):
+            for flags in (
+                [], ["--stability"], ["--negative-control"], ["--stability", "--negative-control"]
+            ):
                 yield " ".join([name, "tangent"] + flags), ["tangent", "--config", path] + flags
     yield "adm f2", ["adm", "--f", "2"]
     yield "oracle coset", ["oracle", "--kind", "coset", "--trials", "20", "--seed", "7"]
@@ -521,7 +567,13 @@ def test_stdout_digests(tmp_path, capsys, f1_config, f2_config):
         path.write_text(json.dumps(cfg))
         configs[name] = str(path)
     digests = {}
+    out_path = tmp_path / "report.json"
     for case, argv in _digest_cases(configs):
         assert cli.main(argv) == 0, case
-        digests[case] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        stdout = capsys.readouterr().out.encode()
+        digests[case] = hashlib.sha256(stdout).hexdigest()
+        # --out writes the same bytes
+        assert cli.main(argv + ["--out", str(out_path)]) == 0, case
+        assert capsys.readouterr().out == ""
+        assert out_path.read_bytes() == stdout, case
     assert digests == STDOUT_DIGESTS
