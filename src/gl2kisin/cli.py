@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import random
+import re
 import sys
 
 from . import d0 as d0_mod
@@ -204,7 +205,7 @@ def cmd_kisin(args):
         entry = {
             "index": idx,
             "type": _type_entry(data.tau),
-            "recovery": verify_recovery(rho, w),
+            "recovery": verify_recovery(data),
             "per_slot": per_slot,
         }
         if rho.field.degree == 1:
@@ -386,6 +387,7 @@ def build_parser():
 
     p = sub.add_parser("xset", parents=[common], help="allowed admissible elements")
     p.add_argument("--sigma", help="weight selector b as comma-separated values in {-1, 0, 1}")
+    p._negative_number_matcher = re.compile(r"-\d")  # `--sigma -1,0` is a value, not an option
 
     p = sub.add_parser("types", parents=[common], help="type presentations")
     p.add_argument("--wtilde", help="one admissible element as comma-separated indices")

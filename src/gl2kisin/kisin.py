@@ -103,11 +103,11 @@ def kisin_matrices(rho, wtilde):
     return KisinData(rho=rho, wtilde=wtilde, tau=tau, mats=tuple(mats))
 
 
-def verify_recovery(rho, wtilde):
-    """Exact check that each gauge-form matrix recovers the profile matrix:
-    A^(i) * s(tau)_j^{-1} * v^(mu_tau_j + eta_j) == Frobenius matrix (i),
-    with i = f-1-j."""
-    data = kisin_matrices(rho, wtilde)
+def verify_recovery(data):
+    """Exact check that each gauge-form matrix of data recovers the profile
+    matrix: A^(i) * s(tau)_j^{-1} * v^(mu_tau_j + eta_j) == Frobenius
+    matrix (i), with i = f-1-j."""
+    rho = data.rho
     target = etale_matrices(rho)
     field = rho.field
     for j in range(rho.f):

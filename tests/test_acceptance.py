@@ -163,7 +163,7 @@ def test_criterion_3_product_recovery():
                         rng, p, f, zero_positions=patterns[i % len(patterns)], r_window=window
                     )
                 for w in x_rho(rho):
-                    run.check(verify_recovery(rho, w), (f, p, i, index_of(w)))
+                    run.check(verify_recovery(kisin_matrices(rho, w)), (f, p, i, index_of(w)))
                     recoveries += 1
         run.detail = f"{recoveries} recoveries across 300 profiles"
 

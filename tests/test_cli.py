@@ -3,10 +3,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
-from gl2kisin import cli, fp_linalg, serial, tangent
+from gl2kisin import cli, d0, fp_linalg, kisin, serial, tangent, weights
+from gl2kisin import rho as rho_mod
 from gl2kisin.errors import InternalCheckError
 from gl2kisin.fields import GF
 from gl2kisin.laurent import Laurent
@@ -179,6 +181,45 @@ def test_tangent_stability_solves_each_system_once(monkeypatch, capsys, f1_confi
     assert calls == {"assemble_system": 2, "kernel_basis": 3}
 
 
+def test_reports_derive_each_object_once(monkeypatch, capsys, f2_config):
+    """xset, types and kisin build the weight set and the admissible set once
+    per report; kisin builds each listed element's matrices and type
+    presentation once, and checks recovery on those matrices."""
+    origin = {
+        "serre_weights": rho_mod,
+        "adm_set": weights,
+        "kisin_matrices": kisin,
+        "tau_presentation": rho_mod,
+    }
+    calls = dict.fromkeys(origin, 0)
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    # every binding a caller can look the function up through
+    for name, module in origin.items():
+        fn = getattr(module, name)
+        for binding in (weights, rho_mod, kisin, d0, cli):
+            if getattr(binding, name, None) is fn:
+                monkeypatch.setattr(binding, name, counting(name, fn))
+    # the f2 profile allows 6 elements
+    for command, matrices, types in (("xset", 0, 0), ("types", 0, 6), ("kisin", 6, 6)):
+        calls.update(dict.fromkeys(calls, 0))
+        rc, doc = run(capsys, [command, "--config", f2_config])
+        assert rc == 0 and doc["count"] == 6
+        assert calls == {
+            "serre_weights": 1,
+            "adm_set": 1,
+            "kisin_matrices": matrices,
+            "tau_presentation": types,
+        }, command
+    assert all(e["recovery"] for e in doc["elements"])
+
+
 def test_d0(capsys, f2_config):
     rc, doc = run(capsys, ["d0", "--config", f2_config])
     assert rc == 0
@@ -294,6 +335,36 @@ class TestExitCodes:
         for config, sigma in ((f1_config, "1"), (f1_config, "-1"), (f2_config, "1,0")):
             assert cli.main(["xset", "--config", config, "--sigma", sigma]) == 2, sigma
             assert capsys.readouterr().err.startswith("precondition failed:"), sigma
+
+    def test_xset_sigma_negative_first(self, tmp_path, capsys):
+        # irreducible f=2: b_0 ranges over {0, -1}, so -1,0 is in the weight set
+        path = tmp_path / "irreducible.json"
+        path.write_text(
+            json.dumps(
+                {"p": 31, "f": 2, "r": [13, 15], "a": [0, 0], "alpha": [3, 2],
+                 "beta": [5, 11], "irreducible": True}
+            )
+        )
+        outputs = []
+        for argv in (["--sigma", "-1,0"], ["--sigma=-1,0"]):
+            assert cli.main(["xset", "--config", str(path)] + argv) == 0, argv
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["sigma_b"] == [-1, 0]
+
+    def test_weight_set_cap(self, tmp_path, capsys):
+        # 2^17 b-vectors, above rho.MAX_WEIGHTS: refused before enumerating
+        path = tmp_path / "split17.json"
+        path.write_text(
+            json.dumps({"p": 31, "f": 17, "r": [13] * 17, "a": [0] * 17,
+                        "alpha": [3] * 17, "beta": [5] * 17})
+        )
+        for command in ("describe", "weights", "d0"):
+            start = time.perf_counter()
+            assert cli.main([command, "--config", str(path)]) == 2, command
+            assert time.perf_counter() - start < 0.5, command
+            err = capsys.readouterr().err
+            assert err.startswith("precondition failed: the weight set has 2^17"), command
 
     def test_bad_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

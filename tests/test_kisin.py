@@ -112,7 +112,25 @@ def test_kisin_rejects_disallowed_element(f1_nonsplit):
 def test_recovery_fixtures(f1_nonsplit, f1_split, f1_irred, f2_mixed):
     for rho in (f1_nonsplit, f1_split, f1_irred, f2_mixed):
         for w in x_rho(rho):
-            assert verify_recovery(rho, w)
+            assert verify_recovery(kisin_matrices(rho, w))
+
+
+def test_recovery_detects_a_changed_slot_matrix(f1_nonsplit, f1_irred, f2_mixed):
+    """verify_recovery checks the matrices it is handed: each nonzero entry
+    of each slot matrix, scaled by a unit other than 1, breaks recovery."""
+    for rho in (f1_nonsplit, f1_irred, f2_mixed):
+        for w in x_rho(rho):
+            data = kisin_matrices(rho, w)
+            assert verify_recovery(data)
+            for i, A in enumerate(data.mats):
+                for k, e in enumerate(A.entries()):
+                    if not e:
+                        continue
+                    entries = list(A.entries())
+                    entries[k] = e * F31(2)
+                    mats = data.mats[:i] + (Mat2(F31, *entries),) + data.mats[i + 1 :]
+                    changed = dataclasses.replace(data, mats=mats)
+                    assert not verify_recovery(changed), (rho, w, i, k)
 
 
 def test_recovery_product_identity(f2_mixed):
@@ -136,7 +154,7 @@ def test_recovery_random(rng):
             for irred in (False, True):
                 rho = random_profile(rng, p, f, irreducible=irred)
                 for w in x_rho(rho):
-                    assert verify_recovery(rho, w)
+                    assert verify_recovery(kisin_matrices(rho, w))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import pytest
 
-from gl2kisin.errors import ConfigError, PreconditionError
+from gl2kisin import rho as rho_mod
+from gl2kisin.errors import ConfigError, InternalCheckError, PreconditionError
 from gl2kisin.fields import GF
 from gl2kisin.rho import (
     RhoBar,
@@ -246,6 +247,16 @@ def test_x_rho(f2_mixed, f1_nonsplit, f1_irred):
     assert sorted(index_of(w) for w in x_rho(f1_nonsplit)) == [(1,), (2,)]
     # a = 0 everywhere: nothing is excluded
     assert len(x_rho(f1_irred)) == 3
+
+
+def test_x_rho_union_mismatch_is_an_internal_error(monkeypatch, f2_mixed):
+    """x_rho checks its filter against the union of the x_sigma: a filter
+    that drops one allowed element fails that check."""
+    dropped = x_rho(f2_mixed)[0]
+    keep = rho_mod.w_in_x_rho
+    monkeypatch.setattr(rho_mod, "w_in_x_rho", lambda rho, w: w != dropped and keep(rho, w))
+    with pytest.raises(InternalCheckError, match="union of the x_sigma"):
+        x_rho(f2_mixed)
 
 
 def test_w_in_x_rho(f1_nonsplit):
