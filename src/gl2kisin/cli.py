@@ -36,6 +36,7 @@ from .rho import (
     inertia_exponents,
     serre_weights,
     tau_presentation,
+    weight_count,
     x_rho,
     x_sigma,
 )
@@ -112,7 +113,7 @@ def cmd_describe(args):
             "zero_count": rho.zero_count(),
             "free_slots": rho.free_slots(),
             "depth": rho.depth(),
-            "weight_count": len(serre_weights(rho)),
+            "weight_count": weight_count(rho),
             "inertia": {
                 "level": inert.level,
                 "exponent": inert.exponent,

@@ -9,10 +9,10 @@ closure under moving any offset one step toward zero.
 """
 
 import itertools
-from collections import Counter
+from bisect import bisect_left
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from math import prod
-from operator import itemgetter
 
 from .errors import ConfigError, InternalCheckError, PreconditionError
 from .rho import serre_weights
@@ -95,41 +95,49 @@ def labels_of_keys(keys, p, f):
     return tuple(map(SerreWeightLabel, zip(*digits), twists))
 
 
+# d0_checks and jh_component enumerate at most this many constituents over
+# the components of a profile (an f=4, p=37 profile has 154,252, and its
+# `d0` report takes about 0.15 s and 45 MiB on a 2-vCPU Xeon); a larger
+# profile raises PreconditionError before anything is enumerated.
+MAX_D0_CONSTITUENTS = 2**20
+
+
 @dataclass(frozen=True)
 class ComponentStructure:
     socle: object
     profile: SocleProfile
-    offsets: tuple
+    ranges: tuple  # the values of the offset at each slot, ascending
+    codes: tuple  # mixed-radix code of each offset; see offsets
     keys: tuple  # label_key of the constituent at each offset
     p: int
     dim: int  # sum of serre_weight_dim over the constituents
+
+    @property
+    def offsets(self):
+        """The offsets a, decoded from their codes: the digit of slot j is
+        a_j - ranges[j].start, with slot 0 the most significant, so codes
+        ascend as offsets do lexicographically."""
+        columns, rest = [], self.codes
+        for rng in reversed(self.ranges):
+            n, lo = len(rng), rng.start
+            columns.append([x % n + lo for x in rest])
+            rest = [x // n for x in rest]
+        return tuple(zip(*reversed(columns)))
 
     @property
     def labels(self):
         return labels_of_keys(self.keys, self.p, len(self.socle.diffs))
 
     def __len__(self):
-        return len(self.offsets)
+        return len(self.codes)
 
 
-def jh_component(rho, sigma, profile=None):
-    """Constituents of the component generated by sigma.
-
-    Offsets a run through the translation window of sigma, one-sided on the
-    supported slots, subject to the budget sum_j max(floor(a_j / 2), 0) <= 1,
-    in lexicographic order.  The label of a is weights.t_lambda(sigma, a, p),
-    folded from per-slot tables into its label_key: r'_j depends only on
-    (a_j, the parity of a_{j+1}), and the twist is sigma's plus half of
-    delta_0 * (p^f - 1) + sum_j (d_j - r'_j) * p^j, where delta_0 is the
-    parity of a_0.  The same tables give each constituent's dimension
-    prod_j (r'_j + 1).
-    """
-    if profile is None:
-        profile = socle_profile(rho, sigma)
-    f, p = rho.f, rho.p
+def _offset_ranges(sigma, profile, p):
+    """The values of the offset at each slot of the component of sigma: the
+    translation window, one-sided on the supported slots.  The budget admits
+    no coordinate above 3 (floor(4 / 2) = 2 > 1)."""
     ranges = []
     for d, sign in zip(sigma.diffs, profile.signs):
-        # the budget admits no coordinate above 3 (floor(4 / 2) = 2 > 1)
         top = min(p - 1 - d, 4)
         if sign == 1:
             ranges.append(range(-d, 1))
@@ -137,70 +145,163 @@ def jh_component(rho, sigma, profile=None):
             ranges.append(range(0, top))
         else:
             ranges.append(range(-d, top))
-    offsets = _admitted_offsets(ranges)
-    keys, dim = (), 0
-    if offsets:
-        # every value of every range occurs in some admitted offset, so the
-        # tables check the window exactly where t_lambda would
-        tables = [_slot_table(d, rng, j, p) for j, (d, rng) in enumerate(zip(sigma.diffs, ranges))]
-        digits, factors = [], []
-        for j, table in enumerate(tables):
-            k = (j + 1) % f
-            entries = [table[a[j]][a[k] & 1] for a in offsets]
-            digits.append(map(itemgetter(0), entries))
-            factors.append(map(itemgetter(1), entries))
-        # with D and R the diffs of sigma and of the label read as base-p
-        # numbers, 2 * twist = 2 * sigma.twist + delta_0 * m + D - R mod 2m;
-        # the right side is even: for odd p it is sum_j a_j + #{j : a_j odd}
-        # mod 2, and at p = 2 the window admits only the zero offset
-        m = p**f - 1
-        base = 2 * sigma.twist + sum(d * p**j for j, d in enumerate(sigma.diffs))
-        keys = tuple(
-            [
-                (base + (a[0] & 1) * m - r) // 2 % m + m * r
-                for a, r in zip(offsets, map(sum, zip(*digits)))
-            ]
-        )
-        dim = sum(map(prod, zip(*factors)))
-    return ComponentStructure(
-        socle=sigma, profile=profile, offsets=offsets, keys=keys, p=p, dim=dim
+    return tuple(ranges)
+
+
+def component_size(ranges):
+    """Number of offsets in the product of the ranges that the budget
+    admits: every coordinate is at most 1, or exactly one is in {2, 3}."""
+    lows = [len(range(rng.start, min(rng.stop, 2))) for rng in ranges]
+    highs = [len(rng) - low for rng, low in zip(ranges, lows)]
+    return prod(lows) + sum(
+        high * prod(lows[:j] + lows[j + 1 :]) for j, high in enumerate(highs)
     )
 
 
-def _admitted_offsets(ranges):
-    """The offsets in the product of the ascending ranges that the budget
-    admits, in lexicographic order: every coordinate is at most 1, or
-    exactly one lies in {2, 3}.
+def _radix(ranges):
+    """The weight of slot j's digit in a code: the product of the lengths
+    of the later ranges."""
+    return [prod(map(len, ranges[j + 1 :])) for j in range(len(ranges))]
 
-    Built from the last slot back: an admitted suffix starts with a value
+
+def _refuse_above_cap(size):
+    if size > MAX_D0_CONSTITUENTS:
+        raise PreconditionError(
+            "the components have %d constituents, above the cap of %d"
+            % (size, MAX_D0_CONSTITUENTS)
+        )
+
+
+def jh_component(rho, sigma, profile=None):
+    """Constituents of the component generated by sigma.
+
+    Offsets a run through _offset_ranges, subject to the budget
+    sum_j max(floor(a_j / 2), 0) <= 1, in lexicographic order; their count
+    is checked against MAX_D0_CONSTITUENTS before any is enumerated.  The
+    label of a is weights.t_lambda(sigma, a, p), kept as its label_key: with
+    r'_j = d_j + a_j when a_{j+1} is even and p - 2 - d_j - a_j when it is
+    odd (slot f is slot 0), R = sum_j r'_j p^j, D = sum_j d_j p^j and
+    m = p^f - 1, the key is t + m * R for the twist
+    t = sigma.twist + (delta_0 * m + D - R) / 2 mod m, delta_0 the parity of
+    a_0.  At p = 2 the window admits only the zero offset; for odd p,
+    D - R is congruent to sum_j a_j + #{j : a_j odd}, which is even.
+
+    Codes, R and keys are built from the last slot back, on columns
+    (code, R, parity of the first value) for the admitted suffixes and for
+    the suffixes of values <= 1: an admitted suffix starts with a value
     <= 1 followed by an admitted suffix, or with a value in {2, 3} followed
     by a suffix of values <= 1, and every value <= 1 sorts before {2, 3}.
+    Prepending a value w at slot j is one list comprehension per column,
+    and its digit r'_j p^j reads the parity column of the suffix.  The
+    digit of slot f - 1 reads the parity of a_0, so the suffixes are built
+    once for each parity of a_0, and slot 0 comes last, value by value,
+    with R and the key in one comprehension.
+
+    dim = sum over admitted a of prod_j (r'_j + 1) is summed without a pass
+    over the constituents.  The factor of slot j depends only on a_j and the
+    parity of a_{j+1}, and the budget only on how many coordinates are in
+    {2, 3}.  So for each parity of a_0, a recursion from the last slot back
+    keeps, per (parity of the first value, coordinates in {2, 3}), the sum
+    over the suffixes of their products, and prepends slot j with the sums
+    of its factors per (parity, in {2, 3}, parity of the next value).  Each
+    admitted offset is one term of exactly one of these sums, so the
+    result is exact.
     """
-    admitted, low_only = [()], [()]
-    for rng in reversed(ranges):
-        low = [w for w in rng if w <= 1]
-        high = [w for w in rng if w > 1]
-        admitted = [(w,) + s for w in low for s in admitted] + [
-            (w,) + s for w in high for s in low_only
-        ]
-        low_only = [(w,) + s for w in low for s in low_only]
-    return tuple(admitted)
+    if profile is None:
+        profile = socle_profile(rho, sigma)
+    f, p = rho.f, rho.p
+    ranges = _offset_ranges(sigma, profile, p)
+    _refuse_above_cap(component_size(ranges))
+    codes, keys, dim = [], [], 0
+    if all(ranges):
+        # every value of every range occurs in some admitted offset, so this
+        # checks the window exactly where t_lambda would
+        for j, (d, rng) in enumerate(zip(sigma.diffs, ranges)):
+            for w in rng:
+                if not 0 <= d + w <= p - 2:
+                    raise PreconditionError(
+                        "graph point %d at slot %d is outside the window of base difference %d"
+                        % (w, j, d)
+                    )
+        radix = _radix(ranges)
+        suffixes = [_suffix_columns(sigma.diffs, ranges, radix, p, q0) for q0 in (0, 1)]
+        m = p**f - 1
+        base = 2 * sigma.twist + sum(d * p**j for j, d in enumerate(sigma.diffs))
+        d, rng = sigma.diffs[0], ranges[0]
+        for w in rng:
+            admitted, low_only = suffixes[w & 1]
+            suffix_codes, rs, qs = admitted if w <= 1 else low_only
+            shift = (w - rng.start) * radix[0]
+            codes += [shift + c for c in suffix_codes]
+            # r'_0 = even or odd by the parity of a_1; the key is
+            # (b - R) / 2 % m + m * R with R = r'_0 + r, and b - R is even
+            b = base + (w & 1) * m
+            even, odd = d + w, p - 2 - d - w
+            be, bo, me, mo = b - even, b - odd, m * even, m * odd
+            keys += [
+                ((bo - r) >> 1) % m + mo + m * r if q else ((be - r) >> 1) % m + me + m * r
+                for r, q in zip(rs, qs)
+            ]
+        dim = _dim(sigma.diffs, ranges, p)
+    return ComponentStructure(
+        socle=sigma,
+        profile=profile,
+        ranges=ranges,
+        codes=tuple(codes),
+        keys=tuple(keys),
+        p=p,
+        dim=dim,
+    )
 
 
-def _slot_table(d, rng, j, p):
-    """Slot j of the label fold at base difference d: for each offset w in
-    rng, the pairs (r'_j * p^j, r'_j + 1) when the offset at slot j + 1 is
-    even and when it is odd (the two cases of weights.t_lambda): slot j's
-    base-p digit of the label's diffs, and its factor of serre_weight_dim."""
-    pj = p**j
-    table = {}
-    for w in rng:
-        if not 0 <= d + w <= p - 2:
-            raise PreconditionError(
-                "graph point %d at slot %d is outside the window of base difference %d" % (w, j, d)
-            )
-        table[w] = tuple((r * pj, r + 1) for r in (d + w, p - 2 - d - w))
-    return table
+def _suffix_columns(diffs, ranges, radix, p, q0):
+    """The columns (code, R, parity of the first value) of the admitted
+    suffixes a_1 .. a_{f-1} and of those with every value <= 1, in
+    lexicographic order, when a_0 has parity q0.  The empty suffix has the
+    parity of a_0, which slot f - 1 reads."""
+    admitted = low_only = ([0], [0], [q0])
+    for j in range(len(diffs) - 1, 0, -1):
+        d, rng, pj = diffs[j], ranges[j], p**j
+        new_admitted, new_low_only = ([], [], []), ([], [], [])
+        for w in rng:
+            shift = (w - rng.start) * radix[j]
+            even, odd = (d + w) * pj, (p - 2 - d - w) * pj
+            if w <= 1:
+                pairs = ((admitted, new_admitted), (low_only, new_low_only))
+            else:
+                pairs = ((low_only, new_admitted),)
+            for (codes, rs, qs), (new_codes, new_rs, new_qs) in pairs:
+                new_codes += [shift + c for c in codes]
+                new_rs += [r + (odd if q else even) for r, q in zip(rs, qs)]
+                new_qs += [w & 1] * len(codes)
+        admitted, low_only = new_admitted, new_low_only
+    return admitted, low_only
+
+
+def _dim(diffs, ranges, p):
+    """sum of prod_j (r'_j + 1) over the admitted offsets, by the recursion
+    described in jh_component."""
+    # per slot: (parity, in {2, 3}, parity of the next value) -> summed factors
+    sums = []
+    for d, rng in zip(diffs, ranges):
+        slot = defaultdict(int)
+        for w in rng:
+            slot[w & 1, w > 1, 0] += d + w + 1
+            slot[w & 1, w > 1, 1] += p - 1 - d - w
+        sums.append(slot)
+    total = 0
+    for q0 in (0, 1):
+        # (parity of the first value, coordinates in {2, 3}) -> summed products
+        state = {(q0, 0): 1}
+        for j in range(len(diffs) - 1, -1, -1):
+            new = defaultdict(int)
+            for (par, high, q), s in sums[j].items():
+                for (q_next, used), x in state.items():
+                    if q == q_next and used + high <= 1 and (j or par == q0):
+                        new[par, used + high] += s * x
+            state = new
+        total += sum(state.values())
+    return total
 
 
 def one_step_down(a):
@@ -237,19 +338,20 @@ class D0Report:
 def d0_checks(rho):
     """Run the structural checks over every component of the profile.
 
+    The constituents of all components are counted in closed form and
+    checked against MAX_D0_CONSTITUENTS before any component is enumerated.
     Constituents are compared by label_key, counted once over all
     components; the weight set is computed once and handed to each
     socle_profile.
     """
     wlabels = serre_weights(rho).labels()
     wset = set(wlabels)
-    comps = tuple(
-        jh_component(rho, lab, profile=socle_profile(rho, lab, wset)) for lab in wlabels
-    )
-    zero = (0,) * rho.f
-    # before the key count, so that its offset sets and the count are never
+    signed = [(lab, socle_profile(rho, lab, wset)) for lab in wlabels]
+    _refuse_above_cap(sum(component_size(_offset_ranges(lab, sp, rho.p)) for lab, sp in signed))
+    comps = tuple(jh_component(rho, lab, profile=sp) for lab, sp in signed)
+    # before the key count, so that its code sets and the count are never
     # held at the same time
-    downward_closed = all(_downward_closed(c.offsets, rho.f) for c in comps)
+    downward_closed = all(_downward_closed(c.codes, c.ranges) for c in comps)
 
     counts = Counter(itertools.chain.from_iterable(c.keys for c in comps))
     globally_multiplicity_free = len(counts) == sum(len(c.keys) for c in comps)
@@ -259,7 +361,11 @@ def d0_checks(rho):
     )
     wkeys = {label_key(w, rho.p) for w in wlabels}
     socle_keys = [label_key(c.socle, rho.p) for c in comps]
-    at_zero = [c.keys[c.offsets.index(zero)] for c in comps]
+    # the code of offset zero has digit -ranges[j].start at slot j
+    at_zero = [
+        c.keys[c.codes.index(sum(-rng.start * w for rng, w in zip(c.ranges, _radix(c.ranges))))]
+        for c in comps
+    ]
     # each weight occurs exactly once overall, and that once is at offset
     # zero of a component it is the socle of
     weight_set_only_socles = all(counts[w] == 1 for w in wkeys) and wkeys <= {
@@ -276,16 +382,36 @@ def d0_checks(rho):
     )
 
 
-def _downward_closed(offsets, f):
+def _downward_closed(codes, ranges):
     """Moving any offset one step toward zero in one coordinate gives an
-    offset again (a zero coordinate stays, giving the offset itself)."""
-    have = set(offsets)
-    columns = [list(map(itemgetter(j), offsets)) for j in range(f)]
-    for j, col in enumerate(columns):
-        toward_zero = {x: x - 1 if x > 0 else x + 1 if x < 0 else 0 for x in set(col)}
-        stepped = zip(*columns[:j], map(toward_zero.__getitem__, col), *columns[j + 1 :])
-        if not have.issuperset(stepped):
-            return False
+    offset again (a zero coordinate stays, giving the offset itself).
+
+    Checked slot by slot on sets of codes that share the values of the
+    earlier slots, starting from all codes.  In such a set the codes whose
+    digit at slot j is v form a block; a step toward zero at slot j moves a
+    block from digit v to v - 1 or v + 1 (each code changes by -radix_j or
+    +radix_j), so each block, without that digit, must lie inside the block
+    one digit nearer zero.  The blocks without their digit are the sets for
+    slot j + 1, and equal ones are checked once: most blocks hold the same
+    suffixes."""
+    todo = {tuple(sorted(codes))}
+    for rng, w in zip(ranges, _radix(ranges)):
+        zero = -rng.start
+        suffixes = set()
+        for ordered in todo:
+            blocks, hi = {}, 0
+            for v in range(len(rng)):
+                lo, start = hi, v * w
+                hi = bisect_left(ordered, start + w, lo)
+                if lo < hi:
+                    blocks[v] = tuple([c - start for c in ordered[lo:hi]])
+            for v, block in blocks.items():
+                if v != zero:
+                    nearer = blocks.get(v - 1 if v > zero else v + 1)
+                    if nearer is None or nearer != block and not set(nearer).issuperset(block):
+                        return False
+            suffixes.update(blocks.values())
+        todo = suffixes
     return True
 
 

@@ -233,20 +233,40 @@ def _base_label(rho):
 
 
 # serre_weights lists at most 2^16 b-vectors, 16 free slots (an all-split f=16
-# `describe` takes about 1.7 s and 52 MiB on a 2-vCPU Xeon); more raise
+# `weights` takes about 2.6 s and 430 MiB on a 2-vCPU Xeon); more raise
 # PreconditionError before anything is enumerated.
 MAX_WEIGHTS = 2**16
 
 
-def serre_weights(rho):
-    """The weight set: b_j ranges over {0, sgn(s_j)} on free slots and is 0
-    elsewhere; each b is labelled through the extension graph at the base
-    difference weight, whose window check is t_lambda's."""
+def weight_count(rho):
+    """Size of the weight set, 2^(free slots), without building it.
+
+    Checks what serre_weights needs before it enumerates: the cap, and
+    t_lambda's window r_j + b_j in [0, p - 2] for both b-values of each free
+    slot.  A failure names the b-vector that serre_weights' product order
+    meets first: the one moving only the last failing slot (r_j itself is
+    in the window, by the profile's validation)."""
     free = rho.free_slots()
     if 2 ** len(free) > MAX_WEIGHTS:
         raise PreconditionError(
             "the weight set has 2^%d elements, above the cap of %d" % (len(free), MAX_WEIGHTS)
         )
+    for j in reversed(free):
+        for bj in (0, s_sign(rho.s_component(j))):
+            if not 0 <= rho.r[j] + bj <= rho.p - 2:
+                b = (0,) * j + (bj,) + (0,) * (rho.f - 1 - j)
+                raise PreconditionError(
+                    "graph point %r is outside the window of base %r" % (b, rho.r)
+                )
+    return 2 ** len(free)
+
+
+def serre_weights(rho):
+    """The weight set: b_j ranges over {0, sgn(s_j)} on free slots and is 0
+    elsewhere; each b is labelled through the extension graph at the base
+    difference weight.  weight_count checks the cap and the window first."""
+    weight_count(rho)
+    free = rho.free_slots()
     options = [(0, s_sign(rho.s_component(j))) if j in free else (0,) for j in range(rho.f)]
     base = _base_label(rho)
     return SerreWeightSet(tuple((b, t_lambda(base, b, rho.p)) for b in itertools.product(*options)))

@@ -251,6 +251,37 @@ def test_d0_builds_few_labels(monkeypatch, tmp_path, capsys, a):
     assert 0 < len(built) < 0.05 * doc["total_constituents"]
 
 
+def test_d0_builds_no_offset_tuples(monkeypatch, tmp_path, capsys):
+    """The report works on offset codes: no offset tuple is decoded."""
+    path = tmp_path / "f3.json"
+    path.write_text(json.dumps(F3_P37_CONFIG))
+
+    def offsets(self):
+        raise AssertionError("offset tuples decoded")
+
+    monkeypatch.setattr(d0.ComponentStructure, "offsets", property(offsets))
+    rc, doc = run(capsys, ["d0", "--config", str(path)])
+    assert rc == 0 and doc["passed"]
+
+
+def test_describe_counts_weights_without_the_weight_set(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "split16.json"
+    path.write_text(
+        json.dumps({"p": 31, "f": 16, "r": [13] * 16, "a": [0] * 16,
+                    "alpha": [3] * 16, "beta": [5] * 16})
+    )
+    start = time.perf_counter()
+    rc, doc = run(capsys, ["describe", "--config", str(path)])
+    assert time.perf_counter() - start < 0.5
+    assert rc == 0 and doc["weight_count"] == 65536
+
+    def no_weight_set(rho):
+        raise AssertionError("weight set built")
+
+    monkeypatch.setattr(cli, "serre_weights", no_weight_set)
+    assert run(capsys, ["describe", "--config", str(path)]) == (rc, doc)
+
+
 def test_oracle_coset(capsys):
     rc, doc = run(capsys, ["oracle", "--kind", "coset", "--trials", "6", "--seed", "3"])
     assert rc == 0
@@ -365,6 +396,32 @@ class TestExitCodes:
             assert time.perf_counter() - start < 0.5, command
             err = capsys.readouterr().err
             assert err.startswith("precondition failed: the weight set has 2^17"), command
+
+    def test_d0_constituent_cap(self, monkeypatch, tmp_path, capsys):
+        # an f=4, p=37 profile stays below d0.MAX_D0_CONSTITUENTS
+        path = tmp_path / "d0.json"
+        path.write_text(
+            json.dumps({"p": 37, "f": 4, "r": [13, 15, 17, 20], "a": [5, 7, 11, 3],
+                        "alpha": [3, 2, 7, 1], "beta": [5, 11, 13, 2]})
+        )
+        rc, doc = run(capsys, ["d0", "--config", str(path)])
+        assert rc == 0 and doc["passed"]
+        assert doc["total_constituents"] == 154252
+        # one component of 367,750,000 constituents is refused from the
+        # closed-form count; enumerating fails here rather than run out of memory
+        def enumerate_suffixes(*args):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(d0, "_suffix_columns", enumerate_suffixes)
+        path.write_text(
+            json.dumps({"p": 101, "f": 5, "r": [48, 48, 48, 48, 47], "a": [1] * 5,
+                        "alpha": [3] * 5, "beta": [5] * 5})
+        )
+        start = time.perf_counter()
+        assert cli.main(["d0", "--config", str(path)]) == 2
+        assert time.perf_counter() - start < 0.5
+        err = capsys.readouterr().err
+        assert err.startswith("precondition failed: the components have 367750000 constituents")
 
     def test_bad_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -574,6 +631,12 @@ F2_F31SQ_CONFIG = {
     "p": 31, "f": 2, "r": [13, 15], "a": [0, 500], "alpha": [3, 700],
     "beta": [5, 11], "field_degree": 2, "mode": "strict",
 }
+# An f=4 profile at a small prime, for d0 only; p = 13 is below the strict
+# depth, so it is permissive.
+F4_P13_CONFIG = {
+    "p": 13, "f": 4, "r": [3, 5, 7, 4], "a": [2, 0, 3, 0],
+    "alpha": [1, 2, 3, 4], "beta": [5, 6, 7, 8], "mode": "permissive",
+}
 
 # sha256 of stdout per case; any change to a report's bytes shows here.
 STDOUT_DIGESTS = {
@@ -613,12 +676,15 @@ STDOUT_DIGESTS = {
     "f2_f31sq types": "5b795b5f7a6becfe35b5ccc626c518b9ed558c8a32e8605dac83d3150cd9498f",
     "f2_f31sq kisin": "c499197b467e205deaa51274074a75c14d4cff1a4ea42d8154db467eec5c31e8",
     "f2_f31sq d0": "3dcd3d9656ee63285be13e74b259013cf385afe6ede6629e0d500c7733e69163",
+    "f4_p13 d0": "08562698a6adae7de7a7b6d287de1990cb316120a5c312aab806fec9d200c226",
     "adm f2": "21682ed73dcebbb7745112caeddcd8b1b93b03ab4d2ba88875b7f6a989b8dfbd",
     "oracle coset": "b4d59af55c8d1b5b503413b3429b4646dee32ff262f64e100215c15e2910ee79",
 }
 
 
-def _digest_cases(configs):
+def _digest_cases(configs, d0_configs):
+    for name, path in d0_configs.items():
+        yield "%s d0" % name, ["d0", "--config", path]
     for name, path in configs.items():
         for cmd in ("describe", "weights", "xset", "types", "kisin", "d0"):
             yield "%s %s" % (name, cmd), [cmd, "--config", path]
@@ -637,9 +703,11 @@ def test_stdout_digests(tmp_path, capsys, f1_config, f2_config):
         path = tmp_path / (name + ".json")
         path.write_text(json.dumps(cfg))
         configs[name] = str(path)
+    f4_path = tmp_path / "f4_p13.json"
+    f4_path.write_text(json.dumps(F4_P13_CONFIG))
     digests = {}
     out_path = tmp_path / "report.json"
-    for case, argv in _digest_cases(configs):
+    for case, argv in _digest_cases(configs, {"f4_p13": str(f4_path)}):
         assert cli.main(argv) == 0, case
         stdout = capsys.readouterr().out.encode()
         digests[case] = hashlib.sha256(stdout).hexdigest()

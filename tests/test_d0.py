@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gl2kisin import d0
 from gl2kisin.d0 import (
     SocleProfile,
+    component_size,
     d0_checks,
     jh_component,
     label_key,
@@ -188,9 +189,78 @@ def test_jh_component_matches_reference(base):
 @given(bases())
 @settings(max_examples=60, deadline=None)
 def test_component_dim_matches_labels(base):
+    """The transfer recursion for dim against one product per constituent."""
     p, sigma, signs = base
     comp = jh_component(SimpleNamespace(p=p, f=len(signs)), sigma, SocleProfile(signs))
     assert comp.dim == sum(serre_weight_dim(l) for l in comp.labels)
+
+
+@given(bases())
+@settings(max_examples=60, deadline=None)
+def test_codes_and_size_match_reference(base):
+    """Codes are the mixed-radix encodings of the budget-filtered product,
+    ascending, and the closed-form count is their number."""
+    p, sigma, signs = base
+    comp = jh_component(SimpleNamespace(p=p, f=len(signs)), sigma, SocleProfile(signs))
+    ranges = comp.ranges
+    expected = [
+        a for a in itertools.product(*ranges) if sum(max(aj // 2, 0) for aj in a) <= 1
+    ]
+    codes = []
+    for a in expected:
+        code = 0
+        for aj, rng in zip(a, ranges):
+            code = code * len(rng) + aj - rng.start
+        codes.append(code)
+    assert list(comp.codes) == codes == sorted(set(codes))
+    assert component_size(ranges) == len(comp) == len(expected)
+
+
+def test_size_cap_refuses_before_enumerating(monkeypatch):
+    """(d + 2)^5 + 10 (d + 2)^4 = 375,000,000 offsets at d = 48 with free
+    signs: refused from the count alone, and admitted at a cap of exactly
+    that many."""
+    def enumerate_suffixes(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(d0, "_suffix_columns", enumerate_suffixes)
+    rho, sigma = SimpleNamespace(p=101, f=5), make_label((48,) * 5, 0, 101)
+    profile = SocleProfile((0,) * 5)
+    with pytest.raises(PreconditionError, match="375000000 constituents"):
+        jh_component(rho, sigma, profile)
+    monkeypatch.setattr(d0, "MAX_D0_CONSTITUENTS", 375_000_000)
+    with pytest.raises(AssertionError, match="enumeration started"):
+        jh_component(rho, sigma, profile)
+
+
+@given(st.lists(st.integers(-2, 3), min_size=1, max_size=3), st.data())
+@settings(max_examples=200, deadline=None)
+def test_downward_closed_matches_one_step_down(los, data):
+    """The block-wise check on codes against one_step_down on every offset,
+    for downward-closed sets, sets with one offset dropped, and arbitrary
+    subsets of a product of ranges around zero."""
+    ranges = tuple(range(min(lo, 0), data.draw(st.integers(1, 4))) for lo in los)
+    space = list(itertools.product(*ranges))
+    kind = data.draw(st.sampled_from(("closure", "closure less one", "subset")))
+    if kind == "subset":
+        offsets = data.draw(st.sets(st.sampled_from(space)))
+    else:
+        offsets, todo = set(), data.draw(st.lists(st.sampled_from(space), min_size=1, max_size=3))
+        while todo:
+            a = todo.pop()
+            if a not in offsets:
+                offsets.add(a)
+                todo += one_step_down(a)
+        if kind == "closure less one":
+            offsets.discard(data.draw(st.sampled_from(sorted(offsets))))
+    codes = []
+    for a in data.draw(st.permutations(sorted(offsets))):
+        code = 0
+        for aj, rng in zip(a, ranges):
+            code = code * len(rng) + aj - rng.start
+        codes.append(code)
+    expected = all(b in offsets for a in offsets for b in one_step_down(a))
+    assert d0._downward_closed(codes, ranges) == expected
 
 
 PRIMES_TO_37 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -299,12 +369,10 @@ def _repeat_label(c):
 
 
 def _drop_step(c):
-    gone = one_step_down(c.offsets[-1])[0]
-    keep = [i for i, a in enumerate(c.offsets) if a != gone]
+    offsets = c.offsets
+    i = offsets.index(one_step_down(offsets[-1])[0])
     return dataclasses.replace(
-        c,
-        offsets=tuple(c.offsets[i] for i in keep),
-        keys=tuple(c.keys[i] for i in keep),
+        c, codes=c.codes[:i] + c.codes[i + 1 :], keys=c.keys[:i] + c.keys[i + 1 :]
     )
 
 

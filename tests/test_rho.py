@@ -1,4 +1,8 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gl2kisin import rho as rho_mod
 from gl2kisin.errors import ConfigError, InternalCheckError, PreconditionError
@@ -9,11 +13,12 @@ from gl2kisin.rho import (
     serre_weights,
     tau_presentation,
     theta,
+    weight_count,
     w_in_x_rho,
     x_rho,
     x_sigma,
 )
-from gl2kisin.weights import adm_set, from_index, index_of, make_label
+from gl2kisin.weights import adm_set, from_index, index_of, make_label, s_sign, t_lambda
 
 from conftest import random_profile
 
@@ -204,6 +209,39 @@ def test_weight_set_size_law(rng):
             for _ in range(4):
                 rho = random_profile(rng, p, f)
                 assert len(serre_weights(rho)) == 2 ** rho.zero_count()
+
+
+@st.composite
+def shallow_profiles(draw):
+    """Permissive profiles at small primes, r anywhere in [0, p - 2], so that
+    r_j + b_j can leave the window; any zero pattern, or irreducible."""
+    p = draw(st.sampled_from((3, 5, 7, 11, 13)))
+    f = draw(st.integers(1, 4))
+    r = draw(st.lists(st.integers(0, p - 2), min_size=f, max_size=f))
+    irreducible = draw(st.booleans())
+    a = [0] * f if irreducible else draw(st.lists(st.sampled_from((0, 1)), min_size=f, max_size=f))
+    return RhoBar(p, f, r, a, [1] * f, [1] * f, irreducible=irreducible, mode="permissive")
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PreconditionError as exc:
+        return str(exc)
+
+
+@given(shallow_profiles())
+@settings(max_examples=150, deadline=None)
+def test_weight_count_matches_weight_set(rho):
+    """weight_count against the weight set, and against t_lambda on every
+    b-vector in product order: the same size, or the same refusal."""
+    free = rho.free_slots()
+    options = [(0, s_sign(rho.s_component(j))) if j in free else (0,) for j in range(rho.f)]
+    base = rho_mod._base_label(rho)
+    by_product = _outcome(
+        lambda: len([t_lambda(base, b, rho.p) for b in itertools.product(*options)])
+    )
+    assert _outcome(weight_count, rho) == _outcome(lambda: len(serre_weights(rho))) == by_product
 
 
 def test_weight_set_shallow_window_error():
