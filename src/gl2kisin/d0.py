@@ -187,14 +187,14 @@ def jh_component(rho, sigma, profile=None):
     D - R is congruent to sum_j a_j + #{j : a_j odd}, which is even.
 
     Codes, R and keys are built from the last slot back, on columns
-    (code, R, parity of the first value) for the admitted suffixes and for
+    (code, parity of the first value, R) for the admitted suffixes and for
     the suffixes of values <= 1: an admitted suffix starts with a value
     <= 1 followed by an admitted suffix, or with a value in {2, 3} followed
     by a suffix of values <= 1, and every value <= 1 sorts before {2, 3}.
     Prepending a value w at slot j is one list comprehension per column,
     and its digit r'_j p^j reads the parity column of the suffix.  The
-    digit of slot f - 1 reads the parity of a_0, so the suffixes are built
-    once for each parity of a_0, and slot 0 comes last, value by value,
+    digit of slot f - 1 reads the parity of a_0, so the suffixes carry one
+    R column for each parity of a_0, and slot 0 comes last, value by value,
     with R and the key in one comprehension.
 
     dim = sum over admitted a of prod_j (r'_j + 1) is summed without a pass
@@ -224,23 +224,23 @@ def jh_component(rho, sigma, profile=None):
                         % (w, j, d)
                     )
         radix = _radix(ranges)
-        suffixes = [_suffix_columns(sigma.diffs, ranges, radix, p, q0) for q0 in (0, 1)]
+        admitted, low_only = _suffix_columns(sigma.diffs, ranges, radix, p)
         m = p**f - 1
         base = 2 * sigma.twist + sum(d * p**j for j, d in enumerate(sigma.diffs))
         d, rng = sigma.diffs[0], ranges[0]
         for w in rng:
-            admitted, low_only = suffixes[w & 1]
-            suffix_codes, rs, qs = admitted if w <= 1 else low_only
+            suffix_codes, qs, *rs = admitted if w <= 1 else low_only
             shift = (w - rng.start) * radix[0]
             codes += [shift + c for c in suffix_codes]
-            # r'_0 = even or odd by the parity of a_1; the key is
-            # (b - R) / 2 % m + m * R with R = r'_0 + r, and b - R is even
+            # r'_0 = even or odd by the parity of a_1 (a_0 itself when f = 1);
+            # the key is (b - R) / 2 % m + m * R with R = r'_0 + r, and b - R
+            # is even
             b = base + (w & 1) * m
             even, odd = d + w, p - 2 - d - w
             be, bo, me, mo = b - even, b - odd, m * even, m * odd
             keys += [
                 ((bo - r) >> 1) % m + mo + m * r if q else ((be - r) >> 1) % m + me + m * r
-                for r, q in zip(rs, qs)
+                for r, q in zip(rs[w & 1], qs or [w & 1])
             ]
         dim = _dim(sigma.diffs, ranges, p)
     return ComponentStructure(
@@ -254,15 +254,16 @@ def jh_component(rho, sigma, profile=None):
     )
 
 
-def _suffix_columns(diffs, ranges, radix, p, q0):
-    """The columns (code, R, parity of the first value) of the admitted
-    suffixes a_1 .. a_{f-1} and of those with every value <= 1, in
-    lexicographic order, when a_0 has parity q0.  The empty suffix has the
-    parity of a_0, which slot f - 1 reads."""
-    admitted = low_only = ([0], [0], [q0])
+def _suffix_columns(diffs, ranges, radix, p):
+    """The columns (code, parity of the first value, R when a_0 is even,
+    R when a_0 is odd) of the admitted suffixes a_1 .. a_{f-1} and of those
+    with every value <= 1, in lexicographic order.  Only the digit of slot
+    f - 1, which reads the parity of a_0, tells the two R columns apart;
+    the empty suffix has parity column None."""
+    admitted = low_only = ([0], None, [0], [0])
     for j in range(len(diffs) - 1, 0, -1):
         d, rng, pj = diffs[j], ranges[j], p**j
-        new_admitted, new_low_only = ([], [], []), ([], [], [])
+        new_admitted, new_low_only = ([], [], [], []), ([], [], [], [])
         for w in rng:
             shift = (w - rng.start) * radix[j]
             even, odd = (d + w) * pj, (p - 2 - d - w) * pj
@@ -270,10 +271,15 @@ def _suffix_columns(diffs, ranges, radix, p, q0):
                 pairs = ((admitted, new_admitted), (low_only, new_low_only))
             else:
                 pairs = ((low_only, new_admitted),)
-            for (codes, rs, qs), (new_codes, new_rs, new_qs) in pairs:
+            for (codes, qs, r0, r1), (new_codes, new_qs, new_r0, new_r1) in pairs:
                 new_codes += [shift + c for c in codes]
-                new_rs += [r + (odd if q else even) for r, q in zip(rs, qs)]
                 new_qs += [w & 1] * len(codes)
+                if qs is None:
+                    new_r0.append(even)
+                    new_r1.append(odd)
+                else:
+                    new_r0 += [r + (odd if q else even) for r, q in zip(r0, qs)]
+                    new_r1 += [r + (odd if q else even) for r, q in zip(r1, qs)]
         admitted, low_only = new_admitted, new_low_only
     return admitted, low_only
 

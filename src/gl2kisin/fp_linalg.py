@@ -1,9 +1,10 @@
-"""Sparse kernel and rank computation mod p, in pure Python.
-
-Every phase touches only nonzero entries: the forward elimination reduces
-each row against the pivot rows its entries meet, back-substitution clears
-each pivot row at the later pivot columns it holds, and `rank` stops after
-the forward pass.
+"""Sparse kernel and rank computation mod p, in pure Python, in two phases
+that touch only nonzero entries.  The forward elimination costs one
+reduced-mod-p dict per row, kept unnormalized as its pivot row; only the
+rare reduction step inverts a lead.  `rank` and `kernel_dim` stop there.
+`kernel_basis` then back-substitutes, last pivot first, only the pivot rows
+with entries besides their pivot, and normalizes once each that reaches a
+free column.
 """
 
 # The one kernel implementation; perfbench records it beside its timings.
@@ -13,9 +14,9 @@ BACKEND = "pure"
 def _echelon(rows, p):
     """Forward elimination: {pivot column: pivot row}.
 
-    rows: iterable of {column: value} dicts (values arbitrary ints).  Each
-    pivot row is a {column: residue} dict with a 1 at its pivot column, its
-    smallest column.
+    rows: iterable of {column: value} dicts (values arbitrary ints), never
+    modified.  Each pivot row is a new {column: nonzero residue} dict, not
+    normalized, whose smallest column is its pivot.
     """
     pivots = {}
     for row in rows:
@@ -28,10 +29,9 @@ def _echelon(rows, p):
             c = min(r)
             piv = pivots.get(c)
             if piv is None:
-                inv = pow(r[c], -1, p)
-                pivots[c] = {k: (v * inv) % p for k, v in r.items()}
+                pivots[c] = r
                 break
-            coef = r.pop(c)
+            coef = r.pop(c) * pow(piv[c], -1, p)
             for k, v in piv.items():
                 if k == c:
                     continue
@@ -58,30 +58,30 @@ def kernel_basis(rows, ncols, p):
     pivot-row entries at the pivot columns.
     """
     pivots = _echelon(rows, p)
-    # back-substitution, last pivot first: the later pivot rows are already
-    # reduced, so subtracting one adds only free columns, and one pass over
-    # this row's own later pivot columns leaves it reduced too
-    for c in sorted(pivots, reverse=True):
+    # solved[c] = {free column j: coefficient of x_j in x_c} for each pivot
+    # column c whose row reaches a free column; every other x_c is 0
+    solved = {}
+    for c in sorted((c for c, row in pivots.items() if len(row) > 1), reverse=True):
         row = pivots[c]
-        for c2 in [k for k in row if k > c and k in pivots]:
-            coef = row.pop(c2)
-            for k, v in pivots[c2].items():
-                if k == c2:
-                    continue
-                nv = (row.get(k, 0) - coef * v) % p
-                if nv:
-                    row[k] = nv
-                elif k in row:
-                    del row[k]
-    # a reduced pivot row holds, besides its pivot, only free columns
+        acc = {}
+        for k, v in row.items():
+            if k in solved:
+                for j, w in solved[k].items():
+                    acc[j] = acc.get(j, 0) + v * w
+            elif k not in pivots:
+                acc[k] = acc.get(k, 0) + v
+        if acc:
+            neg = p - pow(row[c], -1, p)
+            x = {j: w for j, v in acc.items() if (w := v * neg % p)}
+            if x:
+                solved[c] = x
     free = {j: i for i, j in enumerate(j for j in range(ncols) if j not in pivots)}
     basis = [[0] * ncols for _ in free]
     for j, i in free.items():
         basis[i][j] = 1
-    for c, row in pivots.items():
-        for k, v in row.items():
-            if k != c:
-                basis[free[k]][c] = p - v
+    for c, x in solved.items():
+        for j, w in x.items():
+            basis[free[j]][c] = w
     return basis, len(pivots)
 
 

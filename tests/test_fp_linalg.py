@@ -1,12 +1,19 @@
-"""The F_p kernel against its brute-force twin: the nullspace found by
-trying every one of the p^ncols vectors."""
+"""The F_p kernel against two twins: the nullspace found by trying every one
+of the p^ncols vectors, and a dense reduced-row-echelon form computed
+column by column."""
 
+import copy
 import itertools
+import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gl2kisin import fp_linalg
+from gl2kisin.tangent import assemble_system, solve_claim
+
+from conftest import random_profile
 
 
 @st.composite
@@ -17,6 +24,20 @@ def systems(draw):
     row = st.dictionaries(st.integers(0, ncols - 1), st.integers(-12, 12), max_size=ncols)
     rows = draw(st.lists(row, max_size=7))
     return rows, ncols, p
+
+
+@st.composite
+def sparse_systems(draw):
+    """Up to 40 columns with a few entries per row; a wide system has at
+    most a third as many rows as columns, so most columns are free."""
+    p = draw(st.sampled_from((2, 3, 5, 101)))
+    ncols = draw(st.integers(1, 40))
+    wide = draw(st.booleans())
+    nrows = draw(st.integers(0, ncols // 3 if wide else ncols + 5))
+    row = st.dictionaries(
+        st.integers(0, ncols - 1), st.integers(-300, 300), max_size=min(ncols, 6)
+    )
+    return draw(st.lists(row, min_size=nrows, max_size=nrows)), ncols, p
 
 
 def brute_force_kernel(rows, ncols, p):
@@ -47,6 +68,49 @@ def canonical_basis(kernel, ncols):
     return basis
 
 
+def dense_kernel(rows, ncols, p):
+    """(basis, rank) from the dense reduced row echelon form: each column in
+    turn takes the first remaining row nonzero there as its pivot row,
+    scaled by the Fermat inverse, and clears the column in every other row."""
+    M = []
+    for row in rows:
+        M.append([0] * ncols)
+        for c, v in row.items():
+            M[-1][c] = v % p
+    pivot_cols = []
+    for c in range(ncols):
+        r = len(pivot_cols)
+        i = next((i for i in range(r, len(M)) if M[i][c]), None)
+        if i is None:
+            continue
+        M[r], M[i] = M[i], M[r]
+        inv = pow(M[r][c], p - 2, p)
+        M[r] = [v * inv % p for v in M[r]]
+        for k in [k for k, other in enumerate(M) if other[c]]:
+            if k != r:
+                s = M[k][c]
+                M[k] = [(a - s * b) % p for a, b in zip(M[k], M[r])]
+        pivot_cols.append(c)
+    basis = []
+    for j in sorted(set(range(ncols)) - set(pivot_cols)):
+        vec = [0] * ncols
+        vec[j] = 1
+        for i, c in enumerate(pivot_cols):
+            vec[c] = -M[i][j] % p
+        basis.append(vec)
+    return basis, len(pivot_cols)
+
+
+def assert_matches_dense_twin(rows, ncols, p):
+    before = copy.deepcopy(rows)
+    expected = dense_kernel(rows, ncols, p)
+    assert fp_linalg.kernel_basis(rows, ncols, p) == expected
+    assert fp_linalg.rank(rows, p) == expected[1]
+    assert fp_linalg.kernel_dim(rows, ncols, p) == len(expected[0])
+    # no call changed the caller's row dicts
+    assert rows == before
+
+
 @given(systems())
 @settings(max_examples=100, deadline=None)
 def test_kernel_matches_brute_force(system):
@@ -55,7 +119,67 @@ def test_kernel_matches_brute_force(system):
     # the nullspace is a subspace, so it has p^nullity elements
     nullity = next(k for k in range(ncols + 1) if p**k == len(kernel))
     basis, rank = fp_linalg.kernel_basis(rows, ncols, p)
-    assert basis == canonical_basis(kernel, ncols)
+    assert basis == canonical_basis(kernel, ncols) == dense_kernel(rows, ncols, p)[0]
     assert rank == fp_linalg.rank(rows, p) == ncols - nullity
     assert fp_linalg.kernel_dim(rows, ncols, p) == len(basis) == nullity
 
+
+@given(sparse_systems())
+@settings(max_examples=200, deadline=None)
+def test_kernel_matches_dense_twin(system):
+    assert_matches_dense_twin(*system)
+
+
+def test_wide_kernel_matches_dense_twin():
+    """200 free columns and more: a random sparse 60 x 260 system mod 101."""
+    rng = random.Random(101)
+    rows = [{c: rng.randrange(-500, 500) for c in rng.sample(range(260), 4)} for _ in range(60)]
+    assert len(dense_kernel(rows, 260, 101)[0]) >= 200
+    assert_matches_dense_twin(rows, 260, 101)
+
+
+def tangent_profile(f, p):
+    """A deep non-split profile: at least one extension parameter nonzero."""
+    rng = random.Random("tangent:%d:%d" % (f, p))
+    zeros = rng.choice([z for k in range(f) for z in itertools.combinations(range(f), k)])
+    return random_profile(rng, p, f, zero_positions=zeros, deep=True)
+
+
+@pytest.mark.parametrize("f,p", list(itertools.product((1, 2, 3), (31, 37, 101))))
+def test_tangent_systems_match_dense_twin(f, p):
+    """The full system, the one a Frobenius step higher (as stability_check
+    builds it) and the negative control without the pivot pin."""
+    rho = tangent_profile(f, p)
+    system = assemble_system(rho)
+    higher = assemble_system(rho, degree_bound=system.degree_bound + p)
+    for sys_ in (system, higher, system.without(("pin", "p21_0"))):
+        assert_matches_dense_twin([row for _lab, row in sys_.rows], sys_.ncols, p)
+
+
+def _summary(report):
+    return (
+        report.kernel,
+        report.rank,
+        report.kernel_dim,
+        report.param_kernel_dim,
+        report.m_kernel_dim,
+        report.injective,
+    )
+
+
+@pytest.mark.parametrize("f,p", [(1, 31), (2, 37), (3, 31)])
+def test_relaxed_system_shares_rows_safely(f, p):
+    """without() shares its row dicts with the full system: solving one and
+    then the other gives what solving each freshly assembled system gives."""
+    rho = tangent_profile(f, p)
+    system = assemble_system(rho)
+    relaxed = system.without(("pin", "p21_0"))
+    shared = {id(row) for _lab, row in system.rows}
+    assert all(id(row) in shared for _lab, row in relaxed.rows)
+    full, rel = solve_claim(system), solve_claim(relaxed)
+    rel_again, full_again = solve_claim(relaxed), solve_claim(system)
+    fresh_full = solve_claim(assemble_system(rho))
+    fresh_rel = solve_claim(assemble_system(rho).without(("pin", "p21_0")))
+    assert _summary(full) == _summary(full_again) == _summary(fresh_full)
+    assert _summary(rel) == _summary(rel_again) == _summary(fresh_rel)
+    assert fresh_full.injective and not fresh_rel.injective
