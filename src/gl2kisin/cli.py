@@ -305,7 +305,7 @@ def _shape_batch(task):
         rng = random.Random(seed0 * 1000003 + i)
         while True:
             entries = [
-                Laurent(field, {d: field.random(rng) for d in range(-3, 5)})
+                Laurent(field, {d: rng.randrange(field.order) for d in range(-3, 5)})
                 for _ in range(4)
             ]
             M = Mat2(field, *entries)

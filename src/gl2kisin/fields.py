@@ -10,8 +10,12 @@ A FiniteField computes on residues: a prime field with % p, a proper
 extension through exp/log tables of a primitive element, with Zech logarithms
 for addition.  The tables are built once per (p, d, modulus), only for fields
 of at most MAX_TABLE_ORDER elements; a larger extension field raises
-PreconditionError.  Laurent series store residues; FieldElement wraps one
-residue for the public API.
+PreconditionError.
+
+Every layer computes on residues: Laurent terms, RhoBar's parameters, the
+F_p kernel and d0 hold ints, and FiniteField.residue turns an element, int or
+coefficient tuple into one.  FieldElement wraps one residue for the public
+API (F(x), Laurent.coeffs, repr); no package computation builds one.
 """
 
 import functools
@@ -344,11 +348,9 @@ class FieldElement:
     def __eq__(self, other):
         if isinstance(other, int):
             return self.n == other
-        return (
-            isinstance(other, FieldElement)
-            and self.field == other.field
-            and self.n == other.n
-        )
+        if isinstance(other, FieldElement):
+            return self.field == other.field and self.n == other.n
+        return NotImplemented
 
     def __hash__(self):
         return hash(self.n)
@@ -432,10 +434,6 @@ class FiniteField:
 
     def __call__(self, value):
         return FieldElement(self, self.residue(value))
-
-    def from_int(self, n):
-        """Element with base-p digit expansion n = sum(c_i * p^i)."""
-        return FieldElement(self, n % self.order)
 
     def zero(self):
         return FieldElement(self, 0)

@@ -22,10 +22,6 @@ from .rho import tau_presentation, w_in_x_rho
 from .weights import ADM_COMPONENTS, _ADM_INDEX, index_of
 
 
-def _mono(field, c, d):
-    return Laurent.monomial(field, c, d)
-
-
 # ---------------------------------------------------------------------------
 # profile matrices
 
@@ -38,21 +34,16 @@ def etale_matrices(rho):
     [[0, -beta_0 v], [alpha_0 v^(r_0+2), 0]] appears.
     """
     field = rho.field
+    mono = Laurent.monomial
     mats = [None] * rho.f
     z = Laurent.zero(field)
-    for j in range(rho.f):
+    for j, (al, a21, be) in enumerate(rho.slot_coeffs):
         i = rho.f - 1 - j
-        al, be, rj = rho.alpha[j], rho.beta[j], rho.r[j]
+        d = rho.r[j] + 2
         if rho.irreducible and j == 0:
-            mats[i] = Mat2(field, z, _mono(field, -be, 1), _mono(field, al, rj + 2), z)
+            mats[i] = Mat2(field, z, mono(field, field.neg(be), 1), mono(field, al, d), z)
         else:
-            mats[i] = Mat2(
-                field,
-                _mono(field, al, rj + 2),
-                z,
-                _mono(field, al * rho.a[i], rj + 2),
-                _mono(field, be, 1),
-            )
+            mats[i] = Mat2(field, mono(field, al, d), z, mono(field, a21, d), mono(field, be, 1))
     return tuple(mats)
 
 
@@ -77,28 +68,29 @@ def kisin_matrices(rho, wtilde):
             "extension parameter would need the translation-(1,2) component" % (wtilde,)
         )
     field = rho.field
+    mono = Laurent.monomial
     tau = tau_presentation(rho, wtilde)
     idx = index_of(wtilde)
     z = Laurent.zero(field)
     mats = [None] * rho.f
-    for j in range(rho.f):
+    for j, (al, a21, be) in enumerate(rho.slot_coeffs):
         i = rho.f - 1 - j
-        al, be, ai = rho.alpha[j], rho.beta[j], rho.a[i]
         k = idx[i]
         if rho.irreducible and j == 0:
+            nb = field.neg(be)
             if k == 1:
-                m = Mat2(field, _mono(field, -be, 2), z, z, _mono(field, al, 1))
+                m = Mat2(field, mono(field, nb, 2), z, z, mono(field, al, 1))
             elif k == 2:
-                m = Mat2(field, z, _mono(field, -be, 1), _mono(field, al, 2), z)
+                m = Mat2(field, z, mono(field, nb, 1), mono(field, al, 2), z)
             else:
-                m = Mat2(field, _mono(field, -be, 1), z, z, _mono(field, al, 2))
+                m = Mat2(field, mono(field, nb, 1), z, z, mono(field, al, 2))
         else:
             if k == 1:
-                m = Mat2(field, _mono(field, al, 2), z, _mono(field, al * ai, 2), _mono(field, be, 1))
+                m = Mat2(field, mono(field, al, 2), z, mono(field, a21, 2), mono(field, be, 1))
             elif k == 2:
-                m = Mat2(field, z, _mono(field, al, 1), _mono(field, be, 2), _mono(field, al * ai, 1))
+                m = Mat2(field, z, mono(field, al, 1), mono(field, be, 2), mono(field, a21, 1))
             else:
-                m = Mat2(field, _mono(field, al, 1), z, z, _mono(field, be, 2))
+                m = Mat2(field, mono(field, al, 1), z, z, mono(field, be, 2))
         mats[i] = m
     return KisinData(rho=rho, wtilde=wtilde, tau=tau, mats=tuple(mats))
 
@@ -212,7 +204,7 @@ def iwahori_check(M, prec=None):
             return False
     if M.a21 and M.a21.valuation() < 1:
         return False
-    if not (M.a11.coeff(0) and M.a22.coeff(0)):
+    if not (M.t11.get(0) and M.t22.get(0)):
         return False
     d = M.det()
     if prec is not None:

@@ -270,16 +270,23 @@ class Laurent:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if isinstance(other, (int, FieldElement)):
-            other = Laurent.const(self.field, other)
-        return (
-            isinstance(other, Laurent)
-            and self.field == other.field
-            and self.terms == other.terms
-        )
+        # an int or an element of the field equals a constant whose residue
+        # it is, unreduced, as FieldElement does; constants hash like that int
+        if isinstance(other, Laurent):
+            return self.field == other.field and self.terms == other.terms
+        if isinstance(other, FieldElement):
+            if other.field != self.field:
+                return False
+            other = other.n
+        if isinstance(other, int):
+            return self.terms == ({0: other} if other else {})
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.field, tuple(sorted(self.terms.items()))))
+        terms = self.terms
+        if terms.keys() <= {0}:
+            return hash(terms.get(0, 0))
+        return hash((self.field, tuple(sorted(terms.items()))))
 
     def __repr__(self):
         if not self.terms:

@@ -38,7 +38,7 @@ def random_truncated_invertible(field, rng, prec=4, max_det_val=3):
     while True:
         entries = []
         for _ in range(4):
-            entries.append(Laurent(field, {d: field.random(rng) for d in range(prec)}))
+            entries.append(Laurent(field, {d: rng.randrange(field.order) for d in range(prec)}))
         M = Mat2(field, *entries)
         det = M.det()
         if det and det.valuation() <= max_det_val:

@@ -3,9 +3,13 @@ beta, reducible/irreducible flag — plus the weight set W(rho), the exclusion
 pattern theta, the allowed shape sets X(sigma) / X(rho), and inertial-type
 presentations attached to admissible elements.
 
-Index conventions (kept in ONE place because they are the most error-prone
-part of the subject): the matrix with superscript (i) uses alpha_j, beta_j,
-r_j and a_i for i = f-1-j, and the weight-set slot b_j is paired with a_{f-1-j}.
+A profile holds a, alpha and beta as residues of its field (fields.py), as
+Laurent terms do.  Index conventions (kept in ONE place because they are the
+most error-prone part of the subject): the matrix with superscript (i) uses
+alpha_j, beta_j, r_j and a_i for i = f-1-j, and the weight-set slot b_j is
+paired with a_{f-1-j}.  RhoBar.slot_coeffs is the one place that pairs slot j
+with a_{f-1-j}; the free slots, the pivot slot, the profile and gauge-form
+matrices and the rigidity system all read it.
 """
 
 import itertools
@@ -36,13 +40,18 @@ def _is_int(value):
 class RhoBar:
     """Validated profile (p, f, r, a, alpha, beta, irreducible, mode).
 
+    a, alpha and beta take anything field.residue does (elements, ints,
+    coefficient tuples) and are stored as residues.  slot_coeffs[j] =
+    (alpha_j, alpha_j a_{f-1-j}, beta_j) holds the residues of slot j's
+    coefficient matrix [[alpha_j, 0], [alpha_j a_{f-1-j}, beta_j]].
+
     mode "strict" additionally requires the difference weight to be at least
     12-deep (the hypothesis under which the structural guarantees hold); mode
     "permissive" allows any 0 <= r_j <= p-2 and emits a warning, since the
     combinatorial formulas remain well-defined.
     """
 
-    __slots__ = ("p", "f", "r", "a", "alpha", "beta", "irreducible", "mode", "field")
+    __slots__ = ("p", "f", "r", "a", "alpha", "beta", "irreducible", "mode", "field", "slot_coeffs")
 
     def __init__(self, p, f, r, a, alpha, beta, irreducible=False, mode="strict", field=None):
         if field is None:
@@ -56,12 +65,11 @@ class RhoBar:
         r = tuple(int(x) for x in r)
         if not (len(r) == f and len(a) == f and len(alpha) == f and len(beta) == f):
             raise ConfigError("r, a, alpha, beta must all have length f=%d" % f)
-        a = tuple(field(x) for x in a)
-        alpha = tuple(field(x) for x in alpha)
-        beta = tuple(field(x) for x in beta)
-        for j in range(f):
-            if not alpha[j] or not beta[j]:
-                raise ConfigError("alpha_j and beta_j must be nonzero units")
+        a = tuple(map(field.residue, a))
+        alpha = tuple(map(field.residue, alpha))
+        beta = tuple(map(field.residue, beta))
+        if not (all(alpha) and all(beta)):
+            raise ConfigError("alpha_j and beta_j must be nonzero units")
         if irreducible and any(a):
             raise ConfigError("irreducible profiles carry no extension parameters (a must be 0)")
         for x in r:
@@ -76,6 +84,10 @@ class RhoBar:
         self.irreducible = bool(irreducible)
         self.mode = mode
         self.field = field
+        # alpha_j is a unit, so alpha_j a_{f-1-j} vanishes exactly when a_{f-1-j} does
+        self.slot_coeffs = tuple(
+            (alpha[j], field.mul(alpha[j], a[f - 1 - j]), beta[j]) for j in range(f)
+        )
         if mode == "strict":
             if self.depth() < STRICT_MIN_DEPTH:
                 raise PreconditionError(
@@ -100,7 +112,7 @@ class RhoBar:
     def free_slots(self):
         """Slots j whose weight-set coordinate b_j is unconstrained, i.e.
         a_{f-1-j} = 0."""
-        return tuple(j for j in range(self.f) if not self.a[self.f - 1 - j])
+        return tuple(j for j, (_, a21, _) in enumerate(self.slot_coeffs) if not a21)
 
     def base_weight(self):
         """The difference weight, components (r_j, 0)."""
@@ -130,14 +142,13 @@ class RhoBar:
         )
 
     def to_config(self):
-        enc = lambda xs: [x.to_int() for x in xs]
         cfg = {
             "p": self.p,
             "f": self.f,
             "r": list(self.r),
-            "a": enc(self.a),
-            "alpha": enc(self.alpha),
-            "beta": enc(self.beta),
+            "a": list(self.a),
+            "alpha": list(self.alpha),
+            "beta": list(self.beta),
             "irreducible": self.irreducible,
             "mode": self.mode,
         }

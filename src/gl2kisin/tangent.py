@@ -47,37 +47,10 @@ _FRAME_INDEX = {n: i for i, n in enumerate(FRAME_NAMES)}
 M11, M12, M21, M22 = 0, 1, 2, 3
 
 
-@dataclass(frozen=True)
-class SlotData:
-    """Coefficient matrix [[a11, 0], [a21, a22]] and degree shift of a slot:
-    the slot's Frobenius matrix is v * [[a11,0],[a21,a22]] * diag(v^shift, 1)
-    with a11 = alpha_j, a21 = alpha_j a_{f-1-j}, a22 = beta_j, shift = r_j+1.
-    """
-
-    a11: object
-    a21: object
-    a22: object
-    shift: int
-
-
-def slot_data(rho):
-    out = []
-    for j in range(rho.f):
-        out.append(
-            SlotData(
-                a11=rho.alpha[j],
-                a21=rho.alpha[j] * rho.a[rho.f - 1 - j],
-                a22=rho.beta[j],
-                shift=rho.r[j] + 1,
-            )
-        )
-    return tuple(out)
-
-
 def pivot_slot(rho):
-    """Least slot with a nonzero extension coupling a21."""
-    for j in range(rho.f):
-        if rho.a[rho.f - 1 - j]:
+    """Least slot with a nonzero extension coupling alpha_j a_{f-1-j}."""
+    for j, (_, a21, _) in enumerate(rho.slot_coeffs):
+        if a21:
             return j
     raise PreconditionError("split profile has no pivot slot")
 
@@ -165,11 +138,10 @@ def assemble_system(rho, b=None, degree_bound=None, min_degree=0):
     b = tuple(b)
     if len(b) != f or any(bj not in (0, 1) for bj in b):
         raise ConfigError("weight selector must be f values in {0, 1}")
-    for j in range(f):
-        if b[j] == 1 and rho.a[f - 1 - j]:
+    for j, (_, a21, _) in enumerate(rho.slot_coeffs):
+        if b[j] == 1 and a21:
             raise ConfigError("weight selector is 1 on slot %d with nonzero extension parameter" % j)
 
-    slots = slot_data(rho)
     rows = []
     system = TangentSystem(rho, b, degree_bound, min_degree, rows)
     if system.ncols > MAX_TANGENT_COLUMNS:
@@ -178,11 +150,11 @@ def assemble_system(rho, b=None, degree_bound=None, min_degree=0):
             % (min_degree, degree_bound, system.ncols, MAX_TANGENT_COLUMNS)
         )
 
-    for j in range(f):
-        sd = slots[j]
+    for j, (a11, a21, a22) in enumerate(rho.slot_coeffs):
         jm = (j - 1) % f
-        delta = ((sd.a11.to_int(), 0), (sd.a21.to_int(), sd.a22.to_int()))
-        sh = sd.shift
+        # the slot's Frobenius matrix is v * Delta * diag(v^sh, 1)
+        delta = ((a11, 0), (a21, a22))
+        sh = rho.r[j] + 1
         # coefficient e of entry (l,k) of the slot-j recurrence
         #   sum_t M^(j-1)_lt Delta_tk - sum_t Delta_lt v^(sh*(k-t)) phi(m_tk) - P_lk
         # where phi(m) carries coefficient d of m at degree p*d; the columns
@@ -227,7 +199,8 @@ def assemble_system(rho, b=None, degree_bound=None, min_degree=0):
         rows.append((("pin", "p11_0", j), {system.col_param(j, "p11_0"): 1}))
         rows.append((("pin", "p22_0", j), {system.col_param(j, "p22_0"): 1}))
     rows.append((("pin", "frame_22", None), {system.col_frame("frame_22"): 1}))
-    rows.append((("pin", "p21_0", pivot_slot(rho)), {system.col_param(pivot_slot(rho), "p21_0"): 1}))
+    pivot = pivot_slot(rho)
+    rows.append((("pin", "p21_0", pivot), {system.col_param(pivot, "p21_0"): 1}))
     for j in range(f):
         name = "p22_m2" if b[j] == 0 else "p11_m2"
         rows.append((("weight", name, j), {system.col_param(j, name): 1}))
@@ -293,7 +266,6 @@ def consequence_report(report):
     """
     system = report.system
     p, f = system.p, system.f
-    slots = slot_data(system.rho)
     out = {
         "negative_degree_params_zero": True,
         "upper_right_zero": True,
@@ -310,17 +282,16 @@ def consequence_report(report):
                     out["upper_right_zero"] = False
                 if e < 1 and vec[system.col_m(j, M21, e)] % p:
                     out["lower_left_divisible"] = False
-        for j in range(f):
+        for j, (a11, a21, a22) in enumerate(system.rho.slot_coeffs):
             jm = (j - 1) % f
-            sd = slots[j]
             m11_prev = vec[system.col_m(jm, M11, 0)]
             m11_here = vec[system.col_m(j, M11, 0)]
             m22_prev = vec[system.col_m(jm, M22, 0)]
             m22_here = vec[system.col_m(j, M22, 0)]
             ok = (
-                (sd.a11.to_int() * (m11_prev - m11_here) - vec[system.col_param(j, "p11_0")]) % p == 0
-                and (sd.a21.to_int() * (m22_prev - m11_here) - vec[system.col_param(j, "p21_0")]) % p == 0
-                and (sd.a22.to_int() * (m22_prev - m22_here) - vec[system.col_param(j, "p22_0")]) % p == 0
+                (a11 * (m11_prev - m11_here) - vec[system.col_param(j, "p11_0")]) % p == 0
+                and (a21 * (m22_prev - m11_here) - vec[system.col_param(j, "p21_0")]) % p == 0
+                and (a22 * (m22_prev - m22_here) - vec[system.col_param(j, "p22_0")]) % p == 0
             )
             if not ok:
                 out["corner_relations"] = False
@@ -335,7 +306,6 @@ def residual_check(report):
     rho = system.rho
     field = rho.field
     f = system.f
-    slots = slot_data(rho)
     zero = Laurent.zero(field)
     for vec in report.kernel:
         Ms, Ps = [], []
@@ -344,7 +314,7 @@ def residual_check(report):
                 return Laurent(
                     field,
                     {
-                        e: field(vec[system.col_m(j, comp, e)])
+                        e: vec[system.col_m(j, comp, e)]
                         for e in range(system.min_degree, system.degree_bound + 1)
                     },
                 )
@@ -352,7 +322,7 @@ def residual_check(report):
             Ms.append(Mat2(field, entry(M11), entry(M12), entry(M21), entry(M22)))
 
             def par(name, j=j):
-                return field(vec[system.col_param(j, name)])
+                return vec[system.col_param(j, name)]
 
             Ps.append(
                 Mat2(
@@ -363,21 +333,21 @@ def residual_check(report):
                     Laurent(field, {0: par("p22_0"), -1: par("p22_m1"), -2: par("p22_m2")}),
                 )
             )
-        for j in range(f):
-            sd = slots[j]
+        for j, (a11, a21, a22) in enumerate(rho.slot_coeffs):
             delta = Mat2(
                 field,
-                Laurent.const(field, sd.a11),
+                Laurent.const(field, a11),
                 zero,
-                Laurent.const(field, sd.a21),
-                Laurent.const(field, sd.a22),
+                Laurent.const(field, a21),
+                Laurent.const(field, a22),
             )
             mj = Ms[j]
+            sh = rho.r[j] + 1
             conj = Mat2(
                 field,
                 phi_twist(mj.a11),
-                phi_twist(mj.a12).shift(sd.shift),
-                phi_twist(mj.a21).shift(-sd.shift),
+                phi_twist(mj.a12).shift(sh),
+                phi_twist(mj.a21).shift(-sh),
                 phi_twist(mj.a22),
             )
             residual = Ms[(j - 1) % f] * delta - delta * conj - Ps[j]

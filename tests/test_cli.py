@@ -10,7 +10,7 @@ import pytest
 from gl2kisin import cli, d0, fp_linalg, kisin, serial, tangent, weights
 from gl2kisin import rho as rho_mod
 from gl2kisin.errors import InternalCheckError
-from gl2kisin.fields import GF
+from gl2kisin.fields import GF, FieldElement
 from gl2kisin.laurent import Laurent
 from gl2kisin.matrices import Mat2
 from gl2kisin.weights import SerreWeightLabel, from_index, make_label
@@ -682,9 +682,17 @@ STDOUT_DIGESTS = {
 }
 
 
-def _digest_cases(configs, d0_configs):
-    for name, path in d0_configs.items():
-        yield "%s d0" % name, ["d0", "--config", path]
+def _digest_cases(tmp_path, f1_config, f2_config):
+    """(case, argv) of every digest case; the configs beside the fixtures are
+    written to tmp_path."""
+    configs = {"f1": f1_config, "f2": f2_config}
+    for name, cfg in (("f3_p37", F3_P37_CONFIG), ("f2_f31sq", F2_F31SQ_CONFIG)):
+        path = tmp_path / (name + ".json")
+        path.write_text(json.dumps(cfg))
+        configs[name] = str(path)
+    f4_path = tmp_path / "f4_p13.json"
+    f4_path.write_text(json.dumps(F4_P13_CONFIG))
+    yield "f4_p13 d0", ["d0", "--config", str(f4_path)]
     for name, path in configs.items():
         for cmd in ("describe", "weights", "xset", "types", "kisin", "d0"):
             yield "%s %s" % (name, cmd), [cmd, "--config", path]
@@ -698,16 +706,9 @@ def _digest_cases(configs, d0_configs):
 
 
 def test_stdout_digests(tmp_path, capsys, f1_config, f2_config):
-    configs = {"f1": f1_config, "f2": f2_config}
-    for name, cfg in (("f3_p37", F3_P37_CONFIG), ("f2_f31sq", F2_F31SQ_CONFIG)):
-        path = tmp_path / (name + ".json")
-        path.write_text(json.dumps(cfg))
-        configs[name] = str(path)
-    f4_path = tmp_path / "f4_p13.json"
-    f4_path.write_text(json.dumps(F4_P13_CONFIG))
     digests = {}
     out_path = tmp_path / "report.json"
-    for case, argv in _digest_cases(configs, {"f4_p13": str(f4_path)}):
+    for case, argv in _digest_cases(tmp_path, f1_config, f2_config):
         assert cli.main(argv) == 0, case
         stdout = capsys.readouterr().out.encode()
         digests[case] = hashlib.sha256(stdout).hexdigest()
@@ -716,3 +717,21 @@ def test_stdout_digests(tmp_path, capsys, f1_config, f2_config):
         assert capsys.readouterr().out == ""
         assert out_path.read_bytes() == stdout, case
     assert digests == STDOUT_DIGESTS
+
+
+def test_reports_build_no_field_elements(monkeypatch, tmp_path, capsys, f1_config, f2_config):
+    # every layer computes on residues; FieldElement is only the public type
+    # a user builds and reads, so no report constructs one
+    built = []
+    init = FieldElement.__init__
+
+    def counting_init(self, field, n):
+        built.append(n)
+        init(self, field, n)
+
+    monkeypatch.setattr(FieldElement, "__init__", counting_init)
+    for case, argv in _digest_cases(tmp_path, f1_config, f2_config):
+        assert cli.main(argv) == 0, case
+        capsys.readouterr()
+        assert len(built) == 0, case
+    assert GF(31)(3) == 3 and len(built) == 1  # the patch counts

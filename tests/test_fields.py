@@ -94,7 +94,7 @@ def test_multiplication_against_reference_f25():
 @settings(max_examples=200, deadline=None)
 def test_f9_ring_axioms(a, b, c):
     F = GF(3, 2)
-    x, y, z = F.from_int(a), F.from_int(b), F.from_int(c)
+    x, y, z = F(a), F(b), F(c)
     assert x * (y + z) == x * y + x * z
     assert (x * y) * z == x * (y * z)
     assert x * y == y * x
@@ -129,10 +129,10 @@ def test_frobenius():
 def test_int_encoding_roundtrip():
     F = GF(3, 3)
     for n in range(27):
-        assert F.from_int(n).to_int() == n
+        assert F(n).to_int() == n
     # base-p digits, low first
-    assert F.from_int(5).coeffs == (2, 1, 0)
-    assert F.from_int(9).coeffs == (0, 0, 1)
+    assert F(5).coeffs == (2, 1, 0)
+    assert F(9).coeffs == (0, 0, 1)
 
 
 def test_elements_order_and_counts():

@@ -86,6 +86,26 @@ def test_scalar_and_int_coercion():
         m + Laurent.const(GF(5), 1)
 
 
+def test_equality_with_field_values_agrees_with_hash():
+    # as for FieldElement: a constant equals the int of its residue only,
+    # unreduced, and hashes like it; the zero polynomial is the constant 0
+    c = Laurent.const(F31, 3)
+    assert c == 3 and 3 == c
+    assert c != 34 and c != -28
+    assert c == F31(3) and F31(3) == c
+    assert c != F31(4) and c != GF(37)(3)
+    assert len({c, 3, F31(3)}) == 1
+    z = Laurent.zero(F31)
+    assert z == 0 and z == F31(0) and z != 31
+    assert hash(z) == hash(0)
+    assert Laurent.monomial(F31, 3, 1) != 3
+    for K in RING_FIELDS:
+        for x in K.elements():
+            m = Laurent.const(K, x)
+            assert m == x and m == x.to_int()
+            assert hash(m) == hash(x) == hash(x.to_int())
+
+
 def test_phi_twist():
     # c * v^d  ->  c^p * v^(p*d), so over F_9: degrees triple, coefficients cube
     g = F9.gen()

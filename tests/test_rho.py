@@ -132,6 +132,43 @@ def test_config_roundtrip_extension_field():
     assert back.a == rho.a
 
 
+@pytest.mark.parametrize("field", [F31, GF(31, 2)], ids=repr)
+def test_parameters_are_stored_as_residues(field):
+    # elements, ints (negative or past the order) and coefficient tuples of
+    # the same values store the same residues, and to_config writes them
+    q = field.order
+    a = (7, 0, q - 2)
+    alpha = (3, q - 1, 500 % q)
+    beta = (5, 11, 40 % q)
+    forms = (field, lambda n: n + q, lambda n: n - q, lambda n: field(n).coeffs)
+    for form in forms:
+        rho = RhoBar(
+            p=31, f=3, r=(13, 14, 15), a=tuple(map(form, a)), alpha=tuple(map(form, alpha)),
+            beta=tuple(map(form, beta)), mode="permissive", field=field,
+        )
+        assert (rho.a, rho.alpha, rho.beta) == (a, alpha, beta)
+        assert all(type(x) is int for x in rho.a + rho.alpha + rho.beta)
+        back = RhoBar.from_config(rho.to_config())
+        assert (back.a, back.alpha, back.beta) == (a, alpha, beta)
+        assert back.slot_coeffs == rho.slot_coeffs
+
+
+@pytest.mark.parametrize("field", [F31, GF(31, 2)], ids=repr)
+@pytest.mark.parametrize("f", [1, 2, 3])
+def test_slot_coeffs_pair_slot_j_with_a_f_minus_1_minus_j(field, f, rng):
+    # twin: the lower-left coefficient by FieldElement arithmetic
+    q = field.order
+    for _ in range(20):
+        a = [rng.randrange(q) if rng.random() < 0.6 else 0 for _ in range(f)]
+        alpha = [rng.randrange(1, q) for _ in range(f)]
+        beta = [rng.randrange(1, q) for _ in range(f)]
+        rho = RhoBar(31, f, (13,) * f, a, alpha, beta, mode="permissive", field=field)
+        for j, (a11, a21, a22) in enumerate(rho.slot_coeffs):
+            assert (a11, a22) == (alpha[j], beta[j])
+            assert field(alpha[j]) * field(a[f - 1 - j]) == a21
+        assert rho.free_slots() == tuple(j for j in range(f) if not a[f - 1 - j])
+
+
 def test_config_missing_field():
     with pytest.raises(ConfigError):
         RhoBar.from_config({"p": 31, "f": 1})
