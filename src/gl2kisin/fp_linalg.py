@@ -1,10 +1,10 @@
 """Sparse kernel and rank computation mod p, in pure Python, in two phases
-that touch only nonzero entries.  The forward elimination costs one
-reduced-mod-p dict per row, kept unnormalized as its pivot row; only the
-rare reduction step inverts a lead.  `rank` and `kernel_dim` stop there.
-`kernel_basis` then back-substitutes, last pivot first, only the pivot rows
-with entries besides their pivot, and normalizes once each that reaches a
-free column.
+that touch only the entries a row stores.  The forward elimination keeps a
+row whose smallest column is a new pivot as it is (the caller's dict) and
+copies and reduces any other; no pivot row is normalized, and only the rare
+reduction step inverts a lead.  `rank` and `kernel_dim` stop there.
+`kernel_basis` then back-substitutes, last pivot first, the pivot rows with
+other entries, reducing mod p and normalizing once each reaching a free column.
 """
 
 # The one kernel implementation; perfbench records it beside its timings.
@@ -15,11 +15,16 @@ def _echelon(rows, p):
     """Forward elimination: {pivot column: pivot row}.
 
     rows: iterable of {column: value} dicts (values arbitrary ints), never
-    modified.  Each pivot row is a new {column: nonzero residue} dict, not
-    normalized, whose smallest column is its pivot.
+    modified.  A pivot row is unnormalized, and its smallest column is its
+    pivot, nonzero mod p.  A row whose smallest column is a new such pivot
+    is its own pivot row, the caller's dict, only ever read; any other row
+    is copied mod p, and what reduction leaves of it is a new pivot row.
     """
     pivots = {}
     for row in rows:
+        if row and (c := min(row)) not in pivots and row[c] % p:
+            pivots[c] = row
+            continue
         r = {}
         for c, v in row.items():
             v %= p

@@ -8,7 +8,8 @@ The report bytes are those of json.dumps(obj, default=_encode,
 sort_keys=True, indent=2) plus a trailing newline: dict keys sorted, a
 2-space indent, "," at line ends, empty containers as [] and {}, strings
 with ASCII escapes, tuples as lists.  dumps writes them in one recursive
-pass, because with an indent the json module runs its pure-Python encoder.
+pass, because with an indent the json module runs its pure-Python encoder,
+joining every 2^16 or so pieces into one string to keep its memory small.
 Keys must be strings; a float, a set or any other unknown value raises
 TypeError.
 """
@@ -41,10 +42,11 @@ def _encode(obj):
     raise TypeError("cannot serialize %r" % (type(obj),))
 
 
-def _write(obj, out, nl):
-    # out: the list of pieces; nl: a newline plus the indent of obj's line.
-    # Plain ints are the commonest value, so they are tested first; a bool
-    # fails that test and is written by its own branch below.
+def _write(obj, out, nl, chunks):
+    # out: the pieces since the last chunk; nl: a newline plus the indent of
+    # obj's line; chunks: the joined chunks before them.  Plain ints are the
+    # commonest value, so they are tested first; a bool fails that test and
+    # is written by its own branch below.
     if type(obj) is int:
         out.append(int.__repr__(obj))
     elif isinstance(obj, (list, tuple)):
@@ -55,8 +57,11 @@ def _write(obj, out, nl):
         sep = "[" + inner
         for item in obj:
             out.append(sep)
-            _write(item, out, inner)
+            _write(item, out, inner, chunks)
             sep = "," + inner
+            if len(out) > 2**16:
+                chunks.append("".join(out))
+                out.clear()
         out.append(nl + "]")
     elif isinstance(obj, dict):
         if not obj:
@@ -68,7 +73,7 @@ def _write(obj, out, nl):
             if not isinstance(key, str):
                 raise TypeError("keys must be str, got %r" % (key,))
             out.append(sep + _string(key) + ": ")
-            _write(obj[key], out, inner)
+            _write(obj[key], out, inner, chunks)
             sep = "," + inner
         out.append(nl + "}")
     elif isinstance(obj, str):
@@ -82,11 +87,12 @@ def _write(obj, out, nl):
     elif isinstance(obj, int):
         out.append(int.__repr__(obj))
     else:
-        _write(_encode(obj), out, nl)
+        _write(_encode(obj), out, nl, chunks)
 
 
 def dumps(obj):
-    out = []
-    _write(obj, out, "\n")
+    out, chunks = [], []
+    _write(obj, out, "\n", chunks)
     out.append("\n")
-    return "".join(out)
+    chunks.append("".join(out))
+    return "".join(chunks)

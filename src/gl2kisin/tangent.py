@@ -150,6 +150,7 @@ def assemble_system(rho, b=None, degree_bound=None, min_degree=0):
             % (min_degree, degree_bound, system.ncols, MAX_TANGENT_COLUMNS)
         )
 
+    window = range(min_degree, degree_bound + 1)
     for j, (a11, a21, a22) in enumerate(rho.slot_coeffs):
         jm = (j - 1) % f
         # the slot's Frobenius matrix is v * Delta * diag(v^sh, 1)
@@ -157,9 +158,12 @@ def assemble_system(rho, b=None, degree_bound=None, min_degree=0):
         sh = rho.r[j] + 1
         # coefficient e of entry (l,k) of the slot-j recurrence
         #   sum_t M^(j-1)_lt Delta_tk - sum_t Delta_lt v^(sh*(k-t)) phi(m_tk) - P_lk
-        # where phi(m) carries coefficient d of m at degree p*d; the columns
-        # below are those of degree 0, so degree d sits d further on, and the
-        # values are nonzero residues
+        # built column by column: the M^(j-1) terms give each window degree
+        # its row, a phi(m) term reaches degree p*d + sh*(k-t) from the column
+        # of degree d, a correction parameter degree 0, -1 or -2, and below
+        # the window only a degree some term reaches has a row.  A row's first
+        # value is a nonzero residue as given; later ones add mod p, and a 0
+        # where terms cancel stays in the row.
         entries = []
         for l in (1, 2):
             for k in (1, 2):
@@ -168,32 +172,42 @@ def assemble_system(rho, b=None, degree_bound=None, min_degree=0):
                     for t in (1, 2)
                     if delta[t - 1][k - 1]
                 ]
-                here = [
-                    (sh * (k - t), system.col_m(j, 2 * t + k - 3, 0), p - delta[l - 1][t - 1])
-                    for t in (1, 2)
-                    if delta[l - 1][t - 1]
-                ]
-                params = {}  # degree -> column of p<l><k>_<0|m1|m2>, where PARAM_NAMES has it
-                for e, suffix in ((0, "0"), (-1, "m1"), (-2, "m2")):
+                if len(prev) == 2:
+                    (c1, v1), (c2, v2) = prev
+                    inside = [{c1 + e: v1, c2 + e: v2} for e in window]
+                elif prev:
+                    ((c1, v1),) = prev
+                    inside = [{c1 + e: v1} for e in window]
+                else:
+                    inside = [{} for _e in window]
+                # (x, column of degree 0, value, degrees d): value at column
+                # + d in row p*d + x; a correction parameter has d = 0 only
+                terms = []
+                for t in (1, 2):
+                    val = delta[l - 1][t - 1]
+                    if val:
+                        x = sh * (k - t)
+                        ds = range(min_degree, min(degree_bound, (degree_bound - x) // p) + 1)
+                        terms.append((x, system.col_m(j, 2 * t + k - 3, 0), p - val, ds))
+                for x, suffix in ((0, "0"), (-1, "m1"), (-2, "m2")):
                     name = "p%d%d_%s" % (l, k, suffix)
                     if name in _PARAM_INDEX:
-                        params[e] = system.col_param(j, name)
-                entries.append((l, k, prev, here, params))
-        for e in range(min(-2, min_degree, p * min_degree - sh), degree_bound + 1):
-            in_window = min_degree <= e <= degree_bound
-            for l, k, prev, here, params in entries:
-                row = {}
-                if in_window:
-                    for col, val in prev:
-                        row[col + e] = (row.get(col + e, 0) + val) % p
-                for x, col, val in here:
-                    d, rem = divmod(e - x, p)
-                    if not rem and min_degree <= d <= degree_bound:
+                        terms.append((x, system.col_param(j, name), p - 1, range(1)))
+                below = {}  # degree below the window -> row
+                for x, col, val, ds in terms:
+                    for d in ds:
+                        e = p * d + x
+                        row = inside[e - min_degree] if e >= min_degree else below.setdefault(e, {})
                         row[col + d] = (row.get(col + d, 0) + val) % p
-                if e in params:
-                    row[params[e]] = (row.get(params[e], 0) - 1) % p
-                if row:
-                    rows.append((("rec", j, l, k, e), row))
+                entries.append((l, k, inside, below))
+        for e in sorted(set().union(*(below for _l, _k, _inside, below in entries))):
+            for l, k, _inside, below in entries:
+                if e in below:
+                    rows.append((("rec", j, l, k, e), below[e]))
+        for i, e in enumerate(window):
+            for l, k, inside, _below in entries:
+                if inside[i]:
+                    rows.append((("rec", j, l, k, e), inside[i]))
 
     for j in range(f - 1):
         rows.append((("pin", "p11_0", j), {system.col_param(j, "p11_0"): 1}))
@@ -307,17 +321,13 @@ def residual_check(report):
     field = rho.field
     f = system.f
     zero = Laurent.zero(field)
+    degrees = range(system.min_degree, system.degree_bound + 1)
     for vec in report.kernel:
         Ms, Ps = [], []
         for j in range(f):
             def entry(comp, j=j):
-                return Laurent(
-                    field,
-                    {
-                        e: vec[system.col_m(j, comp, e)]
-                        for e in range(system.min_degree, system.degree_bound + 1)
-                    },
-                )
+                start = system.col_m(j, comp, system.min_degree)
+                return Laurent(field, dict(zip(degrees, vec[start : start + system.width])))
 
             Ms.append(Mat2(field, entry(M11), entry(M12), entry(M21), entry(M22)))
 

@@ -650,6 +650,8 @@ STDOUT_DIGESTS = {
     "f1 tangent --stability": "4217d14bbce25d7ab6de54f2279ae061647365debe6fbb19393a94fb7db6cf4c",
     "f1 tangent --negative-control": "8f78b676e9f46fa13dedc3cc85089979c4ed40350065a6a181223aff1d014476",
     "f1 tangent --stability --negative-control": "5fa57ec4e46ca3257f9a11c5f85baedeff9aaab2372115e3a5d0e5edf7516b2f",
+    "f1 tangent --min-degree -3 --stability": "15850b348e9d7a400d34d6c7fee47e9ac0a20416d94d8059cfb9f7d2caf29cd5",
+    "f1 tangent --degree-bound 70": "607b708283f608f4abc7f630db339f09c1ef18f5eeb6e89831e81a8c88201e8c",
     "f2 describe": "fc982106a298f2437dd2c02a9374c6314bfce150e2add54688ebd6ae8e7c55ce",
     "f2 weights": "f1ec389ae321e7668cb1289318365187031a290342a206169f4efecc604a8e86",
     "f2 xset": "f5b927a1304f5c9d9ad47096ac34b0d2c53880e59117bdd01c3bc7bbd3d681d8",
@@ -660,6 +662,8 @@ STDOUT_DIGESTS = {
     "f2 tangent --stability": "bb0df29db5a002706207334f86f015ed07969d8b02ecd7c8349aabe165e50255",
     "f2 tangent --negative-control": "9d32cea5654b308d2df4971f68ac0af717ee364b4a38c28d0c31f2da87da6e20",
     "f2 tangent --stability --negative-control": "210b85f58ea82d68a27e6c9367e24efe8a13e368465267b4fa44ae28b1014a06",
+    "f2 tangent --min-degree -3 --stability": "4feed250e9210d33842af1aed3433bcccbab52974f42bf5e21916410220c8105",
+    "f2 tangent --degree-bound 70": "9e45ce0b2daf50be255415d186ff00d0c42f232baa48d477cbdab8b08f791a3c",
     "f3_p37 describe": "3ee1f789b78b7b1646a789bfc6a776805377a3fe31eeecb21d7f86c073a6f4a3",
     "f3_p37 weights": "bdd990865d53f17a45b908dae01c9ce17cf04ab9ee4eff9834669249d4514380",
     "f3_p37 xset": "27a54f50cfc6f82e06c1b4cd8430cc1d5dbb570ea5266ef23e9d0390cc05a6a5",
@@ -670,6 +674,8 @@ STDOUT_DIGESTS = {
     "f3_p37 tangent --stability": "4270ee32e69fbe65032063bda54ca9145eae5ad17dd8e52a56a482f60a7b5a1e",
     "f3_p37 tangent --negative-control": "b97380eaec7a7b123ce34d1eb7690134b10b252d0a246a0ed9ffa8f5516b9cfd",
     "f3_p37 tangent --stability --negative-control": "7e01b89bbc1142e4650ad9f0a266164e09c80d74a48c2f1e09f80866330a5f3e",
+    "f3_p37 tangent --min-degree -3 --stability": "0d875dead431541611ec128586b401dbea587d309cb3ad5d21fa34c1daa6bed4",
+    "f3_p37 tangent --degree-bound 70": "1a39f6060e5e1b04cdf78e12d288f4f9cf6deee1aeeebbc3e817fb717ca80d84",
     "f2_f31sq describe": "71a3f14802125c4dce34764846e7320c3ec5adc32e3cee6c7b476a10b66f2379",
     "f2_f31sq weights": "f1ec389ae321e7668cb1289318365187031a290342a206169f4efecc604a8e86",
     "f2_f31sq xset": "f5b927a1304f5c9d9ad47096ac34b0d2c53880e59117bdd01c3bc7bbd3d681d8",
@@ -697,8 +703,11 @@ def _digest_cases(tmp_path, f1_config, f2_config):
         for cmd in ("describe", "weights", "xset", "types", "kisin", "d0"):
             yield "%s %s" % (name, cmd), [cmd, "--config", path]
         if name != "f2_f31sq":  # the rigidity system is over prime fields only
+            # the last two reach below degree 0 and above the default bound
+            # (70 > max(r) + 3 on every config here)
             for flags in (
-                [], ["--stability"], ["--negative-control"], ["--stability", "--negative-control"]
+                [], ["--stability"], ["--negative-control"], ["--stability", "--negative-control"],
+                ["--min-degree", "-3", "--stability"], ["--degree-bound", "70"],
             ):
                 yield " ".join([name, "tangent"] + flags), ["tangent", "--config", path] + flags
     yield "adm f2", ["adm", "--f", "2"]

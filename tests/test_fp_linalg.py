@@ -138,6 +138,51 @@ def test_wide_kernel_matches_dense_twin():
     assert_matches_dense_twin(rows, 260, 101)
 
 
+@st.composite
+def aliased_systems(draw):
+    """Rows that some pivot may keep as given: leads 0 mod p, negative
+    entries and entries >= p, and dict objects that occur more than once."""
+    p = draw(st.sampled_from((2, 3, 5, 101)))
+    ncols = draw(st.integers(1, 12))
+    row = st.dictionaries(
+        st.integers(0, ncols - 1), st.integers(-3 * p, 3 * p), max_size=min(ncols, 5)
+    )
+    rows = draw(st.lists(row, max_size=ncols + 3))
+    for lead in draw(st.lists(st.integers(0, ncols - 1), max_size=3)):
+        # the smallest column of the row holds a multiple of p
+        multiple = draw(st.integers(-2, 2)) * p
+        rows.append({lead: multiple, **{c: v for c, v in draw(row).items() if c > lead}})
+    if rows:
+        for _ in range(draw(st.integers(0, 4))):
+            twice = rows[draw(st.integers(0, len(rows) - 1))]
+            rows.insert(draw(st.integers(0, len(rows))), twice)
+    return rows, ncols, p
+
+
+@given(aliased_systems())
+@settings(max_examples=200, deadline=None)
+def test_kernel_leaves_aliased_rows_unchanged(system):
+    assert_matches_dense_twin(*system)
+
+
+def test_fresh_pivot_row_is_the_callers_dict():
+    p = 7
+    shared = {1: 3, 4: -2}
+    rows = [
+        {0: 14, 2: 1},  # lead 0 mod p: copied, reduced, pivot at column 2
+        {0: -8, 3: 15},  # a new pivot at column 0 with unreduced entries
+        shared,
+        shared,  # the same dict again reduces to nothing against itself
+        {0: 1, 1: 10, 3: -1, 5: 7},
+        {2: 0, 5: 3},
+    ]
+    pivots = fp_linalg._echelon(rows, p)
+    assert pivots[0] is rows[1] and pivots[1] is shared
+    assert pivots[2] is not rows[0] and pivots[2] == {2: 1}
+    assert_matches_dense_twin(rows, 6, p)
+    assert rows[2] is rows[3] is shared
+
+
 def tangent_profile(f, p):
     """A deep non-split profile: at least one extension parameter nonzero."""
     rng = random.Random("tangent:%d:%d" % (f, p))

@@ -71,6 +71,12 @@ def test_dumps_matches_json_module(obj):
     assert serial.dumps(obj) == reference(obj)
 
 
+def test_dumps_long_list_matches_json_module():
+    # more than 2^16 nested values: dumps joins its pieces in several chunks
+    obj = {"rows": [[i, {"neg": -i}] for i in range(2**16 + 1)], "tail": [[]]}
+    assert serial.dumps(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
 def test_dumps_empty_and_nested():
     for obj in ([], {}, (), [[], {}], {"a": [], "b": {}, "c": ()}, [[[]]]):
         assert serial.dumps(obj) == reference(obj)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gl2kisin import fp_linalg
 from gl2kisin.errors import ConfigError, PreconditionError
@@ -177,6 +179,94 @@ class TestRejections:
         # b_j = 1 is only available on free slots
         with pytest.raises(ConfigError):
             assemble_system(f2_mixed, b=(1, 0))
+
+
+# ---------------------------------------------------------------------------
+# assembly against the degree-by-degree twin
+
+
+def reference_rec_rows(system):
+    """The recurrence rows built degree by degree: every degree from the
+    lowest one a phi(m) term reaches up to the bound, and at each one every
+    term of every entry tested with divmod."""
+    rho, p, f = system.rho, system.p, system.f
+    min_degree, degree_bound = system.min_degree, system.degree_bound
+    rows = []
+    for j, (a11, a21, a22) in enumerate(rho.slot_coeffs):
+        jm = (j - 1) % f
+        delta = ((a11, 0), (a21, a22))
+        sh = rho.r[j] + 1
+        entries = []
+        for l in (1, 2):
+            for k in (1, 2):
+                prev = [
+                    (system.col_m(jm, 2 * l + t - 3, 0), delta[t - 1][k - 1])
+                    for t in (1, 2)
+                    if delta[t - 1][k - 1]
+                ]
+                here = [
+                    (sh * (k - t), system.col_m(j, 2 * t + k - 3, 0), p - delta[l - 1][t - 1])
+                    for t in (1, 2)
+                    if delta[l - 1][t - 1]
+                ]
+                params = {}
+                for e, suffix in ((0, "0"), (-1, "m1"), (-2, "m2")):
+                    name = "p%d%d_%s" % (l, k, suffix)
+                    if name in PARAM_NAMES:
+                        params[e] = system.col_param(j, name)
+                entries.append((l, k, prev, here, params))
+        for e in range(min(-2, min_degree, p * min_degree - sh), degree_bound + 1):
+            in_window = min_degree <= e <= degree_bound
+            for l, k, prev, here, params in entries:
+                row = {}
+                if in_window:
+                    for col, val in prev:
+                        row[col + e] = (row.get(col + e, 0) + val) % p
+                for x, col, val in here:
+                    d, rem = divmod(e - x, p)
+                    if not rem and min_degree <= d <= degree_bound:
+                        row[col + d] = (row.get(col + d, 0) + val) % p
+                if e in params:
+                    row[params[e]] = (row.get(params[e], 0) - 1) % p
+                if row:
+                    rows.append((("rec", j, l, k, e), row))
+    return rows
+
+
+@st.composite
+def tangent_cases(draw):
+    """A non-split prime-field profile with f 1-3, a weight selector with 1
+    only on free slots, min_degree in [-40, 0] and the default or a custom
+    degree bound."""
+    p = draw(st.sampled_from((31, 37, 101)))
+    f = draw(st.integers(1, 3))
+    r = draw(st.lists(st.integers(0, p - 2), min_size=f, max_size=f))
+    a = draw(st.lists(st.integers(0, p - 1), min_size=f, max_size=f).filter(any))
+    units = st.lists(st.integers(1, p - 1), min_size=f, max_size=f)
+    rho = RhoBar(p=p, f=f, r=r, a=a, alpha=draw(units), beta=draw(units), mode="permissive")
+    free = rho.free_slots()
+    b = tuple(draw(st.integers(0, 1)) if j in free else 0 for j in range(f))
+    lowest = max(r) + 3
+    degree_bound = draw(st.none() | st.integers(lowest, max(p, lowest) + 60))
+    return rho, b, degree_bound, draw(st.integers(-40, 0))
+
+
+@given(tangent_cases())
+@settings(max_examples=80, deadline=None)
+def test_assembly_matches_degree_by_degree_twin(case):
+    rho, b, degree_bound, min_degree = case
+    system = assemble_system(rho, b, degree_bound, min_degree)
+    expected = reference_rec_rows(system)
+    got = system.rows[: len(expected)]
+    assert got == expected
+    # the same keys in the same insertion order
+    assert [list(row.items()) for _lab, row in got] == [list(row.items()) for _lab, row in expected]
+    assert all(lab[0] != "rec" for lab, _row in system.rows[len(expected) :])
+    if rho.f == 1:
+        # the slot's own M^(j-1) and phi(m) terms meet at degree 0 of entry
+        # (1,1) and cancel, and the stored 0 stays in the row
+        (row,) = [row for lab, row in got if lab == ("rec", 0, 1, 1, 0)]
+        assert row[system.col_m(0, 0, 0)] == 0
 
 
 # ---------------------------------------------------------------------------
