@@ -184,25 +184,29 @@ def cmd_kisin(args):
     rho = _load_rho(args)
     wtilde = _parse_wtilde(rho, args.wtilde) if args.wtilde else None
     targets = [wtilde] if wtilde else x_rho(rho)
+    # kisin_matrices builds slot i from slot_coeffs[f-1-i] and idx[i] alone,
+    # so each distinct (i, idx[i]) is classified and checked once per report
+    # and its entry shared by every element that has it
+    slots = {}
     reports = []
     for w in targets:
         data = kisin_matrices(rho, w)
         idx = index_of(w)
         per_slot = []
-        for i in range(rho.f):
-            m = data.mats[i]
-            comp = ADM_COMPONENTS[idx[i]]
-            sh = shape_of(m)
-            per_slot.append(
-                {
-                    "component_index": idx[i],
-                    "gauge": gauge_check(m, comp),
+        for i, k in enumerate(idx):
+            slot = slots.get((i, k))
+            if slot is None:
+                m = data.mats[i]
+                sh = shape_of(m)
+                slot = slots[i, k] = {
+                    "component_index": k,
+                    "gauge": gauge_check(m, ADM_COMPONENTS[k]),
                     "height_exact": height_check(m, (2, 1)),
                     "height_window": height_check(m, (2, 1), "window"),
                     "shape": {"s": sh.s, "nu": sh.nu, "adm_index": sh.adm_index()},
                     "matrix": m,
                 }
-            )
+            per_slot.append(slot)
         entry = {
             "index": idx,
             "type": _type_entry(data.tau),

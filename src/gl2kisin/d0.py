@@ -310,17 +310,6 @@ def _dim(diffs, ranges, p):
     return total
 
 
-def one_step_down(a):
-    """Offsets obtained by moving one coordinate a single step toward 0."""
-    out = []
-    for j, aj in enumerate(a):
-        if aj:
-            step = list(a)
-            step[j] = aj - (1 if aj > 0 else -1)
-            out.append(tuple(step))
-    return out
-
-
 @dataclass
 class D0Report:
     components: tuple

@@ -1,11 +1,17 @@
+import contextlib
 import hashlib
+import io
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gl2kisin import cli, d0, fp_linalg, kisin, serial, tangent, weights
 from gl2kisin import rho as rho_mod
@@ -13,7 +19,9 @@ from gl2kisin.errors import InternalCheckError
 from gl2kisin.fields import GF, FieldElement
 from gl2kisin.laurent import Laurent
 from gl2kisin.matrices import Mat2
-from gl2kisin.weights import SerreWeightLabel, from_index, make_label
+from gl2kisin.weights import ADM_COMPONENTS, SerreWeightLabel, from_index, index_of, make_label
+
+from conftest import random_profile
 
 
 @pytest.fixture
@@ -218,6 +226,108 @@ def test_reports_derive_each_object_once(monkeypatch, capsys, f2_config):
             "tau_presentation": types,
         }, command
     assert all(e["recovery"] for e in doc["elements"])
+
+
+def kisin_report_per_element(args):
+    """Twin of cli.cmd_kisin: every slot of every element classified and
+    checked on its own."""
+    rho = cli._load_rho(args)
+    wtilde = cli._parse_wtilde(rho, args.wtilde) if args.wtilde else None
+    targets = [wtilde] if wtilde else rho_mod.x_rho(rho)
+    reports = []
+    for w in targets:
+        data = kisin.kisin_matrices(rho, w)
+        idx = index_of(w)
+        per_slot = []
+        for i in range(rho.f):
+            m = data.mats[i]
+            comp = ADM_COMPONENTS[idx[i]]
+            sh = kisin.shape_of(m)
+            per_slot.append(
+                {
+                    "component_index": idx[i],
+                    "gauge": kisin.gauge_check(m, comp),
+                    "height_exact": kisin.height_check(m, (2, 1)),
+                    "height_window": kisin.height_check(m, (2, 1), "window"),
+                    "shape": {"s": sh.s, "nu": sh.nu, "adm_index": sh.adm_index()},
+                    "matrix": m,
+                }
+            )
+        entry = {
+            "index": idx,
+            "type": cli._type_entry(data.tau),
+            "recovery": kisin.verify_recovery(data),
+            "per_slot": per_slot,
+        }
+        if rho.field.degree == 1:
+            dim, expected = kisin.torus_rigidity_dims(data)
+            entry["torus_rigidity"] = {"dim": dim, "expected": expected}
+        reports.append(entry)
+    if wtilde:
+        report = reports[0]
+        report["etale"] = kisin.etale_matrices(rho)
+        return report
+    return {"count": len(reports), "elements": reports}
+
+
+# a permissive profile below the strict depth, beside the strict ones
+PERMISSIVE_P13_CONFIG = {
+    "p": 13, "f": 2, "r": [3, 5], "a": [2, 0],
+    "alpha": [1, 2], "beta": [5, 6], "mode": "permissive",
+}
+
+
+def kisin_twin_configs():
+    """(name, config): every f = 1-3 zero pattern and the irreducible
+    profile at p 31 and 37, one permissive profile and one over F_31^2."""
+    rng = random.Random(20261018)
+    for p in (31, 37):
+        for f in (1, 2, 3):
+            patterns = itertools.chain.from_iterable(
+                itertools.combinations(range(f), k) for k in range(f + 1)
+            )
+            kinds = [(zeros, False) for zeros in patterns] + [((), True)]
+            for zeros, irreducible in kinds:
+                rho = random_profile(
+                    rng, p, f, irreducible=irreducible, zero_positions=zeros, deep=True
+                )
+                yield "p%d f%d %s %s" % (p, f, zeros, irreducible), rho.to_config()
+    yield "permissive p13", PERMISSIVE_P13_CONFIG
+    yield "f2_f31sq", F2_F31SQ_CONFIG
+
+
+def test_kisin_report_matches_per_element_twin(tmp_path):
+    """The report classifies and checks each (slot, component index) once;
+    its bytes are those of classifying every slot of every element."""
+    path = str(tmp_path / "profile.json")
+    parser = cli.build_parser()
+    for name, cfg in kisin_twin_configs():
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        # the report on every element, and the single-element one on each
+        argvs = [["kisin", "--config", path]] + [
+            ["kisin", "--config", path, "--wtilde", ",".join(map(str, index_of(w)))]
+            for w in rho_mod.x_rho(rho_mod.RhoBar.from_config(cfg))
+        ]
+        for argv in argvs:
+            args = parser.parse_args(argv)
+            got = serial.dumps(cli.cmd_kisin(args))
+            assert got == serial.dumps(kisin_report_per_element(args)), argv
+            if cfg.get("field_degree", 1) > 1:
+                assert '"torus_rigidity"' not in got
+
+
+def test_slot_matrix_depends_on_slot_and_component_index_only():
+    """kisin_matrices builds slot i from the profile and idx[i] alone, the
+    fact cmd_kisin's per-report table rests on."""
+    for name, cfg in kisin_twin_configs():
+        rho = rho_mod.RhoBar.from_config(cfg)
+        first = {}
+        for w in rho_mod.x_rho(rho):
+            data = kisin.kisin_matrices(rho, w)
+            for i, k in enumerate(index_of(w)):
+                assert data.mats[i] == first.setdefault((i, k), data.mats[i]), (name, w, i)
+        assert len(first) <= 3 * rho.f
 
 
 def test_d0(capsys, f2_config):
@@ -569,6 +679,117 @@ class TestExitCodes:
         err = capsys.readouterr().err
         # one line, no traceback
         assert err == "internal error: KeyError('forced')\n"
+
+
+# values that no config field accepts, or that name a field out of range
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 40),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=3),
+    st.lists(st.integers(-2, 40), max_size=4),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+@st.composite
+def fuzz_configs(draw):
+    """Profile configs with p <= 37 and f <= 3, over prime fields and their
+    quadratic extensions, mostly permissive and well-formed; now and then a
+    field is dropped or replaced by junk."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 13, 31, 37)))
+    f = draw(st.integers(1, 3))
+
+    def ints(lo, hi):
+        return draw(st.lists(st.integers(lo, hi), min_size=f, max_size=f))
+
+    irreducible = draw(st.booleans())
+    cfg = {
+        "p": p, "f": f, "r": ints(0, max(p - 2, 0)),
+        "a": [0] * f if irreducible else ints(0, p - 1),
+        "alpha": ints(1, p - 1), "beta": ints(1, p - 1),
+        "mode": draw(st.sampled_from(("permissive", "permissive", "strict"))),
+        "irreducible": irreducible,
+    }
+    if draw(st.booleans()):
+        cfg["field_degree"] = draw(st.integers(1, 2))
+    for _ in range(draw(st.sampled_from((0, 0, 0, 1, 2)))):
+        key = draw(st.sampled_from(sorted(cfg) + ["seed"]))
+        if draw(st.booleans()):
+            cfg.pop(key, None)
+        else:
+            cfg[key] = draw(_JUNK)
+    return cfg
+
+
+@st.composite
+def fuzz_argvs(draw):
+    """A command with its options; "CONFIG" stands for the config path."""
+    command = draw(
+        st.sampled_from(
+            ("describe", "weights", "adm", "xset", "types", "kisin", "tangent", "d0", "oracle")
+        )
+    )
+    argv = [command]
+    config = draw(st.sampled_from(("CONFIG",) * 10 + ("missing", None)))
+    if config:
+        argv += ["--config", config]
+    ints = st.lists(st.integers(-2, 4), min_size=1, max_size=4).map(
+        lambda xs: ",".join(map(str, xs))
+    )
+    options = {
+        "adm": [("--f", st.integers(-1, 4).map(str))],
+        "xset": [("--sigma", ints)],
+        "types": [("--wtilde", ints)],
+        "kisin": [("--wtilde", ints)],
+        "tangent": [
+            ("--b", ints),
+            ("--min-degree", st.integers(-3, 1).map(str)),
+            ("--degree-bound", st.integers(0, 80).map(str)),
+            ("--stability", st.none()),
+            ("--negative-control", st.none()),
+        ],
+        "oracle": [
+            ("--kind", st.sampled_from(("coset", "shape", "tangent-residual", "other"))),
+            ("--trials", st.integers(-1, 2).map(str)),
+            ("--prec", st.integers(1, 3).map(str)),
+            ("--p", st.sampled_from(("2", "3", "31"))),
+            ("--seed", st.integers(0, 9).map(str)),
+        ],
+    }.get(command, [])
+    for flag, values in options:
+        if draw(st.booleans()):
+            value = draw(values)
+            argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+def test_exit_codes_fuzz(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "config.json"
+
+    @given(fuzz_configs(), fuzz_argvs())
+    @settings(max_examples=200, deadline=None)
+    def check(cfg, argv):
+        """Every run exits 0, 1 or 2; a failure prints one stderr line of
+        its kind and no traceback."""
+        path.write_text(json.dumps(cfg))
+        argv = [str(path) if a == "CONFIG" else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(argv)
+        err = err.getvalue()
+        assert "Traceback" not in err, argv
+        if rc == 0:
+            json.loads(out.getvalue())
+            assert err == "", argv
+        else:
+            kind = {1: "config error: ", 2: "precondition failed: "}.get(rc)
+            assert kind is not None, (rc, argv, err)
+            assert err.startswith(kind) and err.count("\n") == 1 and err.endswith("\n"), err
+            assert out.getvalue() == "", argv
+
+    check()
 
 
 def test_parser_built_once(monkeypatch, capsys):

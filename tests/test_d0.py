@@ -15,7 +15,6 @@ from gl2kisin.d0 import (
     jh_component,
     label_key,
     labels_of_keys,
-    one_step_down,
     serre_weight_dim,
     socle_profile,
 )
@@ -105,6 +104,18 @@ def test_serre_weight_dim():
     assert serre_weight_dim(make_label((13,), 1, 31)) == 14
     assert serre_weight_dim(make_label((13, 15), 0, 31)) == 224
     assert serre_weight_dim(make_label((0, 0), 0, 31)) == 1
+
+
+def one_step_down(a):
+    """Offsets obtained by moving one coordinate a single step toward 0: the
+    twin of d0._downward_closed's block-wise check."""
+    out = []
+    for j, aj in enumerate(a):
+        if aj:
+            step = list(a)
+            step[j] = aj - (1 if aj > 0 else -1)
+            out.append(tuple(step))
+    return out
 
 
 def test_one_step_down():
