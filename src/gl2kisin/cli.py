@@ -12,6 +12,7 @@ import json
 import random
 import re
 import sys
+import warnings
 
 from . import d0 as d0_mod
 from . import serial
@@ -420,7 +421,13 @@ def build_parser():
     return parser
 
 
+def _warning_line(message, category, filename, lineno, line=None):
+    return "warning: %s\n" % message
+
+
 def main(argv=None):
+    # a warning is one stderr line of its kind, like the failures below
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         args = build_parser().parse_args(argv)
         if not args.command:
@@ -450,6 +457,8 @@ def main(argv=None):
         # any other failure is a bug too: one line, no traceback
         print("internal error: %r" % (exc,), file=sys.stderr)
         return 3
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -339,38 +339,6 @@ def shape_of(M):
 # first-order rigidity of the gauge normal form
 
 
-def _rows_above(terms, bound, here, prev, p, H):
-    """Rows of terms * (h - phi(h')) in the degrees above bound, as {degree:
-    row}, one row per degree some term reaches.  h is the polynomial of
-    degree <= H whose degree-0 column is `here`, h' the one at `prev`;
-    phi(h') carries the degree-e coefficient of h' at degree p*e.
-
-    Built along the two degree progressions of each term c v^d: degree d + e
-    has c at column here + e, and degree d + p*e has -c at column prev + e,
-    for e = 0..H.  Terms meet at a degree only on distinct columns of the
-    first progression; where the second meets a row, it adds to that row,
-    and a column both reach keeps its sum, 0 included.
-    """
-    rows = {}
-    for d, c in terms.items():
-        for e in range(max(0, bound + 1 - d), H + 1):
-            row = rows.get(d + e)
-            if row is None:
-                rows[d + e] = {here + e: c}
-            else:
-                row[here + e] = c
-    for d, c in terms.items():
-        # from the least e with d + p*e > bound
-        for e in range(max(0, (bound - d) // p + 1), H + 1):
-            col = prev + e
-            row = rows.get(d + p * e)
-            if row is None:
-                rows[d + p * e] = {col: -c}
-            else:
-                row[col] = row.get(col, 0) - c
-    return rows
-
-
 def torus_rigidity_dims(data, H=4):
     """Dimension of the space of first-order diagonal basis perturbations
     preserving all gauge degree bounds, against the expected count.
@@ -408,6 +376,20 @@ def torus_rigidity_dims(data, H=4):
     def var(i, comp):
         return (i * 2 + comp) * (H + 1)
 
+    def rows_above(terms, bound, here, prev):
+        # rows of terms * (h - phi(h')) in the degrees above bound, one per
+        # degree some term reaches: h is the polynomial whose degree-0
+        # column is `here`, h' the one at `prev`, and phi(h') carries
+        # coefficient e of h' at degree p*e
+        by_degree = {}
+        for d, coeff in terms.items():
+            for e in range(H + 1):
+                for g, col, c in ((d + e, here, coeff), (d + p * e, prev, -coeff)):
+                    if g > bound:
+                        row = by_degree.setdefault(g, {})
+                        row[col + e] = row.get(col + e, 0) + c
+        return by_degree.values()
+
     rows = []
     for i in range(f):
         iprev = (i - 1) % f
@@ -420,6 +402,6 @@ def torus_rigidity_dims(data, H=4):
         # P_lk = A_lk * (h_l^(i) - phi(h_k^(i-1))), entries row-major
         for q, (a, bound) in enumerate(zip(A.terms(), _entry_bounds(component))):
             l, k = divmod(q, 2)
-            rows.extend(_rows_above(a, bound, var(i, l), var(iprev, k), p, H).values())
+            rows.extend(rows_above(a, bound, var(i, l), var(iprev, k)))
     dim = fp_linalg.kernel_dim(rows, ncols, p)
     return dim, 2 * f

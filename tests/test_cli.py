@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -450,6 +451,19 @@ def test_mode_override(tmp_path, capsys):
         rc2 = cli.main(["describe", "--config", str(path), "--mode", "permissive"])
     capsys.readouterr()
     assert rc2 == 0
+    # in a real run the warning is one stderr line of its kind, before the
+    # failure line
+    proc = subprocess.run(
+        [sys.executable, "-m", "gl2kisin.cli", "tangent", "--config", str(path),
+         "--mode", "permissive", "--b", "2"],
+        capture_output=True,
+        text=True,
+        cwd=os.path.dirname(os.path.dirname(cli.__file__)),
+    )
+    assert proc.returncode == 1
+    warning, failure = proc.stderr.splitlines()
+    assert warning.startswith("warning: permissive profile: ")
+    assert failure.startswith("config error: ")
 
 
 class TestExitCodes:
@@ -765,28 +779,41 @@ def fuzz_argvs(draw):
     return argv
 
 
+def show_on_stderr(message, category, filename, lineno, file=None, line=None):
+    """What Python does with a warning outside a recorder: format it with
+    warnings.formatwarning and write it to stderr."""
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+
 def test_exit_codes_fuzz(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "config.json"
 
     @given(fuzz_configs(), fuzz_argvs())
     @settings(max_examples=200, deadline=None)
     def check(cfg, argv):
-        """Every run exits 0, 1 or 2; a failure prints one stderr line of
-        its kind and no traceback."""
+        """Every run exits 0, 1 or 2 and prints no traceback.  stderr holds
+        at most the permissive-profile warning line and, on a failure, one
+        line of its kind."""
         path.write_text(json.dumps(cfg))
         argv = [str(path) if a == "CONFIG" else a for a in argv]
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            # the warning reaches stderr as in a real run, not pytest's record
+            warnings.simplefilter("default")
+            warnings.showwarning = show_on_stderr
             rc = cli.main(argv)
         err = err.getvalue()
         assert "Traceback" not in err, argv
+        lines = err.splitlines(keepends=True)
+        if lines and lines[0].startswith("warning: permissive profile: "):
+            lines.pop(0)
         if rc == 0:
             json.loads(out.getvalue())
-            assert err == "", argv
+            assert lines == [], argv
         else:
             kind = {1: "config error: ", 2: "precondition failed: "}.get(rc)
             assert kind is not None, (rc, argv, err)
-            assert err.startswith(kind) and err.count("\n") == 1 and err.endswith("\n"), err
+            assert len(lines) == 1 and lines[0].startswith(kind) and lines[0].endswith("\n"), err
             assert out.getvalue() == "", argv
 
     check()

@@ -1,13 +1,11 @@
 import dataclasses
 import itertools
-import random
 
 import pytest
 
 from gl2kisin.errors import ConfigError, PreconditionError
 from gl2kisin.fields import GF
 from gl2kisin.kisin import (
-    _rows_above,
     etale_matrices,
     gauge_check,
     height_check,
@@ -352,43 +350,6 @@ def test_torus_rigidity_fixture_dims(f1_nonsplit, f2_mixed, f1_irred):
             for H in (1, 2, 4, 6):
                 dim, expected = torus_rigidity_dims(data, H)
                 assert dim == expected == 2 * rho.f
-
-
-def rows_above_by_degree(terms, bound, here, prev, p, H):
-    """Twin of kisin._rows_above: every (term, e) pair walked degree by
-    degree, each of its two products added to the row of its degree."""
-    by_degree = {}
-    for d, coeff in terms.items():
-        for e in range(H + 1):
-            for g, col, c in ((d + e, here, coeff), (d + p * e, prev, -coeff)):
-                if g > bound:
-                    row = by_degree.setdefault(g, {})
-                    row[col + e] = row.get(col + e, 0) + c
-    return by_degree
-
-
-def test_torus_rows_match_degree_walk():
-    """Multi-term entries whose progressions d + e and d' + p*e' meet, on
-    distinct column blocks and on one shared block (an f = 1 diagonal
-    entry, where the two products can cancel to a stored 0)."""
-    H = 4
-    rng = random.Random(20261018)
-    for p in (2, 3, 5, 31):
-        met = shared = 0
-        for _ in range(300):
-            degrees = rng.sample(range(-3, 9), rng.randint(1, 5))
-            terms = {d: rng.randrange(1, p) for d in degrees}
-            bound = rng.randint(-4, 8)
-            here = 0
-            prev = rng.choice((0, H + 1))
-            rows = _rows_above(terms, bound, here, prev, p, H)
-            twin = rows_above_by_degree(terms, bound, here, prev, p, H)
-            assert rows == twin, (p, terms, bound, prev)
-            for row in rows.values():
-                if prev and min(row) <= H < max(row):
-                    met += 1
-                shared += not prev and 0 in row.values()
-        assert met and shared, p
 
 
 def test_torus_rigidity_brute_force():
