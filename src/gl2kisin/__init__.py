@@ -11,13 +11,12 @@ from .fields import GF, FiniteField, FieldElement
 from .laurent import Laurent, phi_twist, series_div, series_inverse
 from .matrices import Mat2, monomial_matrix
 from .weights import (
-    ExtendedWeylElt,
     SerreWeightLabel,
+    adm_name,
     adm_set,
     classify_weight,
-    from_index,
-    index_of,
     make_label,
+    star,
     t_lambda,
 )
 from .rho import (
@@ -59,13 +58,12 @@ __all__ = [
     "series_div",
     "Mat2",
     "monomial_matrix",
-    "ExtendedWeylElt",
     "SerreWeightLabel",
+    "adm_name",
     "adm_set",
     "classify_weight",
-    "from_index",
-    "index_of",
     "make_label",
+    "star",
     "t_lambda",
     "RhoBar",
     "inertia_exponents",

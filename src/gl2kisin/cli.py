@@ -41,7 +41,7 @@ from .rho import (
     x_rho,
     x_sigma,
 )
-from .weights import ADM_COMPONENTS, adm_set, from_index, index_of
+from .weights import ADM_COMPONENTS, adm_name, adm_set, check_adm_index
 
 
 class _Parser(argparse.ArgumentParser):
@@ -97,7 +97,7 @@ def _parse_wtilde(rho, text):
     idx = _parse_ints(text, "--wtilde")
     if len(idx) != rho.f:
         raise ConfigError("--wtilde needs %d components" % rho.f)
-    return from_index(idx)
+    return check_adm_index(idx)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +146,7 @@ def cmd_adm(args):
     return {
         "f": f,
         "count": len(elements),
-        "elements": [{"index": w, "name": repr(w)} for w in elements],
+        "elements": [{"index": w, "name": adm_name(w)} for w in elements],
     }
 
 
@@ -192,9 +192,8 @@ def cmd_kisin(args):
     reports = []
     for w in targets:
         data = kisin_matrices(rho, w)
-        idx = index_of(w)
         per_slot = []
-        for i, k in enumerate(idx):
+        for i, k in enumerate(w):
             slot = slots.get((i, k))
             if slot is None:
                 m = data.mats[i]
@@ -209,7 +208,7 @@ def cmd_kisin(args):
                 }
             per_slot.append(slot)
         entry = {
-            "index": idx,
+            "index": w,
             "type": _type_entry(data.tau),
             "recovery": verify_recovery(data),
             "per_slot": per_slot,
@@ -314,10 +313,12 @@ def _shape_batch(task):
                 for _ in range(4)
             ]
             M = Mat2(field, *entries)
-            if M.det():
+            det = M.det()
+            if det:
                 break
         sh = shape_of(M)
-        out.append([i, bool(sh.verify(M))])
+        # the witness product, and the witness-free nu1 + nu2 = val(det M)
+        out.append([i, sh.verify(M) and sh.nu[0] + sh.nu[1] == det.valuation()])
     return out
 
 

@@ -2,8 +2,9 @@
 and the Iwahori double-coset classification (shape) with checkable witnesses.
 
 Conventions: the f matrices carry superscripts (i) with i = f-1-j; the matrix
-with superscript i is built from alpha_j, beta_j, r_j and a_i.  Shapes are the
-canonical (s, nu) pairs of weights.ExtendedWeylElt components.
+with superscript i is built from alpha_j, beta_j, r_j and a_i.  Shapes are
+canonical (s, nu) components; an admissible element is its index tuple over
+{1, 2, 3}, as in weights.
 """
 
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from .laurent import (
 )
 from .matrices import Mat2, monomial_matrix
 from .rho import tau_presentation, w_in_x_rho
-from .weights import ADM_COMPONENTS, _ADM_INDEX, index_of
+from .weights import ADM_COMPONENTS, _ADM_INDEX, adm_name
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +51,7 @@ def etale_matrices(rho):
 @dataclass(frozen=True)
 class KisinData:
     rho: object
-    wtilde: object
+    wtilde: tuple  # f indices over {1, 2, 3}
     tau: object
     mats: tuple
 
@@ -58,24 +59,25 @@ class KisinData:
 def kisin_matrices(rho, wtilde):
     """Gauge-normal-form matrices attached to an allowed admissible element.
 
-    Per slot the matrix is keyed by the component of wtilde at position
-    i = f-1-j; the translation-(1,2) component forces a_i = 0, so elements
-    outside the allowed set are rejected.
+    Per slot the matrix is keyed by the component index of wtilde at
+    position i = f-1-j; the translation-(1,2) component forces a_i = 0, so
+    elements outside the allowed set are rejected.  tau_presentation checks
+    the indices and their number first.
     """
+    tau = tau_presentation(rho, wtilde)
+    wtilde = tau.wtilde
     if not w_in_x_rho(rho, wtilde):
         raise PreconditionError(
-            "element %r is not allowed for this profile: a slot with nonzero "
-            "extension parameter would need the translation-(1,2) component" % (wtilde,)
+            "element %s is not allowed for this profile: a slot with nonzero "
+            "extension parameter would need the translation-(1,2) component" % adm_name(wtilde)
         )
     field = rho.field
     mono = Laurent.monomial
-    tau = tau_presentation(rho, wtilde)
-    idx = index_of(wtilde)
     z = Laurent.zero(field)
     mats = [None] * rho.f
     for j, (al, a21, be) in enumerate(rho.slot_coeffs):
         i = rho.f - 1 - j
-        k = idx[i]
+        k = wtilde[i]
         if rho.irreducible and j == 0:
             nb = field.neg(be)
             if k == 1:
@@ -104,9 +106,9 @@ def verify_recovery(data):
     field = rho.field
     for j in range(rho.f):
         i = rho.f - 1 - j
-        s_inv = monomial_matrix(field, data.tau.s_tau[j], (0, 0))
-        vmu = monomial_matrix(field, 0, data.tau.mu_plus_eta[j])
-        if data.mats[i] * s_inv * vmu != target[i]:
+        # s^{-1} = s for s in {0, 1}, and s * v^mu is monomial_matrix(s, mu)
+        s_inv_vmu = monomial_matrix(field, data.tau.s_tau[j], data.tau.mu_plus_eta[j])
+        if data.mats[i] * s_inv_vmu != target[i]:
             return False
     return True
 
@@ -368,7 +370,6 @@ def torus_rigidity_dims(data, H=4):
     if field.degree != 1:
         raise PreconditionError("torus rigidity is implemented over prime fields")
     f = rho.f
-    idx = index_of(data.wtilde)
     ncols = 2 * f * (H + 1)
 
     p = rho.p
@@ -394,7 +395,7 @@ def torus_rigidity_dims(data, H=4):
     for i in range(f):
         iprev = (i - 1) % f
         A = data.mats[i]
-        component = ADM_COMPONENTS[idx[i]]
+        component = ADM_COMPONENTS[data.wtilde[i]]
         if not gauge_check(A, component):
             raise PreconditionError(
                 "slot matrix %d is not in gauge normal form for %r" % (i, component)

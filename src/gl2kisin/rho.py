@@ -19,13 +19,14 @@ from dataclasses import dataclass
 from .errors import ConfigError, InternalCheckError, PreconditionError
 from .fields import FiniteField
 from .weights import (
-    ExtendedWeylElt,
+    ADM_COMPONENTS,
     adm_set,
+    check_adm_index,
     classify_weight,
-    index_of,
     make_label,
     s_apply,
     s_sign,
+    star,
     t_lambda,
 )
 
@@ -290,7 +291,7 @@ def _pattern(b):
 
 def _avoiding(adm, pattern):
     # the one exclusion filter, for x_sigma and for x_rho's union check
-    return [w for w in adm if all(i != t for i, t in zip(index_of(w), pattern))]
+    return [w for w in adm if all(i != t for i, t in zip(w, pattern))]
 
 
 def theta(rho, b):
@@ -310,8 +311,7 @@ def x_sigma(rho, b):
 
 
 def w_in_x_rho(rho, w):
-    idx = index_of(w)
-    return all(not (rho.a[pos] and idx[pos] == 3) for pos in range(rho.f))
+    return all(not (rho.a[pos] and w[pos] == 3) for pos in range(rho.f))
 
 
 def x_rho(rho):
@@ -333,7 +333,7 @@ def x_rho(rho):
 
 @dataclass(frozen=True)
 class TypePresentation:
-    wtilde: ExtendedWeylElt
+    wtilde: tuple  # f indices over {1, 2, 3}
     s_tau: tuple  # f S2-elements (0/1)
     mu_tau: tuple  # Weight
     mu_plus_eta: tuple  # Weight, = mu_tau + (1, 0) componentwise
@@ -348,19 +348,21 @@ _TABLE_B = {((2, 1), 0, 1), ((2, 1), 1, 0), ((1, 2), 0, 0)}
 
 
 def tau_presentation(rho, wtilde):
-    """Type presentation attached to an admissible element.
+    """Type presentation attached to an admissible element, given by its
+    index tuple.
 
     Star the element, write each component in left-translation form t_nu' w,
     then read (mu_plus_eta)_j from the two-row table keyed by (nu', w, s_j)
     and set s_tau_j = s_j * w_j^{-1}.
     """
-    if wtilde.f != rho.f:
-        raise ConfigError("admissible element has %d components, profile has f=%d" % (wtilde.f, rho.f))
-    starred = wtilde.star()
+    wtilde = check_adm_index(wtilde)
+    if len(wtilde) != rho.f:
+        raise ConfigError("admissible element has %d components, profile has f=%d" % (len(wtilde), rho.f))
+    starred = star([ADM_COMPONENTS[k] for k in wtilde])
     s_tau = []
     mu_plus_eta = []
     for j in range(rho.f):
-        s_comp, nu_comp = starred.parts[j]
+        s_comp, nu_comp = starred[j]
         nu_left = s_apply(s_comp, nu_comp)
         w_part = s_comp
         s_j = rho.s_component(j)

@@ -1,8 +1,8 @@
 """Deterministic JSON encoding for the library's value types.
 
 Field elements encode as their integer representation, Laurent polynomials
-as sorted [degree, int] pairs, matrices as nested 2x2 lists, extended Weyl
-elements as component-index lists, weight labels as {"diffs", "twist"}.
+as sorted [degree, int] pairs, matrices as nested 2x2 lists, weight labels as
+{"diffs", "twist"}; admissible elements are index tuples, so lists.
 
 The report bytes are those of json.dumps(obj, default=_encode,
 sort_keys=True, indent=2) plus a trailing newline: dict keys sorted, a
@@ -19,7 +19,7 @@ from json.encoder import encode_basestring_ascii as _string
 from .fields import FieldElement
 from .laurent import Laurent
 from .matrices import Mat2
-from .weights import ExtendedWeylElt, SerreWeightLabel, index_of
+from .weights import SerreWeightLabel
 
 
 def _terms(terms):
@@ -35,8 +35,6 @@ def _encode(obj):
         return _terms(obj.terms)
     if isinstance(obj, Mat2):
         return [[_terms(obj.t11), _terms(obj.t12)], [_terms(obj.t21), _terms(obj.t22)]]
-    if isinstance(obj, ExtendedWeylElt):
-        return index_of(obj)
     if isinstance(obj, SerreWeightLabel):
         return {"diffs": obj.diffs, "twist": obj.twist}
     raise TypeError("cannot serialize %r" % (type(obj),))

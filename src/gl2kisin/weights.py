@@ -2,9 +2,11 @@
 base with f embeddings.
 
 A Weight is a tuple of f integer pairs (lam_{j,1}, lam_{j,2}).  An extended
-Weyl element is stored in the canonical form w = s t_nu per component, with
+Weyl element component is written in the canonical form w = s t_nu, with
 s in {0, 1} (1 = the nontrivial swap) and nu an integer pair; compositions
-renormalize through s t_nu = t_{s(nu)} s.
+renormalize through s t_nu = t_{s(nu)} s.  An admissible element is its
+tuple of f indices over {1, 2, 3}, index k standing for the component
+ADM_COMPONENTS[k].
 """
 
 import itertools
@@ -61,65 +63,27 @@ ADM_COMPONENTS = {
     3: (0, (1, 2)),
 }
 _ADM_INDEX = {v: k for k, v in ADM_COMPONENTS.items()}
+_ADM_NAMES = {1: "t(2,1)", 2: "w*t(2,1)", 3: "t(1,2)"}
 
 
-class ExtendedWeylElt:
-    """Tuple of per-component (s, nu) pairs in canonical form."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts):
-        self.parts = tuple((s, (int(n1), int(n2))) for s, (n1, n2) in parts)
-
-    @property
-    def f(self):
-        return len(self.parts)
-
-    def star(self):
-        """Component j of the result is t_{nu_k} s_k^{-1} for k = f-1-j,
-        renormalized to canonical form (s_k, s_k(nu_k))."""
-        out = []
-        for s, nu in reversed(self.parts):
-            out.append((s, s_apply(s, nu)))
-        return ExtendedWeylElt(out)
-
-    def __eq__(self, other):
-        return isinstance(other, ExtendedWeylElt) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __repr__(self):
-        names = {(0, (2, 1)): "t(2,1)", (1, (2, 1)): "w*t(2,1)", (0, (1, 2)): "t(1,2)"}
-        bits = []
-        for s, nu in self.parts:
-            key = (s, nu)
-            if key in names:
-                bits.append(names[key])
-            elif s:
-                bits.append("w*t(%d,%d)" % nu)
-            else:
-                bits.append("t(%d,%d)" % nu)
-        return "(" + ", ".join(bits) + ")"
-
-
-def from_index(idx):
-    """Extended Weyl element from an index tuple over {1, 2, 3}."""
-    try:
-        return ExtendedWeylElt(tuple(ADM_COMPONENTS[i] for i in idx))
-    except KeyError:
+def check_adm_index(idx):
+    """The index tuple idx, after checking that every index is 1, 2 or 3."""
+    idx = tuple(idx)
+    if not all(i in ADM_COMPONENTS for i in idx):
         raise ConfigError("admissible indices are 1, 2, 3; got %r" % (idx,))
+    return idx
 
 
-def index_of(w):
-    """Index tuple over {1,2,3}; errors if a component is not admissible."""
-    out = []
-    for part in w.parts:
-        i = _ADM_INDEX.get(part)
-        if i is None:
-            raise ConfigError("component %r is not admissible" % (part,))
-        out.append(i)
-    return tuple(out)
+def adm_name(idx):
+    """Printable form of an admissible element, e.g. "(t(2,1), w*t(2,1))"."""
+    return "(" + ", ".join(_ADM_NAMES[i] for i in idx) + ")"
+
+
+def star(parts):
+    """Star of an element given as f canonical (s, nu) components: component
+    j of the result is t_{nu_k} s_k^{-1} for k = f-1-j, renormalized to
+    canonical form (s_k, s_k(nu_k))."""
+    return tuple((s, s_apply(s, nu)) for s, nu in reversed(parts))
 
 
 # adm_set lists at most this many elements, f <= 10 (`gl2kisin adm --f 10`
@@ -137,7 +101,7 @@ def adm_set(f):
             "the admissible set at f = %d has 3^%d elements, above the cap of %d"
             % (f, f, MAX_ADM_ELEMENTS)
         )
-    return [from_index(idx) for idx in itertools.product((1, 2, 3), repeat=f)]
+    return list(itertools.product((1, 2, 3), repeat=f))
 
 
 # ---------------------------------------------------------------------------

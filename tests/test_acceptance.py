@@ -43,7 +43,7 @@ from gl2kisin.tangent import (
     solve_claim,
     stability_check,
 )
-from gl2kisin.weights import ADM_COMPONENTS, adm_set, index_of
+from gl2kisin.weights import ADM_COMPONENTS, adm_set, star
 
 from conftest import random_profile
 
@@ -163,7 +163,7 @@ def test_criterion_3_product_recovery():
                         rng, p, f, zero_positions=patterns[i % len(patterns)], r_window=window
                     )
                 for w in x_rho(rho):
-                    run.check(verify_recovery(kisin_matrices(rho, w)), (f, p, i, index_of(w)))
+                    run.check(verify_recovery(kisin_matrices(rho, w)), (f, p, i, w))
                     recoveries += 1
         run.detail = f"{recoveries} recoveries across 300 profiles"
 
@@ -223,7 +223,7 @@ def test_criterion_5_type_depth_lower_bound():
                     for w in adm_set(f):
                         run.check(
                             tau_presentation(rho, w).generic_depth >= n - 1,
-                            (p, f, rho.r, index_of(w)),
+                            (p, f, rho.r, w),
                         )
                         checked += 1
         run.detail = f"{checked} presentations, boundary and random depths"
@@ -238,7 +238,8 @@ def test_criterion_6_counting_identities():
         for f in range(1, 6):
             elems = adm_set(f)
             run.check(len(elems) == 3**f, ("size", f))
-            run.check(all(w.star().star() == w for w in elems), ("involution", f))
+            parts = [tuple(ADM_COMPONENTS[k] for k in w) for w in elems]
+            run.check(all(star(star(c)) == c for c in parts), ("involution", f))
         rng = random.Random(5005)
         profiles = 0
         for p in (31, 37):

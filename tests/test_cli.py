@@ -20,7 +20,7 @@ from gl2kisin.errors import InternalCheckError
 from gl2kisin.fields import GF, FieldElement
 from gl2kisin.laurent import Laurent
 from gl2kisin.matrices import Mat2
-from gl2kisin.weights import ADM_COMPONENTS, SerreWeightLabel, from_index, index_of, make_label
+from gl2kisin.weights import ADM_COMPONENTS, SerreWeightLabel, make_label
 
 from conftest import random_profile
 
@@ -238,15 +238,14 @@ def kisin_report_per_element(args):
     reports = []
     for w in targets:
         data = kisin.kisin_matrices(rho, w)
-        idx = index_of(w)
         per_slot = []
         for i in range(rho.f):
             m = data.mats[i]
-            comp = ADM_COMPONENTS[idx[i]]
+            comp = ADM_COMPONENTS[w[i]]
             sh = kisin.shape_of(m)
             per_slot.append(
                 {
-                    "component_index": idx[i],
+                    "component_index": w[i],
                     "gauge": kisin.gauge_check(m, comp),
                     "height_exact": kisin.height_check(m, (2, 1)),
                     "height_window": kisin.height_check(m, (2, 1), "window"),
@@ -255,7 +254,7 @@ def kisin_report_per_element(args):
                 }
             )
         entry = {
-            "index": idx,
+            "index": w,
             "type": cli._type_entry(data.tau),
             "recovery": kisin.verify_recovery(data),
             "per_slot": per_slot,
@@ -307,7 +306,7 @@ def test_kisin_report_matches_per_element_twin(tmp_path):
             json.dump(cfg, fh)
         # the report on every element, and the single-element one on each
         argvs = [["kisin", "--config", path]] + [
-            ["kisin", "--config", path, "--wtilde", ",".join(map(str, index_of(w)))]
+            ["kisin", "--config", path, "--wtilde", ",".join(map(str, w))]
             for w in rho_mod.x_rho(rho_mod.RhoBar.from_config(cfg))
         ]
         for argv in argvs:
@@ -326,7 +325,7 @@ def test_slot_matrix_depends_on_slot_and_component_index_only():
         first = {}
         for w in rho_mod.x_rho(rho):
             data = kisin.kisin_matrices(rho, w)
-            for i, k in enumerate(index_of(w)):
+            for i, k in enumerate(w):
                 assert data.mats[i] == first.setdefault((i, k), data.mats[i]), (name, w, i)
         assert len(first) <= 3 * rho.f
 
@@ -405,6 +404,24 @@ def test_oracle_shape(capsys):
     rc, doc = run(capsys, ["oracle", "--kind", "shape", "--trials", "5", "--p", "31", "--seed", "4"])
     assert rc == 0
     assert doc["agreements"] == 5
+
+
+def test_oracle_shape_counts_a_wrong_nu_sum(monkeypatch, capsys):
+    """A shape whose witness check passes but whose nu1 + nu2 is not the
+    determinant valuation fails its trial."""
+    real = cli.shape_of
+
+    def shifted(M):
+        sh = real(M)
+        sh.nu = (sh.nu[0] + 1, sh.nu[1])
+        sh.verify = lambda M: True
+        return sh
+
+    monkeypatch.setattr(cli, "shape_of", shifted)
+    rc, doc = run(capsys, ["oracle", "--kind", "shape", "--trials", "3", "--p", "31", "--seed", "4"])
+    assert rc == 0
+    assert doc["failures"] == [0, 1, 2]
+    assert doc["agreements"] == 0
 
 
 def test_oracle_tangent_residual(capsys, f1_config):
@@ -845,7 +862,7 @@ def test_serial_encodes_library_types():
         Laurent.const(F, F(5)),
         Laurent.monomial(F, 1, 0),
     )
-    doc = {"z": F(5), "m": m, "w": from_index((2, 3)), "label": make_label((13,), 40, 31)}
+    doc = {"z": F(5), "m": m, "w": (2, 3), "label": make_label((13,), 40, 31)}
     assert json.loads(serial.dumps(doc)) == {
         "label": {"diffs": [13], "twist": 10},
         "m": [[[[-1, 4], [2, 1]], []], [[[0, 5]], [[0, 1]]]],
@@ -974,6 +991,63 @@ def test_stdout_digests(tmp_path, capsys, f1_config, f2_config):
         assert capsys.readouterr().out == ""
         assert out_path.read_bytes() == stdout, case
     assert digests == STDOUT_DIGESTS
+
+
+# sha256 of stdout for the commands that read an admissible element from
+# --wtilde or print admissible elements by their indices
+ELEMENT_DIGESTS = {
+    "f2 types --wtilde 2,1": "b997fe979ddf126c0090b51ffec3218c17fbd4c4fa4d185ff67383d278c8739a",
+    "f2 kisin --wtilde 2,1": "e7b3bd82d9b81ea399236ab7f0a0f8094571e16d92ca69daaffddfcdb156420e",
+    "f3_p37 kisin --wtilde 1,2,1": "c2a49175ef7bf28dc2cb65f213514e050fe24a46e48a97fcb26b2aa582aa20f4",
+    "f2 xset --sigma 0,1": "140446e1957095dac447dba80a44a7917908e08367e13bcc5d8752b4d499f2f6",
+    "adm f3": "a44caa28764454ad0fbec33ba6aab54e21a434ae24fa458354c81adbf1d333eb",
+}
+
+
+def test_element_digests(tmp_path, capsys, f1_config, f2_config):
+    f3_path = tmp_path / "f3_p37.json"
+    f3_path.write_text(json.dumps(F3_P37_CONFIG))
+    cases = {
+        "f2 types --wtilde 2,1": ["types", "--config", f2_config, "--wtilde", "2,1"],
+        "f2 kisin --wtilde 2,1": ["kisin", "--config", f2_config, "--wtilde", "2,1"],
+        "f3_p37 kisin --wtilde 1,2,1": ["kisin", "--config", str(f3_path), "--wtilde", "1,2,1"],
+        "f2 xset --sigma 0,1": ["xset", "--config", f2_config, "--sigma", "0,1"],
+        "adm f3": ["adm", "--f", "3"],
+    }
+    digests = {}
+    for case, argv in cases.items():
+        assert cli.main(argv) == 0, case
+        digests[case] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == ELEMENT_DIGESTS
+
+
+NOT_ALLOWED = (
+    "is not allowed for this profile: a slot with nonzero extension parameter "
+    "would need the translation-(1,2) component"
+)
+
+
+@pytest.mark.parametrize(
+    "config, argv, code, line",
+    [
+        ("f1", ["kisin", "--wtilde", "3"], 2, "precondition failed: element (t(1,2)) " + NOT_ALLOWED),
+        ("f2", ["kisin", "--wtilde", "1,3"], 2,
+         "precondition failed: element (t(2,1), t(1,2)) " + NOT_ALLOWED),
+        ("f1", ["kisin", "--wtilde", "4"], 1,
+         "config error: admissible indices are 1, 2, 3; got (4,)"),
+        ("f1", ["types", "--wtilde", "4"], 1,
+         "config error: admissible indices are 1, 2, 3; got (4,)"),
+        ("f2", ["kisin", "--wtilde", "1,0"], 1,
+         "config error: admissible indices are 1, 2, 3; got (1, 0)"),
+        ("f2", ["kisin", "--wtilde", "1"], 1, "config error: --wtilde needs 2 components"),
+    ],
+)
+def test_wtilde_failures(capsys, f1_config, f2_config, config, argv, code, line):
+    path = {"f1": f1_config, "f2": f2_config}[config]
+    assert cli.main(argv[:1] + ["--config", path] + argv[1:]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line + "\n"
 
 
 def test_reports_build_no_field_elements(monkeypatch, tmp_path, capsys, f1_config, f2_config):

@@ -18,7 +18,7 @@ from gl2kisin.kisin import (
 from gl2kisin.laurent import Laurent, phi_twist
 from gl2kisin.matrices import Mat2, monomial_matrix
 from gl2kisin.rho import RhoBar, x_rho
-from gl2kisin.weights import ADM_COMPONENTS, from_index, index_of
+from gl2kisin.weights import ADM_COMPONENTS
 
 from conftest import random_profile
 
@@ -69,7 +69,7 @@ def test_etale_frozen_mixed(f2_mixed):
     ],
 )
 def test_kisin_frozen_nonsplit(f1_nonsplit, idx, want):
-    data = kisin_matrices(f1_nonsplit, from_index(idx))
+    data = kisin_matrices(f1_nonsplit, idx)
     (m,) = data.mats
     nonzero = {name for name, _, _ in want}
     for name in ("a11", "a12", "a21", "a22"):
@@ -82,7 +82,7 @@ def test_kisin_frozen_nonsplit(f1_nonsplit, idx, want):
 
 
 def test_kisin_frozen_split_component3(f1_split):
-    data = kisin_matrices(f1_split, from_index((3,)))
+    data = kisin_matrices(f1_split, (3,))
     (m,) = data.mats
     assert m.a11 == mono(F31, 3, 1)
     assert m.a22 == mono(F31, 5, 2)
@@ -96,7 +96,7 @@ def test_kisin_frozen_irreducible(f1_irred):
         (3,): (("a11", -5, 1), ("a22", 3, 2)),
     }
     for idx, want in forms.items():
-        (m,) = kisin_matrices(f1_irred, from_index(idx)).mats
+        (m,) = kisin_matrices(f1_irred, idx).mats
         entries = dict(zip(("a11", "a12", "a21", "a22"), m.entries()))
         for name, c, d in want:
             assert entries.pop(name) == mono(F31, c, d)
@@ -105,8 +105,10 @@ def test_kisin_frozen_irreducible(f1_irred):
 
 
 def test_kisin_rejects_disallowed_element(f1_nonsplit):
-    with pytest.raises(PreconditionError):
-        kisin_matrices(f1_nonsplit, from_index((3,)))
+    with pytest.raises(PreconditionError, match=r"element \(t\(1,2\)\) is not allowed"):
+        kisin_matrices(f1_nonsplit, (3,))
+    with pytest.raises(ConfigError, match="admissible indices are 1, 2, 3"):
+        kisin_matrices(f1_nonsplit, (0,))
 
 
 def test_recovery_fixtures(f1_nonsplit, f1_split, f1_irred, f2_mixed):
@@ -136,7 +138,7 @@ def test_recovery_detects_a_changed_slot_matrix(f1_nonsplit, f1_irred, f2_mixed)
 def test_recovery_product_identity(f2_mixed):
     """Re-assemble the defining product in the test and compare with the
     profile matrix entry by entry."""
-    data = kisin_matrices(f2_mixed, from_index((2, 1)))
+    data = kisin_matrices(f2_mixed, (2, 1))
     target = etale_matrices(f2_mixed)
     for j in range(2):
         i = 1 - j
@@ -328,13 +330,12 @@ def test_shapes_of_kisin_match_labels(rng):
         rho = random_profile(rng, 31, 2)
         for w in x_rho(rho):
             data = kisin_matrices(rho, w)
-            idx = index_of(w)
             got = [shape_of(m).component() for m in data.mats]
             for i in range(rho.f):
                 expected = (
                     ADM_COMPONENTS[1]
-                    if (idx[i] == 2 and rho.a[i])
-                    else ADM_COMPONENTS[idx[i]]
+                    if (w[i] == 2 and rho.a[i])
+                    else ADM_COMPONENTS[w[i]]
                 )
                 assert got[i] == expected
 
@@ -365,7 +366,7 @@ def test_torus_rigidity_brute_force():
             for w in x_rho(rho):
                 data = kisin_matrices(rho, w)
                 slots = []  # (entries, det, highest degree per entry then of the det)
-                for A, k in zip(data.mats, index_of(w)):
+                for A, k in zip(data.mats, w):
                     s, (n1, n2) = ADM_COMPONENTS[k]
                     if s == 0:
                         bounds = (n1, n2 - 1, n1, n2, n1 + n2)
@@ -413,6 +414,6 @@ def test_torus_rigidity_extension_field_refused():
         p=3, f=1, r=(1,), a=(0,), alpha=(F.gen(),), beta=(F(1),),
         mode="permissive", field=F,
     )
-    data = kisin_matrices(rho_ext, from_index((1,)))
+    data = kisin_matrices(rho_ext, (1,))
     with pytest.raises(PreconditionError):
         torus_rigidity_dims(data)

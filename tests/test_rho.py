@@ -18,7 +18,7 @@ from gl2kisin.rho import (
     x_rho,
     x_sigma,
 )
-from gl2kisin.weights import adm_set, from_index, index_of, make_label, s_sign, t_lambda
+from gl2kisin.weights import adm_set, make_label, s_sign, t_lambda
 
 from conftest import random_profile
 
@@ -300,10 +300,10 @@ def test_theta(f2_mixed, f1_split):
 
 
 def test_x_sigma(f2_mixed):
-    assert sorted(index_of(w) for w in x_sigma(f2_mixed, (0, 0))) == [
+    assert sorted(x_sigma(f2_mixed, (0, 0))) == [
         (1, 1), (1, 2), (2, 1), (2, 2)
     ]
-    assert sorted(index_of(w) for w in x_sigma(f2_mixed, (0, 1))) == [
+    assert sorted(x_sigma(f2_mixed, (0, 1))) == [
         (2, 1), (2, 2), (3, 1), (3, 2)
     ]
 
@@ -316,10 +316,10 @@ def test_x_sigma_size(rng):
 
 
 def test_x_rho(f2_mixed, f1_nonsplit, f1_irred):
-    assert sorted(index_of(w) for w in x_rho(f2_mixed)) == [
+    assert sorted(x_rho(f2_mixed)) == [
         (1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)
     ]
-    assert sorted(index_of(w) for w in x_rho(f1_nonsplit)) == [(1,), (2,)]
+    assert sorted(x_rho(f1_nonsplit)) == [(1,), (2,)]
     # a = 0 everywhere: nothing is excluded
     assert len(x_rho(f1_irred)) == 3
 
@@ -335,8 +335,8 @@ def test_x_rho_union_mismatch_is_an_internal_error(monkeypatch, f2_mixed):
 
 
 def test_w_in_x_rho(f1_nonsplit):
-    assert w_in_x_rho(f1_nonsplit, from_index((1,)))
-    assert not w_in_x_rho(f1_nonsplit, from_index((3,)))
+    assert w_in_x_rho(f1_nonsplit, (1,))
+    assert not w_in_x_rho(f1_nonsplit, (3,))
 
 
 def test_x_rho_monotone_under_semisimplification(rng):
@@ -352,28 +352,30 @@ def test_x_rho_monotone_under_semisimplification(rng):
 
 
 def test_tau_presentation_reducible(f1_nonsplit):
-    p1 = tau_presentation(f1_nonsplit, from_index((1,)))
+    p1 = tau_presentation(f1_nonsplit, (1,))
     assert (p1.s_tau, p1.mu_plus_eta, p1.mu_tau) == ((0,), ((13, 0),), ((12, 0),))
     assert p1.generic_depth == 12
-    p2 = tau_presentation(f1_nonsplit, from_index((2,)))
+    p2 = tau_presentation(f1_nonsplit, (2,))
     assert (p2.s_tau, p2.mu_plus_eta) == ((1,), ((14, -1),))
     assert p2.generic_depth == 14
-    p3 = tau_presentation(f1_nonsplit, from_index((3,)))
+    p3 = tau_presentation(f1_nonsplit, (3,))
     assert (p3.s_tau, p3.mu_plus_eta) == ((0,), ((14, -1),))
 
 
 def test_tau_presentation_irreducible(f1_irred):
-    p1 = tau_presentation(f1_irred, from_index((1,)))
+    p1 = tau_presentation(f1_irred, (1,))
     assert (p1.s_tau, p1.mu_plus_eta) == ((1,), ((14, -1),))
-    p2 = tau_presentation(f1_irred, from_index((2,)))
+    p2 = tau_presentation(f1_irred, (2,))
     assert (p2.s_tau, p2.mu_plus_eta) == ((0,), ((13, 0),))
-    p3 = tau_presentation(f1_irred, from_index((3,)))
+    p3 = tau_presentation(f1_irred, (3,))
     assert (p3.s_tau, p3.mu_plus_eta) == ((1,), ((13, 0),))
 
 
 def test_tau_presentation_f_mismatch(f1_nonsplit):
     with pytest.raises(ConfigError):
-        tau_presentation(f1_nonsplit, from_index((1, 2)))
+        tau_presentation(f1_nonsplit, (1, 2))
+    with pytest.raises(ConfigError, match="admissible indices are 1, 2, 3"):
+        tau_presentation(f1_nonsplit, (4,))
 
 
 def test_tau_depth_drops_by_at_most_one(rng):

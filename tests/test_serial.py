@@ -8,7 +8,7 @@ from gl2kisin import serial
 from gl2kisin.fields import GF
 from gl2kisin.laurent import Laurent
 from gl2kisin.matrices import Mat2
-from gl2kisin.weights import SerreWeightLabel, from_index
+from gl2kisin.weights import SerreWeightLabel
 
 # a prime field and two extension fields, whose residues run past p
 FIELDS = (GF(31), GF(3, 2), GF(2, 3))
@@ -50,7 +50,7 @@ LEAVES = st.one_of(
     field_elements(),
     laurents(),
     matrices(),
-    st.lists(st.integers(1, 3), max_size=4).map(lambda idx: from_index(tuple(idx))),
+    st.lists(st.integers(1, 3), max_size=4).map(tuple),  # admissible elements
     st.builds(SerreWeightLabel, st.lists(st.integers(0, 40), max_size=3).map(tuple), st.integers(0, 10**6)),
 )
 

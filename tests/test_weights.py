@@ -6,13 +6,13 @@ from gl2kisin.errors import ConfigError, PreconditionError
 from gl2kisin.matrices import monomial_matrix
 from gl2kisin.weights import (
     ADM_COMPONENTS,
-    ExtendedWeylElt,
+    adm_name,
     adm_set,
+    check_adm_index,
     classify_weight,
-    from_index,
-    index_of,
     make_label,
     s_apply,
+    star,
     t_lambda,
 )
 
@@ -26,43 +26,48 @@ def test_adm_set_size_and_order():
         elems = adm_set(f)
         assert len(elems) == 3**f
         assert len(set(elems)) == 3**f
-    assert [index_of(w) for w in adm_set(2)] == [
+    assert adm_set(2) == [
         (1, 1), (1, 2), (1, 3),
         (2, 1), (2, 2), (2, 3),
         (3, 1), (3, 2), (3, 3),
     ]
 
 
-def test_index_roundtrip_and_errors():
+def test_index_check():
     for idx in itertools.product((1, 2, 3), repeat=3):
-        assert index_of(from_index(idx)) == idx
-    with pytest.raises(ConfigError):
-        from_index((0,))
-    with pytest.raises(ConfigError):
-        from_index((1, 4))
-    # canonical forms outside the three admissible components have no index
-    with pytest.raises(ConfigError):
-        index_of(ExtendedWeylElt(((0, (5, 0)),)))
+        assert check_adm_index(list(idx)) == idx
+    assert check_adm_index(()) == ()
+    with pytest.raises(ConfigError, match=r"admissible indices are 1, 2, 3; got \(0,\)"):
+        check_adm_index((0,))
+    with pytest.raises(ConfigError, match=r"got \(1, 4\)"):
+        check_adm_index([1, 4])
+
+
+def test_adm_name():
+    assert adm_name((1, 2, 3)) == "(t(2,1), w*t(2,1), t(1,2))"
+    assert adm_name((3,)) == "(t(1,2))"
+    assert adm_name(()) == "()"
+
+
+def components(idx):
+    return tuple(ADM_COMPONENTS[k] for k in idx)
 
 
 def test_star_is_an_involution():
     for f in range(1, 6):
         for w in adm_set(f):
-            assert w.star().star() == w
+            assert star(star(components(w))) == components(w)
 
 
 def test_star_frozen_example():
-    w = from_index((1, 3, 2, 2))
-    assert w.star().parts == ((1, (1, 2)), (1, (1, 2)), (0, (1, 2)), (0, (2, 1)))
+    assert star(components((1, 3, 2, 2))) == ((1, (1, 2)), (1, (1, 2)), (0, (1, 2)), (0, (2, 1)))
 
 
 def test_star_reverses_and_inverts_components():
     # per component, star takes s t_nu to its inverse t_{-?}-free canonical
     # form with the swap applied to nu; slots are read in reverse order
-    w = from_index((2, 3))
-    assert w.star().parts == tuple(
-        (s, s_apply(s, nu)) for s, nu in reversed(w.parts)
-    )
+    parts = components((2, 3))
+    assert star(parts) == tuple((s, s_apply(s, nu)) for s, nu in reversed(parts))
 
 
 def test_monomial_matrix_matches_translation_form():
@@ -71,9 +76,12 @@ def test_monomial_matrix_matches_translation_form():
     from gl2kisin.fields import GF
 
     F = GF(5)
-    for idx in ((1,), (2,), (3,)):
-        (s, nu) = from_index(idx).parts[0]
+    for s, nu in ADM_COMPONENTS.values():
         assert monomial_matrix(F, s, nu) == monomial_matrix(F, 0, s_apply(s, nu)) * monomial_matrix(F, s, (0, 0))
+    # s * v^mu is one monomial matrix, the factor verify_recovery multiplies by
+    for s in (0, 1):
+        for mu in ((14, -1), (0, 0), (-3, 5)):
+            assert monomial_matrix(F, s, (0, 0)) * monomial_matrix(F, 0, mu) == monomial_matrix(F, s, mu)
 
 
 class TestClassify:
