@@ -23,10 +23,12 @@ from .kisin import (
     etale_matrices,
     gauge_check,
     height_check,
-    kisin_matrices,
+    require_allowed,
     shape_of,
-    torus_rigidity_dims,
-    verify_recovery,
+    slot_matrix,
+    slot_recovers,
+    torus_dims,
+    torus_slot_rows,
 )
 from .matrices import Mat2
 from .laurent import Laurent
@@ -34,9 +36,11 @@ from .oracles import coset_certify, random_truncated_invertible
 from .rho import (
     RhoBar,
     _is_int,
+    compose_type,
     inertia_exponents,
     serre_weights,
     tau_presentation,
+    type_part,
     weight_count,
     x_rho,
     x_sigma,
@@ -177,28 +181,47 @@ def cmd_types(args):
     rho = _load_rho(args)
     if args.wtilde:
         return _type_entry(tau_presentation(rho, _parse_wtilde(rho, args.wtilde)))
-    entries = [_type_entry(tau_presentation(rho, w)) for w in x_rho(rho)]
+    # slot j of a presentation depends on the index at position f-1-j alone,
+    # so each distinct (j, index) part is built once per report
+    f = rho.f
+    table = {}
+    entries = []
+    for w in x_rho(rho):
+        parts = []
+        for j in range(f):
+            key = (j, w[f - 1 - j])
+            part = table.get(key)
+            if part is None:
+                part = table[key] = type_part(rho, *key)
+            parts.append(part)
+        entries.append(_type_entry(compose_type(rho, w, parts)))
     return {"count": len(entries), "types": entries}
 
 
 def cmd_kisin(args):
     rho = _load_rho(args)
     wtilde = _parse_wtilde(rho, args.wtilde) if args.wtilde else None
+    if wtilde:
+        require_allowed(rho, wtilde)
     targets = [wtilde] if wtilde else x_rho(rho)
-    # kisin_matrices builds slot i from slot_coeffs[f-1-i] and idx[i] alone,
-    # so each distinct (i, idx[i]) is classified and checked once per report
-    # and its entry shared by every element that has it
+    etale = etale_matrices(rho)
+    torus = rho.field.degree == 1
+    f = rho.f
+    # slot i of an element (its matrix, type part, recovery and torus rows)
+    # depends on the profile and idx[i] alone, so each distinct (i, idx[i])
+    # is built, classified and checked once per report, and every element
+    # is composed from the slots it has
     slots = {}
     reports = []
     for w in targets:
-        data = kisin_matrices(rho, w)
-        per_slot = []
+        have = []
         for i, k in enumerate(w):
             slot = slots.get((i, k))
             if slot is None:
-                m = data.mats[i]
+                m = slot_matrix(rho, i, k)
                 sh = shape_of(m)
-                slot = slots[i, k] = {
+                part = type_part(rho, f - 1 - i, k)
+                shown = {
                     "component_index": k,
                     "gauge": gauge_check(m, ADM_COMPONENTS[k]),
                     "height_exact": height_check(m, (2, 1)),
@@ -206,20 +229,24 @@ def cmd_kisin(args):
                     "shape": {"s": sh.s, "nu": sh.nu, "adm_index": sh.adm_index()},
                     "matrix": m,
                 }
-            per_slot.append(slot)
+                rows = torus_slot_rows(rho, i, m, k) if torus else None
+                slot = slots[i, k] = (shown, part, slot_recovers(m, part, etale[i]), rows)
+            have.append(slot)
+        per_slot, parts, recovered, torus_rows = zip(*have)
         entry = {
             "index": w,
-            "type": _type_entry(data.tau),
-            "recovery": verify_recovery(data),
-            "per_slot": per_slot,
+            # slot j of the presentation is the part of slot i = f-1-j
+            "type": _type_entry(compose_type(rho, w, parts[::-1])),
+            "recovery": all(recovered),
+            "per_slot": list(per_slot),
         }
-        if rho.field.degree == 1:
-            dim, expected = torus_rigidity_dims(data)
+        if torus:
+            dim, expected = torus_dims(rho, torus_rows)
             entry["torus_rigidity"] = {"dim": dim, "expected": expected}
         reports.append(entry)
     if wtilde:
         report = reports[0]
-        report["etale"] = etale_matrices(rho)
+        report["etale"] = etale
         return report
     return {"count": len(reports), "elements": reports}
 

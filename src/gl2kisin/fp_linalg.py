@@ -1,10 +1,12 @@
 """Sparse kernel and rank computation mod p, in pure Python, in two phases
 that touch only the entries a row stores.  The forward elimination keeps a
-row whose smallest column is a new pivot as it is (the caller's dict) and
-copies and reduces any other; no pivot row is normalized, and only the rare
-reduction step inverts a lead.  `rank` and `kernel_dim` stop there.
-`kernel_basis` then back-substitutes, last pivot first, the pivot rows with
-other entries, reducing mod p and normalizing once each reaching a free column.
+row whose smallest column is a new pivot as it is (the caller's dict), skips
+a one-entry row whose column has a one-entry pivot row (it reduces to zero),
+and copies and reduces any other; no pivot row is normalized, and only the
+rare reduction step inverts a lead.  `pivot_rows`, `rank` and `kernel_dim`
+stop there.  `kernel_basis` then back-substitutes, last pivot first, the
+pivot rows with other entries, reducing mod p and normalizing once each
+reaching a free column.
 """
 
 # The one kernel implementation; perfbench records it beside its timings.
@@ -17,14 +19,17 @@ def _echelon(rows, p):
     rows: iterable of {column: value} dicts (values arbitrary ints), never
     modified.  A pivot row is unnormalized, and its smallest column is its
     pivot, nonzero mod p.  A row whose smallest column is a new such pivot
-    is its own pivot row, the caller's dict, only ever read; any other row
-    is copied mod p, and what reduction leaves of it is a new pivot row.
+    is its own pivot row, the caller's dict, only ever read.  A one-entry
+    row on the column of a one-entry pivot row is dropped unread; any other
+    row is copied mod p, and what reduction leaves of it is a new pivot row.
     """
     pivots = {}
     for row in rows:
         if row and (c := min(row)) not in pivots and row[c] % p:
             pivots[c] = row
             continue
+        if len(row) == 1 and len(pivots.get(c, ())) == 1:
+            continue  # {c: v} against the pivot row {c: u} reduces to zero
         r = {}
         for c, v in row.items():
             v %= p
@@ -46,6 +51,13 @@ def _echelon(rows, p):
                 elif k in r:
                     del r[k]
     return pivots
+
+
+def pivot_rows(rows, p):
+    """Rows in echelon form spanning the same space mod p as rows: one per
+    pivot, so as many as the rank.  A row may be one of the caller's dicts,
+    only ever read; its values are then arbitrary ints."""
+    return list(_echelon(rows, p).values())
 
 
 def rank(rows, p):

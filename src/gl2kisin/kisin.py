@@ -1,12 +1,18 @@
 """Frobenius matrices of the profile, their gauge-normal-form counterparts,
 and the Iwahori double-coset classification (shape) with checkable witnesses.
 
+Slot i of an element's gauge form depends on the profile and the element's
+component index at i alone, so each object is built per slot (slot_matrix,
+slot_recovers, torus_slot_rows; rho.type_part) and an element is composed
+from its f slots (kisin_matrices, verify_recovery, torus_rigidity_dims).
+
 Conventions: the f matrices carry superscripts (i) with i = f-1-j; the matrix
 with superscript i is built from alpha_j, beta_j, r_j and a_i.  Shapes are
 canonical (s, nu) components; an admissible element is its index tuple over
 {1, 2, 3}, as in weights.
 """
 
+import itertools
 from dataclasses import dataclass
 
 from . import fp_linalg
@@ -56,61 +62,69 @@ class KisinData:
     mats: tuple
 
 
-def kisin_matrices(rho, wtilde):
-    """Gauge-normal-form matrices attached to an allowed admissible element.
+def slot_matrix(rho, i, k):
+    """Gauge-normal-form matrix of slot i (superscript) for the component
+    index k, built from slot_coeffs[f-1-i] alone."""
+    field = rho.field
+    mono = Laurent.monomial
+    z = Laurent.zero(field)
+    j = rho.f - 1 - i
+    al, a21, be = rho.slot_coeffs[j]
+    if rho.irreducible and j == 0:
+        nb = field.neg(be)
+        if k == 1:
+            return Mat2(field, mono(field, nb, 2), z, z, mono(field, al, 1))
+        if k == 2:
+            return Mat2(field, z, mono(field, nb, 1), mono(field, al, 2), z)
+        return Mat2(field, mono(field, nb, 1), z, z, mono(field, al, 2))
+    if k == 1:
+        return Mat2(field, mono(field, al, 2), z, mono(field, a21, 2), mono(field, be, 1))
+    if k == 2:
+        return Mat2(field, z, mono(field, al, 1), mono(field, be, 2), mono(field, a21, 1))
+    return Mat2(field, mono(field, al, 1), z, z, mono(field, be, 2))
 
-    Per slot the matrix is keyed by the component index of wtilde at
-    position i = f-1-j; the translation-(1,2) component forces a_i = 0, so
-    elements outside the allowed set are rejected.  tau_presentation checks
-    the indices and their number first.
-    """
-    tau = tau_presentation(rho, wtilde)
-    wtilde = tau.wtilde
+
+def require_allowed(rho, wtilde):
+    """Refuse an element outside the allowed set: the translation-(1,2)
+    component forces a_i = 0."""
     if not w_in_x_rho(rho, wtilde):
         raise PreconditionError(
             "element %s is not allowed for this profile: a slot with nonzero "
             "extension parameter would need the translation-(1,2) component" % adm_name(wtilde)
         )
-    field = rho.field
-    mono = Laurent.monomial
-    z = Laurent.zero(field)
-    mats = [None] * rho.f
-    for j, (al, a21, be) in enumerate(rho.slot_coeffs):
-        i = rho.f - 1 - j
-        k = wtilde[i]
-        if rho.irreducible and j == 0:
-            nb = field.neg(be)
-            if k == 1:
-                m = Mat2(field, mono(field, nb, 2), z, z, mono(field, al, 1))
-            elif k == 2:
-                m = Mat2(field, z, mono(field, nb, 1), mono(field, al, 2), z)
-            else:
-                m = Mat2(field, mono(field, nb, 1), z, z, mono(field, al, 2))
-        else:
-            if k == 1:
-                m = Mat2(field, mono(field, al, 2), z, mono(field, a21, 2), mono(field, be, 1))
-            elif k == 2:
-                m = Mat2(field, z, mono(field, al, 1), mono(field, be, 2), mono(field, a21, 1))
-            else:
-                m = Mat2(field, mono(field, al, 1), z, z, mono(field, be, 2))
-        mats[i] = m
-    return KisinData(rho=rho, wtilde=wtilde, tau=tau, mats=tuple(mats))
+
+
+def kisin_matrices(rho, wtilde):
+    """Gauge-normal-form matrices attached to an allowed admissible element:
+    slot i is slot_matrix at the component index wtilde[i].  The indices and
+    their number are checked first (by tau_presentation), then that the
+    element is allowed (require_allowed).
+    """
+    tau = tau_presentation(rho, wtilde)
+    wtilde = tau.wtilde
+    require_allowed(rho, wtilde)
+    mats = tuple(slot_matrix(rho, i, k) for i, k in enumerate(wtilde))
+    return KisinData(rho=rho, wtilde=wtilde, tau=tau, mats=mats)
+
+
+def slot_recovers(A, part, target):
+    """Exact check that the slot matrix A recovers the profile matrix target:
+    A * s(tau)_j^{-1} * v^(mu_tau_j + eta_j) == target, for the type part
+    part = (s_tau_j, mu_tau_j + eta_j) of slot j = f-1-i."""
+    # s^{-1} = s for s in {0, 1}, and s * v^mu is monomial_matrix(s, mu)
+    return A * monomial_matrix(A.field, *part) == target
 
 
 def verify_recovery(data):
     """Exact check that each gauge-form matrix of data recovers the profile
-    matrix: A^(i) * s(tau)_j^{-1} * v^(mu_tau_j + eta_j) == Frobenius
-    matrix (i), with i = f-1-j."""
-    rho = data.rho
-    target = etale_matrices(rho)
-    field = rho.field
-    for j in range(rho.f):
-        i = rho.f - 1 - j
-        # s^{-1} = s for s in {0, 1}, and s * v^mu is monomial_matrix(s, mu)
-        s_inv_vmu = monomial_matrix(field, data.tau.s_tau[j], data.tau.mu_plus_eta[j])
-        if data.mats[i] * s_inv_vmu != target[i]:
-            return False
-    return True
+    matrix (slot_recovers), with i = f-1-j."""
+    f = data.rho.f
+    target = etale_matrices(data.rho)
+    tau = data.tau
+    return all(
+        slot_recovers(data.mats[f - 1 - j], (tau.s_tau[j], tau.mu_plus_eta[j]), target[f - 1 - j])
+        for j in range(f)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -341,38 +355,21 @@ def shape_of(M):
 # first-order rigidity of the gauge normal form
 
 
-def torus_rigidity_dims(data, H=4):
-    """Dimension of the space of first-order diagonal basis perturbations
-    preserving all gauge degree bounds, against the expected count.
-
-    Perturbing the basis of slot i by 1 + eps*h^(i) (h diagonal with
-    polynomial entries of degree <= H) moves the matrix A = A^(i) by
-    P = h^(i) A - A phi(h^(i-1)); the degree bounds of _entry_bounds on that
-    movement form a linear system over the field.
-
-    The bound deg <= nu1 + nu2 on the first-order determinant adds nothing,
-    so it has no rows.  With h = h^(i), h' = h^(i-1), P_lk = a_lk (h_l -
-    phi(h'_k)), and the first-order determinant is
-        tr(adj(A) P) = a22 P11 + a11 P22 - a12 P21 - a21 P12
-                     = det(A) (h1 + h2 - phi(h1') - phi(h2')).
-    The entry rows force deg P_lk <= b_lk, A itself meets deg a_lk <= b_lk
-    (it is in gauge normal form, which is checked), and _entry_bounds gives
-    b11 + b22 <= nu1 + nu2 and b12 + b21 <= nu1 + nu2.  So every product in
-    tr(adj(A) P) has degree <= nu1 + nu2: each determinant coefficient above
-    nu1 + nu2 is a sum of products that the entry rows already force to 0.
-
-    OUTPUT: (kernel_dimension, expected) with expected = 2f, the constant
-    rescaling in each slot.  Prime-field profiles only: the coefficient
-    twist inside phi is not field-linear over proper extensions.
-    """
-    rho = data.rho
+def torus_slot_rows(rho, i, A, k, H=4):
+    """Slot i's rows of the torus rigidity system (see torus_rigidity_dims)
+    for its gauge-form matrix A of component index k, reduced to one pivot
+    row each (fp_linalg.pivot_rows).  A matrix outside gauge normal form,
+    and a profile over a proper extension field, are refused."""
     field = rho.field
     if field.degree != 1:
         raise PreconditionError("torus rigidity is implemented over prime fields")
-    f = rho.f
-    ncols = 2 * f * (H + 1)
-
+    component = ADM_COMPONENTS[k]
+    if not gauge_check(A, component):
+        raise PreconditionError(
+            "slot matrix %d is not in gauge normal form for %r" % (i, component)
+        )
     p = rho.p
+    iprev = (i - 1) % rho.f
 
     def var(i, comp):
         return (i * 2 + comp) * (H + 1)
@@ -392,17 +389,49 @@ def torus_rigidity_dims(data, H=4):
         return by_degree.values()
 
     rows = []
-    for i in range(f):
-        iprev = (i - 1) % f
-        A = data.mats[i]
-        component = ADM_COMPONENTS[data.wtilde[i]]
-        if not gauge_check(A, component):
-            raise PreconditionError(
-                "slot matrix %d is not in gauge normal form for %r" % (i, component)
-            )
-        # P_lk = A_lk * (h_l^(i) - phi(h_k^(i-1))), entries row-major
-        for q, (a, bound) in enumerate(zip(A.terms(), _entry_bounds(component))):
-            l, k = divmod(q, 2)
-            rows.extend(rows_above(a, bound, var(i, l), var(iprev, k)))
-    dim = fp_linalg.kernel_dim(rows, ncols, p)
-    return dim, 2 * f
+    # P_lm = A_lm * (h_l^(i) - phi(h_m^(i-1))), entries row-major
+    for q, (a, bound) in enumerate(zip(A.terms(), _entry_bounds(component))):
+        l, m = divmod(q, 2)
+        rows.extend(rows_above(a, bound, var(i, l), var(iprev, m)))
+    return fp_linalg.pivot_rows(rows, p)
+
+
+def torus_dims(rho, slot_rows, H=4):
+    """(kernel_dimension, expected) of the torus rigidity system from its f
+    slots' torus_slot_rows.  Each slot's pivot rows span that slot's rows,
+    so their union has the kernel of the whole system."""
+    f = rho.f
+    rows = itertools.chain.from_iterable(slot_rows)
+    return fp_linalg.kernel_dim(rows, 2 * f * (H + 1), rho.p), 2 * f
+
+
+def torus_rigidity_dims(data, H=4):
+    """Dimension of the space of first-order diagonal basis perturbations
+    preserving all gauge degree bounds, against the expected count.
+
+    Perturbing the basis of slot i by 1 + eps*h^(i) (h diagonal with
+    polynomial entries of degree <= H) moves the matrix A = A^(i) by
+    P = h^(i) A - A phi(h^(i-1)); the degree bounds of _entry_bounds on that
+    movement form a linear system over the field, whose rows for slot i
+    (torus_slot_rows) depend on the profile and wtilde[i] alone.
+
+    The bound deg <= nu1 + nu2 on the first-order determinant adds nothing,
+    so it has no rows.  With h = h^(i), h' = h^(i-1), P_lk = a_lk (h_l -
+    phi(h'_k)), and the first-order determinant is
+        tr(adj(A) P) = a22 P11 + a11 P22 - a12 P21 - a21 P12
+                     = det(A) (h1 + h2 - phi(h1') - phi(h2')).
+    The entry rows force deg P_lk <= b_lk, A itself meets deg a_lk <= b_lk
+    (it is in gauge normal form, which is checked), and _entry_bounds gives
+    b11 + b22 <= nu1 + nu2 and b12 + b21 <= nu1 + nu2.  So every product in
+    tr(adj(A) P) has degree <= nu1 + nu2: each determinant coefficient above
+    nu1 + nu2 is a sum of products that the entry rows already force to 0.
+
+    OUTPUT: (kernel_dimension, expected) with expected = 2f, the constant
+    rescaling in each slot.  Prime-field profiles only: the coefficient
+    twist inside phi is not field-linear over proper extensions.
+    """
+    rho = data.rho
+    slot_rows = [
+        torus_slot_rows(rho, i, A, k, H) for i, (A, k) in enumerate(zip(data.mats, data.wtilde))
+    ]
+    return torus_dims(rho, slot_rows, H)

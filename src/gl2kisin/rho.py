@@ -1,7 +1,9 @@
 """The local profile rho: exponents r, extension parameters a, units alpha and
 beta, reducible/irreducible flag — plus the weight set W(rho), the exclusion
 pattern theta, the allowed shape sets X(sigma) / X(rho), and inertial-type
-presentations attached to admissible elements.
+presentations attached to admissible elements, composed slot by slot:
+slot j of a presentation depends on the profile and the element's index at
+position f-1-j alone (type_part).
 
 A profile holds a, alpha and beta as residues of its field (fields.py), as
 Laurent terms do.  Index conventions (kept in ONE place because they are the
@@ -347,40 +349,46 @@ _TABLE_A = {((2, 1), 0, 0), ((2, 1), 1, 1), ((1, 2), 0, 1)}
 _TABLE_B = {((2, 1), 0, 1), ((2, 1), 1, 0), ((1, 2), 0, 0)}
 
 
-def tau_presentation(rho, wtilde):
-    """Type presentation attached to an admissible element, given by its
-    index tuple.
+def type_part(rho, j, k):
+    """Slot j of the type presentation of any element whose index at
+    position f-1-j is k: the pair (s_tau_j, mu_tau_j + eta_j).
 
-    Star the element, write each component in left-translation form t_nu' w,
-    then read (mu_plus_eta)_j from the two-row table keyed by (nu', w, s_j)
-    and set s_tau_j = s_j * w_j^{-1}.
+    The star sends that position's component to slot j.  Write the starred
+    component in left-translation form t_nu' w, read (mu_plus_eta)_j from the
+    two-row table keyed by (nu', w, s_j), and set s_tau_j = s_j * w^{-1}.
     """
-    wtilde = check_adm_index(wtilde)
-    if len(wtilde) != rho.f:
-        raise ConfigError("admissible element has %d components, profile has f=%d" % (len(wtilde), rho.f))
-    starred = star([ADM_COMPONENTS[k] for k in wtilde])
-    s_tau = []
-    mu_plus_eta = []
-    for j in range(rho.f):
-        s_comp, nu_comp = starred[j]
-        nu_left = s_apply(s_comp, nu_comp)
-        w_part = s_comp
-        s_j = rho.s_component(j)
-        key = (nu_left, w_part, s_j)
-        if key in _TABLE_A:
-            mu_plus_eta.append((rho.r[j], 0))
-        elif key in _TABLE_B:
-            mu_plus_eta.append((rho.r[j] + 1, -1))
-        else:  # pragma: no cover - the six cells cover all canonical inputs
-            raise InternalCheckError("presentation table has no cell for %r" % (key,))
-        s_tau.append(s_j ^ w_part)
+    ((w_part, nu_comp),) = star([ADM_COMPONENTS[k]])
+    s_j = rho.s_component(j)
+    key = (s_apply(w_part, nu_comp), w_part, s_j)
+    if key in _TABLE_A:
+        mu_plus_eta = (rho.r[j], 0)
+    elif key in _TABLE_B:
+        mu_plus_eta = (rho.r[j] + 1, -1)
+    else:  # pragma: no cover - the six cells cover all canonical inputs
+        raise InternalCheckError("presentation table has no cell for %r" % (key,))
+    return s_j ^ w_part, mu_plus_eta
+
+
+def compose_type(rho, wtilde, parts):
+    """Type presentation of the index tuple wtilde from its f slot parts,
+    parts[j] = type_part(rho, j, wtilde[f-1-j])."""
+    mu_plus_eta = tuple(mu for _, mu in parts)
     mu_tau = tuple((x1 - 1, x2) for x1, x2 in mu_plus_eta)
-    cls = classify_weight(mu_tau, rho.p)
-    depth = cls.depth if cls.depth is not None else -1
+    depth = classify_weight(mu_tau, rho.p).depth
     return TypePresentation(
         wtilde=wtilde,
-        s_tau=tuple(s_tau),
+        s_tau=tuple(s for s, _ in parts),
         mu_tau=mu_tau,
-        mu_plus_eta=tuple(mu_plus_eta),
-        generic_depth=depth,
+        mu_plus_eta=mu_plus_eta,
+        generic_depth=depth if depth is not None else -1,
     )
+
+
+def tau_presentation(rho, wtilde):
+    """Type presentation attached to an admissible element, given by its
+    index tuple: slot j is type_part at the index in position f-1-j."""
+    wtilde = check_adm_index(wtilde)
+    f = rho.f
+    if len(wtilde) != f:
+        raise ConfigError("admissible element has %d components, profile has f=%d" % (len(wtilde), f))
+    return compose_type(rho, wtilde, [type_part(rho, j, wtilde[f - 1 - j]) for j in range(f)])

@@ -192,13 +192,20 @@ def test_tangent_stability_solves_each_system_once(monkeypatch, capsys, f1_confi
 
 def test_reports_derive_each_object_once(monkeypatch, capsys, f2_config):
     """xset, types and kisin build the weight set and the admissible set once
-    per report; kisin builds each listed element's matrices and type
-    presentation once, and checks recovery on those matrices."""
+    per report.  types and kisin build each per-slot object once per
+    distinct (slot, component index), at most 3f of them, and compose every
+    element from those: neither builds a whole element's matrices or type
+    presentation, and kisin builds the profile matrices once."""
     origin = {
         "serre_weights": rho_mod,
         "adm_set": weights,
         "kisin_matrices": kisin,
         "tau_presentation": rho_mod,
+        "type_part": rho_mod,
+        "slot_matrix": kisin,
+        "slot_recovers": kisin,
+        "torus_slot_rows": kisin,
+        "etale_matrices": kisin,
     }
     calls = dict.fromkeys(origin, 0)
 
@@ -215,17 +222,22 @@ def test_reports_derive_each_object_once(monkeypatch, capsys, f2_config):
         for binding in (weights, rho_mod, kisin, d0, cli):
             if getattr(binding, name, None) is fn:
                 monkeypatch.setattr(binding, name, counting(name, fn))
-    # the f2 profile allows 6 elements
-    for command, matrices, types in (("xset", 0, 0), ("types", 0, 6), ("kisin", 6, 6)):
+    # the f2 profile allows 6 elements, (1, 1), ..., (3, 2): slot 0 takes the
+    # component indices 1, 2, 3 and slot 1 (a_1 = 9) takes 1 and 2, so 5
+    # distinct (slot, index) pairs, below 3f = 6
+    per_slot = {"type_part": 5, "slot_matrix": 5, "slot_recovers": 5, "torus_slot_rows": 5}
+    expected = {
+        "xset": {},
+        "types": {"type_part": 5},
+        "kisin": dict(per_slot, etale_matrices=1),
+    }
+    for command, counts in expected.items():
         calls.update(dict.fromkeys(calls, 0))
         rc, doc = run(capsys, [command, "--config", f2_config])
         assert rc == 0 and doc["count"] == 6
-        assert calls == {
-            "serre_weights": 1,
-            "adm_set": 1,
-            "kisin_matrices": matrices,
-            "tau_presentation": types,
-        }, command
+        want = dict.fromkeys(origin, 0)
+        want.update(serre_weights=1, adm_set=1, **counts)
+        assert calls == want, command
     assert all(e["recovery"] for e in doc["elements"])
 
 
@@ -318,16 +330,23 @@ def test_kisin_report_matches_per_element_twin(tmp_path):
 
 
 def test_slot_matrix_depends_on_slot_and_component_index_only():
-    """kisin_matrices builds slot i from the profile and idx[i] alone, the
-    fact cmd_kisin's per-report table rests on."""
+    """kisin_matrices builds slot i from the profile and idx[i] alone, and
+    slot j of the type presentation depends on the profile and idx[f-1-j]
+    alone: the facts cmd_kisin's and cmd_types' per-report tables rest on."""
     for name, cfg in kisin_twin_configs():
         rho = rho_mod.RhoBar.from_config(cfg)
+        f = rho.f
         first = {}
+        first_type = {}
         for w in rho_mod.x_rho(rho):
             data = kisin.kisin_matrices(rho, w)
+            tau = rho_mod.tau_presentation(rho, w)
             for i, k in enumerate(w):
                 assert data.mats[i] == first.setdefault((i, k), data.mats[i]), (name, w, i)
-        assert len(first) <= 3 * rho.f
+            for j in range(f):
+                part = (tau.s_tau[j], tau.mu_plus_eta[j])
+                assert part == first_type.setdefault((j, w[f - 1 - j]), part), (name, w, j)
+        assert len(first) <= 3 * f and len(first_type) <= 3 * f
 
 
 def test_d0(capsys, f2_config):

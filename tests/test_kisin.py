@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+from gl2kisin import fp_linalg
 from gl2kisin.errors import ConfigError, PreconditionError
 from gl2kisin.fields import GF
 from gl2kisin.kisin import (
@@ -17,10 +18,11 @@ from gl2kisin.kisin import (
 )
 from gl2kisin.laurent import Laurent, phi_twist
 from gl2kisin.matrices import Mat2, monomial_matrix
-from gl2kisin.rho import RhoBar, x_rho
-from gl2kisin.weights import ADM_COMPONENTS
+from gl2kisin.rho import RhoBar, TypePresentation, tau_presentation, x_rho
+from gl2kisin.weights import ADM_COMPONENTS, classify_weight, s_apply, star
 
 from conftest import random_profile
+from test_cli import kisin_twin_configs
 
 F31 = GF(31)
 
@@ -353,49 +355,56 @@ def test_torus_rigidity_fixture_dims(f1_nonsplit, f2_mixed, f1_irred):
                 assert dim == expected == 2 * rho.f
 
 
+def brute_force_profiles():
+    """The f = 1 profiles at p 5 and 7 that the brute-force count runs on:
+    nonsplit, split and irreducible."""
+    for p in (5, 7):
+        F = GF(p)
+        for a, irreducible in ((1, False), (0, False), (0, True)):
+            yield RhoBar(p=p, f=1, r=(2,), a=(F(a),), alpha=(F(2),), beta=(F(3),),
+                         irreducible=irreducible, mode="permissive")
+
+
 def test_torus_rigidity_brute_force():
     """Count every perturbation h of degree <= H = 1 whose movements keep the
     gauge degree bounds, by Laurent arithmetic; the solutions form the kernel,
     so there are p^dim of them."""
     H = 1
-    for p in (5, 7):
-        F = GF(p)
-        for a, irreducible in ((1, False), (0, False), (0, True)):
-            rho = RhoBar(p=p, f=1, r=(2,), a=(F(a),), alpha=(F(2),), beta=(F(3),),
-                         irreducible=irreducible, mode="permissive")
-            for w in x_rho(rho):
-                data = kisin_matrices(rho, w)
-                slots = []  # (entries, det, highest degree per entry then of the det)
-                for A, k in zip(data.mats, w):
-                    s, (n1, n2) = ADM_COMPONENTS[k]
-                    if s == 0:
-                        bounds = (n1, n2 - 1, n1, n2, n1 + n2)
-                    else:
-                        bounds = (n1 - 1, n2, n1, n2, n1 + n2)
-                    slots.append((A.entries(), A.det(), bounds))
+    for rho in brute_force_profiles():
+        p, F = rho.p, rho.field
+        for w in x_rho(rho):
+            data = kisin_matrices(rho, w)
+            slots = []  # (entries, det, highest degree per entry then of the det)
+            for A, k in zip(data.mats, w):
+                s, (n1, n2) = ADM_COMPONENTS[k]
+                if s == 0:
+                    bounds = (n1, n2 - 1, n1, n2, n1 + n2)
+                else:
+                    bounds = (n1 - 1, n2, n1, n2, n1 + n2)
+                slots.append((A.entries(), A.det(), bounds))
 
-                def keeps_bounds(h):
-                    for i, ((a11, a12, a21, a22), det, bounds) in enumerate(slots):
-                        h1, h2 = h[i]
-                        g1, g2 = (phi_twist(x) for x in h[i - 1])
-                        moves = (
-                            h1 * a11 - a11 * g1,
-                            h1 * a12 - a12 * g2,
-                            h2 * a21 - a21 * g1,
-                            h2 * a22 - a22 * g2,
-                            det * (h1 + h2 - g1 - g2),
-                        )
-                        if any(m.degree() > b for m, b in zip(moves, bounds)):
-                            return False
-                    return True
+            def keeps_bounds(h):
+                for i, ((a11, a12, a21, a22), det, bounds) in enumerate(slots):
+                    h1, h2 = h[i]
+                    g1, g2 = (phi_twist(x) for x in h[i - 1])
+                    moves = (
+                        h1 * a11 - a11 * g1,
+                        h1 * a12 - a12 * g2,
+                        h2 * a21 - a21 * g1,
+                        h2 * a22 - a22 * g2,
+                        det * (h1 + h2 - g1 - g2),
+                    )
+                    if any(m.degree() > b for m, b in zip(moves, bounds)):
+                        return False
+                return True
 
-                solutions = 0
-                for c in itertools.product(range(p), repeat=2 * rho.f * (H + 1)):
-                    polys = [Laurent(F, dict(enumerate(c[n : n + H + 1])))
-                             for n in range(0, len(c), H + 1)]
-                    solutions += keeps_bounds(list(zip(polys[::2], polys[1::2])))
-                dim, _expected = torus_rigidity_dims(data, H)
-                assert solutions == p ** dim, (rho, w)
+            solutions = 0
+            for c in itertools.product(range(p), repeat=2 * rho.f * (H + 1)):
+                polys = [Laurent(F, dict(enumerate(c[n : n + H + 1])))
+                         for n in range(0, len(c), H + 1)]
+                solutions += keeps_bounds(list(zip(polys[::2], polys[1::2])))
+            dim, _expected = torus_rigidity_dims(data, H)
+            assert solutions == p ** dim, (rho, w)
 
 
 def test_torus_rigidity_refuses_non_gauge_matrix(f1_nonsplit):
@@ -417,3 +426,112 @@ def test_torus_rigidity_extension_field_refused():
     data = kisin_matrices(rho_ext, (1,))
     with pytest.raises(PreconditionError):
         torus_rigidity_dims(data)
+
+
+# ---------------------------------------------------------------------------
+# per-element twins: each object computed over the whole element at once
+
+
+def torus_rows_twin(data, H):
+    """Every row of every slot's degree bounds, in one list."""
+    rho = data.rho
+    if rho.field.degree != 1:
+        raise PreconditionError("torus rigidity is implemented over prime fields")
+    f, p = rho.f, rho.p
+    rows = []
+    for i in range(f):
+        A = data.mats[i]
+        component = ADM_COMPONENTS[data.wtilde[i]]
+        if not gauge_check(A, component):
+            raise PreconditionError("slot matrix %d is not in gauge normal form" % i)
+        s, (n1, n2) = component
+        bounds = (n1, n2 - 1, n1, n2) if s == 0 else (n1 - 1, n2, n1, n2)
+        for q, (terms, bound) in enumerate(zip(A.terms(), bounds)):
+            l, k = divmod(q, 2)
+            here = (2 * i + l) * (H + 1)
+            prev = (2 * ((i - 1) % f) + k) * (H + 1)
+            by_degree = {}
+            for d, coeff in terms.items():
+                for e in range(H + 1):
+                    for g, col, c in ((d + e, here, coeff), (d + p * e, prev, -coeff)):
+                        if g > bound:
+                            row = by_degree.setdefault(g, {})
+                            row[col + e] = row.get(col + e, 0) + c
+            rows.extend(by_degree.values())
+    return rows
+
+
+def torus_rigidity_dims_twin(data, H=4):
+    """All rows in one system, reduced by one kernel_dim."""
+    f = data.rho.f
+    return fp_linalg.kernel_dim(torus_rows_twin(data, H), 2 * f * (H + 1), data.rho.p), 2 * f
+
+
+# (nu', w, s) cells of the presentation table whose mu_tau + eta row is (r_j, 0)
+TABLE_A_TWIN = {((2, 1), 0, 0), ((2, 1), 1, 1), ((1, 2), 0, 1)}
+
+
+def tau_presentation_twin(rho, wtilde):
+    """Star the whole element, then read each starred component's row."""
+    starred = star([ADM_COMPONENTS[k] for k in wtilde])
+    s_tau, mu_plus_eta = [], []
+    for j, (w_part, nu) in enumerate(starred):
+        s_j = rho.s_component(j)
+        if (s_apply(w_part, nu), w_part, s_j) in TABLE_A_TWIN:
+            mu_plus_eta.append((rho.r[j], 0))
+        else:
+            mu_plus_eta.append((rho.r[j] + 1, -1))
+        s_tau.append(s_j ^ w_part)
+    mu_tau = tuple((x1 - 1, x2) for x1, x2 in mu_plus_eta)
+    depth = classify_weight(mu_tau, rho.p).depth
+    return TypePresentation(
+        wtilde=tuple(wtilde),
+        s_tau=tuple(s_tau),
+        mu_tau=mu_tau,
+        mu_plus_eta=tuple(mu_plus_eta),
+        generic_depth=-1 if depth is None else depth,
+    )
+
+
+def verify_recovery_twin(data):
+    """A^(i) * s(tau)_j * v^(mu_tau_j + eta_j) == Frobenius matrix (i), with
+    the two factors multiplied in separately."""
+    rho = data.rho
+    target = etale_matrices(rho)
+    for j in range(rho.f):
+        i = rho.f - 1 - j
+        s = monomial_matrix(rho.field, data.tau.s_tau[j], (0, 0))
+        v_mu = monomial_matrix(rho.field, 0, data.tau.mu_plus_eta[j])
+        if data.mats[i] * s * v_mu != target[i]:
+            return False
+    return True
+
+
+def test_compositions_match_element_twins():
+    """Type presentation, recovery and torus rigidity, composed slot by
+    slot, equal their per-element twins on every listed element."""
+    for name, cfg in kisin_twin_configs():
+        rho = RhoBar.from_config(cfg)
+        for w in x_rho(rho):
+            data = kisin_matrices(rho, w)
+            assert tau_presentation(rho, w) == data.tau == tau_presentation_twin(rho, w), (name, w)
+            assert verify_recovery(data) is verify_recovery_twin(data) is True, (name, w)
+            if rho.field.degree == 1:
+                assert torus_rigidity_dims(data) == torus_rigidity_dims_twin(data), (name, w)
+
+
+def test_torus_rigidity_matches_twin_at_small_primes():
+    """At p <= H a degree d + e of h can meet a degree d + p*e' of phi(h'),
+    so some rows have two columns; the slot-by-slot reduction still equals
+    the one elimination of all rows."""
+    two_column_rows = 0
+    for rho in brute_force_profiles():
+        for w in x_rho(rho):
+            data = kisin_matrices(rho, w)
+            for H in (1, 2, 4, 6):
+                assert torus_rigidity_dims(data, H) == torus_rigidity_dims_twin(data, H), (rho, w, H)
+                two_column_rows += sum(
+                    sum(1 for v in row.values() if v % rho.p) == 2
+                    for row in torus_rows_twin(data, H)
+                )
+    assert two_column_rows
