@@ -22,7 +22,7 @@ from .fields import GF
 from .kisin import (
     etale_matrices,
     gauge_check,
-    height_check,
+    height_checks,
     require_allowed,
     shape_of,
     slot_matrix,
@@ -221,11 +221,12 @@ def cmd_kisin(args):
                 m = slot_matrix(rho, i, k)
                 sh = shape_of(m)
                 part = type_part(rho, f - 1 - i, k)
+                exact, window = height_checks(m, (2, 1))
                 shown = {
                     "component_index": k,
                     "gauge": gauge_check(m, ADM_COMPONENTS[k]),
-                    "height_exact": height_check(m, (2, 1)),
-                    "height_window": height_check(m, (2, 1), "window"),
+                    "height_exact": exact,
+                    "height_window": window,
                     "shape": {"s": sh.s, "nu": sh.nu, "adm_index": sh.adm_index()},
                     "matrix": m,
                 }

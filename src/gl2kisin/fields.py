@@ -8,9 +8,14 @@ encoding sum(a_i * p^i), so encodings are reproducible across runs.
 
 A FiniteField computes on residues: a prime field with % p, a proper
 extension through exp/log tables of a primitive element, with Zech logarithms
-for addition.  The tables are built once per (p, d, modulus), only for fields
-of at most MAX_TABLE_ORDER elements; a larger extension field raises
-PreconditionError.
+for addition (Lidl-Niederreiter, Finite Fields, ch. 2).  The tables are built
+once per (p, d, modulus), only for fields of at most MAX_TABLE_ORDER
+elements; a larger extension field raises PreconditionError.
+
+Beside its residue ops each field holds mul_terms, the product of two
+{degree: residue} term dicts that laurent.mul_terms delegates to: a prime
+field sums integer products and reduces once, an extension field adds logs
+and sums through the Zech table, with no call per coefficient.
 
 Every layer computes on residues: Laurent terms, RhoBar's parameters, the
 F_p kernel and d0 hold ints, and FiniteField.residue turns an element, int or
@@ -214,7 +219,29 @@ def _prime_ops(p):
     def power(a, e):
         return pow(a, e, p)
 
-    return add, sub, neg, mul, inv, power
+    def mul_terms(a, b):
+        if len(a) != 1:
+            if len(b) != 1:
+                if not a or not b:
+                    return {}
+                # accumulate plain integer products, reduce once
+                out = {}
+                for d1, c1 in a.items():
+                    for d2, c2 in b.items():
+                        d = d1 + d2
+                        out[d] = out.get(d, 0) + c1 * c2
+                return {d: r for d, c in out.items() if (r := c % p)}
+            a, b = b, a
+        # a is a single term, so no two products share a degree and none
+        # vanishes (fields have no zero divisors)
+        (d1,) = a
+        c1 = a[d1]
+        if len(b) == 1:  # a literal is cheaper than a comprehension
+            (d2,) = b
+            return {d1 + d2: c1 * b[d2] % p}
+        return {d1 + d: c1 * c % p for d, c in b.items()}
+
+    return add, sub, neg, mul, inv, power, mul_terms
 
 
 def _table_ops(p, degree, modulus):
@@ -249,7 +276,34 @@ def _table_ops(p, degree, modulus):
             return 0 if e else 1
         return exp[log[a] * e % m]
 
-    return add, sub, neg, mul, inv, power
+    # products run on logs: g^s + g^t = g^(t + zech[s - t]), so a long
+    # product keeps each degree's running sum as a log, -1 once it cancels
+    def mul_terms(a, b):
+        if len(a) != 1:
+            if len(b) != 1:
+                if not a or not b:
+                    return {}
+                lb = [(d2, log[c2]) for d2, c2 in b.items()]
+                out = {}
+                for d1, c1 in a.items():
+                    l1 = log[c1]
+                    for d2, l2 in lb:
+                        d = d1 + d2
+                        cur = out.get(d, -1)
+                        if cur < 0:
+                            out[d] = l1 + l2
+                        else:
+                            z = zech[(l1 + l2 - cur) % m]
+                            out[d] = (cur + z) % m if z >= 0 else -1
+                return {d: exp[s] for d, s in out.items() if s >= 0}
+            a, b = b, a
+        # a is a single term, so no two products share a degree and none
+        # vanishes (fields have no zero divisors)
+        (d1,) = a
+        l1 = log[a[d1]]
+        return {d1 + d: exp[l1 + log[c]] for d, c in b.items()}
+
+    return add, sub, neg, mul, inv, power, mul_terms
 
 
 class FieldElement:
@@ -375,12 +429,14 @@ class FiniteField:
 
     add, sub, neg, mul, inv and power compute on residues in
     [0, order); inv needs a nonzero argument and power a non-negative
-    exponent.
+    exponent.  mul_terms(a, b) is the product of two {degree: residue}
+    dicts holding no zero residue; it returns a new dict of the same kind
+    and leaves a and b unchanged.
     """
 
     __slots__ = (
         "p", "degree", "modulus", "order",
-        "add", "sub", "neg", "mul", "inv", "power",
+        "add", "sub", "neg", "mul", "inv", "power", "mul_terms",
     )
 
     def __init__(self, p, degree=1, modulus=None):
@@ -409,7 +465,7 @@ class FiniteField:
                 raise ConfigError("modulus polynomial is reducible")
             self.modulus = modulus
             ops = _table_ops(p, degree, modulus)
-        self.add, self.sub, self.neg, self.mul, self.inv, self.power = ops
+        self.add, self.sub, self.neg, self.mul, self.inv, self.power, self.mul_terms = ops
 
     def __reduce__(self):
         return FiniteField, (self.p, self.degree, self.modulus)

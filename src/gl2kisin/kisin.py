@@ -166,20 +166,27 @@ def height_check(M, lam, bound_mode="exact"):
     exact: every entry has valuation >= l2 and det has valuation exactly
     l1 + l2.  window: det only has to be nonzero of valuation <= l1 + l2.
     """
+    exact, window = height_checks(M, lam)
+    if bound_mode == "exact":
+        return exact
+    if bound_mode == "window":
+        return window
+    raise ConfigError("bound_mode must be 'exact' or 'window'")
+
+
+def height_checks(M, lam):
+    """(exact, window): height_check in both bound modes, from one det."""
     l1, l2 = lam
     if not l1 >= l2 >= 0:
         raise ConfigError("height pair must satisfy l1 >= l2 >= 0")
-    if bound_mode not in ("exact", "window"):
-        raise ConfigError("bound_mode must be 'exact' or 'window'")
-    for e in M.entries():
-        if e and e.valuation() < l2:
-            return False
+    for t in M.terms():
+        if t and min(t) < l2:
+            return False, False
     d = M.det()
     if d.is_zero():
-        return False
-    if bound_mode == "exact":
-        return d.valuation() == l1 + l2
-    return d.valuation() <= l1 + l2
+        return False, False
+    v = d.valuation()
+    return v == l1 + l2, v <= l1 + l2
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@
 INPUT/OUTPUT convention: a Laurent polynomial stores `terms`, a dict
 {degree: residue} holding only nonzero residues of its field (see fields.py);
 the zero polynomial is the empty dict.  All arithmetic runs on those
-residues.  `coeffs` is the same dict with FieldElement values, for callers
-that want elements.  valuation() of zero is +inf and degree() of zero is -inf
-so that the usual comparisons and the additivity law
-val(m*n) = val(m) + val(n) hold without special cases.
+residues: products in the field's own term-dict kernel (FiniteField.mul_terms),
+sums and series inverses through its residue ops.  `coeffs` is the same dict
+with FieldElement values, for callers that want elements.  valuation() of
+zero is +inf and degree() of zero is -inf so that the usual comparisons and
+the additivity law val(m*n) = val(m) + val(n) hold without special cases.
 """
 
 import math
@@ -30,6 +31,7 @@ def _new(field, terms):
 # ---------------------------------------------------------------------------
 # term-dict kernels: the arithmetic behind Laurent, on bare {degree: residue}
 # dicts.  kisin.shape_of runs its row and column operations on these directly.
+# Products are the field's own kernel (fields.py), sums merge degree by degree.
 
 
 def add_terms(field, a, b):
@@ -63,46 +65,8 @@ def neg_terms(field, a):
 
 
 def mul_terms(field, a, b):
-    """a * b."""
-    if len(a) != 1:
-        if len(b) != 1:
-            return _mul_long(field, a, b)
-        a, b = b, a
-    if not b:
-        return {}
-    # a is a single term, so no two products share a degree and none
-    # vanishes (fields have no zero divisors)
-    (d1,) = a
-    c1 = a[d1]
-    if field.degree == 1:
-        p = field.p
-        if len(b) == 1:  # a literal is cheaper than a comprehension
-            (d2,) = b
-            return {d1 + d2: c1 * b[d2] % p}
-        return {d1 + d: c1 * c % p for d, c in b.items()}
-    mul = field.mul
-    return {d1 + d: mul(c1, c) for d, c in b.items()}
-
-
-def _mul_long(field, a, b):
-    # a * b with no single-term factor
-    if not a or not b:
-        return {}
-    out = {}
-    if field.degree == 1:
-        # prime field: accumulate plain integer products, reduce once
-        for d1, c1 in a.items():
-            for d2, c2 in b.items():
-                d = d1 + d2
-                out[d] = out.get(d, 0) + c1 * c2
-        p = field.p
-        return {d: r for d, c in out.items() if (r := c % p)}
-    add, mul = field.add, field.mul
-    for d1, c1 in a.items():
-        for d2, c2 in b.items():
-            d = d1 + d2
-            out[d] = add(out.get(d, 0), mul(c1, c2))
-    return {d: c for d, c in out.items() if c}
+    """a * b, by the field's product kernel."""
+    return field.mul_terms(a, b)
 
 
 def truncate_terms(a, prec):

@@ -12,6 +12,7 @@ substitution.
 """
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heapreplace
 
 from . import fp_linalg
 from .errors import ConfigError, PreconditionError
@@ -45,6 +46,8 @@ FRAME_NAMES = ("frame_11", "frame_12", "frame_21", "frame_22")
 _FRAME_INDEX = {n: i for i, n in enumerate(FRAME_NAMES)}
 
 M11, M12, M21, M22 = 0, 1, 2, 3
+# the (l, k) entries of a slot's recurrence, in row order at each degree
+_ENTRIES = ((1, 1), (1, 2), (2, 1), (2, 2))
 
 
 def pivot_slot(rho):
@@ -165,47 +168,63 @@ def assemble_system(rho, b=None, degree_bound=None, min_degree=0):
         # value is a nonzero residue as given; later ones add mod p, and a 0
         # where terms cancel stays in the row.
         entries = []
-        for l in (1, 2):
-            for k in (1, 2):
-                prev = [
-                    (system.col_m(jm, 2 * l + t - 3, 0), delta[t - 1][k - 1])
-                    for t in (1, 2)
-                    if delta[t - 1][k - 1]
-                ]
-                if len(prev) == 2:
-                    (c1, v1), (c2, v2) = prev
-                    inside = [{c1 + e: v1, c2 + e: v2} for e in window]
-                elif prev:
-                    ((c1, v1),) = prev
-                    inside = [{c1 + e: v1} for e in window]
-                else:
-                    inside = [{} for _e in window]
-                # (x, column of degree 0, value, degrees d): value at column
-                # + d in row p*d + x; a correction parameter has d = 0 only
-                terms = []
-                for t in (1, 2):
-                    val = delta[l - 1][t - 1]
-                    if val:
-                        x = sh * (k - t)
-                        ds = range(min_degree, min(degree_bound, (degree_bound - x) // p) + 1)
-                        terms.append((x, system.col_m(j, 2 * t + k - 3, 0), p - val, ds))
-                for x, suffix in ((0, "0"), (-1, "m1"), (-2, "m2")):
-                    name = "p%d%d_%s" % (l, k, suffix)
-                    if name in _PARAM_INDEX:
-                        terms.append((x, system.col_param(j, name), p - 1, range(1)))
-                below = {}  # degree below the window -> row
-                for x, col, val, ds in terms:
-                    for d in ds:
-                        e = p * d + x
-                        row = inside[e - min_degree] if e >= min_degree else below.setdefault(e, {})
-                        row[col + d] = (row.get(col + d, 0) + val) % p
-                entries.append((l, k, inside, below))
-        for e in sorted(set().union(*(below for _l, _k, _inside, below in entries))):
-            for l, k, _inside, below in entries:
-                if e in below:
-                    rows.append((("rec", j, l, k, e), below[e]))
+        # per term reaching below the window, the next such row it enters:
+        # (degree, entry, term, d, end of its d, column of degree 0, value)
+        below = []
+        for n, (l, k) in enumerate(_ENTRIES):
+            prev = [
+                (system.col_m(jm, 2 * l + t - 3, 0), delta[t - 1][k - 1])
+                for t in (1, 2)
+                if delta[t - 1][k - 1]
+            ]
+            if len(prev) == 2:
+                (c1, v1), (c2, v2) = prev
+                inside = [{c1 + e: v1, c2 + e: v2} for e in window]
+            elif prev:
+                ((c1, v1),) = prev
+                inside = [{c1 + e: v1} for e in window]
+            else:
+                inside = [{} for _e in window]
+            # (x, column of degree 0, value, degrees d from lo to hi - 1):
+            # value at column + d in row p*d + x; a correction parameter has
+            # d = 0 only
+            terms = []
+            for t in (1, 2):
+                val = delta[l - 1][t - 1]
+                if val:
+                    x = sh * (k - t)
+                    hi = min(degree_bound, (degree_bound - x) // p) + 1
+                    terms.append((x, system.col_m(j, 2 * t + k - 3, 0), p - val, min_degree, hi))
+            for x, suffix in ((0, "0"), (-1, "m1"), (-2, "m2")):
+                name = "p%d%d_%s" % (l, k, suffix)
+                if name in _PARAM_INDEX:
+                    terms.append((x, system.col_param(j, name), p - 1, 0, 1))
+            for t, (x, col, val, lo, hi) in enumerate(terms):
+                # the first d whose degree p*d + x lies in the window
+                cut = max(lo, -((x - min_degree) // p))
+                if cut > lo:
+                    below.append((p * lo + x, n, t, lo, min(cut, hi), col, val))
+                for d in range(cut, hi):
+                    row = inside[p * d + x - min_degree]
+                    row[col + d] = (row.get(col + d, 0) + val) % p
+            entries.append((l, k, inside))
+        # each term's degrees below the window ascend by p, so a heap keyed
+        # by (degree, entry, term) streams those rows in order
+        heapify(below)
+        row_e = row_n = None
+        while below:
+            e, n, t, d, end, col, val = below[0]
+            if e != row_e or n != row_n:
+                row_e, row_n = e, n
+                row = {}
+                rows.append((("rec", j, *_ENTRIES[n], e), row))
+            row[col + d] = (row.get(col + d, 0) + val) % p
+            if d + 1 < end:
+                heapreplace(below, (e + p, n, t, d + 1, end, col, val))
+            else:
+                heappop(below)
         for i, e in enumerate(window):
-            for l, k, inside, _below in entries:
+            for l, k, inside in entries:
                 if inside[i]:
                     rows.append((("rec", j, l, k, e), inside[i]))
 

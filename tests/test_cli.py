@@ -195,7 +195,8 @@ def test_reports_derive_each_object_once(monkeypatch, capsys, f2_config):
     per report.  types and kisin build each per-slot object once per
     distinct (slot, component index), at most 3f of them, and compose every
     element from those: neither builds a whole element's matrices or type
-    presentation, and kisin builds the profile matrices once."""
+    presentation, and kisin builds the profile matrices once and checks
+    each slot's height in both modes from one det."""
     origin = {
         "serre_weights": rho_mod,
         "adm_set": weights,
@@ -206,6 +207,8 @@ def test_reports_derive_each_object_once(monkeypatch, capsys, f2_config):
         "slot_recovers": kisin,
         "torus_slot_rows": kisin,
         "etale_matrices": kisin,
+        "height_check": kisin,
+        "height_checks": kisin,
     }
     calls = dict.fromkeys(origin, 0)
 
@@ -229,7 +232,8 @@ def test_reports_derive_each_object_once(monkeypatch, capsys, f2_config):
     expected = {
         "xset": {},
         "types": {"type_part": 5},
-        "kisin": dict(per_slot, etale_matrices=1),
+        # both height modes of a slot come from one height_checks call
+        "kisin": dict(per_slot, etale_matrices=1, height_checks=5),
     }
     for command, counts in expected.items():
         calls.update(dict.fromkeys(calls, 0))

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -10,6 +12,7 @@ from gl2kisin.kisin import (
     etale_matrices,
     gauge_check,
     height_check,
+    height_checks,
     iwahori_check,
     kisin_matrices,
     shape_of,
@@ -18,6 +21,7 @@ from gl2kisin.kisin import (
 )
 from gl2kisin.laurent import Laurent, phi_twist
 from gl2kisin.matrices import Mat2, monomial_matrix
+from gl2kisin.oracles import random_truncated_invertible
 from gl2kisin.rho import RhoBar, TypePresentation, tau_presentation, x_rho
 from gl2kisin.weights import ADM_COMPONENTS, classify_weight, s_apply, star
 
@@ -216,6 +220,36 @@ def test_height_check_modes():
     assert not height_check(Mat2.zero(F), (2, 1))
 
 
+def height_check_twin(M, lam, bound_mode):
+    """height_check as it stood before height_checks: one det per mode."""
+    l1, l2 = lam
+    for e in M.entries():
+        if e and e.valuation() < l2:
+            return False
+    d = M.det()
+    if d.is_zero():
+        return False
+    if bound_mode == "exact":
+        return d.valuation() == l1 + l2
+    return d.valuation() <= l1 + l2
+
+
+def test_height_checks_match_twin_from_one_det(monkeypatch, rng):
+    dets = []
+    det = Mat2.det
+    monkeypatch.setattr(Mat2, "det", lambda M: dets.append(M) or det(M))
+    for field in (GF(31), GF(3, 2)):
+        mats = [rand_invertible(field, rng, lo=-1, hi=4) for _ in range(60)]
+        mats += [Mat2.zero(field), Mat2.diagonal(field, mono(field, 1, 2), Laurent.zero(field))]
+        for M in mats:
+            for lam in ((2, 1), (3, 1), (1, 0), (4, 4), (0, 0)):
+                want = tuple(height_check_twin(M, lam, mode) for mode in ("exact", "window"))
+                dets.clear()
+                assert height_checks(M, lam) == want
+                assert len(dets) <= 1
+                assert tuple(height_check(M, lam, mode) for mode in ("exact", "window")) == want
+
+
 def test_iwahori_check():
     F = GF(31)
     good = Mat2(F, Laurent.const(F, 2), mono(F, 4, 0), mono(F, 1, 1), Laurent.const(F, 1))
@@ -340,6 +374,47 @@ def test_shapes_of_kisin_match_labels(rng):
                     else ADM_COMPONENTS[w[i]]
                 )
                 assert got[i] == expected
+
+
+def extension_witness_matrices(field, rng, count):
+    """count invertible matrices over field, cycling through three kinds:
+    dense entries in degrees -3..4, three-term entries in degrees -3..3, and
+    oracles.random_truncated_invertible's polynomials mod v^4."""
+    out = []
+    while len(out) < count:
+        kind = len(out) % 3
+        if kind == 2:
+            out.append(random_truncated_invertible(field, rng))
+            continue
+        if kind == 0:
+            entries = [Laurent(field, {d: field.random(rng) for d in range(-3, 5)}) for _ in range(4)]
+        else:
+            entries = [
+                Laurent.from_pairs(field, [(rng.randrange(-3, 4), field.random(rng)) for _ in range(3)])
+                for _ in range(4)
+            ]
+        M = Mat2(field, *entries)
+        if M.det():
+            out.append(M)
+    return out
+
+
+# sha256 of shape_of's (s, nu, left, right) on 500 seeded matrices per field
+# over F4, F8, F9 and F31^2, recorded with per-coefficient field.add/mul
+# products: a change to an F_q product or to the reduction must keep the
+# witnesses, not only the components
+EXTENSION_WITNESS_DIGEST = "6af9b09ade365f24e0c7fd04c47d886c188be6fe739d8fd7b8175d8e714a1c91"
+
+
+def test_extension_field_witnesses_match_pinned_digest():
+    h = hashlib.sha256()
+    for field in (GF(2, 2), GF(2, 3), GF(3, 2), GF(31, 2)):
+        rng = random.Random(19)
+        for M in extension_witness_matrices(field, rng, 500):
+            sh = shape_of(M)
+            witness = [sorted(t.items()) for W in (sh.left, sh.right) for t in W.terms()]
+            h.update(repr((sh.s, sh.nu, witness)).encode())
+    assert h.hexdigest() == EXTENSION_WITNESS_DIGEST
 
 
 # ---------------------------------------------------------------------------

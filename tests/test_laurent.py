@@ -6,15 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gl2kisin.errors import ConfigError
-from gl2kisin.fields import GF
-from gl2kisin.laurent import Laurent, phi_twist, series_div, series_inverse
+from gl2kisin.fields import GF, FieldElement
+from gl2kisin.laurent import Laurent, mul_terms, phi_twist, series_div, series_inverse
 
 F31 = GF(31)
 F9 = GF(3, 2)
 F8 = GF(2, 3)
-# the ring laws run over the prime field and over two extension fields, whose
-# products and inverses take the field.add/mul/inv path instead of int residues
+# the ring laws run over the prime field and over two extension fields:
+# products run in each field's own kernel (integer products reduced mod p, or
+# sums of exp/log/Zech-table logs), sums and inverses in field.add/sub/inv
 RING_FIELDS = (F31, F9, F8)
+# the product kernel's twin test adds F4, F31^2 and the largest table field
+KERNEL_FIELDS = (GF(2, 2), F8, F9, GF(31, 2), GF(2, 16), F31)
 
 
 def rand_laurent(field, rng, lo=-4, hi=6, terms=5):
@@ -74,6 +77,62 @@ def test_mul_distributes(seed):
         assert a * (b + c) == a * b + a * c, field
         assert (a * b) * c == a * (b * c), field
         assert a * b == b * a, field
+
+
+def schoolbook_product(field, a, b):
+    """a * b on term dicts, one FieldElement product and sum per pair."""
+    out = {}
+    for d1, c1 in a.items():
+        for d2, c2 in b.items():
+            d = d1 + d2
+            out[d] = out.get(d, field.zero()) + FieldElement(field, c1) * FieldElement(field, c2)
+    return {d: c.n for d, c in out.items() if c}
+
+
+def assert_kernel_matches_schoolbook(field, a, b):
+    a_before, b_before = dict(a), dict(b)
+    got = mul_terms(field, a, b)
+    assert got == schoolbook_product(field, a, b), (field, a, b)
+    assert all(0 < c < field.order for c in got.values()), (field, got)
+    assert a == a_before and b == b_before
+
+
+@st.composite
+def kernel_operands(draw):
+    """A field and two term dicts over it.  Many coefficients are +-1 or
+    +-2, so products often cancel a degree to 0."""
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    units = st.sampled_from(sorted({1, field.neg(1), 2, field.neg(2)})) | st.integers(1, field.order - 1)
+    terms = st.dictionaries(st.integers(-5, 5), units, max_size=6)
+    return field, draw(terms), draw(terms)
+
+
+@given(kernel_operands())
+@settings(max_examples=400, deadline=None)
+def test_mul_terms_matches_schoolbook_twin(case):
+    assert_kernel_matches_schoolbook(*case)
+
+
+def test_mul_terms_edge_operands():
+    for field in KERNEL_FIELDS:
+        one, minus_one = 1, field.neg(1)
+        operands = ({}, {0: one}, {-3: 2}, {0: one, 1: one}, {0: one, 1: minus_one}, {-2: 2, 4: minus_one})
+        for a in operands:
+            for b in operands:
+                assert_kernel_matches_schoolbook(field, a, b)
+    # (1 + v)^2 = 1 + v^2 in characteristic 2: degree 1 cancels to 0
+    for field in (GF(2, 2), F8, GF(2, 16)):
+        assert mul_terms(field, {0: 1, 1: 1}, {0: 1, 1: 1}) == {0: 1, 2: 1}
+    # (1 + v)^3 = 1 + v^3 in characteristic 3; (1 + v)(1 - v) = 1 - v^2
+    assert mul_terms(F9, mul_terms(F9, {0: 1, 1: 1}, {0: 1, 1: 1}), {0: 1, 1: 1}) == {0: 1, 3: 1}
+    for field in (F9, GF(31, 2), F31):
+        minus_one = field.neg(1)
+        assert mul_terms(field, {0: 1, 1: 1}, {0: 1, 1: minus_one}) == {0: 1, 2: minus_one}
+    # a degree that cancels and then receives another product stays nonzero
+    for field in KERNEL_FIELDS:
+        a = {0: 1, 1: 1, 2: 1}
+        b = {0: 1, 1: field.neg(1), 2: 1}
+        assert_kernel_matches_schoolbook(field, a, b)
 
 
 def test_scalar_and_int_coercion():
