@@ -5,6 +5,10 @@ digits of n, low first, are the element's coefficients against a monic
 modulus polynomial, so n is also the element's serialized form.  The default
 modulus of each degree is the first monic irreducible in the ascending integer
 encoding sum(a_i * p^i), so encodings are reproducible across runs.
+Irreducibility is trial division by every monic polynomial of degree at most
+d/2, and is only decided under the MAX_TABLE_ORDER cap below, so at most 510
+divisors; is_prime is composed from _prime_factors, the module's one integer
+trial division.
 
 A FiniteField computes on residues: a prime field with % p, a proper
 extension through exp/log tables of a primitive element, with Zech logarithms
@@ -31,17 +35,30 @@ from .errors import ConfigError, PreconditionError
 MAX_TABLE_ORDER = 1 << 16
 
 
-def is_prime(n):
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
+def _prime_factors(n):
+    out = []
+    d = 2
     while d * d <= n:
         if n % d == 0:
-            return False
-        d += 2
-    return True
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def is_prime(n):
+    return n > 1 and _prime_factors(n) == [n]
+
+
+def _require_table_order(p, degree):
+    if p**degree > MAX_TABLE_ORDER:
+        raise PreconditionError(
+            "F_%d^%d has %d elements; extension fields are limited to %d"
+            % (p, degree, p**degree, MAX_TABLE_ORDER)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -97,50 +114,20 @@ def _poly_powmod(base, e, mod, p):
     return result
 
 
-def _poly_gcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        # a mod b with b made monic on the fly
-        inv = pow(b[-1], -1, p)
-        bm = [(c * inv) % p for c in b]
-        a, b = b, _poly_rem(a, bm, p)
-        _poly_trim(b)
-    return a
-
-
 def poly_is_irreducible(coeffs, p):
     """True iff the monic polynomial with the given low-first coefficients is
-    irreducible over F_p.  Uses the standard x^(p^k) criterion."""
+    irreducible over F_p: no monic polynomial of degree 1 .. d // 2 divides
+    it.  Raises PreconditionError when p^d exceeds MAX_TABLE_ORDER, so there
+    are at most 510 trial divisors (p^d = 2^16)."""
     d = len(coeffs) - 1
     if d < 1 or coeffs[-1] != 1:
         return False
-    x = [0, 1]
-    # x^(p^d) == x mod f
-    xp = x
-    for _ in range(d):
-        xp = _poly_powmod(xp, p, coeffs, p)
-    diff = list(xp) + [0] * (2 - len(xp))
-    diff[1] = (diff[1] - 1) % p
-    if _poly_trim(list(diff)):
-        return False
-    # gcd(x^(p^(d/q)) - x, f) == 1 for every prime q | d
-    q = 2
-    dd = d
-    checked = set()
-    while dd > 1:
-        while dd % q:
-            q += 1
-        if q not in checked:
-            checked.add(q)
-            xp = x
-            for _ in range(d // q):
-                xp = _poly_powmod(xp, p, coeffs, p)
-            diff = list(xp) + [0] * (2 - len(xp))
-            diff[1] = (diff[1] - 1) % p
-            g = _poly_gcd(coeffs, _poly_trim(diff), p)
-            if len(g) != 1:
+    _require_table_order(p, d)
+    f = [c % p for c in coeffs]  # _poly_rem leaves low digits unreduced
+    for k in range(1, d // 2 + 1):
+        for m in range(p**k):
+            if not _poly_rem(f, _digits(m, p, k) + [1], p):
                 return False
-        dd //= q
     return True
 
 
@@ -152,20 +139,6 @@ def default_modulus(p, degree):
         if poly_is_irreducible(coeffs, p):
             return tuple(coeffs)
     raise RuntimeError("no irreducible found")  # pragma: no cover
-
-
-def _prime_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 @functools.lru_cache(maxsize=32)
@@ -451,11 +424,7 @@ class FiniteField:
             self.modulus = None
             ops = _prime_ops(p)
         else:
-            if self.order > MAX_TABLE_ORDER:
-                raise PreconditionError(
-                    "F_%d^%d has %d elements; extension fields are limited to %d"
-                    % (p, degree, self.order, MAX_TABLE_ORDER)
-                )
+            _require_table_order(p, degree)
             if modulus is None:
                 modulus = default_modulus(p, degree)
             modulus = tuple(c % p for c in modulus)

@@ -7,9 +7,10 @@ F_2 at truncation v^4.
 """
 
 import itertools
+import math
 
 from .errors import ConfigError, PreconditionError
-from .laurent import Laurent
+from .laurent import Laurent, sub_terms
 from .matrices import Mat2
 
 # Most candidate pairs (unit series, series) that coset_certify may enumerate
@@ -18,18 +19,32 @@ from .matrices import Mat2
 MAX_COSET_PAIRS = 1 << 16
 
 
-def _unit_polys(field, prec):
-    """Truncated power series with unit constant term."""
-    for const in range(1, field.order):
-        for rest in itertools.product(range(field.order), repeat=prec - 1):
-            coeffs = {d + 1: c for d, c in enumerate(rest)}
-            coeffs[0] = const
-            yield Laurent(field, coeffs)
+def _series(q, prec, val_min=0, unit=False):
+    """Term dicts of sum c_d v^d over val_min <= d < prec, ascending in
+    (c_val_min, ..., c_(prec-1)); a unit series has c_0 != 0."""
+    ranges = [range(q)] * (prec - val_min)
+    if unit:
+        ranges[0] = range(1, q)
+    for cs in itertools.product(*ranges):
+        yield {val_min + i: c for i, c in enumerate(cs) if c}
 
 
-def _polys(field, prec, val_min=0):
-    for coeffs in itertools.product(range(field.order), repeat=prec - val_min):
-        yield Laurent(field, {val_min + i: c for i, c in enumerate(coeffs)})
+def _half_search(field, prec, mine, other, val_min, cond):
+    # is there a unit series u and a series w of valuation >= val_min with
+    # cond on the two entries of u * mine - w * other?  Each u's two
+    # products are formed once for all its w.
+    mul = field.mul_terms
+    for u in _series(field.order, prec, unit=True):
+        um0, um1 = mul(u, mine[0]), mul(u, mine[1])
+        for w in _series(field.order, prec, val_min):
+            c0 = sub_terms(field, um0, mul(w, other[0]))
+            if cond(c0, sub_terms(field, um1, mul(w, other[1]))):
+                return True
+    return False
+
+
+def _val(t):
+    return min(t) if t else math.inf
 
 
 def random_truncated_invertible(field, rng, prec=4, max_det_val=3):
@@ -71,43 +86,26 @@ def coset_certify(M, component, prec=4):
             "coset search over F_%d at v^%d exceeds %d candidate pairs"
             % (q, prec, MAX_COSET_PAIRS)
         )
-    s, nu = component
+    s, (n1, n2) = component
     det = M.det()
     if det.is_zero():
         raise ConfigError("coset certification needs an invertible matrix")
-    if det.valuation() != nu[0] + nu[1]:
+    if det.valuation() != n1 + n2:
         return False
-    if prec < nu[0] + nu[1] + 1:
+    if prec < n1 + n2 + 1:
         raise ConfigError(
             "truncation v^%d cannot certify a component with nu1 + nu2 = %d"
-            % (prec, nu[0] + nu[1])
+            % (prec, n1 + n2)
         )
-
-    r1 = (M.a11, M.a12)
-    r2 = (M.a21, M.a22)
 
     # row 1 of adj(U) * M is u22 row1 - u12 row2; row 2 is u11 row2 - u21 row1.
     # After the s-swap and the v^-nu row shifts the Iwahori pattern becomes
     # pure valuation conditions on those rows.
-    if s == 0:
-        cond1 = lambda c0, c1: c0.valuation() == nu[0] and c1.valuation() >= nu[0]
-        cond2 = lambda c0, c1: c0.valuation() >= nu[1] + 1 and c1.valuation() == nu[1]
-    else:
-        cond1 = lambda c0, c1: c0.valuation() >= nu[1] + 1 and c1.valuation() == nu[1]
-        cond2 = lambda c0, c1: c0.valuation() == nu[0] and c1.valuation() >= nu[0]
-
-    found1 = False
-    for u22 in _unit_polys(field, prec):
-        for u12 in _polys(field, prec):
-            if cond1(u22 * r1[0] - u12 * r2[0], u22 * r1[1] - u12 * r2[1]):
-                found1 = True
-                break
-        if found1:
-            break
-    if not found1:
+    cond1 = lambda c0, c1: _val(c0) == n1 and _val(c1) >= n1
+    cond2 = lambda c0, c1: _val(c0) > n2 and _val(c1) == n2
+    if s:
+        cond1, cond2 = cond2, cond1
+    r1, r2 = (M.t11, M.t12), (M.t21, M.t22)
+    if not _half_search(field, prec, r1, r2, 0, cond1):
         return False
-    for u11 in _unit_polys(field, prec):
-        for u21 in _polys(field, prec, val_min=1):
-            if cond2(u11 * r2[0] - u21 * r1[0], u11 * r2[1] - u21 * r1[1]):
-                return True
-    return False
+    return _half_search(field, prec, r2, r1, 1, cond2)

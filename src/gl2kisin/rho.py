@@ -246,9 +246,10 @@ def _base_label(rho):
     return make_label(rho.r, sum(rho.p ** j for j in range(rho.f)), rho.p)
 
 
-# serre_weights lists at most 2^16 b-vectors, 16 free slots (an all-split f=16
-# `weights` takes about 2.6 s and 430 MiB on a 2-vCPU Xeon); more raise
-# PreconditionError before anything is enumerated.
+# serre_weights lists at most 2^16 b-vectors, 16 free slots (an all-split f=16,
+# p=101 `weights` takes about 2.2-3.2 s and 132 MiB peak RSS, in-process on a
+# 2-vCPU Xeon with Python 3.11); more raise PreconditionError before anything
+# is enumerated.
 MAX_WEIGHTS = 2**16
 
 

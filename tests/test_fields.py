@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -5,7 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gl2kisin.errors import ConfigError, PreconditionError
-from gl2kisin.fields import GF, MAX_TABLE_ORDER, default_modulus, poly_is_irreducible
+from gl2kisin.fields import (
+    GF,
+    MAX_TABLE_ORDER,
+    _digits,
+    _poly_powmod,
+    _poly_rem,
+    _poly_trim,
+    default_modulus,
+    is_prime,
+    poly_is_irreducible,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -204,3 +215,140 @@ def test_custom_modulus_changes_arithmetic():
     g = F.gen()
     assert (g * g).coeffs == (1, 2)
     assert F != GF(3, 2)
+
+
+# ---------------------------------------------------------------------------
+# irreducibility twin: the Frobenius-power/gcd (Rabin) test that fields.py
+# used before trial division.  It is wrong at degree 1 (it compares x^p mod f
+# with an unreduced x), so it is only compared from degree 2 up.
+
+
+def _gcd_twin(a, b, p):
+    a, b = list(a), list(b)
+    while b:
+        inv = pow(b[-1], -1, p)
+        bm = [(c * inv) % p for c in b]
+        a, b = b, _poly_rem(a, bm, p)
+        _poly_trim(b)
+    return a
+
+
+def rabin_is_irreducible(coeffs, p):
+    d = len(coeffs) - 1
+    if d < 1 or coeffs[-1] != 1:
+        return False
+    x = [0, 1]
+    xp = x
+    for _ in range(d):
+        xp = _poly_powmod(xp, p, coeffs, p)
+    diff = list(xp) + [0] * (2 - len(xp))
+    diff[1] = (diff[1] - 1) % p
+    if _poly_trim(list(diff)):
+        return False
+    q = 2
+    dd = d
+    checked = set()
+    while dd > 1:
+        while dd % q:
+            q += 1
+        if q not in checked:
+            checked.add(q)
+            xp = x
+            for _ in range(d // q):
+                xp = _poly_powmod(xp, p, coeffs, p)
+            diff = list(xp) + [0] * (2 - len(xp))
+            diff[1] = (diff[1] - 1) % p
+            g = _gcd_twin(coeffs, _poly_trim(diff), p)
+            if len(g) != 1:
+                return False
+        dd //= q
+    return True
+
+
+# every (p, d) with d >= 2 whose field fits under the table cap
+TABLE_FIELDS = [
+    (p, d)
+    for d in range(2, 17)
+    for p in range(2, 257)
+    if is_prime(p) and p**d <= MAX_TABLE_ORDER
+]
+
+
+def _monic(m, p, d):
+    return _digits(m, p, d) + [1]
+
+
+def test_irreducibility_matches_rabin_twin_exhaustively():
+    # every monic polynomial of degree 2 .. d over F_p, for p^d <= 3^7
+    small = [(p, d) for p, d in TABLE_FIELDS if p**d <= 3**7]
+    assert len(small) == 32
+    for p, d in small:
+        for m in range(p**d):
+            f = _monic(m, p, d)
+            assert poly_is_irreducible(f, p) == rabin_is_irreducible(f, p), (p, f)
+
+
+def test_irreducibility_matches_rabin_twin_on_samples():
+    rng = random.Random(20)
+    irreducible = 0
+    for p, d in TABLE_FIELDS:
+        if p**d <= 3**7:
+            continue
+        for _ in range(12):
+            f = _monic(rng.randrange(p**d), p, d)
+            got = poly_is_irreducible(f, p)
+            assert got == rabin_is_irreducible(f, p), (p, f)
+            irreducible += got
+        # the default modulus is irreducible, and the twin agrees
+        f = list(default_modulus(p, d))
+        assert poly_is_irreducible(f, p) and rabin_is_irreducible(f, p), (p, d)
+    assert irreducible > 0
+
+
+def test_default_moduli_match_pinned_digest():
+    # sha256 of repr([(p, d, default_modulus(p, d)), ...]) over the 93 (p, d)
+    # of TABLE_FIELDS, recorded before irreducibility became trial division
+    assert len(TABLE_FIELDS) == 93
+    table = [(p, d, default_modulus(p, d)) for p, d in TABLE_FIELDS]
+    digest = hashlib.sha256(repr(table).encode()).hexdigest()
+    assert digest == "282a5631713642c1c6f5fce6f91d90d0cb772649c0848795356fd7d7a51a7c27"
+
+
+@pytest.mark.parametrize("p", [2, 3, 31])
+def test_degree_one_polynomials_are_irreducible(p):
+    # the Rabin twin answers False here: x^p mod (x + a) is a constant,
+    # which it compared with an unreduced x
+    for a in range(p):
+        assert poly_is_irreducible([a, 1], p)
+    assert default_modulus(p, 1) == (0, 1)
+
+
+def test_unreduced_coefficients_are_read_mod_p():
+    for p, d in [(2, 3), (3, 2), (5, 2)]:
+        for m in range(p**d):
+            f = _monic(m, p, d)
+            lifted = [c + p * (i % 2) for i, c in enumerate(f[:-1])] + [1]
+            assert poly_is_irreducible(lifted, p) == poly_is_irreducible(f, p), (p, lifted)
+    assert not poly_is_irreducible([3, 0, 1], 3)  # x^2 over F_3
+
+
+def test_irreducibility_refuses_above_the_table_cap():
+    for p, d in [(2, 17), (257, 2), (65537, 1)]:
+        assert p**d > MAX_TABLE_ORDER
+        with pytest.raises(PreconditionError, match="extension fields are limited"):
+            poly_is_irreducible([1] + [0] * (d - 1) + [1], p)
+        with pytest.raises(PreconditionError, match="extension fields are limited"):
+            default_modulus(p, d)
+    # GF checks the order before it looks at a modulus, reducible or not
+    message = "^F_2\\^17 has 131072 elements; extension fields are limited to 65536$"
+    with pytest.raises(PreconditionError, match=message):
+        GF(2, 17)
+    with pytest.raises(PreconditionError, match=message):
+        GF(2, 17, modulus=[0] * 17 + [1])
+
+
+def test_is_prime():
+    assert [n for n in range(-3, 50) if is_prime(n)] == [
+        2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47
+    ]
+    assert is_prime(65537) and not is_prime(65537 * 3) and not is_prime(257**2)
