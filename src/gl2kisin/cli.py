@@ -351,14 +351,36 @@ def _shape_batch(task):
 
 
 _BATCHES = {"coset": _coset_batch, "shape": _shape_batch}
+# oracle kinds that check one profile read from --config
+_CONFIG_KINDS = ("d0", "tangent-residual")
+
+
+def _d0_fields(report):
+    # the five flags, then each component's size and dim
+    fields = {name: value for name, value in vars(report).items() if name != "components"}
+    fields.update(sizes=[len(c) for c in report.components], dims=[c.dim for c in report.components])
+    return fields
 
 
 def cmd_oracle(args):
     cfg = _load_config(args) if args.config else None
-    if args.kind == "tangent-residual":
+    if args.kind in _CONFIG_KINDS:
         if cfg is None:
-            raise ConfigError("oracle --kind tangent-residual needs --config")
+            raise ConfigError("oracle --kind %s needs --config" % args.kind)
         rho = RhoBar.from_config(cfg)
+    if args.kind == "d0":
+        # the counted report against the enumerated one, under its cap
+        counted = _d0_fields(d0_mod.d0_checks(rho))
+        enumerated = _d0_fields(d0_mod.d0_checks_enumerated(rho))
+        differ = [name for name in counted if counted[name] != enumerated[name]]
+        return {
+            "kind": args.kind,
+            "components": len(counted["sizes"]),
+            "total_constituents": sum(counted["sizes"]),
+            "agree": not differ,
+            "disagreements": differ,
+        }
+    if args.kind == "tangent-residual":
         report = tangent_mod.solve_claim(tangent_mod.assemble_system(rho))
         return {
             "kind": args.kind,
@@ -440,7 +462,7 @@ def build_parser():
     sub.add_parser("d0", parents=[common], help="composition-series checks")
 
     p = sub.add_parser("oracle", parents=[common], help="brute-force cross-checks")
-    p.add_argument("--kind", choices=sorted(_BATCHES) + ["tangent-residual"], default="coset")
+    p.add_argument("--kind", choices=sorted(_BATCHES) + list(_CONFIG_KINDS), default="coset")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--prec", type=int, default=4)
     p.add_argument("--p", type=int, default=2, help="field characteristic when no config is given")

@@ -6,6 +6,13 @@ fixed by how the full weight set sits inside the translation graph of
 sigma.  The checks here confirm the expected shape: multiplicity-free
 components, the weight set appearing exactly as the socles, and downward
 closure under moving any offset one step toward zero.
+
+d0_checks decides every check from counts: component sizes and dims are
+closed forms, and the number of coinciding constituents between two
+components is a transfer over the slots, so no constituent is enumerated.
+d0_checks_enumerated is its second path: it builds every constituent with
+jh_component and checks the keys and codes directly, under
+MAX_D0_CONSTITUENTS.
 """
 
 import itertools
@@ -95,11 +102,17 @@ def labels_of_keys(keys, p, f):
     return tuple(map(SerreWeightLabel, zip(*digits), twists))
 
 
-# d0_checks and jh_component enumerate at most this many constituents over
-# the components of a profile (an f=4, p=37 profile has 154,252, and its
-# `d0` report takes about 0.15 s and 45 MiB on a 2-vCPU Xeon); a larger
-# profile raises PreconditionError before anything is enumerated.
+# d0_checks_enumerated and jh_component enumerate at most this many
+# constituents over the components of a profile (an f=4, p=37 profile has
+# 154,252, and enumerating them takes about 0.15 s and 45 MiB on a 2-vCPU
+# Xeon); a larger profile raises PreconditionError before anything is
+# enumerated.
 MAX_D0_CONSTITUENTS = 2**20
+
+# d0_checks counts coinciding constituents for every ordered pair of
+# components, so it refuses a profile with more pairs than this (64 weights)
+# before counting anything.
+MAX_D0_PAIRS = 2**12
 
 
 @dataclass(frozen=True)
@@ -214,15 +227,7 @@ def jh_component(rho, sigma, profile=None):
     _refuse_above_cap(component_size(ranges))
     codes, keys, dim = [], [], 0
     if all(ranges):
-        # every value of every range occurs in some admitted offset, so this
-        # checks the window exactly where t_lambda would
-        for j, (d, rng) in enumerate(zip(sigma.diffs, ranges)):
-            for w in rng:
-                if not 0 <= d + w <= p - 2:
-                    raise PreconditionError(
-                        "graph point %d at slot %d is outside the window of base difference %d"
-                        % (w, j, d)
-                    )
+        _check_window(sigma, ranges, p)
         radix = _radix(ranges)
         admitted, low_only = _suffix_columns(sigma.diffs, ranges, radix, p)
         m = p**f - 1
@@ -252,6 +257,18 @@ def jh_component(rho, sigma, profile=None):
         p=p,
         dim=dim,
     )
+
+
+def _check_window(sigma, ranges, p):
+    """Every value of every nonempty range occurs in some admitted offset,
+    so this checks the window exactly where t_lambda would."""
+    for j, (d, rng) in enumerate(zip(sigma.diffs, ranges)):
+        for w in rng:
+            if not 0 <= d + w <= p - 2:
+                raise PreconditionError(
+                    "graph point %d at slot %d is outside the window of base difference %d"
+                    % (w, j, d)
+                )
 
 
 def _suffix_columns(diffs, ranges, radix, p):
@@ -330,8 +347,160 @@ class D0Report:
         )
 
 
+class ComponentCount:
+    """A component as d0_checks reports it: counted, not enumerated.  A
+    plain class, since every CLI run imports this module and a dataclass
+    takes about 1 ms to create."""
+
+    __slots__ = ("socle", "profile", "ranges", "size", "dim")
+
+    def __init__(self, socle, profile, ranges, size, dim):
+        self.socle, self.profile, self.ranges = socle, profile, ranges
+        self.size = size  # component_size(ranges)
+        self.dim = dim  # sum of serre_weight_dim over the constituents
+
+    def __len__(self):
+        return self.size
+
+
+def _slot_pairs(d, rng, d2, rng2, p):
+    """The value pairs (w, w2) in rng x rng2 of one slot whose digits
+    r'(w) = r'(w2) agree, for next parities that are equal and that
+    differ: two dicts (parity of w, w > 1, parity of w2, w2 > 1) -> count.
+
+    With equal next parities the digits agree when w2 = w + d - d2, with
+    different ones when w2 = p - 2 - d - d2 - w."""
+    out = []
+    for sign, c in ((1, d - d2), (-1, p - 2 - d - d2)):
+        table = defaultdict(int)
+        for w in rng:
+            w2 = sign * w + c
+            if w2 in rng2:
+                table[w & 1, w > 1, w2 & 1, w2 > 1] += 1
+        out.append(table)
+    return out
+
+
+def _counted(label, ranges, p):
+    """The component of label over ranges as _pair_count reads it."""
+    return label.diffs, 2 * label.twist + sum(d * p**j for j, d in enumerate(label.diffs)), ranges
+
+
+def _pair_count(x, y, p):
+    """Number of pairs (a, b), a an admitted offset of x and b one of y,
+    whose constituents have the same label_key; x and y are (diffs,
+    2 twist + D, ranges) of a label (see _counted), and a range may be a
+    single point.
+
+    With the notation of jh_component, the keys agree exactly when every
+    digit r'_j agrees and 2 t_x + delta_0 m + D_x = 2 t_y + delta'_0 m + D_y
+    mod 2m.  The second condition reads only the parities delta_0, delta'_0
+    of a_0 and b_0, and fixes whether they are equal.  The first reads, at
+    slot j, a_j, b_j and the parities of a_{j+1}, b_{j+1} (_slot_pairs), and
+    the budget reads how many coordinates of each offset are in {2, 3}.  So
+    for each delta_0, a recursion from the last slot back keeps, per (parity
+    of a_j, parity of b_j, coordinates of a in {2, 3}, coordinates of b in
+    {2, 3}), the number of agreeing pairs of admitted suffixes, starting
+    from the parities of a_0 and b_0 at slot f - 1 and ending on them at
+    slot 0.  Each agreeing pair is counted once, for its own delta_0."""
+    (dx, bx, rx), (dy, by, ry) = x, y
+    m = p ** len(dx) - 1
+    gap = (bx - by) % (2 * m)
+    if gap not in (0, m):
+        return 0
+    flip = gap == m  # a_0 and b_0 have different parities
+    tables = [_slot_pairs(*args, p) for args in zip(dx, rx, dy, ry)]
+    total = 0
+    for q0 in (0, 1):
+        ends = (q0, q0 ^ flip)
+        state = {ends + (0, 0): 1}
+        for same, cross in reversed(tables):
+            new = defaultdict(int)
+            for (q, q2, h, h2), n in state.items():
+                for (par, high, par2, high2), k in (cross if q != q2 else same).items():
+                    if h + high <= 1 and h2 + high2 <= 1:
+                        new[par, par2, h + high, h2 + high2] += n * k
+            state = new
+        total += sum(n for key, n in state.items() if key[:2] == ends)
+    return total
+
+
 def d0_checks(rho):
-    """Run the structural checks over every component of the profile.
+    """Run the structural checks over every component of the profile, from
+    counts alone: no constituent is enumerated.
+
+    The weight count is checked against MAX_D0_PAIRS first.  Each component
+    carries its closed-form size (component_size) and dim (_dim), and the
+    window of its ranges is checked as jh_component checks it.  Then:
+
+    - per_component_distinct: each component coincides with itself only on
+      the diagonal, so its self-pair count is its size;
+    - globally_multiplicity_free: summed over all ordered pairs of
+      components, the counts are the sum over keys of the squared
+      multiplicities, which equals the sum of the sizes exactly when no key
+      repeats (pairs (i, k) and (k, i) count alike, so each is counted once
+      and doubled);
+    - weight_set_only_socles: every component has offset zero, whose key is
+      that of its socle (R = D and t = twist there), and each weight occurs
+      once over all components.  With no key repeated that once is its
+      socle; otherwise each weight, as a one-point range at offset zero, is
+      counted against every component;
+    - socles_match: every component has offset zero, so its offset-zero
+      constituents are its socles, which are the weight set;
+    - downward_closed: every nonempty component has offset zero.  The ranges
+      are intervals, and the budget cost max(floor(a_j / 2), 0) of a
+      coordinate never grows as it steps toward zero, so a step toward zero
+      stays in its range (which holds zero) and within the budget.
+      Conversely, if some range misses zero, take an admitted offset whose
+      value there is the one nearest zero (still admitted, by the same
+      monotonicity): its step toward zero leaves the range.
+
+    d0_checks_enumerated reaches the same report by enumeration.
+    """
+    wlabels = serre_weights(rho).labels()
+    if len(wlabels) ** 2 > MAX_D0_PAIRS:
+        raise PreconditionError(
+            "the profile has %d weights, so %d component pairs, above the cap of %d"
+            % (len(wlabels), len(wlabels) ** 2, MAX_D0_PAIRS)
+        )
+    wset = set(wlabels)
+    p = rho.p
+    signed = [(lab, socle_profile(rho, lab, wset)) for lab in wlabels]
+    comps = []
+    for lab, profile in signed:
+        ranges = _offset_ranges(lab, profile, p)
+        if all(ranges):
+            _check_window(lab, ranges, p)
+        comps.append(
+            ComponentCount(lab, profile, ranges, component_size(ranges), _dim(lab.diffs, ranges, p))
+        )
+
+    xs = [_counted(c.socle, c.ranges, p) for c in comps]
+    pairs = sum(_pair_count(xs[i], xs[k], p) for i in range(len(xs)) for k in range(i))
+    self_pairs = [_pair_count(x, x, p) for x in xs]
+    sizes = [c.size for c in comps]
+    globally_multiplicity_free = 2 * pairs + sum(self_pairs) == sum(sizes)
+    has_zero = [all(0 in rng for rng in c.ranges) for c in comps]
+    point = tuple(range(1) for _ in range(rho.f))
+    # with no key repeated, each weight occurs once: at offset zero of its
+    # own component
+    weight_set_only_socles = all(has_zero) and (
+        globally_multiplicity_free
+        or all(sum(_pair_count(x, _counted(w, point, p), p) for x in xs) == 1 for w in wlabels)
+    )
+    return D0Report(
+        components=tuple(comps),
+        per_component_distinct=self_pairs == sizes,
+        weight_set_only_socles=weight_set_only_socles,
+        socles_match=all(has_zero),
+        downward_closed=all(z or not n for z, n in zip(has_zero, sizes)),
+        globally_multiplicity_free=globally_multiplicity_free,
+    )
+
+
+def d0_checks_enumerated(rho):
+    """The report of d0_checks by enumerating every constituent with
+    jh_component: the product's second path for the count.
 
     The constituents of all components are counted in closed form and
     checked against MAX_D0_CONSTITUENTS before any component is enumerated.

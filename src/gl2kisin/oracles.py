@@ -69,9 +69,10 @@ def coset_certify(M, component, prec=4):
     Soundness is exact: a found U lies in I and the valuation pattern
     forces v^-nu s^-1 U^-1 M into I.  Completeness needs the truncation to
     dominate the determinant valuation (prec >= nu1 + nu2 + 1): truncating
-    an exact witness then only perturbs it inside I.  The two adjugate
-    rows involve disjoint unknowns, so the search factors into two
-    independent halves.
+    an exact witness then only perturbs it inside I.  The search needs the
+    constant terms too (prec >= 1); a smaller prec is a ConfigError.  The
+    two adjugate rows involve disjoint unknowns, so the search factors into
+    two independent halves.
 
     Returns True when a witness exists, False otherwise.  Raises
     PreconditionError when the search has more than MAX_COSET_PAIRS
@@ -92,7 +93,8 @@ def coset_certify(M, component, prec=4):
         raise ConfigError("coset certification needs an invertible matrix")
     if det.valuation() != n1 + n2:
         return False
-    if prec < n1 + n2 + 1:
+    # the search needs at least the constant terms (prec >= 1)
+    if prec < max(n1 + n2, 0) + 1:
         raise ConfigError(
             "truncation v^%d cannot certify a component with nu1 + nu2 = %d"
             % (prec, n1 + n2)

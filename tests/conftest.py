@@ -17,6 +17,14 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+# An f=4 profile at a small prime, for d0 only; p = 13 is below the strict
+# depth, so it is permissive.
+F4_P13_CONFIG = {
+    "p": 13, "f": 4, "r": [3, 5, 7, 4], "a": [2, 0, 3, 0],
+    "alpha": [1, 2, 3, 4], "beta": [5, 6, 7, 8], "mode": "permissive",
+}
+
+
 @pytest.fixture
 def f1_nonsplit():
     F = GF(31)

@@ -337,7 +337,12 @@ def test_criterion_9_glued_module_structure(f1_nonsplit):
                     W = set(serre_weights(rho).labels())
                     socles = {c.socle for c in rep.components}
                     run.check(socles == W, ("socles", p, f, zeros))
-                    counts = Counter(l for c in rep.components for l in c.labels)
+                    # independent of the count: each component enumerated
+                    counts = Counter(
+                        l
+                        for c in rep.components
+                        for l in jh_component(rho, c.socle, profile=c.profile).labels
+                    )
                     run.check(
                         all(counts[sigma] == 1 for sigma in W),
                         ("socle multiplicity", p, f, zeros),

@@ -22,7 +22,7 @@ from gl2kisin.laurent import Laurent
 from gl2kisin.matrices import Mat2
 from gl2kisin.weights import ADM_COMPONENTS, SerreWeightLabel, make_label
 
-from conftest import random_profile
+from conftest import F4_P13_CONFIG, random_profile
 
 
 @pytest.fixture
@@ -454,6 +454,58 @@ def test_oracle_tangent_residual(capsys, f1_config):
     assert doc["residual_ok"] is True
 
 
+@pytest.mark.parametrize("a", [[1] * 5, [0] * 5, [0, 3, 0, 5, 7]])
+def test_d0_counts_beyond_the_enumeration_cap(tmp_path, capsys, a):
+    """A strict f=5, p=101 report, with 1 to 32 components and far more
+    constituents than MAX_D0_CONSTITUENTS, in under a second (best of 3)."""
+    path = tmp_path / "f5.json"
+    path.write_text(
+        json.dumps({"p": 101, "f": 5, "r": [48, 30, 60, 48, 47], "a": a,
+                    "alpha": [3] * 5, "beta": [5] * 5, "mode": "strict"})
+    )
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        rc, doc = run(capsys, ["d0", "--config", str(path)])
+        times.append(time.perf_counter() - start)
+        assert rc == 0 and doc["passed"] and doc["globally_multiplicity_free"]
+    assert len(doc["components"]) == 2 ** a.count(0)
+    assert doc["total_constituents"] > d0.MAX_D0_CONSTITUENTS
+    assert min(times) < 1.0
+
+
+@pytest.mark.parametrize("config", ["f1_config", "f2_config"])
+def test_oracle_d0(capsys, request, config):
+    path = request.getfixturevalue(config)
+    rc, doc = run(capsys, ["oracle", "--kind", "d0", "--config", path])
+    assert rc == 0
+    assert doc["agree"] is True and doc["disagreements"] == []
+    rc, report = run(capsys, ["d0", "--config", path])
+    assert doc["total_constituents"] == report["total_constituents"]
+
+
+def test_oracle_d0_names_disagreements(monkeypatch, capsys, f2_config):
+    """A flag, a size or a dim that differs between the paths is named."""
+    real = d0.d0_checks_enumerated
+
+    def doctored(rho):
+        rep = real(rho)
+        rep.socles_match = False
+        rep.components = rep.components[::-1]
+        return rep
+
+    monkeypatch.setattr(d0, "d0_checks_enumerated", doctored)
+    rc, doc = run(capsys, ["oracle", "--kind", "d0", "--config", f2_config])
+    assert rc == 0
+    assert doc["agree"] is False
+    assert doc["disagreements"] == ["socles_match", "sizes", "dims"]
+
+
+def test_oracle_d0_needs_config(capsys):
+    assert cli.main(["oracle", "--kind", "d0"]) == 1
+    assert capsys.readouterr().err == "config error: oracle --kind d0 needs --config\n"
+
+
 def test_oracle_jobs_equivalence(capsys):
     argv = ["oracle", "--kind", "coset", "--trials", "8", "--seed", "11"]
     rc1 = cli.main(argv + ["--jobs", "1"])
@@ -562,7 +614,8 @@ class TestExitCodes:
             assert err.startswith("precondition failed: the weight set has 2^17"), command
 
     def test_d0_constituent_cap(self, monkeypatch, tmp_path, capsys):
-        # an f=4, p=37 profile stays below d0.MAX_D0_CONSTITUENTS
+        # an f=4, p=37 profile stays below d0.MAX_D0_CONSTITUENTS, and the
+        # enumeration agrees with the count there
         path = tmp_path / "d0.json"
         path.write_text(
             json.dumps({"p": 37, "f": 4, "r": [13, 15, 17, 20], "a": [5, 7, 11, 3],
@@ -571,8 +624,11 @@ class TestExitCodes:
         rc, doc = run(capsys, ["d0", "--config", str(path)])
         assert rc == 0 and doc["passed"]
         assert doc["total_constituents"] == 154252
-        # one component of 367,750,000 constituents is refused from the
-        # closed-form count; enumerating fails here rather than run out of memory
+        rc, doc = run(capsys, ["oracle", "--kind", "d0", "--config", str(path)])
+        assert rc == 0 and doc["agree"] and doc["total_constituents"] == 154252
+        # one component of 367,750,000 constituents: the count reports it,
+        # and the enumeration refuses it from the closed-form count; enumerating
+        # fails here rather than run out of memory
         def enumerate_suffixes(*args):
             raise AssertionError("enumeration started")
 
@@ -581,11 +637,36 @@ class TestExitCodes:
             json.dumps({"p": 101, "f": 5, "r": [48, 48, 48, 48, 47], "a": [1] * 5,
                         "alpha": [3] * 5, "beta": [5] * 5})
         )
+        rc, doc = run(capsys, ["d0", "--config", str(path)])
+        assert rc == 0 and doc["passed"] and doc["total_constituents"] == 367750000
         start = time.perf_counter()
-        assert cli.main(["d0", "--config", str(path)]) == 2
+        assert cli.main(["oracle", "--kind", "d0", "--config", str(path)]) == 2
         assert time.perf_counter() - start < 0.5
         err = capsys.readouterr().err
         assert err.startswith("precondition failed: the components have 367750000 constituents")
+
+    def test_d0_pair_cap(self, monkeypatch, tmp_path, capsys):
+        # 128 weights at f=7 are 16,384 component pairs, above d0.MAX_D0_PAIRS:
+        # refused before any socle profile or count
+        def counting(*args):
+            raise AssertionError("counting started")
+
+        monkeypatch.setattr(d0, "socle_profile", counting)
+        monkeypatch.setattr(d0, "_pair_count", counting)
+        path = tmp_path / "split7.json"
+        path.write_text(
+            json.dumps({"p": 101, "f": 7, "r": [48] * 7, "a": [0] * 7,
+                        "alpha": [3] * 7, "beta": [5] * 7})
+        )
+        for command in (["d0"], ["oracle", "--kind", "d0"]):
+            start = time.perf_counter()
+            assert cli.main(command + ["--config", str(path)]) == 2, command
+            assert time.perf_counter() - start < 0.5, command
+            err = capsys.readouterr().err
+            assert err == (
+                "precondition failed: the profile has 128 weights, "
+                "so 16384 component pairs, above the cap of 4096\n"
+            ), command
 
     def test_bad_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -805,7 +886,7 @@ def fuzz_argvs(draw):
             ("--negative-control", st.none()),
         ],
         "oracle": [
-            ("--kind", st.sampled_from(("coset", "shape", "tangent-residual", "other"))),
+            ("--kind", st.sampled_from(("coset", "shape", "d0", "tangent-residual", "other"))),
             ("--trials", st.integers(-1, 2).map(str)),
             ("--prec", st.integers(1, 3).map(str)),
             ("--p", st.sampled_from(("2", "3", "31"))),
@@ -919,12 +1000,6 @@ F2_F31SQ_CONFIG = {
     "p": 31, "f": 2, "r": [13, 15], "a": [0, 500], "alpha": [3, 700],
     "beta": [5, 11], "field_degree": 2, "mode": "strict",
 }
-# An f=4 profile at a small prime, for d0 only; p = 13 is below the strict
-# depth, so it is permissive.
-F4_P13_CONFIG = {
-    "p": 13, "f": 4, "r": [3, 5, 7, 4], "a": [2, 0, 3, 0],
-    "alpha": [1, 2, 3, 4], "beta": [5, 6, 7, 8], "mode": "permissive",
-}
 
 # sha256 of stdout per case; any change to a report's bytes shows here.
 STDOUT_DIGESTS = {
@@ -973,6 +1048,8 @@ STDOUT_DIGESTS = {
     "f4_p13 d0": "08562698a6adae7de7a7b6d287de1990cb316120a5c312aab806fec9d200c226",
     "adm f2": "21682ed73dcebbb7745112caeddcd8b1b93b03ab4d2ba88875b7f6a989b8dfbd",
     "oracle coset": "b4d59af55c8d1b5b503413b3429b4646dee32ff262f64e100215c15e2910ee79",
+    "f1 oracle d0": "de9e4148232e1b224fdd76975285a68fef3731f86071bc92019f485ed963cedd",
+    "f2 oracle d0": "f9e8a0692377f76a2d57e7588e6aa9339cb44ee07cf61a5021560ea8329a1c1c",
 }
 
 
@@ -1000,6 +1077,8 @@ def _digest_cases(tmp_path, f1_config, f2_config):
                 yield " ".join([name, "tangent"] + flags), ["tangent", "--config", path] + flags
     yield "adm f2", ["adm", "--f", "2"]
     yield "oracle coset", ["oracle", "--kind", "coset", "--trials", "20", "--seed", "7"]
+    for name in ("f1", "f2"):
+        yield "%s oracle d0" % name, ["oracle", "--kind", "d0", "--config", configs[name]]
 
 
 def test_stdout_digests(tmp_path, capsys, f1_config, f2_config):

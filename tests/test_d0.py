@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -19,10 +20,11 @@ from gl2kisin.d0 import (
     socle_profile,
 )
 from gl2kisin.errors import ConfigError, InternalCheckError, PreconditionError
-from gl2kisin.rho import serre_weights
+from gl2kisin.fields import GF
+from gl2kisin.rho import RhoBar, serre_weights
 from gl2kisin.weights import SerreWeightLabel, make_label, t_lambda
 
-from conftest import random_profile
+from conftest import F4_P13_CONFIG, random_profile
 
 
 def test_socle_profiles(f1_nonsplit, f1_split, f2_mixed):
@@ -85,8 +87,13 @@ def test_component_mixed_frozen(f2_mixed):
     rep = d0_checks(f2_mixed)
     assert rep.passed
     assert rep.globally_multiplicity_free
+    # the dims summed over the enumerated labels
     stats = [
-        (c.profile.signs, len(c), sum(serre_weight_dim(l) for l in c.labels))
+        (
+            c.profile.signs,
+            len(c),
+            sum(serre_weight_dim(l) for l in jh_component(f2_mixed, c.socle, c.profile).labels),
+        )
         for c in rep.components
     ]
     assert stats == [((0, 1), 272, 67136), ((0, -1), 76, 18278)]
@@ -360,19 +367,25 @@ def test_socle_profile_matches_full_search_on_bases(base, change, data):
             socle_profile(rho, sigma, wlabels)
 
 
+FLAGS = (
+    "per_component_distinct",
+    "weight_set_only_socles",
+    "socles_match",
+    "downward_closed",
+    "globally_multiplicity_free",
+)
+
+
+def _flags(rep):
+    return tuple(getattr(rep, name) for name in FLAGS), rep.passed
+
+
 def _checks_on_doctored(monkeypatch, rho, doctor):
+    """The enumerated checker with each component passed through doctor."""
     monkeypatch.setattr(
         d0, "jh_component", lambda rho, sigma, **kw: doctor(jh_component(rho, sigma, **kw))
     )
-    rep = d0_checks(rho)
-    flags = (
-        rep.per_component_distinct,
-        rep.weight_set_only_socles,
-        rep.socles_match,
-        rep.downward_closed,
-        rep.globally_multiplicity_free,
-    )
-    return flags, rep.passed
+    return _flags(d0.d0_checks_enumerated(rho))
 
 
 def _repeat_label(c):
@@ -406,3 +419,151 @@ def _move_socle(c):
 def test_checks_fail_on_doctored_component(monkeypatch, f1_nonsplit, doctor, flags):
     assert _checks_on_doctored(monkeypatch, f1_nonsplit, lambda c: c) == ((True,) * 5, True)
     assert _checks_on_doctored(monkeypatch, f1_nonsplit, doctor) == (flags, False)
+
+
+def _doubled_counts(monkeypatch):
+    # every constituent counted twice, against components and weights alike
+    count = d0._pair_count
+    monkeypatch.setattr(d0, "_pair_count", lambda x, y, p: 2 * count(x, y, p))
+
+
+def _one_cross_pair(monkeypatch):
+    # one more coincidence between the two components (different socles,
+    # and y is not a one-point range); none within one, none with a weight
+    count = d0._pair_count
+    monkeypatch.setattr(
+        d0, "_pair_count", lambda x, y, p: count(x, y, p) + (x[1] != y[1] and len(y[2][0]) > 1)
+    )
+
+
+def _ranges_without_zero(monkeypatch):
+    # slot 0 loses zero and the values above it, and with them offset zero
+    ranges = d0._offset_ranges
+
+    def doctored(sigma, profile, p):
+        first, *rest = ranges(sigma, profile, p)
+        return (range(first.start, 0),) + tuple(rest)
+
+    monkeypatch.setattr(d0, "_offset_ranges", doctored)
+
+
+@pytest.mark.parametrize(
+    "doctor, flags",
+    [
+        # (distinct, weight set only socles, socles match, closed, globally free)
+        (_doubled_counts, (False, False, True, True, False)),
+        (_one_cross_pair, (True, True, True, True, False)),
+        (_ranges_without_zero, (True, False, False, False, True)),
+    ],
+)
+def test_count_path_fails_on_doctored_counts(monkeypatch, f1_split, doctor, flags):
+    """Each flag of d0_checks turns false under some doctor of its counts
+    or ranges; the split f=1 profile has two components."""
+    assert _flags(d0_checks(f1_split)) == ((True,) * 5, True)
+    doctor(monkeypatch)
+    assert _flags(d0_checks(f1_split)) == (flags, all(flags[:4]))
+
+
+def _twin_profiles():
+    """Criterion 9's profiles (every f 1-3 zero pattern and the irreducible
+    profile, strict and deep, at p 31 and 37) and the f4_p13 digest
+    profile."""
+    rng = random.Random(5008)
+    for p in (31, 37):
+        for f in (1, 2, 3):
+            for zeros in itertools.chain.from_iterable(
+                itertools.combinations(range(f), k) for k in range(f + 1)
+            ):
+                yield random_profile(rng, p, f, zero_positions=zeros, deep=True)
+            yield random_profile(rng, p, f, irreducible=True, deep=True)
+    yield RhoBar.from_config(F4_P13_CONFIG)
+
+
+def _permissive_p7_grid():
+    """Every r in [0, p - 2]^f, every a in F_7^f and the irreducible
+    profile, at f 1 and 2, in permissive mode."""
+    F = GF(7)
+    for f in (1, 2):
+        for r in itertools.product(range(6), repeat=f):
+            for a in itertools.chain(itertools.product(range(7), repeat=f), [None]):
+                yield RhoBar(
+                    p=7, f=f, r=r, a=tuple(map(F, a or (0,) * f)),
+                    alpha=(F(3),) * f, beta=(F(5),) * f,
+                    irreducible=a is None, mode="permissive",
+                )
+
+
+def _outcome(checks, rho):
+    try:
+        rep = checks(rho)
+    except PreconditionError as exc:
+        return "precondition", str(exc)
+    return _flags(rep), [len(c) for c in rep.components], [c.dim for c in rep.components]
+
+
+@pytest.mark.filterwarnings("ignore:permissive profile")
+def test_count_path_matches_enumeration():
+    """Identical flags, sizes and dims from the counts and from the
+    enumeration, and the same PreconditionError where a profile is refused."""
+    outcomes = Counter()
+    for rho in itertools.chain(_twin_profiles(), _permissive_p7_grid()):
+        counted = _outcome(d0_checks, rho)
+        assert counted == _outcome(d0.d0_checks_enumerated, rho), rho.to_config()
+        outcomes[counted[0] if counted[0] == "precondition" else counted[0][1]] += 1
+    # the grid's 96 refusals are all outside the window, and every other
+    # profile passes
+    assert outcomes == {True: 35 + 1752, "precondition": 96}
+
+
+@given(bases(), st.sampled_from(("constituent", "other", "same")), st.data())
+@settings(max_examples=200, deadline=None)
+def test_pair_count_matches_enumerated_keys(base, kind, data):
+    """The transfer count of coinciding constituents against the product of
+    key multiplicities, for two components and for a component against the
+    one-point range of a label.  The second component is around a
+    constituent of the first, around another label, or the first again."""
+    p, sigma, signs = base
+    f = len(signs)
+    rho = SimpleNamespace(p=p, f=f)
+    try:
+        x = jh_component(rho, sigma, SocleProfile(signs))
+    except PreconditionError:
+        return  # outside the window, as d0_checks refuses too
+    other, other_signs = sigma, signs
+    if kind != "same":
+        other_signs = tuple(data.draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=f, max_size=f)))
+        if kind == "constituent":
+            other = x.labels[data.draw(st.integers(0, len(x) - 1))]
+        else:
+            diffs = data.draw(st.lists(st.integers(0, p - 2), min_size=f, max_size=f))
+            other = make_label(diffs, data.draw(st.integers(0, p**f - 2)), p)
+    try:
+        y = jh_component(rho, other, SocleProfile(other_signs))
+    except PreconditionError:
+        return
+    kx, ky = Counter(x.keys), Counter(y.keys)
+    count = d0._pair_count(d0._counted(sigma, x.ranges, p), d0._counted(other, y.ranges, p), p)
+    assert count == sum(n * ky[k] for k, n in kx.items())
+    point = tuple(range(1) for _ in signs)
+    at_point = d0._pair_count(d0._counted(sigma, x.ranges, p), d0._counted(other, point, p), p)
+    assert at_point == kx[label_key(other, p)]
+
+
+def test_pair_guard_refuses_before_counting(monkeypatch):
+    """128 weights at f=7 are 16,384 component pairs, above MAX_D0_PAIRS:
+    refused before any socle profile or count, and admitted at a cap of
+    exactly that many."""
+    def counting(*args):
+        raise AssertionError("counting started")
+
+    monkeypatch.setattr(d0, "socle_profile", counting)
+    monkeypatch.setattr(d0, "_pair_count", counting)
+    F = GF(101)
+    rho = RhoBar(
+        p=101, f=7, r=(48,) * 7, a=(F(0),) * 7, alpha=(F(3),) * 7, beta=(F(5),) * 7
+    )
+    with pytest.raises(PreconditionError, match="128 weights, so 16384 component pairs"):
+        d0_checks(rho)
+    monkeypatch.setattr(d0, "MAX_D0_PAIRS", 128**2)
+    with pytest.raises(AssertionError, match="counting started"):
+        d0_checks(rho)

@@ -77,6 +77,17 @@ def test_precision_too_low():
         coset_certify(M, (0, (2, 2)), prec=4)  # needs prec >= 5
 
 
+def test_precision_below_the_constant_terms():
+    """nu1 + nu2 = -2 lets prec <= 0 past the valuation bound; the gate
+    still refuses it before any candidate series is generated."""
+    M = monomial_matrix(F2, 0, (-1, -1))
+    assert M == Mat2(F2, Laurent(F2, {-1: 1}), Laurent(F2, {}), Laurent(F2, {}), Laurent(F2, {-1: 1}))
+    for prec in (0, -1):
+        with pytest.raises(ConfigError, match="truncation v\\^%d cannot certify" % prec):
+            coset_certify(M, (0, (-1, -1)), prec=prec)
+    assert coset_certify(M, (0, (-1, -1)), prec=1)
+
+
 def test_random_generator_contract():
     rng = random.Random(101)
     for _ in range(50):
