@@ -212,6 +212,8 @@ def cmd_kisin(args):
     # is built, classified and checked once per report, and every element
     # is composed from the slots it has
     slots = {}
+    # the torus echelons of the last element's leading slots (torus_dims)
+    prefix = []
     reports = []
     for w in targets:
         have = []
@@ -242,7 +244,7 @@ def cmd_kisin(args):
             "per_slot": list(per_slot),
         }
         if torus:
-            dim, expected = torus_dims(rho, torus_rows)
+            dim, expected = torus_dims(rho, torus_rows, prefix=prefix)
             entry["torus_rigidity"] = {"dim": dim, "expected": expected}
         reports.append(entry)
     if wtilde:

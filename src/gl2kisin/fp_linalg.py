@@ -7,13 +7,18 @@ rare reduction step inverts a lead.  `pivot_rows`, `rank` and `kernel_dim`
 stop there.  `kernel_basis` then back-substitutes, last pivot first, the
 pivot rows with other entries, reducing mod p and normalizing once each
 reaching a free column.
+
+Given `pivots`, the echelon of earlier rows, `rank` and `kernel_basis`
+continue that elimination with the new rows alone and extend the dict in
+place; pivot rows are never modified, so a caller keeping the old echelon
+passes a shallow copy.
 """
 
 # The one kernel implementation; perfbench records it beside its timings.
 BACKEND = "pure"
 
 
-def _echelon(rows, p):
+def _echelon(rows, p, pivots=None):
     """Forward elimination: {pivot column: pivot row}.
 
     rows: iterable of {column: value} dicts (values arbitrary ints), never
@@ -22,8 +27,12 @@ def _echelon(rows, p):
     is its own pivot row, the caller's dict, only ever read.  A one-entry
     row on the column of a one-entry pivot row is dropped unread; any other
     row is copied mod p, and what reduction leaves of it is a new pivot row.
+
+    pivots: an echelon of earlier rows in this form, extended in place and
+    returned; default a new one.
     """
-    pivots = {}
+    if pivots is None:
+        pivots = {}
     for row in rows:
         if row and (c := min(row)) not in pivots and row[c] % p:
             pivots[c] = row
@@ -60,12 +69,13 @@ def pivot_rows(rows, p):
     return list(_echelon(rows, p).values())
 
 
-def rank(rows, p):
-    """Rank mod p of a sparse integer matrix given as {column: value} rows."""
-    return len(_echelon(rows, p))
+def rank(rows, p, pivots=None):
+    """Rank mod p of a sparse integer matrix given as {column: value} rows,
+    together with the rows that pivots (extended in place) came from."""
+    return len(_echelon(rows, p, pivots))
 
 
-def kernel_basis(rows, ncols, p):
+def kernel_basis(rows, ncols, p, pivots=None):
     """Kernel of a sparse integer matrix mod p.
 
     rows: iterable of {column: value} dicts (values arbitrary ints).
@@ -73,8 +83,11 @@ def kernel_basis(rows, ncols, p):
     entries in 0..p-1, one vector per free column in ascending column order:
     the vector for free column j has a 1 at j and minus the reduced-echelon
     pivot-row entries at the pivot columns.
+
+    pivots: an echelon of earlier rows on columns below ncols, extended in
+    place; the kernel is that of the earlier rows and rows together.
     """
-    pivots = _echelon(rows, p)
+    pivots = _echelon(rows, p, pivots)
     # solved[c] = {free column j: coefficient of x_j in x_c} for each pivot
     # column c whose row reaches a free column; every other x_c is 0
     solved = {}

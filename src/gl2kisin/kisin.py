@@ -12,7 +12,6 @@ canonical (s, nu) components; an admissible element is its index tuple over
 {1, 2, 3}, as in weights.
 """
 
-import itertools
 from dataclasses import dataclass
 
 from . import fp_linalg
@@ -403,13 +402,29 @@ def torus_slot_rows(rho, i, A, k, H=4):
     return fp_linalg.pivot_rows(rows, p)
 
 
-def torus_dims(rho, slot_rows, H=4):
+def torus_dims(rho, slot_rows, H=4, prefix=None):
     """(kernel_dimension, expected) of the torus rigidity system from its f
     slots' torus_slot_rows.  Each slot's pivot rows span that slot's rows,
-    so their union has the kernel of the whole system."""
-    f = rho.f
-    rows = itertools.chain.from_iterable(slot_rows)
-    return fp_linalg.kernel_dim(rows, 2 * f * (H + 1), rho.p), 2 * f
+    so their union has the kernel of the whole system.
+
+    The elimination runs slot by slot, each continuing from the echelon of
+    the slots before it.  prefix: a list the caller passes to each call of
+    one report, holding per leading slot of the last call its row list and
+    that echelon; leading slots whose row lists are the same objects as
+    then are not eliminated again, so elements in lexicographic order read
+    each shared prefix once."""
+    if prefix is None:
+        prefix = []
+    shared = 0
+    while shared < len(prefix) and prefix[shared][0] is slot_rows[shared]:
+        shared += 1
+    del prefix[shared:]
+    echelon = prefix[-1][1] if prefix else {}
+    for rows in slot_rows[shared:]:
+        echelon = dict(echelon)
+        fp_linalg.rank(rows, rho.p, echelon)
+        prefix.append((rows, echelon))
+    return 2 * rho.f * (H + 1) - len(echelon), 2 * rho.f
 
 
 def torus_rigidity_dims(data, H=4):

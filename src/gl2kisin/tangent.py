@@ -21,8 +21,9 @@ from .matrices import Mat2
 
 # assemble_system builds at most this many columns, else PreconditionError.
 # The largest system the tests and the benchmark build has 2,470 (p 101,
-# f 3, degree bound 202); one of 65,532 columns (p 101, f 3, degree bound
-# 5457) takes about 0.8 s and 61 MiB for `gl2kisin tangent` on a 2-vCPU Xeon.
+# f 3, degree bound 202); one of 65,530 columns (p 101, f 3, degree bound
+# 5457) takes 0.10-0.19 s and a 48 MiB peak RSS for `gl2kisin tangent`
+# (cli.main in one process, Python 3.11, a 2-vCPU Xeon).
 MAX_TANGENT_COLUMNS = 2**16
 
 # per-slot low-degree correction parameters; p<entry>_<degree> sits in the
@@ -79,6 +80,13 @@ class TangentSystem:
                             weight selector b
       ("frame", name, None) global framing: frame_12 = frame_21 = 0 and
                             frame_11 = frame_22
+
+    Columns: 10 correction parameters per slot, then the four framing
+    parameters (n_param_cols in all), then the perturbation coefficients
+    degree-major: degree e from min_degree up holds stride = 4f columns,
+    (slot j, entry comp) at 4j + comp.  A column's index therefore does not
+    depend on the degree bound, and the columns of the system at a bound b
+    are the first ones of the system at any higher bound.
     """
 
     def __init__(self, rho, b, degree_bound, min_degree, rows):
@@ -90,8 +98,14 @@ class TangentSystem:
         self.p = rho.p
         self.f = rho.f
         self.width = degree_bound - min_degree + 1
+        self.stride = 4 * rho.f
         self.n_param_cols = 10 * rho.f + 4
-        self.ncols = self.n_param_cols + 4 * rho.f * self.width
+        self.ncols = self.n_param_cols + self.stride * self.width
+        if self.ncols > MAX_TANGENT_COLUMNS:
+            raise PreconditionError(
+                "the rigidity system at degrees %d..%d has %d columns, above the cap of %d"
+                % (min_degree, degree_bound, self.ncols, MAX_TANGENT_COLUMNS)
+            )
 
     def col_param(self, j, name):
         return j * 10 + _PARAM_INDEX[name]
@@ -100,7 +114,7 @@ class TangentSystem:
         return 10 * self.f + _FRAME_INDEX[name]
 
     def col_m(self, j, comp, e):
-        return self.n_param_cols + (j * 4 + comp) * self.width + (e - self.min_degree)
+        return self.n_param_cols + (e - self.min_degree) * self.stride + j * 4 + comp
 
     def labels(self):
         return [lab for lab, _row in self.rows]
@@ -145,89 +159,9 @@ def assemble_system(rho, b=None, degree_bound=None, min_degree=0):
         if b[j] == 1 and a21:
             raise ConfigError("weight selector is 1 on slot %d with nonzero extension parameter" % j)
 
-    rows = []
-    system = TangentSystem(rho, b, degree_bound, min_degree, rows)
-    if system.ncols > MAX_TANGENT_COLUMNS:
-        raise PreconditionError(
-            "the rigidity system at degrees %d..%d has %d columns, above the cap of %d"
-            % (min_degree, degree_bound, system.ncols, MAX_TANGENT_COLUMNS)
-        )
-
-    window = range(min_degree, degree_bound + 1)
-    for j, (a11, a21, a22) in enumerate(rho.slot_coeffs):
-        jm = (j - 1) % f
-        # the slot's Frobenius matrix is v * Delta * diag(v^sh, 1)
-        delta = ((a11, 0), (a21, a22))
-        sh = rho.r[j] + 1
-        # coefficient e of entry (l,k) of the slot-j recurrence
-        #   sum_t M^(j-1)_lt Delta_tk - sum_t Delta_lt v^(sh*(k-t)) phi(m_tk) - P_lk
-        # built column by column: the M^(j-1) terms give each window degree
-        # its row, a phi(m) term reaches degree p*d + sh*(k-t) from the column
-        # of degree d, a correction parameter degree 0, -1 or -2, and below
-        # the window only a degree some term reaches has a row.  A row's first
-        # value is a nonzero residue as given; later ones add mod p, and a 0
-        # where terms cancel stays in the row.
-        entries = []
-        # per term reaching below the window, the next such row it enters:
-        # (degree, entry, term, d, end of its d, column of degree 0, value)
-        below = []
-        for n, (l, k) in enumerate(_ENTRIES):
-            prev = [
-                (system.col_m(jm, 2 * l + t - 3, 0), delta[t - 1][k - 1])
-                for t in (1, 2)
-                if delta[t - 1][k - 1]
-            ]
-            if len(prev) == 2:
-                (c1, v1), (c2, v2) = prev
-                inside = [{c1 + e: v1, c2 + e: v2} for e in window]
-            elif prev:
-                ((c1, v1),) = prev
-                inside = [{c1 + e: v1} for e in window]
-            else:
-                inside = [{} for _e in window]
-            # (x, column of degree 0, value, degrees d from lo to hi - 1):
-            # value at column + d in row p*d + x; a correction parameter has
-            # d = 0 only
-            terms = []
-            for t in (1, 2):
-                val = delta[l - 1][t - 1]
-                if val:
-                    x = sh * (k - t)
-                    hi = min(degree_bound, (degree_bound - x) // p) + 1
-                    terms.append((x, system.col_m(j, 2 * t + k - 3, 0), p - val, min_degree, hi))
-            for x, suffix in ((0, "0"), (-1, "m1"), (-2, "m2")):
-                name = "p%d%d_%s" % (l, k, suffix)
-                if name in _PARAM_INDEX:
-                    terms.append((x, system.col_param(j, name), p - 1, 0, 1))
-            for t, (x, col, val, lo, hi) in enumerate(terms):
-                # the first d whose degree p*d + x lies in the window
-                cut = max(lo, -((x - min_degree) // p))
-                if cut > lo:
-                    below.append((p * lo + x, n, t, lo, min(cut, hi), col, val))
-                for d in range(cut, hi):
-                    row = inside[p * d + x - min_degree]
-                    row[col + d] = (row.get(col + d, 0) + val) % p
-            entries.append((l, k, inside))
-        # each term's degrees below the window ascend by p, so a heap keyed
-        # by (degree, entry, term) streams those rows in order
-        heapify(below)
-        row_e = row_n = None
-        while below:
-            e, n, t, d, end, col, val = below[0]
-            if e != row_e or n != row_n:
-                row_e, row_n = e, n
-                row = {}
-                rows.append((("rec", j, *_ENTRIES[n], e), row))
-            row[col + d] = (row.get(col + d, 0) + val) % p
-            if d + 1 < end:
-                heapreplace(below, (e + p, n, t, d + 1, end, col, val))
-            else:
-                heappop(below)
-        for i, e in enumerate(window):
-            for l, k, inside in entries:
-                if inside[i]:
-                    rows.append((("rec", j, l, k, e), inside[i]))
-
+    system = TangentSystem(rho, b, degree_bound, min_degree, [])
+    rows = system.rows
+    rows += _recurrence_rows(system, min_degree)
     for j in range(f - 1):
         rows.append((("pin", "p11_0", j), {system.col_param(j, "p11_0"): 1}))
         rows.append((("pin", "p22_0", j), {system.col_param(j, "p22_0"): 1}))
@@ -248,6 +182,96 @@ def assemble_system(rho, b=None, degree_bound=None, min_degree=0):
     return system
 
 
+def _recurrence_rows(system, first):
+    """The ("rec", j, l, k, e) rows of every slot at the degrees e from first
+    to the system's degree bound, slot by slot.  From first = min_degree
+    each slot's rows below the window come first; from a higher first the
+    rows below it are left out, since the system at a lower degree bound
+    with the same min_degree already has them, unchanged."""
+    rho, p, f = system.rho, system.p, system.f
+    min_degree, degree_bound, stride = system.min_degree, system.degree_bound, system.stride
+    rows = []
+    window = range(first, degree_bound + 1)
+    offsets = range(first * stride, (degree_bound + 1) * stride, stride)
+    for j, (a11, a21, a22) in enumerate(rho.slot_coeffs):
+        jm = (j - 1) % f
+        # the slot's Frobenius matrix is v * Delta * diag(v^sh, 1)
+        delta = ((a11, 0), (a21, a22))
+        sh = rho.r[j] + 1
+        # coefficient e of entry (l,k) of the slot-j recurrence
+        #   sum_t M^(j-1)_lt Delta_tk - sum_t Delta_lt v^(sh*(k-t)) phi(m_tk) - P_lk
+        # built column by column: the M^(j-1) terms give each window degree
+        # its row, a phi(m) term reaches degree p*d + sh*(k-t) from the column
+        # of degree d, a correction parameter degree 0, -1 or -2, and below
+        # the window only a degree some term reaches has a row.  A row's first
+        # value is a nonzero residue as given; later ones add mod p, and a 0
+        # where terms cancel stays in the row.  The column of degree d is
+        # stride * d past that of degree 0.
+        entries = []
+        # per term reaching below the window, the next such row it enters:
+        # (degree, entry, term, d, end of its d, column of degree 0, value)
+        below = []
+        for n, (l, k) in enumerate(_ENTRIES):
+            prev = [
+                (system.col_m(jm, 2 * l + t - 3, 0), delta[t - 1][k - 1])
+                for t in (1, 2)
+                if delta[t - 1][k - 1]
+            ]
+            if len(prev) == 2:
+                (c1, v1), (c2, v2) = prev
+                inside = [{c1 + o: v1, c2 + o: v2} for o in offsets]
+            elif prev:
+                ((c1, v1),) = prev
+                inside = [{c1 + o: v1} for o in offsets]
+            else:
+                inside = [{} for _o in offsets]
+            # (x, column of degree 0, value, degrees d from lo to hi - 1):
+            # value at the column of degree d in row p*d + x; a correction
+            # parameter has d = 0 only
+            terms = []
+            for t in (1, 2):
+                val = delta[l - 1][t - 1]
+                if val:
+                    x = sh * (k - t)
+                    hi = min(degree_bound, (degree_bound - x) // p) + 1
+                    terms.append((x, system.col_m(j, 2 * t + k - 3, 0), p - val, min_degree, hi))
+            for x, suffix in ((0, "0"), (-1, "m1"), (-2, "m2")):
+                name = "p%d%d_%s" % (l, k, suffix)
+                if name in _PARAM_INDEX:
+                    terms.append((x, system.col_param(j, name), p - 1, 0, 1))
+            for t, (x, col, val, lo, hi) in enumerate(terms):
+                # the first d whose degree p*d + x is first or more
+                cut = max(lo, -((x - first) // p))
+                if cut > lo and first == min_degree:
+                    below.append((p * lo + x, n, t, lo, min(cut, hi), col, val))
+                for d in range(cut, hi):
+                    row = inside[p * d + x - first]
+                    c = col + stride * d
+                    row[c] = (row.get(c, 0) + val) % p
+            entries.append((l, k, inside))
+        # each term's degrees below the window ascend by p, so a heap keyed
+        # by (degree, entry, term) streams those rows in order
+        heapify(below)
+        row_e = row_n = None
+        while below:
+            e, n, t, d, end, col, val = below[0]
+            if e != row_e or n != row_n:
+                row_e, row_n = e, n
+                row = {}
+                rows.append((("rec", j, *_ENTRIES[n], e), row))
+            c = col + stride * d
+            row[c] = (row.get(c, 0) + val) % p
+            if d + 1 < end:
+                heapreplace(below, (e + p, n, t, d + 1, end, col, val))
+            else:
+                heappop(below)
+        for i, e in enumerate(window):
+            for l, k, inside in entries:
+                if inside[i]:
+                    rows.append((("rec", j, l, k, e), inside[i]))
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # solving and reporting
 
@@ -261,6 +285,9 @@ class TangentReport:
     param_kernel_dim: int
     m_kernel_dim: int
     injective: bool
+    # fp_linalg's echelon of the system's rows, from which a system with
+    # further rows continues the elimination (copy it first)
+    echelon: dict
 
 
 def _projected_rank(vectors, p):
@@ -272,8 +299,13 @@ def solve_claim(system):
     the correction/framing block and onto the perturbation block.  The
     rigidity claim is injective = True: no kernel direction touches the
     correction parameters."""
-    raw = [row for _lab, row in system.rows]
-    basis, rank = fp_linalg.kernel_basis(raw, system.ncols, system.p)
+    return _solve(system, [row for _lab, row in system.rows], {})
+
+
+def _solve(system, rows, echelon):
+    """solve_claim's report of a system whose rows are those echelon was
+    eliminated from followed by rows; echelon is extended in place."""
+    basis, rank = fp_linalg.kernel_basis(rows, system.ncols, system.p, echelon)
     n = system.n_param_cols
     param_dim = _projected_rank([v[:n] for v in basis], system.p)
     m_dim = _projected_rank([v[n:] for v in basis], system.p)
@@ -285,6 +317,7 @@ def solve_claim(system):
         param_kernel_dim=param_dim,
         m_kernel_dim=m_dim,
         injective=param_dim == 0,
+        echelon=echelon,
     )
 
 
@@ -346,7 +379,7 @@ def residual_check(report):
         for j in range(f):
             def entry(comp, j=j):
                 start = system.col_m(j, comp, system.min_degree)
-                return Laurent(field, dict(zip(degrees, vec[start : start + system.width])))
+                return Laurent(field, dict(zip(degrees, vec[start :: system.stride])))
 
             Ms.append(Mat2(field, entry(M11), entry(M12), entry(M21), entry(M22)))
 
@@ -392,12 +425,22 @@ def stability_check(rho, b=None, degree_bound=None, min_degree=0, first=None):
 
     first: the caller's solve_claim report of the full system of rho at b,
     degree_bound and min_degree, when it has one; that system is then not
-    assembled and solved a second time."""
+    assembled and solved a second time.
+
+    Every row of the system at the bound occurs unchanged in the one at
+    bound + p, and its columns come first there (TangentSystem), so the
+    higher system is the lower one's rows plus the recurrence rows of the p
+    degrees above the bound, and its elimination continues from a copy of
+    the lower one's echelon with those rows alone."""
     if first is None:
         first = solve_claim(assemble_system(rho, b, degree_bound, min_degree))
-    higher = solve_claim(
-        assemble_system(rho, b, first.system.degree_bound + rho.p, min_degree)
+    lower = first.system
+    system = TangentSystem(
+        rho, lower.b, lower.degree_bound + rho.p, lower.min_degree, list(lower.rows)
     )
+    new = _recurrence_rows(system, lower.degree_bound + 1)
+    system.rows += new
+    higher = _solve(system, [row for _lab, row in new], dict(first.echelon))
     stable = (
         first.kernel_dim,
         first.param_kernel_dim,

@@ -23,6 +23,7 @@ from gl2kisin.matrices import Mat2
 from gl2kisin.weights import ADM_COMPONENTS, SerreWeightLabel, make_label
 
 from conftest import F4_P13_CONFIG, random_profile
+from test_tangent import assert_stability_matches_scratch
 
 
 @pytest.fixture
@@ -165,29 +166,60 @@ def test_tangent_stability(capsys, f1_config):
     assert doc["stability"]["higher_dims"] == [1, 0, 1]
 
 
+def _rho_of(config_path):
+    with open(config_path) as fh:
+        return rho_mod.RhoBar.from_config(json.load(fh))
+
+
 def test_tangent_stability_solves_each_system_once(monkeypatch, capsys, f1_config):
-    calls = {"assemble_system": 0, "kernel_basis": 0}
+    """--stability feeds the eliminator the rows of the system at the bound
+    once and the rows one Frobenius step higher that it lacks once, and
+    never the lower rows a second time; --negative-control also feeds the
+    relaxed system once."""
+    calls = {"assemble_system": 0}
+    fed = []
+    assemble, kernel_basis = tangent.assemble_system, fp_linalg.kernel_basis
 
-    def counting(module, name):
-        fn = getattr(module, name)
+    def counting_assemble(*args, **kwargs):
+        calls["assemble_system"] += 1
+        return assemble(*args, **kwargs)
 
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+    def counting_kernel_basis(rows, *args, **kwargs):
+        fed.append([id(row) for row in rows])
+        return kernel_basis(rows, *args, **kwargs)
 
-        monkeypatch.setattr(module, name, wrapped)
+    monkeypatch.setattr(tangent, "assemble_system", counting_assemble)
+    monkeypatch.setattr(fp_linalg, "kernel_basis", counting_kernel_basis)
+    lower = assemble(_rho_of(f1_config))
+    rho = lower.rho
+    higher = assemble(rho, degree_bound=lower.degree_bound + rho.p)
+    relaxed_rows = len(lower.rows) - 1
+    new_rows = len(higher.rows) - len(lower.rows)
 
-    counting(tangent, "assemble_system")
-    counting(fp_linalg, "kernel_basis")
     rc, doc = run(capsys, ["tangent", "--config", f1_config, "--stability"])
     assert rc == 0 and doc["stability"]["stable"]
-    # the system at the degree bound and the one a Frobenius step higher
-    assert calls == {"assemble_system": 2, "kernel_basis": 2}
-    # the negative control solves the full system once more, for stability
-    calls.update(assemble_system=0, kernel_basis=0)
+    assert calls["assemble_system"] == 1
+    assert [len(ids) for ids in fed] == [len(lower.rows), new_rows]
+    assert not set(fed[0]) & set(fed[1])
+    calls["assemble_system"] = 0
+    fed.clear()
     rc, doc = run(capsys, ["tangent", "--config", f1_config, "--stability", "--negative-control"])
     assert rc == 0 and doc["stability"]["stable"] and not doc["injective"]
-    assert calls == {"assemble_system": 2, "kernel_basis": 3}
+    assert calls["assemble_system"] == 1
+    assert [len(ids) for ids in fed] == [relaxed_rows, len(lower.rows), new_rows]
+    assert set(fed[0]) < set(fed[1]) and not set(fed[1]) & set(fed[2])
+
+
+def test_stability_matches_scratch_on_digest_profiles(f1_config, f2_config):
+    """The higher system of every digest profile's --stability run, at each
+    weight selector and at the digest cases' degree windows, against a
+    from-scratch solve."""
+    for rho in (_rho_of(f1_config), _rho_of(f2_config), rho_mod.RhoBar.from_config(F3_P37_CONFIG)):
+        free = rho.free_slots()
+        selectors = itertools.product(*[(0, 1) if j in free else (0,) for j in range(rho.f)])
+        for b in selectors:
+            for degree_bound, min_degree in ((None, 0), (None, -3), (70, 0)):
+                assert_stability_matches_scratch(rho, b, degree_bound, min_degree)
 
 
 def test_reports_derive_each_object_once(monkeypatch, capsys, f2_config):

@@ -142,6 +142,32 @@ def test_wide_kernel_matches_dense_twin():
     assert_matches_dense_twin(rows, 260, 101)
 
 
+@given(sparse_systems(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_continued_elimination_matches_one_pass(system, data):
+    """Rows split into A | B: continuing A's echelon with B gives the kernel
+    and rank of one pass over A + B, and A's echelon and every row dict are
+    unchanged by it."""
+    rows, ncols, p = system
+    split = data.draw(st.integers(0, len(rows)))
+    a, b = rows[:split], rows[split:]
+    before = copy.deepcopy(rows)
+    echelon_a = {}
+    assert fp_linalg.rank(a, p, echelon_a) == len(echelon_a) == fp_linalg.rank(a, p)
+    kept = dict(echelon_a)
+    kept_rows = copy.deepcopy(echelon_a)
+    echelon = dict(echelon_a)
+    expected = dense_kernel(rows, ncols, p)
+    assert fp_linalg.kernel_basis(b, ncols, p, echelon) == expected
+    assert fp_linalg.kernel_basis(rows, ncols, p) == expected
+    assert len(echelon) == expected[1]
+    assert fp_linalg.rank(b, p, dict(echelon_a)) == expected[1]
+    # the continued echelon is one of A + B: it adds nothing to more rows
+    assert fp_linalg.kernel_basis([], ncols, p, dict(echelon)) == expected
+    assert echelon_a == kept_rows and all(echelon_a[c] is row for c, row in kept.items())
+    assert rows == before
+
+
 @st.composite
 def aliased_systems(draw):
     """Rows that some pivot may keep as given: leads 0 mod p, negative

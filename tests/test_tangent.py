@@ -29,15 +29,32 @@ def test_layout_frozen(f1_nonsplit):
     assert big.ncols == 194
 
 
-def test_column_indexing(f1_nonsplit):
+def test_column_indexing(f1_nonsplit, f2_mixed):
     system = assemble_system(f1_nonsplit)
     cols = [system.col_param(0, name) for name in PARAM_NAMES]
     cols += [system.col_frame(name) for name in FRAME_NAMES]
     assert cols == list(range(14))
     assert system.col_m(0, 0, system.min_degree) == 14
-    # consecutive degrees are adjacent columns
-    assert system.col_m(0, 2, 5) == system.col_m(0, 2, 4) + 1
     assert max(system.col_m(0, 3, e) for e in range(system.min_degree, 32)) == system.ncols - 1
+    # degree-major: consecutive degrees are 4f columns apart, and every
+    # (j, comp, e) of the system at b keeps its column in the one at b + p,
+    # where the lower columns come first
+    for rho in (f1_nonsplit, f2_mixed):
+        f = rho.f
+        for min_degree in (0, -3):
+            low = assemble_system(rho, min_degree=min_degree)
+            high = assemble_system(rho, degree_bound=low.degree_bound + rho.p, min_degree=min_degree)
+            assert low.stride == high.stride == 4 * f
+            lower = [
+                (j, comp, e)
+                for e in range(min_degree, low.degree_bound + 1)
+                for j in range(f)
+                for comp in range(4)
+            ]
+            assert [low.col_m(*key) for key in lower] == list(range(low.n_param_cols, low.ncols))
+            assert [high.col_m(*key) for key in lower] == [low.col_m(*key) for key in lower]
+            for j, comp, e in lower:
+                assert high.col_m(j, comp, e + 1) == low.col_m(j, comp, e) + 4 * f
 
 
 def test_row_labels(f1_nonsplit, f2_mixed):
@@ -200,12 +217,10 @@ def reference_rec_rows(system):
         for l in (1, 2):
             for k in (1, 2):
                 prev = [
-                    (system.col_m(jm, 2 * l + t - 3, 0), delta[t - 1][k - 1])
-                    for t in (1, 2)
-                    if delta[t - 1][k - 1]
+                    (2 * l + t - 3, delta[t - 1][k - 1]) for t in (1, 2) if delta[t - 1][k - 1]
                 ]
                 here = [
-                    (sh * (k - t), system.col_m(j, 2 * t + k - 3, 0), p - delta[l - 1][t - 1])
+                    (sh * (k - t), 2 * t + k - 3, p - delta[l - 1][t - 1])
                     for t in (1, 2)
                     if delta[l - 1][t - 1]
                 ]
@@ -220,12 +235,14 @@ def reference_rec_rows(system):
             for l, k, prev, here, params in entries:
                 row = {}
                 if in_window:
-                    for col, val in prev:
-                        row[col + e] = (row.get(col + e, 0) + val) % p
-                for x, col, val in here:
+                    for comp, val in prev:
+                        col = system.col_m(jm, comp, e)
+                        row[col] = (row.get(col, 0) + val) % p
+                for x, comp, val in here:
                     d, rem = divmod(e - x, p)
                     if not rem and min_degree <= d <= degree_bound:
-                        row[col + d] = (row.get(col + d, 0) + val) % p
+                        col = system.col_m(j, comp, d)
+                        row[col] = (row.get(col, 0) + val) % p
                 if e in params:
                     row[params[e]] = (row.get(params[e], 0) - 1) % p
                 if row:
@@ -267,6 +284,56 @@ def test_assembly_matches_degree_by_degree_twin(case):
         # (1,1) and cancel, and the stored 0 stays in the row
         (row,) = [row for lab, row in got if lab == ("rec", 0, 1, 1, 0)]
         assert row[system.col_m(0, 0, 0)] == 0
+
+
+@given(tangent_cases())
+@settings(max_examples=60, deadline=None)
+def test_rows_nest_one_frobenius_step_higher(case):
+    """Every (label, row) of the system at b occurs unchanged, with its keys
+    in the same order, among the rows of the system at b + p."""
+    rho, b, degree_bound, min_degree = case
+    low = assemble_system(rho, b, degree_bound, min_degree)
+    high = assemble_system(rho, b, low.degree_bound + rho.p, min_degree)
+    higher = dict(high.rows)
+    assert len(higher) == len(high.rows) > len(low.rows)
+    for label, row in low.rows:
+        assert list(higher[label].items()) == list(row.items()), label
+
+
+def _solved(report):
+    return (
+        report.kernel,
+        report.rank,
+        report.kernel_dim,
+        report.param_kernel_dim,
+        report.m_kernel_dim,
+        report.injective,
+    )
+
+
+def assert_stability_matches_scratch(rho, b=None, degree_bound=None, min_degree=0):
+    """stability_check's higher report, continued from the lower echelon,
+    equals a from-scratch solve of the system at b + p, with and without a
+    caller's first report, and the lower echelon is left as it was."""
+    first = solve_claim(assemble_system(rho, b, degree_bound, min_degree))
+    echelon = dict(first.echelon)
+    low, high, stable = stability_check(rho, b, degree_bound, min_degree, first=first)
+    assert low is first and first.echelon == echelon
+    assert all(first.echelon[c] is row for c, row in echelon.items())
+    scratch_system = assemble_system(rho, b, low.system.degree_bound + rho.p, min_degree)
+    scratch = solve_claim(scratch_system)
+    assert _solved(high) == _solved(scratch)
+    assert high.system.ncols == scratch_system.ncols
+    assert sorted(map(repr, high.system.rows)) == sorted(map(repr, scratch_system.rows))
+    assert stable == (_solved(low)[2:5] == _solved(scratch)[2:5])
+    _, again, stable_again = stability_check(rho, b, degree_bound, min_degree)
+    assert _solved(again) == _solved(scratch) and stable_again == stable
+
+
+@given(tangent_cases())
+@settings(max_examples=40, deadline=None)
+def test_stability_matches_scratch_solve(case):
+    assert_stability_matches_scratch(*case)
 
 
 # ---------------------------------------------------------------------------
