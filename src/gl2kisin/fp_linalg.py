@@ -11,8 +11,15 @@ reaching a free column.
 Given `pivots`, the echelon of earlier rows, `rank` and `kernel_basis`
 continue that elimination with the new rows alone and extend the dict in
 place; pivot rows are never modified, so a caller keeping the old echelon
-passes a shallow copy.
+passes a shallow copy.  Given also `solved`, the back-substitution that
+`kernel_basis` left for that echelon, it continues that too, in the same
+copy-it-first convention: the pivots the new rows add follow the earlier
+ones in the echelon's insertion order, and it back-substitutes those, and
+an earlier pivot only where its solution names a column the new rows
+turned into a pivot.  Solutions are replaced, never modified.
 """
+
+from itertools import islice
 
 # The one kernel implementation; perfbench records it beside its timings.
 BACKEND = "pure"
@@ -75,7 +82,7 @@ def rank(rows, p, pivots=None):
     return len(_echelon(rows, p, pivots))
 
 
-def kernel_basis(rows, ncols, p, pivots=None):
+def kernel_basis(rows, ncols, p, pivots=None, solved=None):
     """Kernel of a sparse integer matrix mod p.
 
     rows: iterable of {column: value} dicts (values arbitrary ints).
@@ -86,12 +93,27 @@ def kernel_basis(rows, ncols, p, pivots=None):
 
     pivots: an echelon of earlier rows on columns below ncols, extended in
     place; the kernel is that of the earlier rows and rows together.
+
+    solved: {pivot column c: {free column j: coefficient of x_j in x_c}}
+    for the pivot columns whose x_c is nonzero, continued in place.  When it
+    is not empty, it is the back-substitution of pivots as passed, and only
+    the pivots the rows add, and an earlier pivot whose x_c names a column
+    they turned into a pivot, are back-substituted; otherwise (the default)
+    every pivot is.
     """
+    if solved is None:
+        solved = {}
+    done = len(pivots) if solved else 0
     pivots = _echelon(rows, p, pivots)
-    # solved[c] = {free column j: coefficient of x_j in x_c} for each pivot
-    # column c whose row reaches a free column; every other x_c is 0
-    solved = {}
-    for c in sorted((c for c, row in pivots.items() if len(row) > 1), reverse=True):
+    # the pivots the echelon gained follow the back-substituted ones
+    new = list(islice(pivots, done, None))
+    todo = [c for c in new if len(pivots[c]) > 1]
+    if done and new:
+        fresh = set(new)
+        for c in [c for c, x in solved.items() if not fresh.isdisjoint(x)]:
+            del solved[c]
+            todo.append(c)
+    for c in sorted(todo, reverse=True):
         row = pivots[c]
         acc = {}
         for k, v in row.items():

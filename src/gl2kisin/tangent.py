@@ -22,7 +22,7 @@ from .matrices import Mat2
 # assemble_system builds at most this many columns, else PreconditionError.
 # The largest system the tests and the benchmark build has 2,470 (p 101,
 # f 3, degree bound 202); one of 65,530 columns (p 101, f 3, degree bound
-# 5457) takes 0.10-0.19 s and a 48 MiB peak RSS for `gl2kisin tangent`
+# 5457) takes 0.18-0.20 s and a 50 MiB peak RSS for `gl2kisin tangent`
 # (cli.main in one process, Python 3.11, a 2-vCPU Xeon).
 MAX_TANGENT_COLUMNS = 2**16
 
@@ -71,7 +71,9 @@ def _require_tangent_profile(rho):
 class TangentSystem:
     """Labeled sparse linear system over F_p.
 
-    rows is a list of (label, {column: int}) pairs.  Row families:
+    rows is a list of (label, {column: int}) pairs, the recurrence rows
+    first and then the constraint rows (pins, weight selectors, frames).
+    Row families:
       ("rec", j, l, k, e)   coefficient e of entry (l,k) of the slot-j
                             recurrence  M^(j-1) Delta_j - Delta_j Phi_j - P_j
       ("pin", name, j)      a parameter pinned to zero, including the
@@ -87,6 +89,17 @@ class TangentSystem:
     (slot j, entry comp) at 4j + comp.  A column's index therefore does not
     depend on the degree bound, and the columns of the system at a bound b
     are the first ones of the system at any higher bound.
+
+    The eliminated block: the first `eliminated` rows, whose fp_linalg
+    echelon is `echelon`, and `solved`, the back-substitution
+    fp_linalg.kernel_basis left for that echelon (empty when none was
+    done).  Both are only ever read; solve_claim continues copies of them
+    with the rows after the block.  An assembled system's block is its
+    recurrence rows, eliminated once by assemble_system and not
+    back-substituted; the system one Frobenius step higher that
+    stability_check builds has the whole lower system as its block, with
+    the lower report's echelon and back-substitution.  `families` holds the
+    label families (first label entries) of the block's rows.
     """
 
     def __init__(self, rho, b, degree_bound, min_degree, rows):
@@ -106,6 +119,10 @@ class TangentSystem:
                 "the rigidity system at degrees %d..%d has %d columns, above the cap of %d"
                 % (min_degree, degree_bound, self.ncols, MAX_TANGENT_COLUMNS)
             )
+        self.eliminated = 0
+        self.echelon = {}
+        self.solved = {}
+        self.families = frozenset()
 
     def col_param(self, j, name):
         return j * 10 + _PARAM_INDEX[name]
@@ -121,14 +138,19 @@ class TangentSystem:
 
     def without(self, label_prefix):
         """Copy of the system minus all rows whose label starts with the
-        given tuple; used for the negative control (drop the pivot pin)."""
+        given tuple; used for the negative control (drop the pivot pin).
+        Only rows after the eliminated block can be dropped, and the copy
+        shares the block's rows, echelon and solutions."""
         prefix = tuple(label_prefix)
-        kept = [(lab, row) for lab, row in self.rows if lab[: len(prefix)] != prefix]
-        if len(kept) == len(self.rows):
+        if not prefix or prefix[0] in self.families:
+            raise ConfigError("rows labeled %r are in the eliminated block" % (prefix,))
+        n, block = len(prefix), self.eliminated
+        kept = [(lab, row) for lab, row in self.rows[block:] if lab[:n] != prefix]
+        if block + len(kept) == len(self.rows):
             raise ConfigError("no row labeled %r to drop" % (prefix,))
         clone = TangentSystem.__new__(TangentSystem)
         clone.__dict__.update(self.__dict__)
-        clone.rows = kept
+        clone.rows = self.rows[:block] + kept
         return clone
 
 
@@ -162,6 +184,9 @@ def assemble_system(rho, b=None, degree_bound=None, min_degree=0):
     system = TangentSystem(rho, b, degree_bound, min_degree, [])
     rows = system.rows
     rows += _recurrence_rows(system, min_degree)
+    system.eliminated = len(rows)
+    fp_linalg.rank([row for _lab, row in rows], p, system.echelon)
+    system.families = frozenset(("rec",))
     for j in range(f - 1):
         rows.append((("pin", "p11_0", j), {system.col_param(j, "p11_0"): 1}))
         rows.append((("pin", "p22_0", j), {system.col_param(j, "p22_0"): 1}))
@@ -285,9 +310,10 @@ class TangentReport:
     param_kernel_dim: int
     m_kernel_dim: int
     injective: bool
-    # fp_linalg's echelon of the system's rows, from which a system with
-    # further rows continues the elimination (copy it first)
+    # fp_linalg's echelon of the system's rows and its back-substitution,
+    # from which a system with further rows continues both (copy them first)
     echelon: dict
+    solved: dict
 
 
 def _projected_rank(vectors, p):
@@ -298,14 +324,11 @@ def solve_claim(system):
     """Kernel of the system, with the dimensions of its projections onto
     the correction/framing block and onto the perturbation block.  The
     rigidity claim is injective = True: no kernel direction touches the
-    correction parameters."""
-    return _solve(system, [row for _lab, row in system.rows], {})
-
-
-def _solve(system, rows, echelon):
-    """solve_claim's report of a system whose rows are those echelon was
-    eliminated from followed by rows; echelon is extended in place."""
-    basis, rank = fp_linalg.kernel_basis(rows, system.ncols, system.p, echelon)
+    correction parameters.  The elimination and back-substitution continue
+    copies of the system's eliminated block with the rows after it."""
+    echelon, solved = dict(system.echelon), dict(system.solved)
+    rows = [row for _lab, row in system.rows[system.eliminated :]]
+    basis, rank = fp_linalg.kernel_basis(rows, system.ncols, system.p, echelon, solved)
     n = system.n_param_cols
     param_dim = _projected_rank([v[:n] for v in basis], system.p)
     m_dim = _projected_rank([v[n:] for v in basis], system.p)
@@ -318,6 +341,7 @@ def _solve(system, rows, echelon):
         m_kernel_dim=m_dim,
         injective=param_dim == 0,
         echelon=echelon,
+        solved=solved,
     )
 
 
@@ -429,18 +453,21 @@ def stability_check(rho, b=None, degree_bound=None, min_degree=0, first=None):
 
     Every row of the system at the bound occurs unchanged in the one at
     bound + p, and its columns come first there (TangentSystem), so the
-    higher system is the lower one's rows plus the recurrence rows of the p
-    degrees above the bound, and its elimination continues from a copy of
-    the lower one's echelon with those rows alone."""
+    higher system is the lower one's rows, its eliminated block with the
+    first report's echelon and solutions, plus the recurrence rows of the p
+    degrees above the bound, and solve_claim continues from the block with
+    those rows alone."""
     if first is None:
         first = solve_claim(assemble_system(rho, b, degree_bound, min_degree))
     lower = first.system
     system = TangentSystem(
         rho, lower.b, lower.degree_bound + rho.p, lower.min_degree, list(lower.rows)
     )
-    new = _recurrence_rows(system, lower.degree_bound + 1)
-    system.rows += new
-    higher = _solve(system, [row for _lab, row in new], dict(first.echelon))
+    system.eliminated = len(lower.rows)
+    system.echelon, system.solved = first.echelon, first.solved
+    system.families = lower.families.union(lab[0] for lab, _row in lower.rows[lower.eliminated :])
+    system.rows += _recurrence_rows(system, lower.degree_bound + 1)
+    higher = solve_claim(system)
     stable = (
         first.kernel_dim,
         first.param_kernel_dim,

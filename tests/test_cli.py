@@ -23,7 +23,7 @@ from gl2kisin.matrices import Mat2
 from gl2kisin.weights import ADM_COMPONENTS, SerreWeightLabel, make_label
 
 from conftest import F4_P13_CONFIG, random_profile
-from test_tangent import assert_stability_matches_scratch
+from test_tangent import assert_relaxed_matches_scratch, assert_stability_matches_scratch
 
 
 @pytest.fixture
@@ -172,54 +172,80 @@ def _rho_of(config_path):
 
 
 def test_tangent_stability_solves_each_system_once(monkeypatch, capsys, f1_config):
-    """--stability feeds the eliminator the rows of the system at the bound
-    once and the rows one Frobenius step higher that it lacks once, and
-    never the lower rows a second time; --negative-control also feeds the
-    relaxed system once."""
-    calls = {"assemble_system": 0}
-    fed = []
-    assemble, kernel_basis = tangent.assemble_system, fp_linalg.kernel_basis
+    """Every row of a tangent run reaches the eliminator once: assembly
+    eliminates the recurrence rows, each solve feeds only the rows after its
+    system's eliminated block (the constraint rows; for --negative-control
+    those without the pivot pin) and --stability only the recurrence rows
+    one Frobenius step higher.  Each solve is one kernel_basis call."""
+    assembled, solved, fed, kernel_fed = [], [], [], []
+    assemble, solve = tangent.assemble_system, tangent.solve_claim
+    echelon, kernel_basis = fp_linalg._echelon, fp_linalg.kernel_basis
 
     def counting_assemble(*args, **kwargs):
-        calls["assemble_system"] += 1
-        return assemble(*args, **kwargs)
+        assembled.append(assemble(*args, **kwargs))
+        return assembled[-1]
+
+    def counting_solve(system):
+        solved.append(system)
+        return solve(system)
+
+    # the fed rows are kept, so that no id is reused before the comparison
+    def counting_echelon(rows, *args, **kwargs):
+        fed.append(list(rows))
+        return echelon(fed[-1], *args, **kwargs)
 
     def counting_kernel_basis(rows, *args, **kwargs):
-        fed.append([id(row) for row in rows])
-        return kernel_basis(rows, *args, **kwargs)
+        kernel_fed.append(list(rows))
+        return kernel_basis(kernel_fed[-1], *args, **kwargs)
 
     monkeypatch.setattr(tangent, "assemble_system", counting_assemble)
+    monkeypatch.setattr(tangent, "solve_claim", counting_solve)
+    monkeypatch.setattr(fp_linalg, "_echelon", counting_echelon)
     monkeypatch.setattr(fp_linalg, "kernel_basis", counting_kernel_basis)
-    lower = assemble(_rho_of(f1_config))
-    rho = lower.rho
-    higher = assemble(rho, degree_bound=lower.degree_bound + rho.p)
-    relaxed_rows = len(lower.rows) - 1
-    new_rows = len(higher.rows) - len(lower.rows)
 
-    rc, doc = run(capsys, ["tangent", "--config", f1_config, "--stability"])
-    assert rc == 0 and doc["stability"]["stable"]
-    assert calls["assemble_system"] == 1
-    assert [len(ids) for ids in fed] == [len(lower.rows), new_rows]
-    assert not set(fed[0]) & set(fed[1])
-    calls["assemble_system"] = 0
-    fed.clear()
-    rc, doc = run(capsys, ["tangent", "--config", f1_config, "--stability", "--negative-control"])
-    assert rc == 0 and doc["stability"]["stable"] and not doc["injective"]
-    assert calls["assemble_system"] == 1
-    assert [len(ids) for ids in fed] == [relaxed_rows, len(lower.rows), new_rows]
-    assert set(fed[0]) < set(fed[1]) and not set(fed[1]) & set(fed[2])
+    def ids(rows):
+        return [id(row) for row in rows]
+
+    def row_ids(labeled):
+        return [id(row) for _lab, row in labeled]
+
+    for argv, negative in ((["--stability"], False), (["--stability", "--negative-control"], True)):
+        for log in (assembled, solved, fed, kernel_fed):
+            log.clear()
+        rc, doc = run(capsys, ["tangent", "--config", f1_config] + argv)
+        assert rc == 0 and doc["stability"]["stable"] and doc["injective"] != negative
+        (lower,) = assembled
+        higher = solved[-1]
+        block = lower.rows[: lower.eliminated]
+        constraints = lower.rows[lower.eliminated :]
+        assert block and all(lab[0] == "rec" for lab, _row in block)
+        assert constraints and all(lab[0] != "rec" for lab, _row in constraints)
+        new = higher.rows[len(lower.rows) :]
+        assert higher.rows[: len(lower.rows)] == lower.rows
+        assert new and all(lab[0] == "rec" for lab, _row in new)
+        solves = [row_ids(constraints), row_ids(new)]
+        if negative:
+            relaxed = [(lab, row) for lab, row in constraints if lab[:2] != ("pin", "p21_0")]
+            assert len(relaxed) == len(constraints) - 1
+            solves.insert(0, row_ids(relaxed))
+        # the other _echelon calls rank kernel projections, no system row
+        every = set(row_ids(higher.rows))
+        assert [ids(rows) for rows in fed if every & set(ids(rows))] == [row_ids(block)] + solves
+        assert [ids(rows) for rows in kernel_fed] == solves
+        assert doc["rows"] == len(lower.rows) - negative
 
 
 def test_stability_matches_scratch_on_digest_profiles(f1_config, f2_config):
-    """The higher system of every digest profile's --stability run, at each
-    weight selector and at the digest cases' degree windows, against a
-    from-scratch solve."""
+    """The higher system of every digest profile's --stability run and its
+    --negative-control system, at each weight selector and at the digest
+    cases' degree windows, against from-scratch solves."""
     for rho in (_rho_of(f1_config), _rho_of(f2_config), rho_mod.RhoBar.from_config(F3_P37_CONFIG)):
         free = rho.free_slots()
         selectors = itertools.product(*[(0, 1) if j in free else (0,) for j in range(rho.f)])
         for b in selectors:
             for degree_bound, min_degree in ((None, 0), (None, -3), (70, 0)):
                 assert_stability_matches_scratch(rho, b, degree_bound, min_degree)
+                assert_relaxed_matches_scratch(rho, b, degree_bound, min_degree)
 
 
 def test_reports_derive_each_object_once(monkeypatch, capsys, f2_config):

@@ -168,6 +168,76 @@ def test_continued_elimination_matches_one_pass(system, data):
     assert rows == before
 
 
+def split_case(rng):
+    """Rows A | B mod p where B also has rows leading on columns that A
+    leaves free and some of A's pivot solutions name, so that continuing
+    A's back-substitution has earlier pivots to solve again whenever A's
+    kernel is not spanned by unit vectors.  The named columns come from the
+    dense twin's basis: the vector of free column j is 1 at j and 0 past
+    it, and names j when it has another nonzero entry."""
+    p = rng.choice((2, 3, 5, 101))
+    ncols = rng.randint(1, 30)
+
+    def row(lo):
+        cols = rng.sample(range(lo, ncols), min(ncols - lo, rng.randint(0, 4)))
+        return {c: rng.randint(-3 * p, 3 * p) for c in cols}
+
+    a = [row(0) for _ in range(rng.randint(0, ncols))]
+    b = [row(0) for _ in range(rng.randint(0, 4))]
+    named = [
+        max(j for j, v in enumerate(vec) if v)
+        for vec in dense_kernel(a, ncols, p)[0]
+        if sum(map(bool, vec)) > 1
+    ]
+    for j in rng.sample(named, min(len(named), rng.randint(1, 3))):
+        lead = {j: rng.randrange(1, p)}
+        lead.update(row(j + 1))
+        b.insert(rng.randint(0, len(b)), lead)
+    return a, b, ncols, p
+
+
+def assert_back_substitution_continues(a, b, ncols, p):
+    """Continuing A's echelon and back-substitution with B gives what one
+    pass over A + B gives, and the dense twin's kernel; A's echelon, its
+    solutions and every row dict are unchanged.  Returns A's solutions and
+    the earlier pivots whose solution named a column that B turned into a
+    pivot."""
+    before = copy.deepcopy((a, b))
+    echelon_a, solved_a = {}, {}
+    assert fp_linalg.kernel_basis(a, ncols, p, echelon_a, solved_a) == dense_kernel(a, ncols, p)
+    kept, kept_solved = dict(echelon_a), dict(solved_a)
+    deep = copy.deepcopy((echelon_a, solved_a))
+    echelon, solved = dict(echelon_a), dict(solved_a)
+    expected = dense_kernel(a + b, ncols, p)
+    assert fp_linalg.kernel_basis(b, ncols, p, echelon, solved) == expected
+    one_echelon, one_solved = {}, {}
+    assert fp_linalg.kernel_basis(a + b, ncols, p, one_echelon, one_solved) == expected
+    assert sorted(echelon) == sorted(one_echelon) and solved == one_solved
+    assert (echelon_a, solved_a) == deep
+    assert all(echelon_a[c] is row for c, row in kept.items())
+    assert all(solved_a[c] is x for c, x in kept_solved.items())
+    assert (a, b) == before
+    new = set(echelon) - set(echelon_a)
+    return solved_a, [c for c, x in solved_a.items() if not new.isdisjoint(x)]
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_continued_back_substitution_matches_one_pass(rng):
+    solved_a, again = assert_back_substitution_continues(*split_case(rng))
+    # B leads on a column that one of A's nonzero solutions names
+    assert bool(again) == bool(solved_a)
+
+
+def test_continuation_solves_earlier_pivots_again():
+    """Seeded split cases: B turning a column that A leaves free into a
+    pivot, with earlier solutions naming it, is common, not a corner."""
+    again = 0
+    for seed in range(200):
+        again += bool(assert_back_substitution_continues(*split_case(random.Random(seed)))[1])
+    assert again >= 100
+
+
 @st.composite
 def aliased_systems(draw):
     """Rows that some pivot may keep as given: leads 0 mod p, negative

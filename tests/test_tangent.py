@@ -9,6 +9,7 @@ from gl2kisin.rho import RhoBar
 from gl2kisin.tangent import (
     FRAME_NAMES,
     PARAM_NAMES,
+    TangentSystem,
     assemble_system,
     consequence_report,
     pivot_slot,
@@ -120,6 +121,18 @@ def test_without_unknown_label(f1_nonsplit):
     system = assemble_system(f1_nonsplit)
     with pytest.raises(ConfigError):
         system.without(("pin", "no_such_row"))
+
+
+def test_without_refuses_eliminated_rows(f1_nonsplit):
+    """The recurrence rows are in the assembled system's eliminated block,
+    and the whole lower system in that of the system one step higher."""
+    system = assemble_system(f1_nonsplit)
+    for prefix in (("rec",), ("rec", 0), ()):
+        with pytest.raises(ConfigError, match="eliminated block"):
+            system.without(prefix)
+    _, high, _ = stability_check(f1_nonsplit, first=solve_claim(system))
+    with pytest.raises(ConfigError, match="eliminated block"):
+        high.system.without(("pin", "p21_0"))
 
 
 def test_stability(f1_nonsplit):
@@ -328,6 +341,41 @@ def assert_stability_matches_scratch(rho, b=None, degree_bound=None, min_degree=
     assert stable == (_solved(low)[2:5] == _solved(scratch)[2:5])
     _, again, stable_again = stability_check(rho, b, degree_bound, min_degree)
     assert _solved(again) == _solved(scratch) and stable_again == stable
+    # the higher system carries the lower one as its eliminated block
+    block = high.system
+    assert block.eliminated == len(low.system.rows)
+    assert block.echelon is first.echelon and block.solved is first.solved
+    resolved = solve_claim(block)
+    assert _solved(resolved) == _solved(high)
+    assert resolved.echelon == high.echelon and resolved.solved == high.solved
+    assert resolved.solved == scratch.solved and sorted(high.echelon) == sorted(scratch.echelon)
+
+
+def assert_relaxed_matches_scratch(rho, b=None, degree_bound=None, min_degree=0):
+    """The negative control, continued from the recurrence block's echelon,
+    equals a from-scratch solve of the rows left after dropping the pivot
+    pin, and leaves the assembled system's block as it was."""
+    system = assemble_system(rho, b, degree_bound, min_degree)
+    block = dict(system.echelon)
+    relaxed = system.without(("pin", "p21_0"))
+    assert relaxed.echelon is system.echelon and relaxed.eliminated == system.eliminated
+    assert [lab for lab, _row in relaxed.rows] == [
+        lab for lab in system.labels() if lab[:2] != ("pin", "p21_0")
+    ]
+    report = solve_claim(relaxed)
+    rows = [row for _lab, row in relaxed.rows]
+    assert (report.kernel, report.rank) == fp_linalg.kernel_basis(rows, system.ncols, system.p)
+    scratch = TangentSystem(rho, system.b, system.degree_bound, min_degree, list(relaxed.rows))
+    assert scratch.eliminated == 0
+    assert _solved(report) == _solved(solve_claim(scratch))
+    assert system.echelon == block and all(system.echelon[c] is row for c, row in block.items())
+    assert system.solved == {}
+
+
+@given(tangent_cases())
+@settings(max_examples=40, deadline=None)
+def test_relaxed_matches_scratch_solve(case):
+    assert_relaxed_matches_scratch(*case)
 
 
 @given(tangent_cases())
