@@ -9,6 +9,7 @@ unexpected error.
 import argparse
 import functools
 import json
+import os
 import random
 import re
 import sys
@@ -212,8 +213,6 @@ def cmd_kisin(args):
     # is built, classified and checked once per report, and every element
     # is composed from the slots it has
     slots = {}
-    # the torus echelons of the last element's leading slots (torus_dims)
-    prefix = []
     reports = []
     for w in targets:
         have = []
@@ -244,7 +243,7 @@ def cmd_kisin(args):
             "per_slot": list(per_slot),
         }
         if torus:
-            dim, expected = torus_dims(rho, torus_rows, prefix=prefix)
+            dim, expected = torus_dims(rho, torus_rows)
             entry["torus_rigidity"] = {"dim": dim, "expected": expected}
         reports.append(entry)
     if wtilde:
@@ -399,7 +398,7 @@ def cmd_oracle(args):
         raise ConfigError("--trials must be >= 0, got %d" % args.trials)
     seed0 = _seed(args, cfg)
     worker = _BATCHES[args.kind]
-    jobs = max(1, min(args.jobs, args.trials))
+    jobs = max(1, min(args.jobs, args.trials, os.cpu_count() or 1))
     chunks = [
         (p, degree, seed0, list(range(k, args.trials, jobs)), args.prec)
         for k in range(jobs)

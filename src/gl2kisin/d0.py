@@ -104,9 +104,9 @@ def labels_of_keys(keys, p, f):
 
 # d0_checks_enumerated and jh_component enumerate at most this many
 # constituents over the components of a profile (an f=4, p=37 profile has
-# 154,252, and enumerating them takes about 0.15 s and 45 MiB on a 2-vCPU
-# Xeon); a larger profile raises PreconditionError before anything is
-# enumerated.
+# 154,252, and enumerating them with their dims takes about 0.12-0.16 s and
+# 49 MiB peak RSS on a 2-vCPU Xeon); a larger profile raises
+# PreconditionError before anything is enumerated.
 MAX_D0_CONSTITUENTS = 2**20
 
 # d0_checks counts coinciding constituents for every ordered pair of
@@ -210,15 +210,10 @@ def jh_component(rho, sigma, profile=None):
     R column for each parity of a_0, and slot 0 comes last, value by value,
     with R and the key in one comprehension.
 
-    dim = sum over admitted a of prod_j (r'_j + 1) is summed without a pass
-    over the constituents.  The factor of slot j depends only on a_j and the
-    parity of a_{j+1}, and the budget only on how many coordinates are in
-    {2, 3}.  So for each parity of a_0, a recursion from the last slot back
-    keeps, per (parity of the first value, coordinates in {2, 3}), the sum
-    over the suffixes of their products, and prepends slot j with the sums
-    of its factors per (parity, in {2, 3}, parity of the next value).  Each
-    admitted offset is one term of exactly one of these sums, so the
-    result is exact.
+    dim sums serre_weight_dim over the constituents read from their keys:
+    the diffs are the base-p digits of key // m, taken as digit columns.
+    It does not use _dim, the closed form d0_checks reports, so the two
+    paths compare independent dims.
     """
     if profile is None:
         profile = socle_profile(rho, sigma)
@@ -247,7 +242,12 @@ def jh_component(rho, sigma, profile=None):
                 ((bo - r) >> 1) % m + mo + m * r if q else ((be - r) >> 1) % m + me + m * r
                 for r, q in zip(rs[w & 1], qs or [w & 1])
             ]
-        dim = _dim(sigma.diffs, ranges, p)
+        rest = [key // m for key in keys]
+        dims = [1] * len(keys)
+        for _ in range(f):
+            dims = [x * (r % p + 1) for x, r in zip(dims, rest)]
+            rest = [r // p for r in rest]
+        dim = sum(dims)
     return ComponentStructure(
         socle=sigma,
         profile=profile,
@@ -302,8 +302,17 @@ def _suffix_columns(diffs, ranges, radix, p):
 
 
 def _dim(diffs, ranges, p):
-    """sum of prod_j (r'_j + 1) over the admitted offsets, by the recursion
-    described in jh_component."""
+    """sum of prod_j (r'_j + 1) over the admitted offsets (r'_j as in
+    jh_component), without a pass over the constituents.
+
+    The factor of slot j depends only on a_j and the parity of a_{j+1}, and
+    the budget only on how many coordinates are in {2, 3}.  So for each
+    parity of a_0, a recursion from the last slot back keeps, per (parity
+    of the first value, coordinates in {2, 3}), the sum over the suffixes
+    of their products, and prepends slot j with the sums of its factors per
+    (parity, in {2, 3}, parity of the next value).  Each admitted offset is
+    one term of exactly one of these sums, so the result is exact.
+    """
     # per slot: (parity, in {2, 3}, parity of the next value) -> summed factors
     sums = []
     for d, rng in zip(diffs, ranges):

@@ -3,10 +3,10 @@ that touch only the entries a row stores.  The forward elimination keeps a
 row whose smallest column is a new pivot as it is (the caller's dict), skips
 a one-entry row whose column has a one-entry pivot row (it reduces to zero),
 and copies and reduces any other; no pivot row is normalized, and only the
-rare reduction step inverts a lead.  `pivot_rows`, `rank` and `kernel_dim`
-stop there.  `kernel_basis` then back-substitutes, last pivot first, the
-pivot rows with other entries, reducing mod p and normalizing once each
-reaching a free column.
+rare reduction step inverts a lead.  `rank` and `kernel_dim` stop there.
+`kernel_basis` then back-substitutes, last pivot first, the pivot rows with
+other entries, reducing mod p and normalizing once each reaching a free
+column.
 
 Given `pivots`, the echelon of earlier rows, `rank` and `kernel_basis`
 continue that elimination with the new rows alone and extend the dict in
@@ -69,16 +69,11 @@ def _echelon(rows, p, pivots=None):
     return pivots
 
 
-def pivot_rows(rows, p):
-    """Rows in echelon form spanning the same space mod p as rows: one per
-    pivot, so as many as the rank.  A row may be one of the caller's dicts,
-    only ever read; its values are then arbitrary ints."""
-    return list(_echelon(rows, p).values())
-
-
 def rank(rows, p, pivots=None):
-    """Rank mod p of a sparse integer matrix given as {column: value} rows,
-    together with the rows that pivots (extended in place) came from."""
+    """Rank mod p of a sparse integer matrix given as {column: value} rows.
+
+    pivots: the echelon of earlier rows, which it extends in place; the
+    rank is then that of rows together with those earlier rows."""
     return len(_echelon(rows, p, pivots))
 
 

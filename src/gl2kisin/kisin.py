@@ -363,9 +363,9 @@ def shape_of(M):
 
 def torus_slot_rows(rho, i, A, k, H=4):
     """Slot i's rows of the torus rigidity system (see torus_rigidity_dims)
-    for its gauge-form matrix A of component index k, reduced to one pivot
-    row each (fp_linalg.pivot_rows).  A matrix outside gauge normal form,
-    and a profile over a proper extension field, are refused."""
+    for its gauge-form matrix A of component index k.  A matrix outside
+    gauge normal form, and a profile over a proper extension field, are
+    refused."""
     field = rho.field
     if field.degree != 1:
         raise PreconditionError("torus rigidity is implemented over prime fields")
@@ -399,32 +399,14 @@ def torus_slot_rows(rho, i, A, k, H=4):
     for q, (a, bound) in enumerate(zip(A.terms(), _entry_bounds(component))):
         l, m = divmod(q, 2)
         rows.extend(rows_above(a, bound, var(i, l), var(iprev, m)))
-    return fp_linalg.pivot_rows(rows, p)
+    return rows
 
 
-def torus_dims(rho, slot_rows, H=4, prefix=None):
+def torus_dims(rho, slot_rows, H=4):
     """(kernel_dimension, expected) of the torus rigidity system from its f
-    slots' torus_slot_rows.  Each slot's pivot rows span that slot's rows,
-    so their union has the kernel of the whole system.
-
-    The elimination runs slot by slot, each continuing from the echelon of
-    the slots before it.  prefix: a list the caller passes to each call of
-    one report, holding per leading slot of the last call its row list and
-    that echelon; leading slots whose row lists are the same objects as
-    then are not eliminated again, so elements in lexicographic order read
-    each shared prefix once."""
-    if prefix is None:
-        prefix = []
-    shared = 0
-    while shared < len(prefix) and prefix[shared][0] is slot_rows[shared]:
-        shared += 1
-    del prefix[shared:]
-    echelon = prefix[-1][1] if prefix else {}
-    for rows in slot_rows[shared:]:
-        echelon = dict(echelon)
-        fp_linalg.rank(rows, rho.p, echelon)
-        prefix.append((rows, echelon))
-    return 2 * rho.f * (H + 1) - len(echelon), 2 * rho.f
+    slots' torus_slot_rows: one rank over their union."""
+    rank = fp_linalg.rank((row for rows in slot_rows for row in rows), rho.p)
+    return 2 * rho.f * (H + 1) - rank, 2 * rho.f
 
 
 def torus_rigidity_dims(data, H=4):

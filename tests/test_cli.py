@@ -559,6 +559,16 @@ def test_oracle_d0_names_disagreements(monkeypatch, capsys, f2_config):
     assert doc["disagreements"] == ["socles_match", "sizes", "dims"]
 
 
+def test_oracle_d0_dims_are_independent(monkeypatch, capsys, f2_config):
+    """The enumerated dims are summed from the constituents' keys, so a
+    closed form that is off names "dims"."""
+    real = d0._dim
+    monkeypatch.setattr(d0, "_dim", lambda *args: real(*args) + 1)
+    rc, doc = run(capsys, ["oracle", "--kind", "d0", "--config", f2_config])
+    assert rc == 0
+    assert "dims" in doc["disagreements"]
+
+
 def test_oracle_d0_needs_config(capsys):
     assert cli.main(["oracle", "--kind", "d0"]) == 1
     assert capsys.readouterr().err == "config error: oracle --kind d0 needs --config\n"
@@ -837,14 +847,17 @@ class TestExitCodes:
                 return self.ctx.Pool(processes)
 
         monkeypatch.setattr(multiprocessing, "get_context", RecordingContext)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         argv = ["oracle", "--kind", "coset", "--seed", "3"]
         outs = []
-        for trials, jobs in (("2", "3"), ("2", "1"), ("1", "3"), ("1", "1")):
+        cases = (("2", "3"), ("2", "1"), ("1", "3"), ("1", "1"), ("5", "5"), ("5", "1"))
+        for trials, jobs in cases:
             assert cli.main(argv + ["--trials", trials, "--jobs", jobs]) == 0
             outs.append(capsys.readouterr().out)
-        # two trials get two workers, one trial runs in-process
-        assert pools == [2]
-        assert outs[0] == outs[1] and outs[2] == outs[3]
+        # two trials get two workers, one trial runs in-process, and five
+        # trials get one worker per CPU
+        assert pools == [2, 2]
+        assert outs[0] == outs[1] and outs[2] == outs[3] and outs[4] == outs[5]
 
     def test_adm_f_zero(self, capsys):
         # --f 0 is given; adm_set's own range check accepts it

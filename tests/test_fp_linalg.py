@@ -107,10 +107,6 @@ def assert_matches_dense_twin(rows, ncols, p):
     assert fp_linalg.kernel_basis(rows, ncols, p) == expected
     assert fp_linalg.rank(rows, p) == expected[1]
     assert fp_linalg.kernel_dim(rows, ncols, p) == len(expected[0])
-    # one pivot row per rank, spanning the row space of rows
-    reduced = fp_linalg.pivot_rows(rows, p)
-    assert len(reduced) == expected[1]
-    assert fp_linalg.kernel_basis(reduced, ncols, p) == expected
     # no call changed the caller's row dicts
     assert rows == before
 
@@ -313,23 +309,6 @@ def test_repeated_one_column_rows_match_dense_twin(monkeypatch):
     assert sorted(pivots) == [0, 1, 2, 3, 4] and len(inverses) == 1
     assert pivots[0] is rows[0] and pivots[2] is rows[4] and pivots[3] is rows[6]
     assert_matches_dense_twin(rows, 5, p)
-
-
-def test_pivot_rows_of_blocks_have_the_rank_of_all_rows():
-    """The union of each block's pivot rows has the kernel of all the rows:
-    the fact the kisin report's torus rigidity rests on."""
-    rng = random.Random(5)
-    for p in (2, 5, 31):
-        for _ in range(20):
-            ncols = rng.randrange(1, 12)
-            blocks = [
-                [{c: rng.randrange(-p, p) for c in rng.sample(range(ncols), min(ncols, rng.randrange(1, 3)))}
-                 for _ in range(rng.randrange(0, 8))]
-                for _ in range(3)
-            ]
-            union = [row for block in blocks for row in fp_linalg.pivot_rows(block, p)]
-            all_rows = [row for block in blocks for row in block]
-            assert fp_linalg.kernel_basis(union, ncols, p) == dense_kernel(all_rows, ncols, p)
 
 
 def tangent_profile(f, p):

@@ -1,5 +1,6 @@
-"""Static scan of the package and the tests: every imported name is used, and
-every __all__ entry is bound."""
+"""Static scan of the package and the tests: every imported name is used,
+every __all__ entry is bound, and every private module-level name of the
+package is read somewhere in it."""
 
 import ast
 import pathlib
@@ -7,7 +8,8 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-FILES = sorted((ROOT / "src" / "gl2kisin").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+SRC = sorted((ROOT / "src" / "gl2kisin").glob("*.py"))
+FILES = SRC + sorted((ROOT / "tests").glob("*.py"))
 
 
 def _imported(tree):
@@ -52,6 +54,24 @@ def unbound_exports(tree):
     return sorted(_all_entries(tree) - _module_bindings(tree))
 
 
+def unread_private_names(trees):
+    """(module, name) for each module-level _name, dunders aside, that no
+    tree reads, as a name or as an attribute."""
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(
+        (module, name)
+        for module, tree in trees.items()
+        for name in _module_bindings(tree) - set(_imported(tree))
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    )
+
+
 @pytest.mark.parametrize("path", FILES, ids=lambda p: "%s/%s" % (p.parent.name, p.name))
 def test_imports_used_and_all_bound(path):
     tree = ast.parse(path.read_text(), str(path))
@@ -66,3 +86,18 @@ def test_scan_sees_stale_imports_and_exports():
     )
     assert unused_imports(tree) == ["os", "z"]
     assert unbound_exports(tree) == ["gone"]
+
+
+def test_private_names_are_read():
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SRC}
+    assert unread_private_names(trees) == []
+
+
+def test_scan_sees_unread_private_names():
+    trees = {
+        "a.py": ast.parse(
+            "import b\n_used = 1\n_left = 2\n__all__ = []\ndef _f(): return _used\nprint(b._C)\n"
+        ),
+        "b.py": ast.parse("from a import _g\nclass _C: pass\n"),
+    }
+    assert unread_private_names(trees) == [("a.py", "_f"), ("a.py", "_left")]

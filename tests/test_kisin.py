@@ -16,10 +16,7 @@ from gl2kisin.kisin import (
     iwahori_check,
     kisin_matrices,
     shape_of,
-    slot_matrix,
-    torus_dims,
     torus_rigidity_dims,
-    torus_slot_rows,
     verify_recovery,
 )
 from gl2kisin.laurent import Laurent, phi_twist
@@ -598,37 +595,10 @@ def test_compositions_match_element_twins():
                 assert torus_rigidity_dims(data) == torus_rigidity_dims_twin(data), (name, w)
 
 
-def test_torus_dims_along_prefixes_match_one_elimination():
-    """torus_dims carried along the elements' shared leading slots, as the
-    kisin report calls it, gives each element the kernel dimension of one
-    kernel_dim over the union of all its slot rows, in lexicographic order
-    and in orders whose neighbours share less."""
-    for name, cfg in kisin_twin_configs():
-        rho = RhoBar.from_config(cfg)
-        if rho.field.degree != 1:
-            continue
-        ncols = 2 * rho.f * 5
-        slots = {}
-        elements = x_rho(rho)
-        shuffled = random.Random(name).sample(elements, len(elements))
-        for order in (elements, elements[::-1], shuffled):
-            prefix = []
-            for w in order:
-                slot_rows = []
-                for i, k in enumerate(w):
-                    if (i, k) not in slots:
-                        slots[i, k] = torus_slot_rows(rho, i, slot_matrix(rho, i, k), k)
-                    slot_rows.append(slots[i, k])
-                union = [row for rows in slot_rows for row in rows]
-                expected = (fp_linalg.kernel_dim(union, ncols, rho.p), 2 * rho.f)
-                assert torus_dims(rho, slot_rows, prefix=prefix) == expected, (name, w)
-                assert [rows for rows, _echelon in prefix] == slot_rows
-
-
 def test_torus_rigidity_matches_twin_at_small_primes():
     """At p <= H a degree d + e of h can meet a degree d + p*e' of phi(h'),
-    so some rows have two columns; the slot-by-slot reduction still equals
-    the one elimination of all rows."""
+    so some rows have two columns; the rows built slot by slot still give
+    the kernel dimension of the per-element twin."""
     two_column_rows = 0
     for rho in brute_force_profiles():
         for w in x_rho(rho):
