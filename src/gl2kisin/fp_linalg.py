@@ -4,9 +4,10 @@ row whose smallest column is a new pivot as it is (the caller's dict), skips
 a one-entry row whose column has a one-entry pivot row (it reduces to zero),
 and copies and reduces any other; no pivot row is normalized, and only the
 rare reduction step inverts a lead.  `rank` and `kernel_dim` stop there.
-`kernel_basis` then back-substitutes, last pivot first, the pivot rows with
-other entries, reducing mod p and normalizing once each reaching a free
-column.
+`kernel_basis` then back-substitutes, last pivot first, reducing mod p and
+normalizing once, only the pivot rows that name a free column or a pivot
+already solved to nonzero: any other row forces its pivot to 0.  A kernel
+vector is a {column: value} dict like a row, holding its nonzero entries.
 
 Given `pivots`, the echelon of earlier rows, `rank` and `kernel_basis`
 continue that elimination with the new rows alone and extend the dict in
@@ -19,7 +20,7 @@ an earlier pivot only where its solution names a column the new rows
 turned into a pivot.  Solutions are replaced, never modified.
 """
 
-from itertools import islice
+from itertools import filterfalse, islice
 
 # The one kernel implementation; perfbench records it beside its timings.
 BACKEND = "pure"
@@ -81,10 +82,10 @@ def kernel_basis(rows, ncols, p, pivots=None, solved=None):
     """Kernel of a sparse integer matrix mod p.
 
     rows: iterable of {column: value} dicts (values arbitrary ints).
-    Returns (basis, rank) where basis is a list of length-ncols lists with
-    entries in 0..p-1, one vector per free column in ascending column order:
-    the vector for free column j has a 1 at j and minus the reduced-echelon
-    pivot-row entries at the pivot columns.
+    Returns (basis, rank) where basis holds one {column: value} dict per
+    free column, in ascending column order: the vector for free column j
+    maps j to 1 and each pivot column whose reduced-echelon entry at j is
+    nonzero to minus that entry, a value in 1..p-1.
 
     pivots: an echelon of earlier rows on columns below ncols, extended in
     place; the kernel is that of the earlier rows and rows together.
@@ -94,22 +95,27 @@ def kernel_basis(rows, ncols, p, pivots=None, solved=None):
     is not empty, it is the back-substitution of pivots as passed, and only
     the pivots the rows add, and an earlier pivot whose x_c names a column
     they turned into a pivot, are back-substituted; otherwise (the default)
-    every pivot is.
+    every pivot is.  A pivot row that names no free column and no pivot
+    with a nonzero solution forces its pivot to 0 and is skipped unread.
     """
     if solved is None:
         solved = {}
     done = len(pivots) if solved else 0
     pivots = _echelon(rows, p, pivots)
     # the pivots the echelon gained follow the back-substituted ones
-    new = list(islice(pivots, done, None))
-    todo = [c for c in new if len(pivots[c]) > 1]
-    if done and new:
-        fresh = set(new)
+    todo = list(islice(pivots, done, None))
+    if done and todo:
+        fresh = set(todo)
         for c in [c for c, x in solved.items() if not fresh.isdisjoint(x)]:
             del solved[c]
             todo.append(c)
+    free = list(filterfalse(pivots.__contains__, range(ncols)))
+    # the columns whose x is not forced to 0: free ones, and solved pivots
+    live = {*free, *solved}
     for c in sorted(todo, reverse=True):
         row = pivots[c]
+        if live.isdisjoint(row):
+            continue
         acc = {}
         for k, v in row.items():
             if k in solved:
@@ -117,19 +123,16 @@ def kernel_basis(rows, ncols, p, pivots=None, solved=None):
                     acc[j] = acc.get(j, 0) + v * w
             elif k not in pivots:
                 acc[k] = acc.get(k, 0) + v
-        if acc:
-            neg = p - pow(row[c], -1, p)
-            x = {j: w for j, v in acc.items() if (w := v * neg % p)}
-            if x:
-                solved[c] = x
-    free = {j: i for i, j in enumerate(j for j in range(ncols) if j not in pivots)}
-    basis = [[0] * ncols for _ in free]
-    for j, i in free.items():
-        basis[i][j] = 1
+        neg = p - pow(row[c], -1, p)
+        x = {j: w for j, v in acc.items() if (w := v * neg % p)}
+        if x:
+            solved[c] = x
+            live.add(c)
+    basis = {j: {j: 1} for j in free}
     for c, x in solved.items():
         for j, w in x.items():
-            basis[free[j]][c] = w
-    return basis, len(pivots)
+            basis[j][c] = w
+    return list(basis.values()), len(pivots)
 
 
 def kernel_dim(rows, ncols, p):

@@ -22,7 +22,7 @@ from .matrices import Mat2
 # assemble_system builds at most this many columns, else PreconditionError.
 # The largest system the tests and the benchmark build has 2,470 (p 101,
 # f 3, degree bound 202); one of 65,530 columns (p 101, f 3, degree bound
-# 5457) takes 0.18-0.20 s and a 50 MiB peak RSS for `gl2kisin tangent`
+# 5457) takes 0.10-0.13 s and a 50 MiB peak RSS for `gl2kisin tangent`
 # (cli.main in one process, Python 3.11, a 2-vCPU Xeon).
 MAX_TANGENT_COLUMNS = 2**16
 
@@ -316,13 +316,10 @@ class TangentReport:
     solved: dict
 
 
-def _projected_rank(vectors, p):
-    return fp_linalg.rank([{i: c for i, c in enumerate(v) if c} for v in vectors], p)
-
-
 def solve_claim(system):
-    """Kernel of the system, with the dimensions of its projections onto
-    the correction/framing block and onto the perturbation block.  The
+    """Kernel of the system, as fp_linalg's {column: value} vectors, with
+    the dimensions of its projections onto the correction/framing block
+    and onto the perturbation block (each vector split by column).  The
     rigidity claim is injective = True: no kernel direction touches the
     correction parameters.  The elimination and back-substitution continue
     copies of the system's eliminated block with the rows after it."""
@@ -330,8 +327,8 @@ def solve_claim(system):
     rows = [row for _lab, row in system.rows[system.eliminated :]]
     basis, rank = fp_linalg.kernel_basis(rows, system.ncols, system.p, echelon, solved)
     n = system.n_param_cols
-    param_dim = _projected_rank([v[:n] for v in basis], system.p)
-    m_dim = _projected_rank([v[n:] for v in basis], system.p)
+    param_dim = fp_linalg.rank([{c: v for c, v in x.items() if c < n} for x in basis], system.p)
+    m_dim = fp_linalg.rank([{c: v for c, v in x.items() if c >= n} for x in basis], system.p)
     return TangentReport(
         system=system,
         kernel=basis,
@@ -356,6 +353,8 @@ def consequence_report(report):
     """
     system = report.system
     p, f = system.p, system.f
+    n, stride = system.n_param_cols, system.stride
+    negative = {system.col_param(j, name) for j in range(f) for name in _NEGATIVE_DEGREE_PARAMS}
     out = {
         "negative_degree_params_zero": True,
         "upper_right_zero": True,
@@ -363,25 +362,30 @@ def consequence_report(report):
         "corner_relations": True,
     }
     for vec in report.kernel:
-        for j in range(f):
-            for name in _NEGATIVE_DEGREE_PARAMS:
-                if vec[system.col_param(j, name)] % p:
+        for c, v in vec.items():
+            if not v % p:
+                continue
+            if c < n:
+                if c in negative:
                     out["negative_degree_params_zero"] = False
-            for e in range(system.min_degree, system.degree_bound + 1):
-                if vec[system.col_m(j, M12, e)] % p:
-                    out["upper_right_zero"] = False
-                if e < 1 and vec[system.col_m(j, M21, e)] % p:
-                    out["lower_left_divisible"] = False
+                continue
+            d, comp = divmod(c - n, stride)
+            comp %= 4
+            if comp == M12:
+                out["upper_right_zero"] = False
+            elif comp == M21 and d + system.min_degree < 1:
+                out["lower_left_divisible"] = False
+        get = vec.get
         for j, (a11, a21, a22) in enumerate(system.rho.slot_coeffs):
             jm = (j - 1) % f
-            m11_prev = vec[system.col_m(jm, M11, 0)]
-            m11_here = vec[system.col_m(j, M11, 0)]
-            m22_prev = vec[system.col_m(jm, M22, 0)]
-            m22_here = vec[system.col_m(j, M22, 0)]
+            m11_prev = get(system.col_m(jm, M11, 0), 0)
+            m11_here = get(system.col_m(j, M11, 0), 0)
+            m22_prev = get(system.col_m(jm, M22, 0), 0)
+            m22_here = get(system.col_m(j, M22, 0), 0)
             ok = (
-                (a11 * (m11_prev - m11_here) - vec[system.col_param(j, "p11_0")]) % p == 0
-                and (a21 * (m22_prev - m11_here) - vec[system.col_param(j, "p21_0")]) % p == 0
-                and (a22 * (m22_prev - m22_here) - vec[system.col_param(j, "p22_0")]) % p == 0
+                (a11 * (m11_prev - m11_here) - get(system.col_param(j, "p11_0"), 0)) % p == 0
+                and (a21 * (m22_prev - m11_here) - get(system.col_param(j, "p21_0"), 0)) % p == 0
+                and (a22 * (m22_prev - m22_here) - get(system.col_param(j, "p22_0"), 0)) % p == 0
             )
             if not ok:
                 out["corner_relations"] = False
@@ -397,18 +401,21 @@ def residual_check(report):
     field = rho.field
     f = system.f
     zero = Laurent.zero(field)
-    degrees = range(system.min_degree, system.degree_bound + 1)
+    n, stride, min_degree = system.n_param_cols, system.stride, system.min_degree
     for vec in report.kernel:
+        # the vector's perturbation coordinates, as {degree: value} per
+        # (slot, entry): column n + stride * (e - min_degree) + 4 * j + comp
+        entries = [{} for _ in range(stride)]
+        for c, v in vec.items():
+            if c >= n:
+                d, k = divmod(c - n, stride)
+                entries[k][d + min_degree] = v
         Ms, Ps = [], []
         for j in range(f):
-            def entry(comp, j=j):
-                start = system.col_m(j, comp, system.min_degree)
-                return Laurent(field, dict(zip(degrees, vec[start :: system.stride])))
-
-            Ms.append(Mat2(field, entry(M11), entry(M12), entry(M21), entry(M22)))
+            Ms.append(Mat2(field, *(Laurent(field, e) for e in entries[4 * j : 4 * j + 4])))
 
             def par(name, j=j):
-                return vec[system.col_param(j, name)]
+                return vec.get(system.col_param(j, name), 0)
 
             Ps.append(
                 Mat2(

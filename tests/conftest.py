@@ -84,3 +84,17 @@ def random_profile(rng, p, f, irreducible=False, zero_positions=None, deep=False
         irreducible=irreducible,
         mode="strict" if deep else "permissive",
     )
+
+
+def dense_basis(basis, ncols, p):
+    """fp_linalg.kernel_basis vectors, {column: value} dicts, as the
+    length-ncols lists the dense twins build; every stored entry must be a
+    column below ncols with a value in 1..p-1."""
+    dense = []
+    for vec in basis:
+        assert all(0 <= c < ncols and 0 < v < p for c, v in vec.items()), vec
+        row = [0] * ncols
+        for c, v in vec.items():
+            row[c] = v
+        dense.append(row)
+    return dense

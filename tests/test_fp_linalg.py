@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 from gl2kisin import fp_linalg
 from gl2kisin.tangent import assemble_system, solve_claim
 
-from conftest import random_profile
+from conftest import dense_basis, random_profile
+
+
+def densified(rows, ncols, p, *state):
+    """fp_linalg.kernel_basis with its basis densified for the twins."""
+    basis, rank = fp_linalg.kernel_basis(rows, ncols, p, *state)
+    return dense_basis(basis, ncols, p), rank
 
 
 @st.composite
@@ -104,7 +110,7 @@ def dense_kernel(rows, ncols, p):
 def assert_matches_dense_twin(rows, ncols, p):
     before = copy.deepcopy(rows)
     expected = dense_kernel(rows, ncols, p)
-    assert fp_linalg.kernel_basis(rows, ncols, p) == expected
+    assert densified(rows, ncols, p) == expected
     assert fp_linalg.rank(rows, p) == expected[1]
     assert fp_linalg.kernel_dim(rows, ncols, p) == len(expected[0])
     # no call changed the caller's row dicts
@@ -118,7 +124,7 @@ def test_kernel_matches_brute_force(system):
     kernel = brute_force_kernel(rows, ncols, p)
     # the nullspace is a subspace, so it has p^nullity elements
     nullity = next(k for k in range(ncols + 1) if p**k == len(kernel))
-    basis, rank = fp_linalg.kernel_basis(rows, ncols, p)
+    basis, rank = densified(rows, ncols, p)
     assert basis == canonical_basis(kernel, ncols) == dense_kernel(rows, ncols, p)[0]
     assert rank == fp_linalg.rank(rows, p) == ncols - nullity
     assert fp_linalg.kernel_dim(rows, ncols, p) == len(basis) == nullity
@@ -154,12 +160,12 @@ def test_continued_elimination_matches_one_pass(system, data):
     kept_rows = copy.deepcopy(echelon_a)
     echelon = dict(echelon_a)
     expected = dense_kernel(rows, ncols, p)
-    assert fp_linalg.kernel_basis(b, ncols, p, echelon) == expected
-    assert fp_linalg.kernel_basis(rows, ncols, p) == expected
+    assert densified(b, ncols, p, echelon) == expected
+    assert densified(rows, ncols, p) == expected
     assert len(echelon) == expected[1]
     assert fp_linalg.rank(b, p, dict(echelon_a)) == expected[1]
     # the continued echelon is one of A + B: it adds nothing to more rows
-    assert fp_linalg.kernel_basis([], ncols, p, dict(echelon)) == expected
+    assert densified([], ncols, p, dict(echelon)) == expected
     assert echelon_a == kept_rows and all(echelon_a[c] is row for c, row in kept.items())
     assert rows == before
 
@@ -200,14 +206,14 @@ def assert_back_substitution_continues(a, b, ncols, p):
     pivot."""
     before = copy.deepcopy((a, b))
     echelon_a, solved_a = {}, {}
-    assert fp_linalg.kernel_basis(a, ncols, p, echelon_a, solved_a) == dense_kernel(a, ncols, p)
+    assert densified(a, ncols, p, echelon_a, solved_a) == dense_kernel(a, ncols, p)
     kept, kept_solved = dict(echelon_a), dict(solved_a)
     deep = copy.deepcopy((echelon_a, solved_a))
     echelon, solved = dict(echelon_a), dict(solved_a)
     expected = dense_kernel(a + b, ncols, p)
-    assert fp_linalg.kernel_basis(b, ncols, p, echelon, solved) == expected
+    assert densified(b, ncols, p, echelon, solved) == expected
     one_echelon, one_solved = {}, {}
-    assert fp_linalg.kernel_basis(a + b, ncols, p, one_echelon, one_solved) == expected
+    assert densified(a + b, ncols, p, one_echelon, one_solved) == expected
     assert sorted(echelon) == sorted(one_echelon) and solved == one_solved
     assert (echelon_a, solved_a) == deep
     assert all(echelon_a[c] is row for c, row in kept.items())
@@ -232,6 +238,51 @@ def test_continuation_solves_earlier_pivots_again():
     for seed in range(200):
         again += bool(assert_back_substitution_continues(*split_case(random.Random(seed)))[1])
     assert again >= 100
+
+
+def chain_case(rng, p):
+    """Pivot rows along chains, most of them forcing their pivot to 0.
+    Each column that is not free, last first, gets the row {c: u} plus up
+    to three later columns whose x is 0; about a third of the rows also get
+    one later column whose x is not 0 (a free column, or a pivot whose row
+    got one), and only those rows give their pivot a nonzero x.  Returns
+    the rows, shuffled, ncols, and the numbers of pivots forced to 0 and
+    not."""
+    ncols = rng.randint(2, 40)
+    free = rng.sample(range(ncols), rng.randint(1, max(1, ncols // 6)))
+    live, dead, rows = set(free), [], []
+    for c in reversed(range(ncols)):
+        if c in live:
+            continue
+        row = {c: rng.randrange(1, p)}
+        for k in rng.sample(dead, min(len(dead), rng.randint(0, 3))):
+            row[k] = rng.randrange(1, p)
+        later = sorted(k for k in live if k > c)
+        if later and rng.random() < 0.35:
+            row[rng.choice(later)] = rng.randrange(1, p)
+            live.add(c)
+        else:
+            dead.append(c)
+        rows.append(row)
+    rng.shuffle(rows)
+    return rows, ncols, len(dead), len(live) - len(free)
+
+
+@pytest.mark.parametrize("p", (2, 3, 101))
+def test_chain_kernels_match_dense_twin(p):
+    """Chain systems, whole and split A | B with A's back-substitution
+    continued: the rows that only name pivots forced to 0 are skipped, and
+    the rows whose one live entry is a free column or a solved pivot are
+    not."""
+    rng = random.Random("chain:%d" % p)
+    forced = nonzero = 0
+    for _ in range(150):
+        rows, ncols, dead, live = chain_case(rng, p)
+        forced, nonzero = forced + dead, nonzero + live
+        assert_matches_dense_twin(rows, ncols, p)
+        split = rng.randint(0, len(rows))
+        assert_back_substitution_continues(rows[:split], rows[split:], ncols, p)
+    assert forced > 1.5 * nonzero > 0
 
 
 @st.composite

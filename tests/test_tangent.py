@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,9 @@ from gl2kisin.fields import GF
 from gl2kisin.rho import RhoBar
 from gl2kisin.tangent import (
     FRAME_NAMES,
+    M11,
+    M12,
+    M22,
     PARAM_NAMES,
     TangentSystem,
     assemble_system,
@@ -18,7 +23,7 @@ from gl2kisin.tangent import (
     stability_check,
 )
 
-from conftest import random_profile
+from conftest import dense_basis, random_profile
 
 
 def test_layout_frozen(f1_nonsplit):
@@ -88,7 +93,7 @@ def test_solve_claim_healthy(f1_nonsplit):
 def test_kernel_is_scalar_direction(f1_nonsplit):
     system = assemble_system(f1_nonsplit, degree_bound=44)
     report = solve_claim(system)
-    (vec,) = report.kernel
+    (vec,) = dense_basis(report.kernel, system.ncols, system.p)
     support = {c for c, val in enumerate(vec) if val}
     # only the degree-0 diagonal coefficients move, and they move together
     assert support == {system.col_m(0, 0, 0), system.col_m(0, 3, 0)}
@@ -104,6 +109,31 @@ def test_consequences_and_residual(f1_nonsplit):
         "lower_left_divisible": True,
         "corner_relations": True,
     }
+    assert residual_check(report)
+
+
+def test_residual_check_rejects_a_perturbed_vector(f2_mixed):
+    """Adding 1 to one coordinate of the f=2 kernel vector breaks the
+    recurrence: a correction parameter, an M coordinate at min_degree and
+    one at degree_bound, and a coordinate the vector does not hold."""
+    report = solve_claim(assemble_system(f2_mixed))
+    system, p = report.system, f2_mixed.p
+    (vec,) = report.kernel
+    assert residual_check(report)
+    cols = [
+        system.col_param(0, "p12_m1"),
+        system.col_m(0, M11, system.min_degree),
+        system.col_m(1, M22, system.degree_bound),
+        system.col_m(0, M12, 1),
+    ]
+    assert system.col_m(0, M11, system.min_degree) in vec
+    assert system.col_m(0, M12, 1) not in vec
+    results = []
+    for c in cols:
+        doctored = dict(vec)
+        doctored[c] = (doctored.get(c, 0) + 1) % p
+        results.append(residual_check(dataclasses.replace(report, kernel=[doctored])))
+    assert results == [False, False, False, False]
     assert residual_check(report)
 
 
@@ -394,7 +424,7 @@ def test_kernel_annihilates_assembled_system(f1_nonsplit):
     p = system.p
     basis, rank = fp_linalg.kernel_basis(rows, system.ncols, p)
     assert len(basis) + rank == system.ncols
-    for vec in basis:
+    for vec in dense_basis(basis, system.ncols, p):
         for row in rows:
             assert sum(v * vec[c] for c, v in row.items()) % p == 0
 
@@ -405,7 +435,7 @@ def test_backend_kernel_canonical_form():
     basis, rank = fp_linalg.kernel_basis(rows, 4, 7)
     assert rank == 2
     assert len(basis) == 2
-    v2, v3 = basis
+    v2, v3 = dense_basis(basis, 4, 7)
     assert v2[2] == 1 and v2[3] == 0
     assert v3[3] == 1 and v3[2] == 0
     assert v2[0] == 7 - 3 and v2[1] == 7 - 4
