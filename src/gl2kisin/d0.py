@@ -10,20 +10,20 @@ closure under moving any offset one step toward zero.
 d0_checks decides every check from counts: component sizes and dims are
 closed forms, and the number of coinciding constituents between two
 components is a transfer over the slots, so no constituent is enumerated.
-d0_checks_enumerated is its second path: it builds every constituent with
-jh_component and checks the keys and codes directly, under
-MAX_D0_CONSTITUENTS.
+d0_checks_enumerated is its second path, by the definition: jh_component
+labels every admitted offset with weights.t_lambda, under
+MAX_D0_CONSTITUENTS, and the checks compare those labels and offsets
+directly.
 """
 
 import itertools
-from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from math import prod
 
 from .errors import ConfigError, InternalCheckError, PreconditionError
 from .rho import serre_weights
-from .weights import SerreWeightLabel, t_lambda
+from .weights import t_lambda
 
 
 @dataclass(frozen=True)
@@ -81,32 +81,12 @@ def socle_profile(rho, sigma, wlabels=None):
     return profile
 
 
-def label_key(label, p):
-    """Injective int key of a label with diffs in [0, p - 1]: the twist plus
-    (p^f - 1) times the diffs read as base-p digits, slot 0 lowest."""
-    m = p ** len(label.diffs) - 1
-    return label.twist + m * sum(d * p**j for j, d in enumerate(label.diffs))
-
-
-def labels_of_keys(keys, p, f):
-    """The labels whose label_key at p is each of keys, in order."""
-    m = p**f - 1
-    twists = [k % m for k in keys]
-    rest = [k // m for k in keys]
-    digits = []
-    for _ in range(f - 1):
-        digits.append([x % p for x in rest])
-        rest = [x // p for x in rest]
-    # the diffs read as a base-p number are below p^f
-    digits.append(rest)
-    return tuple(map(SerreWeightLabel, zip(*digits), twists))
-
-
 # d0_checks_enumerated and jh_component enumerate at most this many
-# constituents over the components of a profile (an f=4, p=37 profile has
-# 154,252, and enumerating them with their dims takes about 0.12-0.16 s and
-# 49 MiB peak RSS on a 2-vCPU Xeon); a larger profile raises
-# PreconditionError before anything is enumerated.
+# constituents over the components of a profile; a larger profile raises
+# PreconditionError before anything is enumerated.  Each constituent is one
+# t_lambda call: oracle --kind d0 takes about 2.5-2.9 s and 73 MiB peak RSS
+# on an f=4, p=37 profile of 154,252 constituents, and 19-21 s and 424 MiB
+# on an f=4, p=47 profile of 1,048,456 (Python 3.11, a 2-vCPU Xeon).
 MAX_D0_CONSTITUENTS = 2**20
 
 # d0_checks counts coinciding constituents for every ordered pair of
@@ -120,29 +100,12 @@ class ComponentStructure:
     socle: object
     profile: SocleProfile
     ranges: tuple  # the values of the offset at each slot, ascending
-    codes: tuple  # mixed-radix code of each offset; see offsets
-    keys: tuple  # label_key of the constituent at each offset
-    p: int
-    dim: int  # sum of serre_weight_dim over the constituents
-
-    @property
-    def offsets(self):
-        """The offsets a, decoded from their codes: the digit of slot j is
-        a_j - ranges[j].start, with slot 0 the most significant, so codes
-        ascend as offsets do lexicographically."""
-        columns, rest = [], self.codes
-        for rng in reversed(self.ranges):
-            n, lo = len(rng), rng.start
-            columns.append([x % n + lo for x in rest])
-            rest = [x // n for x in rest]
-        return tuple(zip(*reversed(columns)))
-
-    @property
-    def labels(self):
-        return labels_of_keys(self.keys, self.p, len(self.socle.diffs))
+    offsets: tuple  # the admitted offsets, in lexicographic order
+    labels: tuple  # weights.t_lambda(socle, a, p) at each offset a
+    dim: int  # sum of serre_weight_dim over the labels
 
     def __len__(self):
-        return len(self.codes)
+        return len(self.offsets)
 
 
 def _offset_ranges(sigma, profile, p):
@@ -171,12 +134,6 @@ def component_size(ranges):
     )
 
 
-def _radix(ranges):
-    """The weight of slot j's digit in a code: the product of the lengths
-    of the later ranges."""
-    return [prod(map(len, ranges[j + 1 :])) for j in range(len(ranges))]
-
-
 def _refuse_above_cap(size):
     if size > MAX_D0_CONSTITUENTS:
         raise PreconditionError(
@@ -186,76 +143,40 @@ def _refuse_above_cap(size):
 
 
 def jh_component(rho, sigma, profile=None):
-    """Constituents of the component generated by sigma.
+    """Constituents of the component generated by sigma: one for each
+    offset a that _admitted_offsets yields, labelled
+    weights.t_lambda(sigma, a, p).
 
-    Offsets a run through _offset_ranges, subject to the budget
-    sum_j max(floor(a_j / 2), 0) <= 1, in lexicographic order; their count
-    is checked against MAX_D0_CONSTITUENTS before any is enumerated.  The
-    label of a is weights.t_lambda(sigma, a, p), kept as its label_key: with
-    r'_j = d_j + a_j when a_{j+1} is even and p - 2 - d_j - a_j when it is
-    odd (slot f is slot 0), R = sum_j r'_j p^j, D = sum_j d_j p^j and
-    m = p^f - 1, the key is t + m * R for the twist
-    t = sigma.twist + (delta_0 * m + D - R) / 2 mod m, delta_0 the parity of
-    a_0.  At p = 2 the window admits only the zero offset; for odd p,
-    D - R is congruent to sum_j a_j + #{j : a_j odd}, which is even.
-
-    Codes, R and keys are built from the last slot back, on columns
-    (code, parity of the first value, R) for the admitted suffixes and for
-    the suffixes of values <= 1: an admitted suffix starts with a value
-    <= 1 followed by an admitted suffix, or with a value in {2, 3} followed
-    by a suffix of values <= 1, and every value <= 1 sorts before {2, 3}.
-    Prepending a value w at slot j is one list comprehension per column,
-    and its digit r'_j p^j reads the parity column of the suffix.  The
-    digit of slot f - 1 reads the parity of a_0, so the suffixes carry one
-    R column for each parity of a_0, and slot 0 comes last, value by value,
-    with R and the key in one comprehension.
-
-    dim sums serre_weight_dim over the constituents read from their keys:
-    the diffs are the base-p digits of key // m, taken as digit columns.
-    It does not use _dim, the closed form d0_checks reports, so the two
-    paths compare independent dims.
+    Their count is checked against MAX_D0_CONSTITUENTS, and the window of
+    the ranges as _check_window checks it, before any offset is enumerated.
+    dim sums serre_weight_dim over the labels; it does not use _dim, the
+    closed form d0_checks reports, so the two paths compare independent
+    dims.
     """
     if profile is None:
         profile = socle_profile(rho, sigma)
-    f, p = rho.f, rho.p
+    p = rho.p
     ranges = _offset_ranges(sigma, profile, p)
     _refuse_above_cap(component_size(ranges))
-    codes, keys, dim = [], [], 0
     if all(ranges):
         _check_window(sigma, ranges, p)
-        radix = _radix(ranges)
-        admitted, low_only = _suffix_columns(sigma.diffs, ranges, radix, p)
-        m = p**f - 1
-        base = 2 * sigma.twist + sum(d * p**j for j, d in enumerate(sigma.diffs))
-        d, rng = sigma.diffs[0], ranges[0]
-        for w in rng:
-            suffix_codes, qs, *rs = admitted if w <= 1 else low_only
-            shift = (w - rng.start) * radix[0]
-            codes += [shift + c for c in suffix_codes]
-            # r'_0 = even or odd by the parity of a_1 (a_0 itself when f = 1);
-            # the key is (b - R) / 2 % m + m * R with R = r'_0 + r, and b - R
-            # is even
-            b = base + (w & 1) * m
-            even, odd = d + w, p - 2 - d - w
-            be, bo, me, mo = b - even, b - odd, m * even, m * odd
-            keys += [
-                ((bo - r) >> 1) % m + mo + m * r if q else ((be - r) >> 1) % m + me + m * r
-                for r, q in zip(rs[w & 1], qs or [w & 1])
-            ]
-        rest = [key // m for key in keys]
-        dims = [1] * len(keys)
-        for _ in range(f):
-            dims = [x * (r % p + 1) for x, r in zip(dims, rest)]
-            rest = [r // p for r in rest]
-        dim = sum(dims)
+    offsets = _admitted_offsets(ranges)
+    labels = tuple(t_lambda(sigma, a, p) for a in offsets)
     return ComponentStructure(
         socle=sigma,
         profile=profile,
         ranges=ranges,
-        codes=tuple(codes),
-        keys=tuple(keys),
-        p=p,
-        dim=dim,
+        offsets=offsets,
+        labels=labels,
+        dim=sum(map(serre_weight_dim, labels)),
+    )
+
+
+def _admitted_offsets(ranges):
+    """The offsets a in the product of the ranges within the budget
+    sum_j max(floor(a_j / 2), 0) <= 1, in lexicographic order."""
+    return tuple(
+        a for a in itertools.product(*ranges) if sum(max(aj // 2, 0) for aj in a) <= 1
     )
 
 
@@ -271,39 +192,9 @@ def _check_window(sigma, ranges, p):
                 )
 
 
-def _suffix_columns(diffs, ranges, radix, p):
-    """The columns (code, parity of the first value, R when a_0 is even,
-    R when a_0 is odd) of the admitted suffixes a_1 .. a_{f-1} and of those
-    with every value <= 1, in lexicographic order.  Only the digit of slot
-    f - 1, which reads the parity of a_0, tells the two R columns apart;
-    the empty suffix has parity column None."""
-    admitted = low_only = ([0], None, [0], [0])
-    for j in range(len(diffs) - 1, 0, -1):
-        d, rng, pj = diffs[j], ranges[j], p**j
-        new_admitted, new_low_only = ([], [], [], []), ([], [], [], [])
-        for w in rng:
-            shift = (w - rng.start) * radix[j]
-            even, odd = (d + w) * pj, (p - 2 - d - w) * pj
-            if w <= 1:
-                pairs = ((admitted, new_admitted), (low_only, new_low_only))
-            else:
-                pairs = ((low_only, new_admitted),)
-            for (codes, qs, r0, r1), (new_codes, new_qs, new_r0, new_r1) in pairs:
-                new_codes += [shift + c for c in codes]
-                new_qs += [w & 1] * len(codes)
-                if qs is None:
-                    new_r0.append(even)
-                    new_r1.append(odd)
-                else:
-                    new_r0 += [r + (odd if q else even) for r, q in zip(r0, qs)]
-                    new_r1 += [r + (odd if q else even) for r, q in zip(r1, qs)]
-        admitted, low_only = new_admitted, new_low_only
-    return admitted, low_only
-
-
 def _dim(diffs, ranges, p):
     """sum of prod_j (r'_j + 1) over the admitted offsets (r'_j as in
-    jh_component), without a pass over the constituents.
+    _pair_count), without a pass over the constituents.
 
     The factor of slot j depends only on a_j and the parity of a_{j+1}, and
     the budget only on how many coordinates are in {2, 3}.  So for each
@@ -391,19 +282,29 @@ def _slot_pairs(d, rng, d2, rng2, p):
 
 
 def _counted(label, ranges, p):
-    """The component of label over ranges as _pair_count reads it."""
+    """The component of label over ranges as _pair_count reads it: the
+    diffs, 2 twist + D (D as in _pair_count) and the ranges."""
     return label.diffs, 2 * label.twist + sum(d * p**j for j, d in enumerate(label.diffs)), ranges
 
 
 def _pair_count(x, y, p):
     """Number of pairs (a, b), a an admitted offset of x and b one of y,
-    whose constituents have the same label_key; x and y are (diffs,
+    whose constituents have the same label; x and y are (diffs,
     2 twist + D, ranges) of a label (see _counted), and a range may be a
     single point.
 
-    With the notation of jh_component, the keys agree exactly when every
-    digit r'_j agrees and 2 t_x + delta_0 m + D_x = 2 t_y + delta'_0 m + D_y
-    mod 2m.  The second condition reads only the parities delta_0, delta'_0
+    The constituent at offset a of the component of sigma is
+    weights.t_lambda(sigma, a, p).  With r'_j = d_j + a_j when a_{j+1} is
+    even and p - 2 - d_j - a_j when it is odd (slot f is slot 0),
+    R = sum_j r'_j p^j, D = sum_j d_j p^j and m = p^f - 1, its diffs are the
+    r'_j and its twist is t = sigma.twist + (delta_0 * m + D - R) / 2 mod m,
+    delta_0 the parity of a_0.  At p = 2 the window admits only the zero
+    offset; for odd p, D - R is congruent to sum_j a_j + #{j : a_j odd},
+    which is even.  The diffs are below p, so the label is fixed by its key
+    t + m * R.
+
+    The keys, and so the labels, agree exactly when every digit r'_j agrees
+    and 2 t_x + delta_0 m + D_x = 2 t_y + delta'_0 m + D_y mod 2m.  The second condition reads only the parities delta_0, delta'_0
     of a_0 and b_0, and fixes whether they are equal.  The first reads, at
     slot j, a_j, b_j and the parities of a_{j+1}, b_{j+1} (_slot_pairs), and
     the budget reads how many coordinates of each offset are in {2, 3}.  So
@@ -445,13 +346,13 @@ def d0_checks(rho):
     - per_component_distinct: each component coincides with itself only on
       the diagonal, so its self-pair count is its size;
     - globally_multiplicity_free: summed over all ordered pairs of
-      components, the counts are the sum over keys of the squared
-      multiplicities, which equals the sum of the sizes exactly when no key
-      repeats (pairs (i, k) and (k, i) count alike, so each is counted once
+      components, the counts are the sum over labels of the squared
+      multiplicities, which equals the sum of the sizes exactly when no
+      label repeats (pairs (i, k) and (k, i) count alike, so each is counted once
       and doubled);
-    - weight_set_only_socles: every component has offset zero, whose key is
-      that of its socle (R = D and t = twist there), and each weight occurs
-      once over all components.  With no key repeated that once is its
+    - weight_set_only_socles: every component has offset zero, whose label
+      is its socle (R = D and t = twist there), and each weight occurs once
+      over all components.  With no label repeated that once is its
       socle; otherwise each weight, as a one-point range at offset zero, is
       counted against every component;
     - socles_match: every component has offset zero, so its offset-zero
@@ -491,7 +392,7 @@ def d0_checks(rho):
     globally_multiplicity_free = 2 * pairs + sum(self_pairs) == sum(sizes)
     has_zero = [all(0 in rng for rng in c.ranges) for c in comps]
     point = tuple(range(1) for _ in range(rho.f))
-    # with no key repeated, each weight occurs once: at offset zero of its
+    # with no label repeated, each weight occurs once: at offset zero of its
     # own component
     weight_set_only_socles = all(has_zero) and (
         globally_multiplicity_free
@@ -513,79 +414,50 @@ def d0_checks_enumerated(rho):
 
     The constituents of all components are counted in closed form and
     checked against MAX_D0_CONSTITUENTS before any component is enumerated.
-    Constituents are compared by label_key, counted once over all
-    components; the weight set is computed once and handed to each
-    socle_profile.
+    Constituents are compared by label, counted once over all components;
+    the weight set is computed once and handed to each socle_profile.
     """
     wlabels = serre_weights(rho).labels()
     wset = set(wlabels)
     signed = [(lab, socle_profile(rho, lab, wset)) for lab in wlabels]
     _refuse_above_cap(sum(component_size(_offset_ranges(lab, sp, rho.p)) for lab, sp in signed))
     comps = tuple(jh_component(rho, lab, profile=sp) for lab, sp in signed)
-    # before the key count, so that its code sets and the count are never
-    # held at the same time
-    downward_closed = all(_downward_closed(c.codes, c.ranges) for c in comps)
 
-    counts = Counter(itertools.chain.from_iterable(c.keys for c in comps))
-    globally_multiplicity_free = len(counts) == sum(len(c.keys) for c in comps)
+    counts = Counter(itertools.chain.from_iterable(c.labels for c in comps))
+    globally_multiplicity_free = len(counts) == sum(len(c) for c in comps)
     # a repeat inside a component is a repeat overall
     per_component_distinct = globally_multiplicity_free or all(
-        len(set(c.keys)) == len(c.keys) for c in comps
+        len(set(c.labels)) == len(c) for c in comps
     )
-    wkeys = {label_key(w, rho.p) for w in wlabels}
-    socle_keys = [label_key(c.socle, rho.p) for c in comps]
-    # the code of offset zero has digit -ranges[j].start at slot j
-    at_zero = [
-        c.keys[c.codes.index(sum(-rng.start * w for rng, w in zip(c.ranges, _radix(c.ranges))))]
-        for c in comps
-    ]
+    zero = (0,) * rho.f
+    # the constituent at offset zero, None where a component has none
+    at_zero = [next((l for a, l in zip(c.offsets, c.labels) if a == zero), None) for c in comps]
     # each weight occurs exactly once overall, and that once is at offset
     # zero of a component it is the socle of
-    weight_set_only_socles = all(counts[w] == 1 for w in wkeys) and wkeys <= {
-        s for s, k in zip(socle_keys, at_zero) if k == s
+    weight_set_only_socles = all(counts[w] == 1 for w in wset) and wset <= {
+        c.socle for c, l in zip(comps, at_zero) if l == c.socle
     }
 
     return D0Report(
         components=comps,
         per_component_distinct=per_component_distinct,
         weight_set_only_socles=weight_set_only_socles,
-        socles_match=set(at_zero) == wkeys,
-        downward_closed=downward_closed,
+        socles_match=set(at_zero) == wset,
+        downward_closed=all(_downward_closed(c.offsets) for c in comps),
         globally_multiplicity_free=globally_multiplicity_free,
     )
 
 
-def _downward_closed(codes, ranges):
+def _downward_closed(offsets):
     """Moving any offset one step toward zero in one coordinate gives an
-    offset again (a zero coordinate stays, giving the offset itself).
-
-    Checked slot by slot on sets of codes that share the values of the
-    earlier slots, starting from all codes.  In such a set the codes whose
-    digit at slot j is v form a block; a step toward zero at slot j moves a
-    block from digit v to v - 1 or v + 1 (each code changes by -radix_j or
-    +radix_j), so each block, without that digit, must lie inside the block
-    one digit nearer zero.  The blocks without their digit are the sets for
-    slot j + 1, and equal ones are checked once: most blocks hold the same
-    suffixes."""
-    todo = {tuple(sorted(codes))}
-    for rng, w in zip(ranges, _radix(ranges)):
-        zero = -rng.start
-        suffixes = set()
-        for ordered in todo:
-            blocks, hi = {}, 0
-            for v in range(len(rng)):
-                lo, start = hi, v * w
-                hi = bisect_left(ordered, start + w, lo)
-                if lo < hi:
-                    blocks[v] = tuple([c - start for c in ordered[lo:hi]])
-            for v, block in blocks.items():
-                if v != zero:
-                    nearer = blocks.get(v - 1 if v > zero else v + 1)
-                    if nearer is None or nearer != block and not set(nearer).issuperset(block):
-                        return False
-            suffixes.update(blocks.values())
-        todo = suffixes
-    return True
+    offset again."""
+    members = set(offsets)
+    return all(
+        a[:j] + (aj - 1 if aj > 0 else aj + 1,) + a[j + 1 :] in members
+        for a in members
+        for j, aj in enumerate(a)
+        if aj
+    )
 
 
 def serre_weight_dim(label):

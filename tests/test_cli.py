@@ -424,9 +424,8 @@ def test_d0(capsys, f2_config):
 
 @pytest.mark.parametrize("a", [[5, 7, 11], [0, 7, 11], [0, 0, 0]])
 def test_d0_builds_few_labels(monkeypatch, tmp_path, capsys, a):
-    """The report compares constituents by key: the labels it builds are
-    the weight set and socle_profile's translations, not one per
-    constituent."""
+    """The labels the report builds are the weight set and socle_profile's
+    translations, not one per constituent."""
     path = tmp_path / "f3.json"
     path.write_text(json.dumps(dict(F3_P37_CONFIG, a=a)))
     built = []
@@ -442,15 +441,17 @@ def test_d0_builds_few_labels(monkeypatch, tmp_path, capsys, a):
     assert 0 < len(built) < 0.05 * doc["total_constituents"]
 
 
-def test_d0_builds_no_offset_tuples(monkeypatch, tmp_path, capsys):
-    """The report works on offset codes: no offset tuple is decoded."""
+def test_d0_runs_no_enumeration(monkeypatch, tmp_path, capsys):
+    """The report is counted: it neither builds a component nor enumerates
+    an offset."""
     path = tmp_path / "f3.json"
     path.write_text(json.dumps(F3_P37_CONFIG))
 
-    def offsets(self):
-        raise AssertionError("offset tuples decoded")
+    def enumerating(*args, **kwargs):
+        raise AssertionError("enumeration started")
 
-    monkeypatch.setattr(d0.ComponentStructure, "offsets", property(offsets))
+    monkeypatch.setattr(d0, "jh_component", enumerating)
+    monkeypatch.setattr(d0, "_admitted_offsets", enumerating)
     rc, doc = run(capsys, ["d0", "--config", str(path)])
     assert rc == 0 and doc["passed"]
 
@@ -560,13 +561,28 @@ def test_oracle_d0_names_disagreements(monkeypatch, capsys, f2_config):
 
 
 def test_oracle_d0_dims_are_independent(monkeypatch, capsys, f2_config):
-    """The enumerated dims are summed from the constituents' keys, so a
-    closed form that is off names "dims"."""
+    """The enumerated dims are summed over the constituents' labels, so a
+    closed form that is off names "dims" and nothing else."""
     real = d0._dim
     monkeypatch.setattr(d0, "_dim", lambda *args: real(*args) + 1)
     rc, doc = run(capsys, ["oracle", "--kind", "d0", "--config", f2_config])
     assert rc == 0
-    assert "dims" in doc["disagreements"]
+    assert doc["agree"] is False
+    assert doc["disagreements"] == ["dims"]
+
+
+def test_oracle_d0_pair_counts_are_independent(monkeypatch, capsys, f2_config):
+    """The enumeration compares labels without _pair_count, so a pair count
+    that reads 0 names every flag that the counts decide."""
+    monkeypatch.setattr(d0, "_pair_count", lambda x, y, p: 0)
+    rc, doc = run(capsys, ["oracle", "--kind", "d0", "--config", f2_config])
+    assert rc == 0
+    assert doc["agree"] is False
+    assert doc["disagreements"] == [
+        "per_component_distinct",
+        "weight_set_only_socles",
+        "globally_multiplicity_free",
+    ]
 
 
 def test_oracle_d0_needs_config(capsys):
@@ -697,10 +713,10 @@ class TestExitCodes:
         # one component of 367,750,000 constituents: the count reports it,
         # and the enumeration refuses it from the closed-form count; enumerating
         # fails here rather than run out of memory
-        def enumerate_suffixes(*args):
+        def enumerate_offsets(*args):
             raise AssertionError("enumeration started")
 
-        monkeypatch.setattr(d0, "_suffix_columns", enumerate_suffixes)
+        monkeypatch.setattr(d0, "_admitted_offsets", enumerate_offsets)
         path.write_text(
             json.dumps({"p": 101, "f": 5, "r": [48, 48, 48, 48, 47], "a": [1] * 5,
                         "alpha": [3] * 5, "beta": [5] * 5})

@@ -14,15 +14,13 @@ from gl2kisin.d0 import (
     component_size,
     d0_checks,
     jh_component,
-    label_key,
-    labels_of_keys,
     serre_weight_dim,
     socle_profile,
 )
 from gl2kisin.errors import ConfigError, InternalCheckError, PreconditionError
 from gl2kisin.fields import GF
 from gl2kisin.rho import RhoBar, serre_weights
-from gl2kisin.weights import SerreWeightLabel, make_label, t_lambda
+from gl2kisin.weights import make_label, t_lambda
 
 from conftest import F4_P13_CONFIG, random_profile
 
@@ -115,7 +113,7 @@ def test_serre_weight_dim():
 
 def one_step_down(a):
     """Offsets obtained by moving one coordinate a single step toward 0: the
-    twin of d0._downward_closed's block-wise check."""
+    twin of d0._downward_closed."""
     out = []
     for j, aj in enumerate(a):
         if aj:
@@ -210,27 +208,21 @@ def test_component_dim_matches_labels(base):
     """The transfer recursion for dim against one product per constituent."""
     p, sigma, signs = base
     comp = jh_component(SimpleNamespace(p=p, f=len(signs)), sigma, SocleProfile(signs))
-    assert comp.dim == sum(serre_weight_dim(l) for l in comp.labels)
+    closed_form = d0._dim(sigma.diffs, comp.ranges, p)
+    assert closed_form == comp.dim == sum(serre_weight_dim(l) for l in comp.labels)
 
 
 @given(bases())
 @settings(max_examples=60, deadline=None)
-def test_codes_and_size_match_reference(base):
-    """Codes are the mixed-radix encodings of the budget-filtered product,
-    ascending, and the closed-form count is their number."""
+def test_component_size_matches_reference(base):
+    """The closed-form count is the number of offsets in the budget-filtered
+    product."""
     p, sigma, signs = base
     comp = jh_component(SimpleNamespace(p=p, f=len(signs)), sigma, SocleProfile(signs))
     ranges = comp.ranges
     expected = [
         a for a in itertools.product(*ranges) if sum(max(aj // 2, 0) for aj in a) <= 1
     ]
-    codes = []
-    for a in expected:
-        code = 0
-        for aj, rng in zip(a, ranges):
-            code = code * len(rng) + aj - rng.start
-        codes.append(code)
-    assert list(comp.codes) == codes == sorted(set(codes))
     assert component_size(ranges) == len(comp) == len(expected)
 
 
@@ -238,10 +230,10 @@ def test_size_cap_refuses_before_enumerating(monkeypatch):
     """(d + 2)^5 + 10 (d + 2)^4 = 375,000,000 offsets at d = 48 with free
     signs: refused from the count alone, and admitted at a cap of exactly
     that many."""
-    def enumerate_suffixes(*args):
+    def enumerate_offsets(*args):
         raise AssertionError("enumeration started")
 
-    monkeypatch.setattr(d0, "_suffix_columns", enumerate_suffixes)
+    monkeypatch.setattr(d0, "_admitted_offsets", enumerate_offsets)
     rho, sigma = SimpleNamespace(p=101, f=5), make_label((48,) * 5, 0, 101)
     profile = SocleProfile((0,) * 5)
     with pytest.raises(PreconditionError, match="375000000 constituents"):
@@ -254,8 +246,8 @@ def test_size_cap_refuses_before_enumerating(monkeypatch):
 @given(st.lists(st.integers(-2, 3), min_size=1, max_size=3), st.data())
 @settings(max_examples=200, deadline=None)
 def test_downward_closed_matches_one_step_down(los, data):
-    """The block-wise check on codes against one_step_down on every offset,
-    for downward-closed sets, sets with one offset dropped, and arbitrary
+    """The membership check against one_step_down on every offset, for
+    downward-closed sets, sets with one offset dropped, and arbitrary
     subsets of a product of ranges around zero."""
     ranges = tuple(range(min(lo, 0), data.draw(st.integers(1, 4))) for lo in los)
     space = list(itertools.product(*ranges))
@@ -271,38 +263,8 @@ def test_downward_closed_matches_one_step_down(los, data):
                 todo += one_step_down(a)
         if kind == "closure less one":
             offsets.discard(data.draw(st.sampled_from(sorted(offsets))))
-    codes = []
-    for a in data.draw(st.permutations(sorted(offsets))):
-        code = 0
-        for aj, rng in zip(a, ranges):
-            code = code * len(rng) + aj - rng.start
-        codes.append(code)
     expected = all(b in offsets for a in offsets for b in one_step_down(a))
-    assert d0._downward_closed(codes, ranges) == expected
-
-
-PRIMES_TO_37 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-@st.composite
-def labels(draw):
-    """A prime up to 37 and a label with diffs in [0, p - 1]."""
-    p = draw(st.sampled_from(PRIMES_TO_37))
-    f = draw(st.integers(1, 3))
-    diffs = tuple(draw(st.lists(st.integers(0, p - 1), min_size=f, max_size=f)))
-    return p, SerreWeightLabel(diffs, draw(st.integers(0, p**f - 2)))
-
-
-@given(labels(), st.data())
-@settings(max_examples=200, deadline=None)
-def test_label_key_round_trip_and_injective(drawn, data):
-    p, label = drawn
-    f = len(label.diffs)
-    diffs = tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=f, max_size=f)))
-    other = SerreWeightLabel(diffs, data.draw(st.integers(0, p**f - 2)))
-    keys = [label_key(label, p), label_key(other, p)]
-    assert labels_of_keys(keys, p, f) == (label, other)
-    assert (keys[0] == keys[1]) == (label == other)
+    assert d0._downward_closed(data.draw(st.permutations(sorted(offsets)))) == expected
 
 
 def _signs_by_full_search(sigma, wlabels, p):
@@ -389,22 +351,22 @@ def _checks_on_doctored(monkeypatch, rho, doctor):
 
 
 def _repeat_label(c):
-    return dataclasses.replace(c, keys=c.keys[:-1] + c.keys[-2:-1])
+    return dataclasses.replace(c, labels=c.labels[:-1] + c.labels[-2:-1])
 
 
 def _drop_step(c):
     offsets = c.offsets
     i = offsets.index(one_step_down(offsets[-1])[0])
     return dataclasses.replace(
-        c, codes=c.codes[:i] + c.codes[i + 1 :], keys=c.keys[:i] + c.keys[i + 1 :]
+        c, offsets=offsets[:i] + offsets[i + 1 :], labels=c.labels[:i] + c.labels[i + 1 :]
     )
 
 
 def _move_socle(c):
     i = c.offsets.index((0,) * len(c.offsets[0]))
-    keys = list(c.keys)
-    keys[i], keys[i + 1] = keys[i + 1], keys[i]
-    return dataclasses.replace(c, keys=tuple(keys))
+    labels = list(c.labels)
+    labels[i], labels[i + 1] = labels[i + 1], labels[i]
+    return dataclasses.replace(c, labels=tuple(labels))
 
 
 @pytest.mark.parametrize(
@@ -519,7 +481,7 @@ def test_count_path_matches_enumeration():
 @settings(max_examples=200, deadline=None)
 def test_pair_count_matches_enumerated_keys(base, kind, data):
     """The transfer count of coinciding constituents against the product of
-    key multiplicities, for two components and for a component against the
+    label multiplicities, for two components and for a component against the
     one-point range of a label.  The second component is around a
     constituent of the first, around another label, or the first again."""
     p, sigma, signs = base
@@ -541,12 +503,12 @@ def test_pair_count_matches_enumerated_keys(base, kind, data):
         y = jh_component(rho, other, SocleProfile(other_signs))
     except PreconditionError:
         return
-    kx, ky = Counter(x.keys), Counter(y.keys)
+    kx, ky = Counter(x.labels), Counter(y.labels)
     count = d0._pair_count(d0._counted(sigma, x.ranges, p), d0._counted(other, y.ranges, p), p)
     assert count == sum(n * ky[k] for k, n in kx.items())
     point = tuple(range(1) for _ in signs)
     at_point = d0._pair_count(d0._counted(sigma, x.ranges, p), d0._counted(other, point, p), p)
-    assert at_point == kx[label_key(other, p)]
+    assert at_point == kx[other]
 
 
 def test_pair_guard_refuses_before_counting(monkeypatch):
