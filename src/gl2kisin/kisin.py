@@ -1,6 +1,10 @@
 """Frobenius matrices of the profile, their gauge-normal-form counterparts,
 and the Iwahori double-coset classification (shape) with checkable witnesses.
 
+Slot j's Frobenius matrix is v * Delta_j * diag(v^(r_j+1), 1); the profile
+matrices and the rigidity system (tangent.py) read Delta_j and the shift
+r_j + 1 from frobenius_factor alone.
+
 Slot i of an element's gauge form depends on the profile and the element's
 component index at i alone, so each object is built per slot (slot_matrix,
 slot_recovers, torus_slot_rows; rho.type_part) and an element is composed
@@ -32,24 +36,28 @@ from .weights import ADM_COMPONENTS, _ADM_INDEX, adm_name
 # profile matrices
 
 
-def etale_matrices(rho):
-    """The f Frobenius matrices of the profile, index i = superscript.
+def frobenius_factor(rho, j):
+    """(Delta_j, sh_j) of slot j, whose Frobenius matrix is
+    v * Delta_j * diag(v^sh_j, 1) with sh_j = r_j + 1.  Delta_j is a 2x2
+    tuple of residues: [[alpha_j, 0], [alpha_j a_{f-1-j}, beta_j]], except
+    at the twist slot of an irreducible profile (s_component 1), where it
+    is the antidiagonal [[0, -beta_j], [alpha_j, 0]]."""
+    al, a21, be = rho.slot_coeffs[j]
+    if rho.s_component(j):
+        return ((0, rho.field.neg(be)), (al, 0)), rho.r[j] + 1
+    return ((al, 0), (a21, be)), rho.r[j] + 1
 
-    Reducible: [[alpha_j v^(r_j+2), 0], [alpha_j a_i v^(r_j+2), beta_j v]].
-    Irreducible: diagonal except at i = f-1 where the antidiagonal twist
-    [[0, -beta_0 v], [alpha_0 v^(r_0+2), 0]] appears.
-    """
-    field = rho.field
-    mono = Laurent.monomial
-    mats = [None] * rho.f
-    z = Laurent.zero(field)
-    for j, (al, a21, be) in enumerate(rho.slot_coeffs):
-        i = rho.f - 1 - j
-        d = rho.r[j] + 2
-        if rho.irreducible and j == 0:
-            mats[i] = Mat2(field, z, mono(field, field.neg(be), 1), mono(field, al, d), z)
-        else:
-            mats[i] = Mat2(field, mono(field, al, d), z, mono(field, a21, d), mono(field, be, 1))
+
+def etale_matrices(rho):
+    """The f Frobenius matrices of the profile, index i = superscript: slot
+    j = f-1-i is v * Delta_j * diag(v^sh_j, 1) for (Delta_j, sh_j) =
+    frobenius_factor(rho, j)."""
+    mats = []
+    for j in reversed(range(rho.f)):
+        delta, sh = frobenius_factor(rho, j)
+        # column 1 of Delta moves to degree sh + 1, column 2 to degree 1
+        terms = ({d: c} if c else {} for row in delta for c, d in zip(row, (sh + 1, 1)))
+        mats.append(Mat2.from_terms(rho.field, *terms))
     return tuple(mats)
 
 
@@ -69,7 +77,7 @@ def slot_matrix(rho, i, k):
     z = Laurent.zero(field)
     j = rho.f - 1 - i
     al, a21, be = rho.slot_coeffs[j]
-    if rho.irreducible and j == 0:
+    if rho.s_component(j):
         nb = field.neg(be)
         if k == 1:
             return Mat2(field, mono(field, nb, 2), z, z, mono(field, al, 1))

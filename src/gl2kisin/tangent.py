@@ -12,12 +12,12 @@ substitution.
 """
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heapreplace
 
 from . import fp_linalg
 from .errors import ConfigError, PreconditionError
+from .kisin import etale_matrices, frobenius_factor
 from .laurent import Laurent, phi_twist
-from .matrices import Mat2
+from .matrices import Mat2, monomial_matrix
 
 # assemble_system builds at most this many columns, else PreconditionError.
 # The largest system the tests and the benchmark build has 2,470 (p 101,
@@ -75,7 +75,9 @@ class TangentSystem:
     first and then the constraint rows (pins, weight selectors, frames).
     Row families:
       ("rec", j, l, k, e)   coefficient e of entry (l,k) of the slot-j
-                            recurrence  M^(j-1) Delta_j - Delta_j Phi_j - P_j
+                            recurrence  M^(j-1) Delta_j - Delta_j Phi_j - P_j,
+                            (Delta_j, sh) = kisin.frobenius_factor(rho, j)
+                            and Phi_j = diag(v^sh, 1) phi(M^j) diag(v^-sh, 1)
       ("pin", name, j)      a parameter pinned to zero, including the
                             droppable ("pin", "p21_0", pivot) row
       ("weight", name, j)   the degree -2 correction killed by the chosen
@@ -218,11 +220,10 @@ def _recurrence_rows(system, first):
     rows = []
     window = range(first, degree_bound + 1)
     offsets = range(first * stride, (degree_bound + 1) * stride, stride)
-    for j, (a11, a21, a22) in enumerate(rho.slot_coeffs):
+    for j in range(f):
         jm = (j - 1) % f
         # the slot's Frobenius matrix is v * Delta * diag(v^sh, 1)
-        delta = ((a11, 0), (a21, a22))
-        sh = rho.r[j] + 1
+        delta, sh = frobenius_factor(rho, j)
         # coefficient e of entry (l,k) of the slot-j recurrence
         #   sum_t M^(j-1)_lt Delta_tk - sum_t Delta_lt v^(sh*(k-t)) phi(m_tk) - P_lk
         # built column by column: the M^(j-1) terms give each window degree
@@ -233,9 +234,8 @@ def _recurrence_rows(system, first):
         # where terms cancel stays in the row.  The column of degree d is
         # stride * d past that of degree 0.
         entries = []
-        # per term reaching below the window, the next such row it enters:
-        # (degree, entry, term, d, end of its d, column of degree 0, value)
-        below = []
+        # the rows below the window, by (degree, entry)
+        below = {}
         for n, (l, k) in enumerate(_ENTRIES):
             prev = [
                 (system.col_m(jm, 2 * l + t - 3, 0), delta[t - 1][k - 1])
@@ -268,28 +268,17 @@ def _recurrence_rows(system, first):
                 # the first d whose degree p*d + x is first or more
                 cut = max(lo, -((x - first) // p))
                 if cut > lo and first == min_degree:
-                    below.append((p * lo + x, n, t, lo, min(cut, hi), col, val))
+                    for d in range(lo, min(cut, hi)):
+                        row = below.setdefault((p * d + x, n), {})
+                        c = col + stride * d
+                        row[c] = (row.get(c, 0) + val) % p
                 for d in range(cut, hi):
                     row = inside[p * d + x - first]
                     c = col + stride * d
                     row[c] = (row.get(c, 0) + val) % p
             entries.append((l, k, inside))
-        # each term's degrees below the window ascend by p, so a heap keyed
-        # by (degree, entry, term) streams those rows in order
-        heapify(below)
-        row_e = row_n = None
-        while below:
-            e, n, t, d, end, col, val = below[0]
-            if e != row_e or n != row_n:
-                row_e, row_n = e, n
-                row = {}
-                rows.append((("rec", j, *_ENTRIES[n], e), row))
-            c = col + stride * d
-            row[c] = (row.get(c, 0) + val) % p
-            if d + 1 < end:
-                heapreplace(below, (e + p, n, t, d + 1, end, col, val))
-            else:
-                heappop(below)
+        for e, n in sorted(below):
+            rows.append((("rec", j, *_ENTRIES[n], e), below[e, n]))
         for i, e in enumerate(window):
             for l, k, inside in entries:
                 if inside[i]:
@@ -354,6 +343,7 @@ def consequence_report(report):
     system = report.system
     p, f = system.p, system.f
     n, stride = system.n_param_cols, system.stride
+    deltas = [frobenius_factor(system.rho, j)[0] for j in range(f)]
     negative = {system.col_param(j, name) for j in range(f) for name in _NEGATIVE_DEGREE_PARAMS}
     out = {
         "negative_degree_params_zero": True,
@@ -376,7 +366,7 @@ def consequence_report(report):
             elif comp == M21 and d + system.min_degree < 1:
                 out["lower_left_divisible"] = False
         get = vec.get
-        for j, (a11, a21, a22) in enumerate(system.rho.slot_coeffs):
+        for j, ((a11, _), (a21, a22)) in enumerate(deltas):
             jm = (j - 1) % f
             m11_prev = get(system.col_m(jm, M11, 0), 0)
             m11_here = get(system.col_m(j, M11, 0), 0)
@@ -395,12 +385,16 @@ def consequence_report(report):
 def residual_check(report):
     """Independent validation of the assembled rows: substitute each kernel
     vector into the recurrence with exact Laurent arithmetic and confirm
-    that every residual coefficient up to the degree bound vanishes."""
+    that every residual coefficient up to the degree bound vanishes.  With
+    E = v * Delta_j * diag(v^sh, 1) the etale matrix of slot j
+    (kisin.etale_matrices), the slot-j residual is
+        (M^(j-1) E - E phi(M^j)) diag(v^-(sh+1), v^-1) - P_j."""
     system = report.system
     rho = system.rho
     field = rho.field
     f = system.f
-    zero = Laurent.zero(field)
+    etale = etale_matrices(rho)
+    unshift = [monomial_matrix(field, 0, (-frobenius_factor(rho, j)[1] - 1, -1)) for j in range(f)]
     n, stride, min_degree = system.n_param_cols, system.stride, system.min_degree
     for vec in report.kernel:
         # the vector's perturbation coordinates, as {degree: value} per
@@ -410,40 +404,21 @@ def residual_check(report):
             if c >= n:
                 d, k = divmod(c - n, stride)
                 entries[k][d + min_degree] = v
-        Ms, Ps = [], []
+        Ms = [
+            Mat2(field, *(Laurent(field, e) for e in entries[4 * j : 4 * j + 4])) for j in range(f)
+        ]
         for j in range(f):
-            Ms.append(Mat2(field, *(Laurent(field, e) for e in entries[4 * j : 4 * j + 4])))
-
-            def par(name, j=j):
-                return vec.get(system.col_param(j, name), 0)
-
-            Ps.append(
-                Mat2(
-                    field,
-                    Laurent(field, {0: par("p11_0"), -1: par("p11_m1"), -2: par("p11_m2")}),
-                    Laurent(field, {-1: par("p12_m1"), -2: par("p12_m2")}),
-                    Laurent(field, {0: par("p21_0"), -1: par("p21_m1")}),
-                    Laurent(field, {0: par("p22_0"), -1: par("p22_m1"), -2: par("p22_m2")}),
-                )
-            )
-        for j, (a11, a21, a22) in enumerate(rho.slot_coeffs):
-            delta = Mat2(
+            par = {name: vec.get(system.col_param(j, name), 0) for name in PARAM_NAMES}
+            P = Mat2(
                 field,
-                Laurent.const(field, a11),
-                zero,
-                Laurent.const(field, a21),
-                Laurent.const(field, a22),
+                Laurent(field, {0: par["p11_0"], -1: par["p11_m1"], -2: par["p11_m2"]}),
+                Laurent(field, {-1: par["p12_m1"], -2: par["p12_m2"]}),
+                Laurent(field, {0: par["p21_0"], -1: par["p21_m1"]}),
+                Laurent(field, {0: par["p22_0"], -1: par["p22_m1"], -2: par["p22_m2"]}),
             )
-            mj = Ms[j]
-            sh = rho.r[j] + 1
-            conj = Mat2(
-                field,
-                phi_twist(mj.a11),
-                phi_twist(mj.a12).shift(sh),
-                phi_twist(mj.a21).shift(-sh),
-                phi_twist(mj.a22),
-            )
-            residual = Ms[(j - 1) % f] * delta - delta * conj - Ps[j]
+            E = etale[f - 1 - j]
+            phi_m = Mat2(field, *map(phi_twist, Ms[j].entries()))
+            residual = (Ms[(j - 1) % f] * E - E * phi_m) * unshift[j] - P
             if residual.truncate(system.degree_bound + 1) != Mat2.zero(field):
                 return False
     return True

@@ -248,6 +248,24 @@ def test_stability_matches_scratch_on_digest_profiles(f1_config, f2_config):
                 assert_relaxed_matches_scratch(rho, b, degree_bound, min_degree)
 
 
+def test_residual_check_holds_without_each_constraint_family(f1_config, f2_config):
+    """A global rescaling has zero residual under any Frobenius factor, so
+    the assembled kernel alone does not test the residual formula.  Dropping
+    the rows of one (family, name) constraint frees a correction parameter
+    or a frame, and every kernel vector of that relaxed system must still
+    satisfy the substituted recurrence; on every digest profile, at
+    min_degree 0 and -3."""
+    for rho in (_rho_of(f1_config), _rho_of(f2_config), rho_mod.RhoBar.from_config(F3_P37_CONFIG)):
+        for min_degree in (0, -3):
+            system = tangent.assemble_system(rho, min_degree=min_degree)
+            prefixes = {lab[:2] for lab in system.labels()[system.eliminated :]}
+            assert ("pin", "p21_0") in prefixes and ("frame", "diag") in prefixes
+            for prefix in sorted(prefixes):
+                report = tangent.solve_claim(system.without(prefix))
+                assert report.kernel, prefix
+                assert tangent.residual_check(report), (rho.f, min_degree, prefix)
+
+
 def test_reports_derive_each_object_once(monkeypatch, capsys, f2_config):
     """xset, types and kisin build the weight set and the admissible set once
     per report.  types and kisin build each per-slot object once per
@@ -1193,18 +1211,23 @@ ELEMENT_DIGESTS = {
 }
 
 
-def test_element_digests(tmp_path, capsys, f1_config, f2_config):
+def _element_cases(tmp_path, f2_config):
+    """{case: argv} of every element digest case; the f3_p37 config is
+    written to tmp_path."""
     f3_path = tmp_path / "f3_p37.json"
     f3_path.write_text(json.dumps(F3_P37_CONFIG))
-    cases = {
+    return {
         "f2 types --wtilde 2,1": ["types", "--config", f2_config, "--wtilde", "2,1"],
         "f2 kisin --wtilde 2,1": ["kisin", "--config", f2_config, "--wtilde", "2,1"],
         "f3_p37 kisin --wtilde 1,2,1": ["kisin", "--config", str(f3_path), "--wtilde", "1,2,1"],
         "f2 xset --sigma 0,1": ["xset", "--config", f2_config, "--sigma", "0,1"],
         "adm f3": ["adm", "--f", "3"],
     }
+
+
+def test_element_digests(tmp_path, capsys, f2_config):
     digests = {}
-    for case, argv in cases.items():
+    for case, argv in _element_cases(tmp_path, f2_config).items():
         assert cli.main(argv) == 0, case
         digests[case] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digests == ELEMENT_DIGESTS
