@@ -48,7 +48,8 @@ def socle_profile(rho, sigma, wlabels=None):
     offers the sign c = +-1 only when t_lambda(sigma, c * e_j) is defined
     and lies in the weight set.  The window of t_lambda is checked slot by
     slot, so every translation a choice of offered signs generates is
-    defined.
+    defined.  A choice on s slots generates at most 2^s labels, so one with
+    2^s below the size of the weight set is skipped unbuilt.
     """
     if wlabels is None:
         wlabels = set(serre_weights(rho).labels())
@@ -68,6 +69,8 @@ def socle_profile(rho, sigma, wlabels=None):
         options.append(slot)
     matches = []
     for cand in itertools.product(*options):
+        if 2 ** (f - cand.count(0)) < len(wlabels):
+            continue
         opts = [(0,) if c == 0 else (0, c) for c in cand]
         if {t_lambda(sigma, om, p) for om in itertools.product(*opts)} == wlabels:
             matches.append(cand)

@@ -292,11 +292,6 @@ def _pattern(b):
     return tuple(3 if bj == 0 else 1 for bj in reversed(b))
 
 
-def _avoiding(adm, pattern):
-    # the one exclusion filter, for x_sigma and for x_rho's union check
-    return [w for w in adm if all(i != t for i, t in zip(w, pattern))]
-
-
 def theta(rho, b):
     """Exclusion pattern of a weight given by its b-vector: position f-1-j
     carries index 3 (translation by (1,2)) when b_j = 0 and index 1
@@ -310,7 +305,8 @@ def theta(rho, b):
 def x_sigma(rho, b):
     """Admissible elements avoiding the exclusion pattern of the weight at
     every position; always of size 2^f."""
-    return _avoiding(adm_set(rho.f), theta(rho, b))
+    pattern = theta(rho, b)
+    return [w for w in adm_set(rho.f) if all(i != t for i, t in zip(w, pattern))]
 
 
 def w_in_x_rho(rho, w):
@@ -321,10 +317,13 @@ def x_rho(rho):
     """Admissible elements compatible with the zero-pattern of a: position i
     must avoid index 3 whenever a_i != 0.  Also asserts the defining identity
     that this set is the union of x_sigma over the weight set, computed from
-    one weight set and one admissible set."""
-    adm = adm_set(rho.f)
-    out = [w for w in adm if w_in_x_rho(rho, w)]
-    union = {w for bv, _ in serre_weights(rho).entries for w in _avoiding(adm, _pattern(bv))}
+    one weight set: the admissible set is all of {1, 2, 3}^f, so each
+    x_sigma is the product over positions of the indices its exclusion
+    pattern leaves there, 2^f elements, and the union costs 4^f in all."""
+    out = [w for w in adm_set(rho.f) if w_in_x_rho(rho, w)]
+    union = set()
+    for bv, _ in serre_weights(rho).entries:
+        union.update(itertools.product(*[[i for i in (1, 2, 3) if i != t] for t in _pattern(bv)]))
     if union != set(out):
         raise InternalCheckError("x_rho does not match the union of the x_sigma")
     return out

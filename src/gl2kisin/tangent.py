@@ -12,9 +12,10 @@ substitution.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 
 from . import fp_linalg
-from .errors import ConfigError, PreconditionError
+from .errors import ConfigError, InternalCheckError, PreconditionError
 from .kisin import etale_matrices, frobenius_factor
 from .laurent import Laurent, phi_twist
 from .matrices import Mat2, monomial_matrix
@@ -71,8 +72,14 @@ def _require_tangent_profile(rho):
 class TangentSystem:
     """Labeled sparse linear system over F_p.
 
-    rows is a list of (label, {column: int}) pairs, the recurrence rows
-    first and then the constraint rows (pins, weight selectors, frames).
+    rows is a list of {column: int} dicts, the recurrence rows first and
+    then the constraint rows (pins, weight selectors, frames).  labels()
+    derives each row's label from `layout`, which stores no label per
+    recurrence row: each slot's run of recurrence rows is one descriptor
+    (j, below, first, last), standing for
+        ("rec", j, *_ENTRIES[n], e) for each (e, n) in below, then
+        ("rec", j, l, k, e) for e from first to last, (l, k) in _ENTRIES,
+    and each constraint row is its own label.
     Row families:
       ("rec", j, l, k, e)   coefficient e of entry (l,k) of the slot-j
                             recurrence  M^(j-1) Delta_j - Delta_j Phi_j - P_j,
@@ -121,6 +128,7 @@ class TangentSystem:
                 "the rigidity system at degrees %d..%d has %d columns, above the cap of %d"
                 % (min_degree, degree_bound, self.ncols, MAX_TANGENT_COLUMNS)
             )
+        self.layout = []
         self.eliminated = 0
         self.echelon = {}
         self.solved = {}
@@ -136,24 +144,55 @@ class TangentSystem:
         return self.n_param_cols + (e - self.min_degree) * self.stride + j * 4 + comp
 
     def labels(self):
-        return [lab for lab, _row in self.rows]
+        out = []
+        for item in self.layout:
+            if _is_descriptor(item):
+                j, below, first, last = item
+                out += [("rec", j, *_ENTRIES[n], e) for e, n in below]
+                out += [("rec", j, l, k, e) for e in range(first, last + 1) for l, k in _ENTRIES]
+            else:
+                out.append(item)
+        return out
 
     def without(self, label_prefix):
-        """Copy of the system minus all rows whose label starts with the
-        given tuple; used for the negative control (drop the pivot pin).
-        Only rows after the eliminated block can be dropped, and the copy
-        shares the block's rows, echelon and solutions."""
+        """Copy of the system minus all constraint rows whose label starts
+        with the given tuple; used for the negative control (drop the pivot
+        pin).  Only rows after the eliminated block can be dropped, and the
+        copy shares the block's rows, echelon and solutions."""
         prefix = tuple(label_prefix)
         if not prefix or prefix[0] in self.families:
             raise ConfigError("rows labeled %r are in the eliminated block" % (prefix,))
-        n, block = len(prefix), self.eliminated
-        kept = [(lab, row) for lab, row in self.rows[block:] if lab[:n] != prefix]
-        if block + len(kept) == len(self.rows):
+        n, i = len(prefix), 0
+        layout, dropped = [], []
+        for item in self.layout:
+            if i >= self.eliminated and not _is_descriptor(item) and item[:n] == prefix:
+                dropped.append(i)
+            else:
+                layout.append(item)
+            i += _span(item)
+        if not dropped:
             raise ConfigError("no row labeled %r to drop" % (prefix,))
+        rows = list(self.rows)
+        for i in reversed(dropped):
+            del rows[i]
         clone = TangentSystem.__new__(TangentSystem)
         clone.__dict__.update(self.__dict__)
-        clone.rows = self.rows[:block] + kept
+        clone.rows, clone.layout = rows, layout
         return clone
+
+
+def _is_descriptor(item):
+    # a layout item is a recurrence descriptor (j, below, first, last) or a
+    # constraint row's label, whose first entry is its family name
+    return type(item[0]) is int
+
+
+def _span(item):
+    # the number of rows a layout item stands for
+    if _is_descriptor(item):
+        _j, below, first, last = item
+        return len(below) + len(_ENTRIES) * (last - first + 1)
+    return 1
 
 
 def assemble_system(rho, b=None, degree_bound=None, min_degree=0):
@@ -184,41 +223,49 @@ def assemble_system(rho, b=None, degree_bound=None, min_degree=0):
             raise ConfigError("weight selector is 1 on slot %d with nonzero extension parameter" % j)
 
     system = TangentSystem(rho, b, degree_bound, min_degree, [])
-    rows = system.rows
-    rows += _recurrence_rows(system, min_degree)
+    _recurrence_rows(system, min_degree)
+    rows, layout = system.rows, system.layout
     system.eliminated = len(rows)
-    fp_linalg.rank([row for _lab, row in rows], p, system.echelon)
+    fp_linalg.rank(rows, p, system.echelon)
     system.families = frozenset(("rec",))
+
+    def constrain(label, row):
+        layout.append(label)
+        rows.append(row)
+
     for j in range(f - 1):
-        rows.append((("pin", "p11_0", j), {system.col_param(j, "p11_0"): 1}))
-        rows.append((("pin", "p22_0", j), {system.col_param(j, "p22_0"): 1}))
-    rows.append((("pin", "frame_22", None), {system.col_frame("frame_22"): 1}))
+        constrain(("pin", "p11_0", j), {system.col_param(j, "p11_0"): 1})
+        constrain(("pin", "p22_0", j), {system.col_param(j, "p22_0"): 1})
+    constrain(("pin", "frame_22", None), {system.col_frame("frame_22"): 1})
     pivot = pivot_slot(rho)
-    rows.append((("pin", "p21_0", pivot), {system.col_param(pivot, "p21_0"): 1}))
+    constrain(("pin", "p21_0", pivot), {system.col_param(pivot, "p21_0"): 1})
     for j in range(f):
         name = "p22_m2" if b[j] == 0 else "p11_m2"
-        rows.append((("weight", name, j), {system.col_param(j, name): 1}))
-    rows.append((("frame", "frame_12", None), {system.col_frame("frame_12"): 1}))
-    rows.append((("frame", "frame_21", None), {system.col_frame("frame_21"): 1}))
-    rows.append(
-        (
-            ("frame", "diag", None),
-            {system.col_frame("frame_11"): 1, system.col_frame("frame_22"): p - 1},
-        )
+        constrain(("weight", name, j), {system.col_param(j, name): 1})
+    constrain(("frame", "frame_12", None), {system.col_frame("frame_12"): 1})
+    constrain(("frame", "frame_21", None), {system.col_frame("frame_21"): 1})
+    constrain(
+        ("frame", "diag", None),
+        {system.col_frame("frame_11"): 1, system.col_frame("frame_22"): p - 1},
     )
     return system
 
 
 def _recurrence_rows(system, first):
-    """The ("rec", j, l, k, e) rows of every slot at the degrees e from first
-    to the system's degree bound, slot by slot.  From first = min_degree
-    each slot's rows below the window come first; from a higher first the
-    rows below it are left out, since the system at a lower degree bound
-    with the same min_degree already has them, unchanged."""
+    """Append the ("rec", j, l, k, e) rows of every slot at the degrees e
+    from first to the system's degree bound to system.rows, slot by slot,
+    with one layout descriptor per slot.  From first = min_degree each
+    slot's rows below the window come first; from a higher first the rows
+    below it are left out, since the system at a lower degree bound with
+    the same min_degree already has them, unchanged.
+
+    Every window degree has a row for each of the four entries, because
+    Delta_j is invertible: each of its columns is nonzero, so each row has
+    an M^(j-1) term.  An entry whose window holds an empty row raises
+    InternalCheckError."""
     rho, p, f = system.rho, system.p, system.f
     min_degree, degree_bound, stride = system.min_degree, system.degree_bound, system.stride
-    rows = []
-    window = range(first, degree_bound + 1)
+    rows, layout = system.rows, system.layout
     offsets = range(first * stride, (degree_bound + 1) * stride, stride)
     for j in range(f):
         jm = (j - 1) % f
@@ -233,7 +280,7 @@ def _recurrence_rows(system, first):
         # value is a nonzero residue as given; later ones add mod p, and a 0
         # where terms cancel stays in the row.  The column of degree d is
         # stride * d past that of degree 0.
-        entries = []
+        insides = []
         # the rows below the window, by (degree, entry)
         below = {}
         for n, (l, k) in enumerate(_ENTRIES):
@@ -264,7 +311,7 @@ def _recurrence_rows(system, first):
                 name = "p%d%d_%s" % (l, k, suffix)
                 if name in _PARAM_INDEX:
                     terms.append((x, system.col_param(j, name), p - 1, 0, 1))
-            for t, (x, col, val, lo, hi) in enumerate(terms):
+            for x, col, val, lo, hi in terms:
                 # the first d whose degree p*d + x is first or more
                 cut = max(lo, -((x - first) // p))
                 if cut > lo and first == min_degree:
@@ -276,14 +323,16 @@ def _recurrence_rows(system, first):
                     row = inside[p * d + x - first]
                     c = col + stride * d
                     row[c] = (row.get(c, 0) + val) % p
-            entries.append((l, k, inside))
-        for e, n in sorted(below):
-            rows.append((("rec", j, *_ENTRIES[n], e), below[e, n]))
-        for i, e in enumerate(window):
-            for l, k, inside in entries:
-                if inside[i]:
-                    rows.append((("rec", j, l, k, e), inside[i]))
-    return rows
+            if not all(inside):
+                raise InternalCheckError(
+                    "slot %d entry (%d,%d) has an empty recurrence row: Delta_%d has a zero column"
+                    % (j, l, k, j)
+                )
+            insides.append(inside)
+        keys = tuple(sorted(below))
+        rows += [below[key] for key in keys]
+        rows += chain.from_iterable(zip(*insides))
+        layout.append((j, keys, first, degree_bound))
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +362,7 @@ def solve_claim(system):
     correction parameters.  The elimination and back-substitution continue
     copies of the system's eliminated block with the rows after it."""
     echelon, solved = dict(system.echelon), dict(system.solved)
-    rows = [row for _lab, row in system.rows[system.eliminated :]]
+    rows = system.rows[system.eliminated :]
     basis, rank = fp_linalg.kernel_basis(rows, system.ncols, system.p, echelon, solved)
     n = system.n_param_cols
     param_dim = fp_linalg.rank([{c: v for c, v in x.items() if c < n} for x in basis], system.p)
@@ -445,10 +494,11 @@ def stability_check(rho, b=None, degree_bound=None, min_degree=0, first=None):
     system = TangentSystem(
         rho, lower.b, lower.degree_bound + rho.p, lower.min_degree, list(lower.rows)
     )
+    system.layout = list(lower.layout)
     system.eliminated = len(lower.rows)
     system.echelon, system.solved = first.echelon, first.solved
-    system.families = lower.families.union(lab[0] for lab, _row in lower.rows[lower.eliminated :])
-    system.rows += _recurrence_rows(system, lower.degree_bound + 1)
+    system.families = frozenset("rec" if _is_descriptor(item) else item[0] for item in lower.layout)
+    _recurrence_rows(system, lower.degree_bound + 1)
     higher = solve_claim(system)
     stable = (
         first.kernel_dim,

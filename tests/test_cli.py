@@ -206,9 +206,6 @@ def test_tangent_stability_solves_each_system_once(monkeypatch, capsys, f1_confi
     def ids(rows):
         return [id(row) for row in rows]
 
-    def row_ids(labeled):
-        return [id(row) for _lab, row in labeled]
-
     for argv, negative in ((["--stability"], False), (["--stability", "--negative-control"], True)):
         for log in (assembled, solved, fed, kernel_fed):
             log.clear()
@@ -216,21 +213,28 @@ def test_tangent_stability_solves_each_system_once(monkeypatch, capsys, f1_confi
         assert rc == 0 and doc["stability"]["stable"] and doc["injective"] != negative
         (lower,) = assembled
         higher = solved[-1]
+        labels = lower.labels()
+        assert len(labels) == len(lower.rows)
         block = lower.rows[: lower.eliminated]
         constraints = lower.rows[lower.eliminated :]
-        assert block and all(lab[0] == "rec" for lab, _row in block)
-        assert constraints and all(lab[0] != "rec" for lab, _row in constraints)
+        assert block and all(lab[0] == "rec" for lab in labels[: lower.eliminated])
+        assert constraints and all(lab[0] != "rec" for lab in labels[lower.eliminated :])
         new = higher.rows[len(lower.rows) :]
         assert higher.rows[: len(lower.rows)] == lower.rows
-        assert new and all(lab[0] == "rec" for lab, _row in new)
-        solves = [row_ids(constraints), row_ids(new)]
+        assert higher.labels()[: len(lower.rows)] == labels
+        assert new and all(lab[0] == "rec" for lab in higher.labels()[len(lower.rows) :])
+        solves = [ids(constraints), ids(new)]
         if negative:
-            relaxed = [(lab, row) for lab, row in constraints if lab[:2] != ("pin", "p21_0")]
+            relaxed = [
+                row
+                for lab, row in zip(labels[lower.eliminated :], constraints)
+                if lab[:2] != ("pin", "p21_0")
+            ]
             assert len(relaxed) == len(constraints) - 1
-            solves.insert(0, row_ids(relaxed))
+            solves.insert(0, ids(relaxed))
         # the other _echelon calls rank kernel projections, no system row
-        every = set(row_ids(higher.rows))
-        assert [ids(rows) for rows in fed if every & set(ids(rows))] == [row_ids(block)] + solves
+        every = set(ids(higher.rows))
+        assert [ids(rows) for rows in fed if every & set(ids(rows))] == [ids(block)] + solves
         assert [ids(rows) for rows in kernel_fed] == solves
         assert doc["rows"] == len(lower.rows) - negative
 
@@ -1231,6 +1235,27 @@ def test_element_digests(tmp_path, capsys, f2_config):
         assert cli.main(argv) == 0, case
         digests[case] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digests == ELEMENT_DIGESTS
+
+
+# sha256 of xset stdout on the all-split p=101 profile at f=6 and f=8,
+# pinned before x_rho's union check built each X(sigma) as a product
+ALL_SPLIT_XSET_DIGESTS = {
+    6: "77c0826a02cd6a57ffec389de08a38ba0f3dbeef601df1e644f879338c07e52a",
+    8: "18444a09bf3af014c1694eff7d8565a4109646e7369015e08f07ca46881c2731",
+}
+
+
+def test_xset_digests_all_split(tmp_path, capsys):
+    digests = {}
+    for f in ALL_SPLIT_XSET_DIGESTS:
+        path = tmp_path / ("split%d.json" % f)
+        path.write_text(
+            json.dumps({"p": 101, "f": f, "r": [48] * f, "a": [0] * f,
+                        "alpha": [3] * f, "beta": [5] * f})
+        )
+        assert cli.main(["xset", "--config", str(path)]) == 0, f
+        digests[f] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == ALL_SPLIT_XSET_DIGESTS
 
 
 NOT_ALLOWED = (

@@ -377,7 +377,7 @@ def test_tangent_systems_match_dense_twin(f, p):
     system = assemble_system(rho)
     higher = assemble_system(rho, degree_bound=system.degree_bound + p)
     for sys_ in (system, higher, system.without(("pin", "p21_0"))):
-        assert_matches_dense_twin([row for _lab, row in sys_.rows], sys_.ncols, p)
+        assert_matches_dense_twin(sys_.rows, sys_.ncols, p)
 
 
 def _summary(report):
@@ -398,8 +398,8 @@ def test_relaxed_system_shares_rows_safely(f, p):
     rho = tangent_profile(f, p)
     system = assemble_system(rho)
     relaxed = system.without(("pin", "p21_0"))
-    shared = {id(row) for _lab, row in system.rows}
-    assert all(id(row) in shared for _lab, row in relaxed.rows)
+    shared = {id(row) for row in system.rows}
+    assert all(id(row) in shared for row in relaxed.rows)
     full, rel = solve_claim(system), solve_claim(relaxed)
     rel_again, full_again = solve_claim(relaxed), solve_claim(system)
     fresh_full = solve_claim(assemble_system(rho))

@@ -1,11 +1,13 @@
 import dataclasses
+import gc
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gl2kisin import fp_linalg
-from gl2kisin.errors import ConfigError, PreconditionError
+from gl2kisin import fp_linalg, tangent
+from gl2kisin.errors import ConfigError, InternalCheckError, PreconditionError
 from gl2kisin.fields import GF
 from gl2kisin.rho import RhoBar
 from gl2kisin.tangent import (
@@ -317,11 +319,14 @@ def test_assembly_matches_degree_by_degree_twin(case):
     rho, b, degree_bound, min_degree = case
     system = assemble_system(rho, b, degree_bound, min_degree)
     expected = reference_rec_rows(system)
-    got = system.rows[: len(expected)]
+    labels = system.labels()
+    assert len(labels) == len(system.rows)
+    labeled = list(zip(labels, system.rows))
+    got = labeled[: len(expected)]
     assert got == expected
     # the same keys in the same insertion order
     assert [list(row.items()) for _lab, row in got] == [list(row.items()) for _lab, row in expected]
-    assert all(lab[0] != "rec" for lab, _row in system.rows[len(expected) :])
+    assert all(lab[0] != "rec" for lab in labels[len(expected) :])
     if rho.f == 1:
         # the slot's own M^(j-1) and phi(m) terms meet at degree 0 of entry
         # (1,1) and cancel, and the stored 0 stays in the row
@@ -337,10 +342,46 @@ def test_rows_nest_one_frobenius_step_higher(case):
     rho, b, degree_bound, min_degree = case
     low = assemble_system(rho, b, degree_bound, min_degree)
     high = assemble_system(rho, b, low.degree_bound + rho.p, min_degree)
-    higher = dict(high.rows)
+    higher = dict(zip(high.labels(), high.rows))
     assert len(higher) == len(high.rows) > len(low.rows)
-    for label, row in low.rows:
+    for label, row in zip(low.labels(), low.rows):
         assert list(higher[label].items()) == list(row.items()), label
+
+
+def test_zero_column_of_delta_is_an_internal_error(monkeypatch, f2_mixed):
+    """Every window row has an M^(j-1) term only because Delta_j has no zero
+    column; a Delta with one leaves empty rows, and the assembly refuses."""
+    factor = tangent.frobenius_factor
+
+    def singular(rho, j):
+        ((d11, _d12), (d21, _d22)), sh = factor(rho, j)
+        return ((d11, 0), (d21, 0)), sh
+
+    monkeypatch.setattr(tangent, "frobenius_factor", singular)
+    with pytest.raises(InternalCheckError, match="empty recurrence row"):
+        assemble_system(f2_mixed)
+
+
+def test_assembly_retains_few_gc_tracked_objects():
+    """The rows are bare {column: int} dicts, which the cyclic collector
+    does not track, and labels() derives the labels: assembling an f=3,
+    p=101 system of over 1,000 rows leaves fewer than 100 new GC-tracked
+    objects."""
+    rng = random.Random("tangent-gc")
+    rho = random_profile(rng, 101, 3, zero_positions=(1,), deep=True)
+    assemble_system(rho)
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        system = assemble_system(rho)
+        retained = len(gc.get_objects()) - before
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(system.rows) > 1000
+    assert retained < 100, retained
 
 
 def _solved(report):
@@ -367,7 +408,10 @@ def assert_stability_matches_scratch(rho, b=None, degree_bound=None, min_degree=
     scratch = solve_claim(scratch_system)
     assert _solved(high) == _solved(scratch)
     assert high.system.ncols == scratch_system.ncols
-    assert sorted(map(repr, high.system.rows)) == sorted(map(repr, scratch_system.rows))
+    assert len(high.system.labels()) == len(high.system.rows)
+    assert sorted(map(repr, zip(high.system.labels(), high.system.rows))) == sorted(
+        map(repr, zip(scratch_system.labels(), scratch_system.rows))
+    )
     assert stable == (_solved(low)[2:5] == _solved(scratch)[2:5])
     _, again, stable_again = stability_check(rho, b, degree_bound, min_degree)
     assert _solved(again) == _solved(scratch) and stable_again == stable
@@ -389,11 +433,11 @@ def assert_relaxed_matches_scratch(rho, b=None, degree_bound=None, min_degree=0)
     block = dict(system.echelon)
     relaxed = system.without(("pin", "p21_0"))
     assert relaxed.echelon is system.echelon and relaxed.eliminated == system.eliminated
-    assert [lab for lab, _row in relaxed.rows] == [
-        lab for lab in system.labels() if lab[:2] != ("pin", "p21_0")
-    ]
+    kept = [(lab, row) for lab, row in zip(system.labels(), system.rows) if lab[:2] != ("pin", "p21_0")]
+    assert list(zip(relaxed.labels(), relaxed.rows)) == kept
+    assert len(relaxed.labels()) == len(relaxed.rows) == len(system.rows) - 1
     report = solve_claim(relaxed)
-    rows = [row for _lab, row in relaxed.rows]
+    rows = relaxed.rows
     assert (report.kernel, report.rank) == fp_linalg.kernel_basis(rows, system.ncols, system.p)
     scratch = TangentSystem(rho, system.b, system.degree_bound, min_degree, list(relaxed.rows))
     assert scratch.eliminated == 0
@@ -420,7 +464,7 @@ def test_stability_matches_scratch_solve(case):
 
 def test_kernel_annihilates_assembled_system(f1_nonsplit):
     system = assemble_system(f1_nonsplit)
-    rows = [row for _lab, row in system.rows]
+    rows = system.rows
     p = system.p
     basis, rank = fp_linalg.kernel_basis(rows, system.ncols, p)
     assert len(basis) + rank == system.ncols
