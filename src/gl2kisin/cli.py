@@ -278,9 +278,7 @@ def cmd_tangent(args):
         # the full system at these degrees is solved once: here, or above
         # when no pin was dropped
         first = tangent_mod.solve_claim(system) if args.negative_control else report
-        _, higher, stable = tangent_mod.stability_check(
-            rho, b=b, degree_bound=args.degree_bound, min_degree=args.min_degree, first=first
-        )
+        _, higher, stable = tangent_mod.stability_check(rho, first=first)
         out["stability"] = {
             "higher_degree_bound": higher.system.degree_bound,
             "higher_dims": [higher.kernel_dim, higher.param_kernel_dim, higher.m_kernel_dim],

@@ -299,13 +299,10 @@ class FieldElement:
         return tuple(_digits(self.n, self.field.p, self.field.degree))
 
     def _residue(self, other):
-        # the residue of an operand, or None when it is not a field value
-        if isinstance(other, FieldElement):
-            if other.field is not self.field and other.field != self.field:
-                raise ConfigError("elements from different fields")
-            return other.n
-        if isinstance(other, int):
-            return other % self.field.order
+        # the residue of an operand (FiniteField.residue), or None when it
+        # is not a field value
+        if isinstance(other, (int, FieldElement)):
+            return self.field.residue(other)
         return None
 
     def __add__(self, other):

@@ -11,6 +11,7 @@ solves it, and cross-checks every kernel vector by exact Laurent-series
 substitution.
 """
 
+import copy
 from dataclasses import dataclass
 from itertools import chain
 
@@ -72,15 +73,14 @@ def _require_tangent_profile(rho):
 class TangentSystem:
     """Labeled sparse linear system over F_p.
 
-    rows is a list of {column: int} dicts, the recurrence rows first and
-    then the constraint rows (pins, weight selectors, frames).  labels()
-    derives each row's label from `layout`, which stores no label per
-    recurrence row: each slot's run of recurrence rows is one descriptor
-    (j, below, first, last), standing for
+    rows is a list of {column: int} dicts: those of `lower`, the system
+    this one extends (or None), then one run of recurrence rows per slot,
+    each stood for by a descriptor (j, below, first, last) in `segments`,
+    then the constraint rows (pins, weight selectors, frames), labeled by
+    `constraints`.  labels() derives the recurrence rows' labels:
         ("rec", j, *_ENTRIES[n], e) for each (e, n) in below, then
-        ("rec", j, l, k, e) for e from first to last, (l, k) in _ENTRIES,
-    and each constraint row is its own label.
-    Row families:
+        ("rec", j, l, k, e) for e from first to last, (l, k) in _ENTRIES.
+    Row labels:
       ("rec", j, l, k, e)   coefficient e of entry (l,k) of the slot-j
                             recurrence  M^(j-1) Delta_j - Delta_j Phi_j - P_j,
                             (Delta_j, sh) = kisin.frobenius_factor(rho, j)
@@ -103,36 +103,41 @@ class TangentSystem:
     echelon is `echelon`, and `solved`, the back-substitution
     fp_linalg.kernel_basis left for that echelon (empty when none was
     done).  Both are only ever read; solve_claim continues copies of them
-    with the rows after the block.  An assembled system's block is its
-    recurrence rows, eliminated once by assemble_system and not
-    back-substituted; the system one Frobenius step higher that
-    stability_check builds has the whole lower system as its block, with
-    the lower report's echelon and back-substitution.  `families` holds the
-    label families (first label entries) of the block's rows.
+    with the rows after the block.  Without `below`, the block is the
+    recurrence rows of every degree, eliminated once, not back-substituted.
+    `below` is a solve_claim report at a lower degree bound with the same
+    rho, b and min_degree: its system's rows are then the block, with the
+    report's echelon and back-substitution, and the recurrence rows of the
+    degrees above that bound follow.  The constructor adds no constraint
+    row.
     """
 
-    def __init__(self, rho, b, degree_bound, min_degree, rows):
+    def __init__(self, rho, b, degree_bound, min_degree, below=None):
         self.rho = rho
         self.b = b
         self.degree_bound = degree_bound
         self.min_degree = min_degree
-        self.rows = rows
         self.p = rho.p
         self.f = rho.f
-        self.width = degree_bound - min_degree + 1
         self.stride = 4 * rho.f
         self.n_param_cols = 10 * rho.f + 4
-        self.ncols = self.n_param_cols + self.stride * self.width
+        self.ncols = self.n_param_cols + self.stride * (degree_bound - min_degree + 1)
         if self.ncols > MAX_TANGENT_COLUMNS:
             raise PreconditionError(
                 "the rigidity system at degrees %d..%d has %d columns, above the cap of %d"
                 % (min_degree, degree_bound, self.ncols, MAX_TANGENT_COLUMNS)
             )
-        self.layout = []
-        self.eliminated = 0
-        self.echelon = {}
-        self.solved = {}
-        self.families = frozenset()
+        self.segments, self.constraints = [], []
+        if below is None:
+            self.lower, self.rows, self.echelon, self.solved = None, [], {}, {}
+            _recurrence_rows(self, min_degree)
+            self.eliminated = len(self.rows)
+            fp_linalg.rank(self.rows, self.p, self.echelon)
+        else:
+            self.lower, self.rows = below.system, list(below.system.rows)
+            self.eliminated = len(self.rows)
+            self.echelon, self.solved = below.echelon, below.solved
+            _recurrence_rows(self, self.lower.degree_bound + 1)
 
     def col_param(self, j, name):
         return j * 10 + _PARAM_INDEX[name]
@@ -144,55 +149,29 @@ class TangentSystem:
         return self.n_param_cols + (e - self.min_degree) * self.stride + j * 4 + comp
 
     def labels(self):
-        out = []
-        for item in self.layout:
-            if _is_descriptor(item):
-                j, below, first, last = item
-                out += [("rec", j, *_ENTRIES[n], e) for e, n in below]
-                out += [("rec", j, l, k, e) for e in range(first, last + 1) for l, k in _ENTRIES]
-            else:
-                out.append(item)
-        return out
+        out = self.lower.labels() if self.lower else []
+        for j, below, first, last in self.segments:
+            out += [("rec", j, *_ENTRIES[n], e) for e, n in below]
+            out += [("rec", j, l, k, e) for e in range(first, last + 1) for l, k in _ENTRIES]
+        return out + self.constraints
 
     def without(self, label_prefix):
         """Copy of the system minus all constraint rows whose label starts
         with the given tuple; used for the negative control (drop the pivot
-        pin).  Only rows after the eliminated block can be dropped, and the
+        pin).  Only this system's own constraint rows can be dropped, so the
+        empty prefix, or one matching none of them, raises ConfigError; the
         copy shares the block's rows, echelon and solutions."""
         prefix = tuple(label_prefix)
-        if not prefix or prefix[0] in self.families:
-            raise ConfigError("rows labeled %r are in the eliminated block" % (prefix,))
-        n, i = len(prefix), 0
-        layout, dropped = [], []
-        for item in self.layout:
-            if i >= self.eliminated and not _is_descriptor(item) and item[:n] == prefix:
-                dropped.append(i)
-            else:
-                layout.append(item)
-            i += _span(item)
-        if not dropped:
+        n, start = len(prefix), len(self.rows) - len(self.constraints)
+        kept = [i for i, label in enumerate(self.constraints) if label[:n] != prefix]
+        if not prefix or len(kept) == len(self.constraints):
+            if any(label[:n] == prefix for label in self.labels()):
+                raise ConfigError("rows labeled %r are in the eliminated block" % (prefix,))
             raise ConfigError("no row labeled %r to drop" % (prefix,))
-        rows = list(self.rows)
-        for i in reversed(dropped):
-            del rows[i]
-        clone = TangentSystem.__new__(TangentSystem)
-        clone.__dict__.update(self.__dict__)
-        clone.rows, clone.layout = rows, layout
+        clone = copy.copy(self)
+        clone.constraints = [self.constraints[i] for i in kept]
+        clone.rows = self.rows[:start] + [self.rows[start + i] for i in kept]
         return clone
-
-
-def _is_descriptor(item):
-    # a layout item is a recurrence descriptor (j, below, first, last) or a
-    # constraint row's label, whose first entry is its family name
-    return type(item[0]) is int
-
-
-def _span(item):
-    # the number of rows a layout item stands for
-    if _is_descriptor(item):
-        _j, below, first, last = item
-        return len(below) + len(_ENTRIES) * (last - first + 1)
-    return 1
 
 
 def assemble_system(rho, b=None, degree_bound=None, min_degree=0):
@@ -222,16 +201,11 @@ def assemble_system(rho, b=None, degree_bound=None, min_degree=0):
         if b[j] == 1 and a21:
             raise ConfigError("weight selector is 1 on slot %d with nonzero extension parameter" % j)
 
-    system = TangentSystem(rho, b, degree_bound, min_degree, [])
-    _recurrence_rows(system, min_degree)
-    rows, layout = system.rows, system.layout
-    system.eliminated = len(rows)
-    fp_linalg.rank(rows, p, system.echelon)
-    system.families = frozenset(("rec",))
+    system = TangentSystem(rho, b, degree_bound, min_degree)
 
     def constrain(label, row):
-        layout.append(label)
-        rows.append(row)
+        system.constraints.append(label)
+        system.rows.append(row)
 
     for j in range(f - 1):
         constrain(("pin", "p11_0", j), {system.col_param(j, "p11_0"): 1})
@@ -254,10 +228,10 @@ def assemble_system(rho, b=None, degree_bound=None, min_degree=0):
 def _recurrence_rows(system, first):
     """Append the ("rec", j, l, k, e) rows of every slot at the degrees e
     from first to the system's degree bound to system.rows, slot by slot,
-    with one layout descriptor per slot.  From first = min_degree each
-    slot's rows below the window come first; from a higher first the rows
-    below it are left out, since the system at a lower degree bound with
-    the same min_degree already has them, unchanged.
+    with one descriptor per slot to system.segments.  From first =
+    min_degree each slot's rows below the window come first; from a higher
+    first the rows below it are left out, since the system at a lower
+    degree bound with the same min_degree already has them, unchanged.
 
     Every window degree has a row for each of the four entries, because
     Delta_j is invertible: each of its columns is nonzero, so each row has
@@ -265,7 +239,7 @@ def _recurrence_rows(system, first):
     InternalCheckError."""
     rho, p, f = system.rho, system.p, system.f
     min_degree, degree_bound, stride = system.min_degree, system.degree_bound, system.stride
-    rows, layout = system.rows, system.layout
+    rows = system.rows
     offsets = range(first * stride, (degree_bound + 1) * stride, stride)
     for j in range(f):
         jm = (j - 1) % f
@@ -332,7 +306,7 @@ def _recurrence_rows(system, first):
         keys = tuple(sorted(below))
         rows += [below[key] for key in keys]
         rows += chain.from_iterable(zip(*insides))
-        layout.append((j, keys, first, degree_bound))
+        system.segments.append((j, keys, first, degree_bound))
 
 
 # ---------------------------------------------------------------------------
@@ -480,26 +454,20 @@ def stability_check(rho, b=None, degree_bound=None, min_degree=0, first=None):
 
     first: the caller's solve_claim report of the full system of rho at b,
     degree_bound and min_degree, when it has one; that system is then not
-    assembled and solved a second time.
+    assembled and solved a second time, and b, degree_bound and min_degree
+    are read from first.system, the arguments being ignored.
 
     Every row of the system at the bound occurs unchanged in the one at
     bound + p, and its columns come first there (TangentSystem), so the
-    higher system is the lower one's rows, its eliminated block with the
-    first report's echelon and solutions, plus the recurrence rows of the p
-    degrees above the bound, and solve_claim continues from the block with
-    those rows alone."""
+    higher system extends the lower one (TangentSystem with below=first),
+    and solve_claim continues from its block with the recurrence rows of
+    the p degrees above the bound alone."""
     if first is None:
         first = solve_claim(assemble_system(rho, b, degree_bound, min_degree))
     lower = first.system
-    system = TangentSystem(
-        rho, lower.b, lower.degree_bound + rho.p, lower.min_degree, list(lower.rows)
+    higher = solve_claim(
+        TangentSystem(rho, lower.b, lower.degree_bound + rho.p, lower.min_degree, below=first)
     )
-    system.layout = list(lower.layout)
-    system.eliminated = len(lower.rows)
-    system.echelon, system.solved = first.echelon, first.solved
-    system.families = frozenset("rec" if _is_descriptor(item) else item[0] for item in lower.layout)
-    _recurrence_rows(system, lower.degree_bound + 1)
-    higher = solve_claim(system)
     stable = (
         first.kernel_dim,
         first.param_kernel_dim,

@@ -252,6 +252,33 @@ def test_stability_matches_scratch_on_digest_profiles(f1_config, f2_config):
                 assert_relaxed_matches_scratch(rho, b, degree_bound, min_degree)
 
 
+def test_without_and_higher_labels_on_digest_profiles(f1_config, f2_config):
+    """without leaves the system it copies as it was, and two drops in turn
+    remove both families from its (label, row) pairs; the higher system of
+    stability_check is labeled by the lower system's labels, then by the
+    recurrence labels of the p degrees above the lower bound, slot by slot."""
+    for rho in (_rho_of(f1_config), _rho_of(f2_config), rho_mod.RhoBar.from_config(F3_P37_CONFIG)):
+        system = tangent.assemble_system(rho)
+        rows, constraints = list(system.rows), list(system.constraints)
+        pairs = list(zip(system.labels(), system.rows))
+        relaxed = system.without(("pin", "p21_0")).without(("frame",))
+        assert system.rows == rows and system.constraints == constraints
+        assert all(a is b for a, b in zip(system.rows, rows))
+        assert list(zip(relaxed.labels(), relaxed.rows)) == [
+            (lab, row) for lab, row in pairs if lab[:2] != ("pin", "p21_0") and lab[0] != "frame"
+        ]
+        low, high, _ = tangent.stability_check(rho, first=tangent.solve_claim(system))
+        bound = low.system.degree_bound
+        new = [
+            ("rec", j, l, k, e)
+            for j in range(rho.f)
+            for e in range(bound + 1, bound + rho.p + 1)
+            for l, k in ((1, 1), (1, 2), (2, 1), (2, 2))
+        ]
+        assert high.system.labels() == low.system.labels() + new
+        assert len(high.system.labels()) == len(high.system.rows)
+
+
 def test_residual_check_holds_without_each_constraint_family(f1_config, f2_config):
     """A global rescaling has zero residual under any Frobenius factor, so
     the assembled kernel alone does not test the residual formula.  Dropping

@@ -1,4 +1,5 @@
 import hashlib
+import operator
 import random
 
 import pytest
@@ -206,6 +207,16 @@ def test_field_constructor_errors():
         assert p**d > MAX_TABLE_ORDER
         with pytest.raises(PreconditionError, match="extension fields are limited"):
             GF(p, d)
+
+
+def test_arithmetic_across_fields_is_a_config_error():
+    x, y = GF(5)(1), GF(7)(1)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(ConfigError):
+            op(x, y)
+    for reflected in (x.__rsub__, x.__rtruediv__):
+        with pytest.raises(ConfigError):
+            reflected(y)
 
 
 def test_custom_modulus_changes_arithmetic():

@@ -1,5 +1,6 @@
 """Reachability gate: every function defined in src/gl2kisin is called by a
-product path, or is named in ALLOWED_UNCALLED below.
+product path, or is named in one of the UNCALLED_GROUPS below, each of
+which states a claim about its entries that a test here checks.
 
 The product paths are every stdout and element digest argv of test_cli, the
 shape and tangent-residual oracles, and the seeded pool and round 0 of each
@@ -12,11 +13,13 @@ the list stays exact."""
 
 import ast
 import contextlib
+import inspect
 import io
 import pathlib
 import sys
 import warnings
 
+import gl2kisin
 from gl2kisin import cli, fields
 
 from test_bench_workloads import workloads
@@ -27,13 +30,16 @@ from test_cli import (  # noqa: F401 - f1_config and f2_config are fixtures
     f2_config,
     show_on_stderr,
 )
+from test_tracer_targets import tracer
 
 SRC = pathlib.Path(cli.__file__).parent
 
-ALLOWED_UNCALLED = frozenset(
-    [
-        # public API: functions in gl2kisin.__all__, and methods of the
-        # classes it exports, that no command or workload calls
+# the uncalled defs by group; the tests below check the claims of the
+# public API, tracer target and test twin groups
+UNCALLED_GROUPS = {
+    # functions in gl2kisin.__all__, and methods of the classes it exports,
+    # that no command or workload calls
+    "public API": {
         "kisin.iwahori_check",
         "fields.FieldElement.coeffs",
         "fields.FieldElement.frobenius",
@@ -52,8 +58,10 @@ ALLOWED_UNCALLED = frozenset(
         "matrices.Mat2.identity",
         "matrices.Mat2.scale",
         "rho.RhoBar.semisimplification",
-        # benchmark tracer targets (perfbench/tracer.py) that no command or
-        # workload calls; their metrics read 0
+    },
+    # benchmark tracer targets (perfbench/tracer.py TARGETS) that no command
+    # or workload calls; their metrics read 0
+    "tracer target": {
         "fields.FieldElement.__add__",
         "fields.FieldElement.inverse",
         "laurent.Laurent.__add__",
@@ -64,8 +72,10 @@ ALLOWED_UNCALLED = frozenset(
         "kisin.kisin_matrices",
         "kisin.torus_rigidity_dims",
         "kisin.verify_recovery",
-        # dunders of the element, field, polynomial, matrix and profile
-        # types, and the helpers only they call
+    },
+    # dunders of the element, field, polynomial, matrix and profile types,
+    # and the helpers only they call
+    "dunder": {
         "fields.FieldElement.__eq__",
         "fields.FieldElement.__hash__",
         "fields.FieldElement.__neg__",
@@ -92,15 +102,20 @@ ALLOWED_UNCALLED = frozenset(
         "matrices.Mat2.__neg__",
         "matrices.Mat2.__repr__",
         "rho.RhoBar.__repr__",
-        # test twins: read by the tests' second paths only
+    },
+    # read by the tests' second paths only
+    "test twin": {
         "fp_linalg.kernel_dim",
         "tangent.TangentSystem.labels",
-        # command-line paths no digest argv takes: a malformed argv, and an
-        # oracle seed read from --config
+    },
+    # command-line paths no digest argv takes: a malformed argv, and an
+    # oracle seed read from --config
+    "untaken argv": {
         "cli._Parser.error",
         "cli._config_int",
-    ]
-)
+    },
+}
+ALLOWED_UNCALLED = frozenset().union(*UNCALLED_GROUPS.values())
 
 
 def _defs():
@@ -167,3 +182,37 @@ def test_uncalled_defs_are_exactly_the_allowlist(tmp_path, f1_config, f2_config)
     uncalled = {name for key, name in _defs().items() if key not in reached}
     assert sorted(uncalled - ALLOWED_UNCALLED) == []
     assert sorted(ALLOWED_UNCALLED - uncalled) == []
+
+
+def test_uncalled_groups_are_disjoint():
+    assert sum(map(len, UNCALLED_GROUPS.values())) == len(ALLOWED_UNCALLED)
+
+
+def test_public_api_group_is_exported():
+    """Each entry is a function in gl2kisin.__all__, or a method of a class
+    exported there, defined in the entry's module."""
+    for entry in UNCALLED_GROUPS["public API"]:
+        module, name, *method = entry.split(".")
+        assert name in gl2kisin.__all__, entry
+        obj = getattr(gl2kisin, name)
+        assert obj.__module__ == "gl2kisin." + module, entry
+        if method:
+            (attr,) = method
+            assert isinstance(obj, type) and attr in vars(obj), entry
+        else:
+            assert inspect.isfunction(obj), entry
+
+
+def test_tracer_target_group_is_traced():
+    targets = {"%s.%s" % (module, path) for _name, module, path in tracer.TARGETS}
+    assert sorted(UNCALLED_GROUPS["tracer target"] - targets) == []
+
+
+def test_test_twin_group_is_named_in_tests():
+    """Each entry is called by name, as `.name(`, in some test file other
+    than this one."""
+    here = pathlib.Path(__file__).resolve()
+    texts = [path.read_text() for path in sorted(here.parent.glob("*.py")) if path != here]
+    for entry in UNCALLED_GROUPS["test twin"]:
+        call = "." + entry.rsplit(".", 1)[1] + "("
+        assert any(call in text for text in texts), entry

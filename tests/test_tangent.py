@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import gc
 import random
@@ -16,7 +17,6 @@ from gl2kisin.tangent import (
     M12,
     M22,
     PARAM_NAMES,
-    TangentSystem,
     assemble_system,
     consequence_report,
     pivot_slot,
@@ -439,8 +439,10 @@ def assert_relaxed_matches_scratch(rho, b=None, degree_bound=None, min_degree=0)
     report = solve_claim(relaxed)
     rows = relaxed.rows
     assert (report.kernel, report.rank) == fp_linalg.kernel_basis(rows, system.ncols, system.p)
-    scratch = TangentSystem(rho, system.b, system.degree_bound, min_degree, list(relaxed.rows))
-    assert scratch.eliminated == 0
+    # the same rows with an empty eliminated block
+    scratch = copy.copy(relaxed)
+    scratch.eliminated, scratch.echelon, scratch.solved = 0, {}, {}
+    assert scratch.rows is relaxed.rows and relaxed.eliminated > 0
     assert _solved(report) == _solved(solve_claim(scratch))
     assert system.echelon == block and all(system.echelon[c] is row for c, row in block.items())
     assert system.solved == {}
