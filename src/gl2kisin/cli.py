@@ -184,18 +184,12 @@ def cmd_types(args):
         return _type_entry(tau_presentation(rho, _parse_wtilde(rho, args.wtilde)))
     # slot j of a presentation depends on the index at position f-1-j alone,
     # so each distinct (j, index) part is built once per report
+    part = functools.cache(functools.partial(type_part, rho))
     f = rho.f
-    table = {}
-    entries = []
-    for w in x_rho(rho):
-        parts = []
-        for j in range(f):
-            key = (j, w[f - 1 - j])
-            part = table.get(key)
-            if part is None:
-                part = table[key] = type_part(rho, *key)
-            parts.append(part)
-        entries.append(_type_entry(compose_type(rho, w, parts)))
+    entries = [
+        _type_entry(compose_type(rho, w, [part(j, w[f - 1 - j]) for j in range(f)]))
+        for w in x_rho(rho)
+    ]
     return {"count": len(entries), "types": entries}
 
 
@@ -212,29 +206,26 @@ def cmd_kisin(args):
     # depends on the profile and idx[i] alone, so each distinct (i, idx[i])
     # is built, classified and checked once per report, and every element
     # is composed from the slots it has
-    slots = {}
+    @functools.cache
+    def slot(i, k):
+        m = slot_matrix(rho, i, k)
+        sh = shape_of(m)
+        part = type_part(rho, f - 1 - i, k)
+        exact, window = height_checks(m, (2, 1))
+        shown = {
+            "component_index": k,
+            "gauge": gauge_check(m, ADM_COMPONENTS[k]),
+            "height_exact": exact,
+            "height_window": window,
+            "shape": {"s": sh.s, "nu": sh.nu, "adm_index": sh.adm_index()},
+            "matrix": m,
+        }
+        rows = torus_slot_rows(rho, i, m, k) if torus else None
+        return shown, part, slot_recovers(m, part, etale[i]), rows
+
     reports = []
     for w in targets:
-        have = []
-        for i, k in enumerate(w):
-            slot = slots.get((i, k))
-            if slot is None:
-                m = slot_matrix(rho, i, k)
-                sh = shape_of(m)
-                part = type_part(rho, f - 1 - i, k)
-                exact, window = height_checks(m, (2, 1))
-                shown = {
-                    "component_index": k,
-                    "gauge": gauge_check(m, ADM_COMPONENTS[k]),
-                    "height_exact": exact,
-                    "height_window": window,
-                    "shape": {"s": sh.s, "nu": sh.nu, "adm_index": sh.adm_index()},
-                    "matrix": m,
-                }
-                rows = torus_slot_rows(rho, i, m, k) if torus else None
-                slot = slots[i, k] = (shown, part, slot_recovers(m, part, etale[i]), rows)
-            have.append(slot)
-        per_slot, parts, recovered, torus_rows = zip(*have)
+        per_slot, parts, recovered, torus_rows = zip(*map(slot, range(f), w))
         entry = {
             "index": w,
             # slot j of the presentation is the part of slot i = f-1-j
@@ -287,26 +278,21 @@ def cmd_tangent(args):
     return out
 
 
+def _d0_flags(report):
+    # the report's five flags, in field order
+    return {name: value for name, value in vars(report).items() if name != "components"}
+
+
 def cmd_d0(args):
     rho = _load_rho(args)
     report = d0_mod.d0_checks(rho)
-    components = []
-    for comp in report.components:
-        components.append(
-            {
-                "socle": comp.socle,
-                "signs": comp.profile.signs,
-                "size": len(comp),
-                "dim": comp.dim,
-            }
-        )
+    components = [
+        {"socle": comp.socle, "signs": comp.profile.signs, "size": len(comp), "dim": comp.dim}
+        for comp in report.components
+    ]
     return {
         "passed": report.passed,
-        "per_component_distinct": report.per_component_distinct,
-        "weight_set_only_socles": report.weight_set_only_socles,
-        "socles_match": report.socles_match,
-        "downward_closed": report.downward_closed,
-        "globally_multiplicity_free": report.globally_multiplicity_free,
+        **_d0_flags(report),
         "components": components,
         "total_constituents": sum(len(c) for c in report.components),
     }
@@ -316,49 +302,45 @@ def cmd_d0(args):
 # oracle command (parallelizable batches)
 
 
-def _coset_batch(task):
-    p, degree, seed0, indices, prec = task
-    field = GF(p, degree)
-    out = []
-    for i in indices:
-        rng = random.Random(seed0 * 1000003 + i)
-        M = random_truncated_invertible(field, rng)
-        component = shape_of(M).component()
-        out.append([i, bool(coset_certify(M, component, prec))])
-    return out
+def _coset_trial(field, rng, prec):
+    M = random_truncated_invertible(field, rng)
+    component = shape_of(M).component()
+    return coset_certify(M, component, prec)
 
 
-def _shape_batch(task):
-    p, degree, seed0, indices, _prec = task
-    field = GF(p, degree)
-    out = []
-    for i in indices:
-        rng = random.Random(seed0 * 1000003 + i)
-        while True:
-            entries = [
-                Laurent(field, {d: rng.randrange(field.order) for d in range(-3, 5)})
-                for _ in range(4)
-            ]
-            M = Mat2(field, *entries)
-            det = M.det()
-            if det:
-                break
-        sh = shape_of(M)
-        # the witness product, and the witness-free nu1 + nu2 = val(det M)
-        out.append([i, sh.verify(M) and sh.nu[0] + sh.nu[1] == det.valuation()])
-    return out
+def _shape_trial(field, rng, _prec):
+    while True:
+        entries = [
+            Laurent(field, {d: rng.randrange(field.order) for d in range(-3, 5)})
+            for _ in range(4)
+        ]
+        M = Mat2(field, *entries)
+        det = M.det()
+        if det:
+            break
+    sh = shape_of(M)
+    # the witness product, and the witness-free nu1 + nu2 = val(det M)
+    return sh.verify(M) and sh.nu[0] + sh.nu[1] == det.valuation()
 
 
-_BATCHES = {"coset": _coset_batch, "shape": _shape_batch}
+_BATCHES = {"coset": _coset_trial, "shape": _shape_trial}
 # oracle kinds that check one profile read from --config
 _CONFIG_KINDS = ("d0", "tangent-residual")
 
 
+def _batch(task):
+    # trial i of a kind draws from its own seeded generator, so the outcome
+    # does not depend on how the trials are split between jobs
+    kind, p, degree, seed0, indices, prec = task
+    field = GF(p, degree)
+    trial = _BATCHES[kind]
+    return [[i, bool(trial(field, random.Random(seed0 * 1000003 + i), prec))] for i in indices]
+
+
 def _d0_fields(report):
     # the five flags, then each component's size and dim
-    fields = {name: value for name, value in vars(report).items() if name != "components"}
-    fields.update(sizes=[len(c) for c in report.components], dims=[c.dim for c in report.components])
-    return fields
+    comps = report.components
+    return dict(_d0_flags(report), sizes=[len(c) for c in comps], dims=[c.dim for c in comps])
 
 
 def cmd_oracle(args):
@@ -395,19 +377,18 @@ def cmd_oracle(args):
     if args.trials < 0:
         raise ConfigError("--trials must be >= 0, got %d" % args.trials)
     seed0 = _seed(args, cfg)
-    worker = _BATCHES[args.kind]
     jobs = max(1, min(args.jobs, args.trials, os.cpu_count() or 1))
     chunks = [
-        (p, degree, seed0, list(range(k, args.trials, jobs)), args.prec)
+        (args.kind, p, degree, seed0, list(range(k, args.trials, jobs)), args.prec)
         for k in range(jobs)
     ]
     if jobs == 1:
-        results = [worker(chunks[0])]
+        results = [_batch(chunks[0])]
     else:
         import multiprocessing  # only here: its import costs about 1 MiB
 
         with multiprocessing.get_context("fork").Pool(jobs) as pool:
-            results = pool.map(worker, chunks)
+            results = pool.map(_batch, chunks)
     flat = sorted(pair for batch in results for pair in batch)
     failures = [i for i, ok in flat if not ok]
     return {

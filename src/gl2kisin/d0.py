@@ -150,19 +150,20 @@ def jh_component(rho, sigma, profile=None):
     offset a that _admitted_offsets yields, labelled
     weights.t_lambda(sigma, a, p).
 
-    Their count is checked against MAX_D0_CONSTITUENTS, and the window of
-    the ranges as _check_window checks it, before any offset is enumerated.
+    A socle with a diff d outside [0, p - 2] is refused; inside, the ranges
+    keep each d + a_j there, where t_lambda is defined.  Then the count is
+    checked against MAX_D0_CONSTITUENTS, before any offset is enumerated.
     dim sums serre_weight_dim over the labels; it does not use _dim, the
     closed form d0_checks reports, so the two paths compare independent
     dims.
     """
+    p = rho.p
+    if not all(0 <= d <= p - 2 for d in sigma.diffs):
+        raise PreconditionError("socle diffs %r leave the window [0, %d]" % (sigma.diffs, p - 2))
     if profile is None:
         profile = socle_profile(rho, sigma)
-    p = rho.p
     ranges = _offset_ranges(sigma, profile, p)
     _refuse_above_cap(component_size(ranges))
-    if all(ranges):
-        _check_window(sigma, ranges, p)
     offsets = _admitted_offsets(ranges)
     labels = tuple(t_lambda(sigma, a, p) for a in offsets)
     return ComponentStructure(
@@ -181,18 +182,6 @@ def _admitted_offsets(ranges):
     return tuple(
         a for a in itertools.product(*ranges) if sum(max(aj // 2, 0) for aj in a) <= 1
     )
-
-
-def _check_window(sigma, ranges, p):
-    """Every value of every nonempty range occurs in some admitted offset,
-    so this checks the window exactly where t_lambda would."""
-    for j, (d, rng) in enumerate(zip(sigma.diffs, ranges)):
-        for w in rng:
-            if not 0 <= d + w <= p - 2:
-                raise PreconditionError(
-                    "graph point %d at slot %d is outside the window of base difference %d"
-                    % (w, j, d)
-                )
 
 
 def _dim(diffs, ranges, p):
@@ -343,8 +332,9 @@ def d0_checks(rho):
     counts alone: no constituent is enumerated.
 
     The weight count is checked against MAX_D0_PAIRS first.  Each component
-    carries its closed-form size (component_size) and dim (_dim), and the
-    window of its ranges is checked as jh_component checks it.  Then:
+    carries its closed-form size (component_size) and dim (_dim).  Each
+    weight is a t_lambda label, so its diffs d and each d + a_j of its
+    ranges are in [0, p - 2]; serre_weights refuses a profile outside it.  Then:
 
     - per_component_distinct: each component coincides with itself only on
       the diagonal, so its self-pair count is its size;
@@ -382,8 +372,6 @@ def d0_checks(rho):
     comps = []
     for lab, profile in signed:
         ranges = _offset_ranges(lab, profile, p)
-        if all(ranges):
-            _check_window(lab, ranges, p)
         comps.append(
             ComponentCount(lab, profile, ranges, component_size(ranges), _dim(lab.diffs, ranges, p))
         )

@@ -375,9 +375,8 @@ def consequence_report(report):
         "corner_relations": True,
     }
     for vec in report.kernel:
-        for c, v in vec.items():
-            if not v % p:
-                continue
+        # kernel_basis stores nonzero values only, so the columns suffice
+        for c in vec:
             if c < n:
                 if c in negative:
                     out["negative_degree_params_zero"] = False

@@ -640,13 +640,16 @@ def test_oracle_d0_needs_config(capsys):
 
 
 def test_oracle_jobs_equivalence(capsys):
-    argv = ["oracle", "--kind", "coset", "--trials", "8", "--seed", "11"]
-    rc1 = cli.main(argv + ["--jobs", "1"])
-    out1 = capsys.readouterr().out
-    rc2 = cli.main(argv + ["--jobs", "3"])
-    out2 = capsys.readouterr().out
-    assert rc1 == rc2 == 0
-    assert out1 == out2
+    for argv in (
+        ["oracle", "--kind", "coset", "--trials", "8", "--seed", "11"],
+        ["oracle", "--kind", "shape", "--trials", "8", "--p", "31", "--seed", "11"],
+    ):
+        rc1 = cli.main(argv + ["--jobs", "1"])
+        out1 = capsys.readouterr().out
+        rc2 = cli.main(argv + ["--jobs", "3"])
+        out2 = capsys.readouterr().out
+        assert rc1 == rc2 == 0, argv
+        assert out1 == out2, argv
 
 
 def test_output_determinism(capsys, f2_config):
@@ -1184,6 +1187,7 @@ STDOUT_DIGESTS = {
     "f4_p13 d0": "08562698a6adae7de7a7b6d287de1990cb316120a5c312aab806fec9d200c226",
     "adm f2": "21682ed73dcebbb7745112caeddcd8b1b93b03ab4d2ba88875b7f6a989b8dfbd",
     "oracle coset": "b4d59af55c8d1b5b503413b3429b4646dee32ff262f64e100215c15e2910ee79",
+    "oracle shape": "9d5b7ec04b4f48b6365bdf212032524f2c312befbf72eed97dfa44ae56218da8",
     "f1 oracle d0": "de9e4148232e1b224fdd76975285a68fef3731f86071bc92019f485ed963cedd",
     "f2 oracle d0": "f9e8a0692377f76a2d57e7588e6aa9339cb44ee07cf61a5021560ea8329a1c1c",
 }
@@ -1213,6 +1217,7 @@ def _digest_cases(tmp_path, f1_config, f2_config):
                 yield " ".join([name, "tangent"] + flags), ["tangent", "--config", path] + flags
     yield "adm f2", ["adm", "--f", "2"]
     yield "oracle coset", ["oracle", "--kind", "coset", "--trials", "20", "--seed", "7"]
+    yield "oracle shape", ["oracle", "--kind", "shape", "--trials", "20", "--p", "31", "--seed", "7"]
     for name in ("f1", "f2"):
         yield "%s oracle d0" % name, ["oracle", "--kind", "d0", "--config", configs[name]]
 
@@ -1264,25 +1269,31 @@ def test_element_digests(tmp_path, capsys, f2_config):
     assert digests == ELEMENT_DIGESTS
 
 
-# sha256 of xset stdout on the all-split p=101 profile at f=6 and f=8,
-# pinned before x_rho's union check built each X(sigma) as a product
-ALL_SPLIT_XSET_DIGESTS = {
-    6: "77c0826a02cd6a57ffec389de08a38ba0f3dbeef601df1e644f879338c07e52a",
-    8: "18444a09bf3af014c1694eff7d8565a4109646e7369015e08f07ca46881c2731",
+# sha256 of stdout on the all-split p=101 profile at f=6 and f=8, keyed by
+# (command, f); the xset values were pinned before x_rho's union check built
+# each X(sigma) as a product, the types and kisin values before their
+# per-slot tables were rewritten
+ALL_SPLIT_DIGESTS = {
+    ("xset", 6): "77c0826a02cd6a57ffec389de08a38ba0f3dbeef601df1e644f879338c07e52a",
+    ("xset", 8): "18444a09bf3af014c1694eff7d8565a4109646e7369015e08f07ca46881c2731",
+    ("types", 6): "6a6e0431bf8d71c67858ef50be34a8ebde078f8b88e2826549629d599c0f84ae",
+    ("types", 8): "86073bbefefb51f2ac6a6abdbe03eb8b77c3cb1ec84bd3fd099c24e440c066f2",
+    ("kisin", 6): "4e7f661b29c39439c5d42de1f0031996a43bba34d41f30191eecb7544bee9d12",
+    ("kisin", 8): "e2be1209959399cea1edc66613189ce2ff0013ee20e6ba0353262be06b1e0728",
 }
 
 
-def test_xset_digests_all_split(tmp_path, capsys):
+def test_all_split_digests(tmp_path, capsys):
     digests = {}
-    for f in ALL_SPLIT_XSET_DIGESTS:
+    for cmd, f in ALL_SPLIT_DIGESTS:
         path = tmp_path / ("split%d.json" % f)
         path.write_text(
             json.dumps({"p": 101, "f": f, "r": [48] * f, "a": [0] * f,
                         "alpha": [3] * f, "beta": [5] * f})
         )
-        assert cli.main(["xset", "--config", str(path)]) == 0, f
-        digests[f] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digests == ALL_SPLIT_XSET_DIGESTS
+        assert cli.main([cmd, "--config", str(path)]) == 0, (cmd, f)
+        digests[cmd, f] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == ALL_SPLIT_DIGESTS
 
 
 NOT_ALLOWED = (

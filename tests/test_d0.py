@@ -243,6 +243,20 @@ def test_size_cap_refuses_before_enumerating(monkeypatch):
         jh_component(rho, sigma, profile)
 
 
+@pytest.mark.parametrize("d", [-1, 30])
+def test_out_of_window_socle_is_refused(monkeypatch, d):
+    """A socle diff outside [0, p - 2] = [0, 29] at p = 31 is refused before
+    any offset is enumerated, whatever its sign: with sign +1 the range of
+    d = 30 reaches d + 0 = 30, and the range of d = -1 is empty."""
+    def enumerate_offsets(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(d0, "_admitted_offsets", enumerate_offsets)
+    sigma = make_label((d,), 0, 31)
+    with pytest.raises(PreconditionError):
+        jh_component(SimpleNamespace(p=31, f=1), sigma, SocleProfile((1,)))
+
+
 @given(st.lists(st.integers(-2, 3), min_size=1, max_size=3), st.data())
 @settings(max_examples=200, deadline=None)
 def test_downward_closed_matches_one_step_down(los, data):
@@ -472,8 +486,9 @@ def test_count_path_matches_enumeration():
         counted = _outcome(d0_checks, rho)
         assert counted == _outcome(d0.d0_checks_enumerated, rho), rho.to_config()
         outcomes[counted[0] if counted[0] == "precondition" else counted[0][1]] += 1
-    # the grid's 96 refusals are all outside the window, and every other
-    # profile passes
+    # the grid's 96 refusals all come from the weight set's window
+    # (rho.weight_count refuses a graph point outside it, before any
+    # component is built), and every other profile passes
     assert outcomes == {True: 35 + 1752, "precondition": 96}
 
 
