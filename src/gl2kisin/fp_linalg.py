@@ -18,6 +18,13 @@ copy-it-first convention: the pivots the new rows add follow the earlier
 ones in the echelon's insertion order, and it back-substitutes those, and
 an earlier pivot only where its solution names a column the new rows
 turned into a pivot.  Solutions are replaced, never modified.
+
+Given `zero`, columns the caller knows are forced to 0 (the tangent
+system's closed groups: rows that name those columns alone and have full
+rank on them), `kernel_basis` answers as if one unit row {c: 1} followed the
+rows for each of them, without eliminating those rows: a zero column is
+never free, it counts in the rank, and a fed row's entries on zero columns
+are left out of the copy that reduction makes of it.
 """
 
 from itertools import filterfalse, islice
@@ -26,7 +33,7 @@ from itertools import filterfalse, islice
 BACKEND = "pure"
 
 
-def _echelon(rows, p, pivots=None):
+def _echelon(rows, p, pivots=None, zero=frozenset()):
     """Forward elimination: {pivot column: pivot row}.
 
     rows: iterable of {column: value} dicts (values arbitrary ints), never
@@ -38,10 +45,16 @@ def _echelon(rows, p, pivots=None):
 
     pivots: an echelon of earlier rows in this form, extended in place and
     returned; default a new one.
+
+    zero: columns forced to 0, none of them a pivot; a row naming one is
+    read as its copy without them, and reduction drops them as they lead,
+    as if each had the pivot row {c: 1}.
     """
     if pivots is None:
         pivots = {}
     for row in rows:
+        if zero and not zero.isdisjoint(row):
+            row = {c: v for c, v in row.items() if c not in zero}
         if row and (c := min(row)) not in pivots and row[c] % p:
             pivots[c] = row
             continue
@@ -54,6 +67,9 @@ def _echelon(rows, p, pivots=None):
                 r[c] = v
         while r:
             c = min(r)
+            if c in zero:  # reduces to nothing against the unit row {c: 1}
+                del r[c]
+                continue
             piv = pivots.get(c)
             if piv is None:
                 pivots[c] = r
@@ -78,7 +94,7 @@ def rank(rows, p, pivots=None):
     return len(_echelon(rows, p, pivots))
 
 
-def kernel_basis(rows, ncols, p, pivots=None, solved=None):
+def kernel_basis(rows, ncols, p, pivots=None, solved=None, zero=frozenset()):
     """Kernel of a sparse integer matrix mod p.
 
     rows: iterable of {column: value} dicts (values arbitrary ints).
@@ -97,19 +113,25 @@ def kernel_basis(rows, ncols, p, pivots=None, solved=None):
     they turned into a pivot, are back-substituted; otherwise (the default)
     every pivot is.  A pivot row that names no free column and no pivot
     with a nonzero solution forces its pivot to 0 and is skipped unread.
+
+    zero: a set of columns below ncols forced to 0, none of them a column
+    of pivots as passed.  The result is that of the rows followed by one
+    unit row {c: 1} per zero column: the rank counts them, and no basis
+    vector names one.  No zero column becomes a pivot, and no solution left
+    in solved names one.
     """
     if solved is None:
         solved = {}
     done = len(pivots) if solved else 0
-    pivots = _echelon(rows, p, pivots)
+    pivots = _echelon(rows, p, pivots, zero)
     # the pivots the echelon gained follow the back-substituted ones
     todo = list(islice(pivots, done, None))
-    if done and todo:
+    if done and (todo or zero):
         fresh = set(todo)
-        for c in [c for c, x in solved.items() if not fresh.isdisjoint(x)]:
+        for c in [c for c, x in solved.items() if not (fresh.isdisjoint(x) and zero.isdisjoint(x))]:
             del solved[c]
             todo.append(c)
-    free = list(filterfalse(pivots.__contains__, range(ncols)))
+    free = list(filterfalse(pivots.__contains__, filterfalse(zero.__contains__, range(ncols))))
     # the columns whose x is not forced to 0: free ones, and solved pivots
     live = {*free, *solved}
     for c in sorted(todo, reverse=True):
@@ -121,7 +143,7 @@ def kernel_basis(rows, ncols, p, pivots=None, solved=None):
             if k in solved:
                 for j, w in solved[k].items():
                     acc[j] = acc.get(j, 0) + v * w
-            elif k not in pivots:
+            elif k in live:  # a free column
                 acc[k] = acc.get(k, 0) + v
         neg = p - pow(row[c], -1, p)
         x = {j: w for j, v in acc.items() if (w := v * neg % p)}
@@ -132,7 +154,7 @@ def kernel_basis(rows, ncols, p, pivots=None, solved=None):
     for c, x in solved.items():
         for j, w in x.items():
             basis[j][c] = w
-    return list(basis.values()), len(pivots)
+    return list(basis.values()), len(pivots) + len(zero)
 
 
 def kernel_dim(rows, ncols, p):

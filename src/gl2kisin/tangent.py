@@ -24,8 +24,9 @@ from .matrices import Mat2, monomial_matrix
 # assemble_system builds at most this many columns, else PreconditionError.
 # The largest system the tests and the benchmark build has 2,470 (p 101,
 # f 3, degree bound 202); one of 65,530 columns (p 101, f 3, degree bound
-# 5457) takes 0.10-0.13 s and a 50 MiB peak RSS for `gl2kisin tangent`
-# (cli.main in one process, Python 3.11, a 2-vCPU Xeon).
+# 5457, 96% of its recurrence rows in closed groups) takes 0.05-0.10 s and
+# a 42-43 MiB peak RSS for `gl2kisin tangent` (cli.main in one process,
+# Python 3.11, a 2-vCPU Xeon).
 MAX_TANGENT_COLUMNS = 2**16
 
 # per-slot low-degree correction parameters; p<entry>_<degree> sits in the
@@ -99,17 +100,31 @@ class TangentSystem:
     depend on the degree bound, and the columns of the system at a bound b
     are the first ones of the system at any higher bound.
 
+    Closed groups: the four rows ("rec", j, l, k, e) of a window degree e
+    at which no phi-term and no correction parameter of slot j lands, and
+    at or above the reach of slot j-1 (_closed_runs), read
+    M^(j-1)[e] Delta_j = 0.  They name the four columns of M^(j-1)[e]
+    alone, no other row names those, and Delta_j is invertible, so the
+    block is 4x4 of rank 4 and the columns are 0 in every kernel vector.
+    `closed` lists the row spans [lo, hi) of runs of such groups among the
+    recurrence rows this system adds, and `zero` their columns, with those
+    of the lower system when there is one (its closed groups may be reached
+    from the degrees above its bound, but their rows still force their
+    columns to 0).  The closed rows are kept, labeled, but no solve feeds
+    them to fp_linalg: open_rows leaves them out and fp_linalg takes
+    `zero` in their place.
+
     The eliminated block: the first `eliminated` rows, whose fp_linalg
-    echelon is `echelon`, and `solved`, the back-substitution
-    fp_linalg.kernel_basis left for that echelon (empty when none was
-    done).  Both are only ever read; solve_claim continues copies of them
-    with the rows after the block.  Without `below`, the block is the
-    recurrence rows of every degree, eliminated once, not back-substituted.
-    `below` is a solve_claim report at a lower degree bound with the same
-    rho, b and min_degree: its system's rows are then the block, with the
-    report's echelon and back-substitution, and the recurrence rows of the
-    degrees above that bound follow.  The constructor adds no constraint
-    row.
+    echelon, of their open rows, is `echelon`, and `solved`, the
+    back-substitution fp_linalg.kernel_basis left for that echelon (empty
+    when none was done).  Both are only ever read; solve_claim continues
+    copies of them with the open rows after the block.  Without `below`,
+    the block is the recurrence rows of every degree, eliminated once, not
+    back-substituted.  `below` is a solve_claim report at a lower degree
+    bound with the same rho, b and min_degree: its system's rows are then
+    the block, with the report's echelon and back-substitution, and the
+    recurrence rows of the degrees above that bound follow.  The
+    constructor adds no constraint row.
     """
 
     def __init__(self, rho, b, degree_bound, min_degree, below=None):
@@ -127,16 +142,17 @@ class TangentSystem:
                 "the rigidity system at degrees %d..%d has %d columns, above the cap of %d"
                 % (min_degree, degree_bound, self.ncols, MAX_TANGENT_COLUMNS)
             )
-        self.segments, self.constraints = [], []
+        self.segments, self.constraints, self.closed = [], [], []
         if below is None:
-            self.lower, self.rows, self.echelon, self.solved = None, [], {}, {}
+            self.lower, self.rows, self.echelon, self.solved, self.zero = None, [], {}, {}, set()
             _recurrence_rows(self, min_degree)
             self.eliminated = len(self.rows)
-            fp_linalg.rank(self.rows, self.p, self.echelon)
+            fp_linalg.rank(self.open_rows(0), self.p, self.echelon)
         else:
             self.lower, self.rows = below.system, list(below.system.rows)
             self.eliminated = len(self.rows)
             self.echelon, self.solved = below.echelon, below.solved
+            self.zero = set(self.lower.zero)
             _recurrence_rows(self, self.lower.degree_bound + 1)
 
     def col_param(self, j, name):
@@ -147,6 +163,15 @@ class TangentSystem:
 
     def col_m(self, j, comp, e):
         return self.n_param_cols + (e - self.min_degree) * self.stride + j * 4 + comp
+
+    def open_rows(self, start):
+        """The rows from index start on, less those of the closed groups."""
+        rows, out = self.rows, []
+        for lo, hi in self.closed:
+            if hi > start:
+                out += rows[start:lo]
+                start = hi
+        return out + rows[start:]
 
     def labels(self):
         out = self.lower.labels() if self.lower else []
@@ -160,7 +185,8 @@ class TangentSystem:
         with the given tuple; used for the negative control (drop the pivot
         pin).  Only this system's own constraint rows can be dropped, so the
         empty prefix, or one matching none of them, raises ConfigError; the
-        copy shares the block's rows, echelon and solutions."""
+        copy shares the block's rows, echelon and solutions, and the closed
+        groups."""
         prefix = tuple(label_prefix)
         n, start = len(prefix), len(self.rows) - len(self.constraints)
         kept = [i for i, label in enumerate(self.constraints) if label[:n] != prefix]
@@ -236,15 +262,30 @@ def _recurrence_rows(system, first):
     Every window degree has a row for each of the four entries, because
     Delta_j is invertible: each of its columns is nonzero, so each row has
     an M^(j-1) term.  An entry whose window holds an empty row raises
-    InternalCheckError."""
+    InternalCheckError.
+
+    Each run of closed groups (TangentSystem) among the window rows goes
+    to system.closed as its row span, and its columns to system.zero."""
     rho, p, f = system.rho, system.p, system.f
     min_degree, degree_bound, stride = system.min_degree, system.degree_bound, system.stride
     rows = system.rows
     offsets = range(first * stride, (degree_bound + 1) * stride, stride)
+    # the slot's Frobenius matrix is v * Delta * diag(v^sh, 1)
+    factors = [frobenius_factor(rho, j) for j in range(f)]
+
+    def top(x):
+        # one past the highest degree d whose p*d + x is at most the bound
+        return min(degree_bound, (degree_bound - x) // p) + 1
+
+    # the phi-terms of the slot-j recurrence name the columns of M^j at the
+    # degrees below reach[j]
+    reach = [
+        max(top(sh * (k - t)) for l, k in _ENTRIES for t in (1, 2) if delta[l - 1][t - 1])
+        for delta, sh in factors
+    ]
     for j in range(f):
         jm = (j - 1) % f
-        # the slot's Frobenius matrix is v * Delta * diag(v^sh, 1)
-        delta, sh = frobenius_factor(rho, j)
+        delta, sh = factors[j]
         # coefficient e of entry (l,k) of the slot-j recurrence
         #   sum_t M^(j-1)_lt Delta_tk - sum_t Delta_lt v^(sh*(k-t)) phi(m_tk) - P_lk
         # built column by column: the M^(j-1) terms give each window degree
@@ -257,6 +298,8 @@ def _recurrence_rows(system, first):
         insides = []
         # the rows below the window, by (degree, entry)
         below = {}
+        # the window degrees a phi-term or correction parameter lands at
+        landed = set()
         for n, (l, k) in enumerate(_ENTRIES):
             prev = [
                 (system.col_m(jm, 2 * l + t - 3, 0), delta[t - 1][k - 1])
@@ -279,7 +322,7 @@ def _recurrence_rows(system, first):
                 val = delta[l - 1][t - 1]
                 if val:
                     x = sh * (k - t)
-                    hi = min(degree_bound, (degree_bound - x) // p) + 1
+                    hi = top(x)
                     terms.append((x, system.col_m(j, 2 * t + k - 3, 0), p - val, min_degree, hi))
             for x, suffix in ((0, "0"), (-1, "m1"), (-2, "m2")):
                 name = "p%d%d_%s" % (l, k, suffix)
@@ -297,6 +340,7 @@ def _recurrence_rows(system, first):
                     row = inside[p * d + x - first]
                     c = col + stride * d
                     row[c] = (row.get(c, 0) + val) % p
+                landed.update(range(p * cut + x, p * hi + x, p))
             if not all(inside):
                 raise InternalCheckError(
                     "slot %d entry (%d,%d) has an empty recurrence row: Delta_%d has a zero column"
@@ -305,8 +349,29 @@ def _recurrence_rows(system, first):
             insides.append(inside)
         keys = tuple(sorted(below))
         rows += [below[key] for key in keys]
+        # window degree e's four rows start 4 * (e - first) past here
+        start = len(rows) - 4 * first
+        for lo, hi in _closed_runs(landed, reach[jm], first, degree_bound):
+            system.closed.append((start + 4 * lo, start + 4 * hi))
+            c = system.col_m(jm, 0, lo)
+            end = c + stride * (hi - lo)
+            for k in range(c, c + 4):
+                system.zero.update(range(k, end, stride))
         rows += chain.from_iterable(zip(*insides))
         system.segments.append((j, keys, first, degree_bound))
+
+
+def _closed_runs(landed, reach, first, last):
+    """The runs [lo, hi) of the degrees e from first to last whose four
+    slot-j rows are a closed group: e is at or above reach, the reach of
+    slot j-1, and not in landed, the degrees a phi-term or correction
+    parameter of slot j lands at."""
+    runs, lo = [], max(first, reach)
+    for e in sorted(landed) + [last + 1]:
+        if e > lo:
+            runs.append((lo, e))
+        lo = max(lo, e + 1)
+    return runs
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +399,11 @@ def solve_claim(system):
     and onto the perturbation block (each vector split by column).  The
     rigidity claim is injective = True: no kernel direction touches the
     correction parameters.  The elimination and back-substitution continue
-    copies of the system's eliminated block with the rows after it."""
+    copies of the system's eliminated block with the open rows after it,
+    the closed groups' columns passed as zero columns."""
     echelon, solved = dict(system.echelon), dict(system.solved)
-    rows = system.rows[system.eliminated :]
-    basis, rank = fp_linalg.kernel_basis(rows, system.ncols, system.p, echelon, solved)
+    rows = system.open_rows(system.eliminated)
+    basis, rank = fp_linalg.kernel_basis(rows, system.ncols, system.p, echelon, solved, system.zero)
     n = system.n_param_cols
     param_dim = fp_linalg.rank([{c: v for c, v in x.items() if c < n} for x in basis], system.p)
     m_dim = fp_linalg.rank([{c: v for c, v in x.items() if c >= n} for x in basis], system.p)

@@ -23,7 +23,11 @@ from gl2kisin.matrices import Mat2
 from gl2kisin.weights import ADM_COMPONENTS, SerreWeightLabel, make_label
 
 from conftest import F4_P13_CONFIG, random_profile
-from test_tangent import assert_relaxed_matches_scratch, assert_stability_matches_scratch
+from test_tangent import (
+    assert_relaxed_matches_scratch,
+    assert_stability_matches_scratch,
+    brute_force_closed_groups,
+)
 
 
 @pytest.fixture
@@ -172,11 +176,13 @@ def _rho_of(config_path):
 
 
 def test_tangent_stability_solves_each_system_once(monkeypatch, capsys, f1_config):
-    """Every row of a tangent run reaches the eliminator once: assembly
-    eliminates the recurrence rows, each solve feeds only the rows after its
-    system's eliminated block (the constraint rows; for --negative-control
-    those without the pivot pin) and --stability only the recurrence rows
-    one Frobenius step higher.  Each solve is one kernel_basis call."""
+    """Every open row of a tangent run reaches the eliminator once, and no
+    row of a closed group does: assembly eliminates the open recurrence
+    rows, each solve feeds only the open rows after its system's eliminated
+    block (the constraint rows; for --negative-control those without the
+    pivot pin) and --stability only the open recurrence rows one Frobenius
+    step higher.  The closed groups are those a search over each system's
+    rows finds.  Each solve is one kernel_basis call."""
     assembled, solved, fed, kernel_fed = [], [], [], []
     assemble, solve = tangent.assemble_system, tangent.solve_claim
     echelon, kernel_basis = fp_linalg._echelon, fp_linalg.kernel_basis
@@ -215,11 +221,12 @@ def test_tangent_stability_solves_each_system_once(monkeypatch, capsys, f1_confi
         higher = solved[-1]
         labels = lower.labels()
         assert len(labels) == len(lower.rows)
-        block = lower.rows[: lower.eliminated]
+        closed = closed_rows(lower) | closed_rows(higher, len(lower.rows))
+        block = [row for i, row in enumerate(lower.rows[: lower.eliminated]) if i not in closed]
         constraints = lower.rows[lower.eliminated :]
         assert block and all(lab[0] == "rec" for lab in labels[: lower.eliminated])
         assert constraints and all(lab[0] != "rec" for lab in labels[lower.eliminated :])
-        new = higher.rows[len(lower.rows) :]
+        new = [row for i, row in enumerate(higher.rows) if i >= len(lower.rows) and i not in closed]
         assert higher.rows[: len(lower.rows)] == lower.rows
         assert higher.labels()[: len(lower.rows)] == labels
         assert new and all(lab[0] == "rec" for lab in higher.labels()[len(lower.rows) :])
@@ -236,7 +243,20 @@ def test_tangent_stability_solves_each_system_once(monkeypatch, capsys, f1_confi
         every = set(ids(higher.rows))
         assert [ids(rows) for rows in fed if every & set(ids(rows))] == [ids(block)] + solves
         assert [ids(rows) for rows in kernel_fed] == solves
+        assert closed and len(new) < len(higher.rows) - len(lower.rows)
         assert doc["rows"] == len(lower.rows) - negative
+
+
+def closed_rows(system, start=0):
+    """Indices of the rows in the closed groups, from index start on, that a
+    search over the system's rows finds."""
+    labels = system.labels()
+    groups = brute_force_closed_groups(system, start)
+    return {
+        i
+        for i in range(start, len(labels))
+        if labels[i][0] == "rec" and (labels[i][1], labels[i][4]) in groups
+    }
 
 
 def test_stability_matches_scratch_on_digest_profiles(f1_config, f2_config):

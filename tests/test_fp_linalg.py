@@ -170,6 +170,38 @@ def test_continued_elimination_matches_one_pass(system, data):
     assert rows == before
 
 
+@given(sparse_systems(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_zero_columns_match_appended_unit_rows(system, data):
+    """kernel_basis with zero columns Z gives what it gives for the rows
+    followed by one unit row {c: 1} per column of Z, in one pass and
+    continuing an echelon and back-substitution of rows A | B that pivot on
+    no column of Z; the zero columns and the pivots it leaves are together
+    the pivots of the unit-row system, no solution names a zero column, and
+    no row dict, stored pivot row or solution is modified."""
+    rows, ncols, p = system
+    split = data.draw(st.integers(0, len(rows)))
+    a, b = rows[:split], rows[split:]
+    echelon_a, solved_a = {}, {}
+    fp_linalg.kernel_basis(a, ncols, p, echelon_a, solved_a)
+    # among A's free columns, which its solutions may name
+    free = [c for c in range(ncols) if c not in echelon_a]
+    zero = data.draw(st.sets(st.sampled_from(free))) if free else set()
+    units = [{c: 1} for c in sorted(zero)]
+    before = copy.deepcopy((rows, echelon_a, solved_a))
+    one_echelon = {}
+    expected = fp_linalg.kernel_basis(rows + units, ncols, p, one_echelon)
+    assert densified(rows + units, ncols, p) == dense_kernel(rows + units, ncols, p)
+    echelon = {}
+    assert fp_linalg.kernel_basis(rows, ncols, p, echelon, zero=zero) == expected
+    assert sorted([*echelon, *zero]) == sorted(one_echelon)
+    continued, solved = dict(echelon_a), dict(solved_a)
+    assert fp_linalg.kernel_basis(b, ncols, p, continued, solved, zero) == expected
+    assert sorted([*continued, *zero]) == sorted(one_echelon)
+    assert zero.isdisjoint(solved) and all(zero.isdisjoint(x) for x in solved.values())
+    assert (rows, echelon_a, solved_a) == before
+
+
 def split_case(rng):
     """Rows A | B mod p where B also has rows leading on columns that A
     leaves free and some of A's pivot solutions name, so that continuing

@@ -26,6 +26,7 @@ from gl2kisin.tangent import (
 )
 
 from conftest import dense_basis, random_profile
+from test_fp_linalg import dense_kernel
 
 
 def test_layout_frozen(f1_nonsplit):
@@ -327,6 +328,7 @@ def test_assembly_matches_degree_by_degree_twin(case):
     # the same keys in the same insertion order
     assert [list(row.items()) for _lab, row in got] == [list(row.items()) for _lab, row in expected]
     assert all(lab[0] != "rec" for lab in labels[len(expected) :])
+    assert assembled_closed_groups(system) == brute_force_closed_groups(system)
     if rho.f == 1:
         # the slot's own M^(j-1) and phi(m) terms meet at degree 0 of entry
         # (1,1) and cancel, and the stored 0 stays in the row
@@ -395,6 +397,15 @@ def _solved(report):
     )
 
 
+def scratch_copy(system):
+    """A copy of the system with an empty eliminated block and no closed
+    group, which solve_claim solves from scratch, feeding every row."""
+    scratch = copy.copy(system)
+    scratch.eliminated, scratch.echelon, scratch.solved = 0, {}, {}
+    scratch.closed, scratch.zero = [], set()
+    return scratch
+
+
 def assert_stability_matches_scratch(rho, b=None, degree_bound=None, min_degree=0):
     """stability_check's higher report, continued from the lower echelon,
     equals a from-scratch solve of the system at b + p, with and without a
@@ -422,7 +433,14 @@ def assert_stability_matches_scratch(rho, b=None, degree_bound=None, min_degree=
     resolved = solve_claim(block)
     assert _solved(resolved) == _solved(high)
     assert resolved.echelon == high.echelon and resolved.solved == high.solved
-    assert resolved.solved == scratch.solved and sorted(high.echelon) == sorted(scratch.echelon)
+    # the pivot columns with the zero columns are the leading columns of the
+    # row space, which a solve feeding every row finds as its pivots
+    every = scratch_copy(scratch_system)
+    assert every.open_rows(0) == scratch_system.rows
+    leading = sorted(solve_claim(every).echelon)
+    assert resolved.solved == scratch.solved
+    assert sorted([*high.echelon, *high.system.zero]) == leading
+    assert sorted([*scratch.echelon, *scratch_system.zero]) == leading
 
 
 def assert_relaxed_matches_scratch(rho, b=None, degree_bound=None, min_degree=0):
@@ -439,10 +457,10 @@ def assert_relaxed_matches_scratch(rho, b=None, degree_bound=None, min_degree=0)
     report = solve_claim(relaxed)
     rows = relaxed.rows
     assert (report.kernel, report.rank) == fp_linalg.kernel_basis(rows, system.ncols, system.p)
-    # the same rows with an empty eliminated block
-    scratch = copy.copy(relaxed)
-    scratch.eliminated, scratch.echelon, scratch.solved = 0, {}, {}
+    # the same rows with an empty eliminated block, every one of them fed
+    scratch = scratch_copy(relaxed)
     assert scratch.rows is relaxed.rows and relaxed.eliminated > 0
+    assert scratch.open_rows(0) == relaxed.rows
     assert _solved(report) == _solved(solve_claim(scratch))
     assert system.echelon == block and all(system.echelon[c] is row for c, row in block.items())
     assert system.solved == {}
@@ -489,3 +507,111 @@ def test_backend_kernel_canonical_form():
     # unreduced entries (negative, or >= p) give the same canonical kernel
     unreduced = [{0: 8, 2: -4}, {1: -6, 2: 11}]
     assert fp_linalg.kernel_basis(unreduced, 4, 7) == (basis, rank)
+
+
+# ---------------------------------------------------------------------------
+# closed groups against a search over the assembled rows
+
+
+def brute_force_closed_groups(system, start=0):
+    """The (j, e), e a window degree, whose four ("rec", j, l, k, e) rows
+    from index start on name four columns between them that no other row of
+    the system names.  (Below a window from degree 0, the four rows of
+    degree -1 that name only the p_m1 parameters are such rows too; they
+    are left to the eliminator.)"""
+    labels, rows = system.labels(), system.rows
+    namers = {}
+    for row in rows:
+        for c in row:
+            namers[c] = namers.get(c, 0) + 1
+    groups = {}
+    for i in range(start, len(rows)):
+        if labels[i][0] == "rec" and labels[i][4] >= system.min_degree:
+            groups.setdefault((labels[i][1], labels[i][4]), []).append(i)
+    closed = set()
+    for key, members in groups.items():
+        cols = set().union(*(rows[i] for i in members))
+        own = sum(len(rows[i]) for i in members)
+        if len(members) == len(cols) == 4 and sum(namers[c] for c in cols) == own:
+            closed.add(key)
+    return closed
+
+
+def assembled_closed_groups(system):
+    """The (j, e) of the groups system.closed marks, each checked to be the
+    four rows of one slot and degree, with its columns in system.zero."""
+    labels, out = system.labels(), set()
+    for lo, hi in system.closed:
+        assert lo < hi and (hi - lo) % 4 == 0
+        for i in range(lo, hi, 4):
+            keys = {(lab[0], lab[1], lab[4]) for lab in labels[i : i + 4]}
+            ((rec, j, e),) = keys
+            assert rec == "rec"
+            assert set().union(*system.rows[i : i + 4]) <= system.zero
+            out.add((j, e))
+    return out
+
+
+def closed_group_cases(f, p):
+    """A seeded deep non-split profile and a permissive r_j = 0 one with a
+    single nonzero extension parameter, each at min_degree 0, -1 and -3
+    with the default and a raised degree bound."""
+    rng = random.Random("closed:%d:%d" % (f, p))
+    profiles = [random_profile(rng, p, f, zero_positions=(), deep=True)]
+    profiles.append(random_profile(rng, p, f, zero_positions=range(1, f), r_window=(0, 1)))
+    for rho in profiles:
+        for min_degree in (0, -1, -3):
+            for raise_by in (None, 40):
+                lowest = max(p, max(rho.r) + 3)
+                bound = None if raise_by is None else lowest + raise_by
+                yield rho, bound, min_degree
+
+
+@pytest.mark.parametrize("f,p", [(f, p) for f in (1, 2, 3) for p in (31, 37, 101)])
+def test_closed_groups_match_brute_force(f, p):
+    """The groups the assembly closes are those a search over its rows
+    finds, and so are the groups the system one Frobenius step higher adds
+    among its new rows; its zero columns are the lower system's and those
+    of its new groups, and most recurrence rows are closed."""
+    closed_rows = rec_rows = 0
+    for rho, bound, min_degree in closed_group_cases(f, p):
+        system = assemble_system(rho, degree_bound=bound, min_degree=min_degree)
+        found = brute_force_closed_groups(system)
+        assert found and assembled_closed_groups(system) == found
+        assert len(system.zero) == 4 * len(found)
+        closed_rows += 4 * len(found)
+        rec_rows += system.eliminated
+        _, high, _ = stability_check(rho, first=solve_claim(system))
+        higher = high.system
+        new = brute_force_closed_groups(higher, start=len(system.rows))
+        assert assembled_closed_groups(higher) == new
+        assert len(higher.zero) == len(system.zero) + 4 * len(new)
+        assert system.zero <= higher.zero
+    assert closed_rows > rec_rows / 2
+
+
+def test_closing_a_phi_reached_group_is_caught(monkeypatch):
+    """A rule that also closes one group whose columns a phi-term of the
+    slot before names feeds that phi-row with columns its solve takes as
+    pivots and as zero at once: the solve then disagrees with the dense
+    twin and with a solve that feeds every row."""
+    rho = random_profile(random.Random("phi-reached"), 101, 2, zero_positions=(), deep=True)
+    honest = assemble_system(rho)
+    runs, calls = tangent._closed_runs, []
+
+    def also_reached(landed, reach, first, last):
+        calls.append(reach)
+        return runs(landed, reach - (len(calls) == 1), first, last)
+
+    monkeypatch.setattr(tangent, "_closed_runs", also_reached)
+    mutant = assemble_system(rho)
+    added = assembled_closed_groups(mutant) - assembled_closed_groups(honest)
+    assert len(added) == 1 and assembled_closed_groups(honest) < assembled_closed_groups(mutant)
+    assert mutant.rows == honest.rows
+    report = solve_claim(mutant)
+    scratch = solve_claim(scratch_copy(mutant))
+    assert _solved(scratch) == _solved(solve_claim(honest))
+    dense = dense_kernel(mutant.rows, mutant.ncols, mutant.p)
+    assert (dense_basis(scratch.kernel, mutant.ncols, mutant.p), scratch.rank) == dense
+    assert _solved(report) != _solved(scratch)
+    assert (dense_basis(report.kernel, mutant.ncols, mutant.p), report.rank) != dense
