@@ -256,7 +256,7 @@ def cmd_tangent(args):
         "degree_bound": system.degree_bound,
         "min_degree": system.min_degree,
         "columns": system.ncols,
-        "rows": len(solved.rows),
+        "rows": solved.row_count(),
         "kernel_dim": report.kernel_dim,
         "param_kernel_dim": report.param_kernel_dim,
         "m_kernel_dim": report.m_kernel_dim,

@@ -24,9 +24,10 @@ from .matrices import Mat2, monomial_matrix
 # assemble_system builds at most this many columns, else PreconditionError.
 # The largest system the tests and the benchmark build has 2,470 (p 101,
 # f 3, degree bound 202); one of 65,530 columns (p 101, f 3, degree bound
-# 5457, 96% of its recurrence rows in closed groups) takes 0.05-0.10 s and
-# a 42-43 MiB peak RSS for `gl2kisin tangent` (cli.main in one process,
-# Python 3.11, a 2-vCPU Xeon).
+# 5457, 96% of its recurrence rows in closed groups, which are not built)
+# takes 0.02-0.04 s and a 21-22 MiB peak RSS for `gl2kisin tangent`
+# (cli.main in one process per run, Python 3.11, a 2-vCPU Xeon), where
+# storing every row took 0.04-0.07 s and 37-40 MiB.
 MAX_TANGENT_COLUMNS = 2**16
 
 # per-slot low-degree correction parameters; p<entry>_<degree> sits in the
@@ -76,11 +77,13 @@ class TangentSystem:
 
     rows is a list of {column: int} dicts: those of `lower`, the system
     this one extends (or None), then one run of recurrence rows per slot,
-    each stood for by a descriptor (j, below, first, last) in `segments`,
-    then the constraint rows (pins, weight selectors, frames), labeled by
-    `constraints`.  labels() derives the recurrence rows' labels:
+    less its closed groups, each stood for by a descriptor (j, below, first,
+    last) in `segments`, then the constraint rows (pins, weight selectors,
+    frames), labeled by `constraints`.  labels() derives the recurrence
+    rows' labels, aligned with rows:
         ("rec", j, *_ENTRIES[n], e) for each (e, n) in below, then
-        ("rec", j, l, k, e) for e from first to last, (l, k) in _ENTRIES.
+        ("rec", j, l, k, e) for e from first to last outside slot j's
+        closed groups, (l, k) in _ENTRIES.
     Row labels:
       ("rec", j, l, k, e)   coefficient e of entry (l,k) of the slot-j
                             recurrence  M^(j-1) Delta_j - Delta_j Phi_j - P_j,
@@ -106,25 +109,23 @@ class TangentSystem:
     M^(j-1)[e] Delta_j = 0.  They name the four columns of M^(j-1)[e]
     alone, no other row names those, and Delta_j is invertible, so the
     block is 4x4 of rank 4 and the columns are 0 in every kernel vector.
-    `closed` lists the row spans [lo, hi) of runs of such groups among the
-    recurrence rows this system adds, and `zero` their columns, with those
-    of the lower system when there is one (its closed groups may be reached
-    from the degrees above its bound, but their rows still force their
-    columns to 0).  The closed rows are kept, labeled, but no solve feeds
-    them to fp_linalg: open_rows leaves them out and fp_linalg takes
-    `zero` in their place.
+    No row of a closed group is built: `zero` holds the columns of the
+    closed groups, with those of the lower system when there is one (its
+    closed groups may be reached from the degrees above its bound, but
+    their rows still force their columns to 0).  fp_linalg takes `zero` in
+    place of their rows, and row_count() counts them.
 
     The eliminated block: the first `eliminated` rows, whose fp_linalg
-    echelon, of their open rows, is `echelon`, and `solved`, the
-    back-substitution fp_linalg.kernel_basis left for that echelon (empty
-    when none was done).  Both are only ever read; solve_claim continues
-    copies of them with the open rows after the block.  Without `below`,
-    the block is the recurrence rows of every degree, eliminated once, not
-    back-substituted.  `below` is a solve_claim report at a lower degree
-    bound with the same rho, b and min_degree: its system's rows are then
-    the block, with the report's echelon and back-substitution, and the
-    recurrence rows of the degrees above that bound follow.  The
-    constructor adds no constraint row.
+    echelon is `echelon`, and `solved`, the back-substitution
+    fp_linalg.kernel_basis left for that echelon (empty when none was
+    done).  Both are only ever read; solve_claim continues copies of them
+    with the rows after the block.  Without `below`, the block is the
+    recurrence rows of every degree, eliminated once, not back-substituted.
+    `below` is a solve_claim report at a lower degree bound with the same
+    rho, b and min_degree: its system's rows are then the block, with the
+    report's echelon and back-substitution, and the recurrence rows of the
+    degrees above that bound follow.  The constructor adds no constraint
+    row.
     """
 
     def __init__(self, rho, b, degree_bound, min_degree, below=None):
@@ -142,12 +143,12 @@ class TangentSystem:
                 "the rigidity system at degrees %d..%d has %d columns, above the cap of %d"
                 % (min_degree, degree_bound, self.ncols, MAX_TANGENT_COLUMNS)
             )
-        self.segments, self.constraints, self.closed = [], [], []
+        self.segments, self.constraints = [], []
         if below is None:
             self.lower, self.rows, self.echelon, self.solved, self.zero = None, [], {}, {}, set()
             _recurrence_rows(self, min_degree)
             self.eliminated = len(self.rows)
-            fp_linalg.rank(self.open_rows(0), self.p, self.echelon)
+            fp_linalg.rank(self.rows, self.p, self.echelon)
         else:
             self.lower, self.rows = below.system, list(below.system.rows)
             self.eliminated = len(self.rows)
@@ -164,20 +165,24 @@ class TangentSystem:
     def col_m(self, j, comp, e):
         return self.n_param_cols + (e - self.min_degree) * self.stride + j * 4 + comp
 
-    def open_rows(self, start):
-        """The rows from index start on, less those of the closed groups."""
-        rows, out = self.rows, []
-        for lo, hi in self.closed:
-            if hi > start:
-                out += rows[start:lo]
-                start = hi
-        return out + rows[start:]
+    def row_count(self):
+        """The rows of the system, closed groups included: the stored rows,
+        and the four rows of each closed group, this system's and `lower`'s,
+        one per zero column."""
+        return len(self.rows) + len(self.zero)
 
     def labels(self):
         out = self.lower.labels() if self.lower else []
         for j, below, first, last in self.segments:
             out += [("rec", j, *_ENTRIES[n], e) for e, n in below]
-            out += [("rec", j, l, k, e) for e in range(first, last + 1) for l, k in _ENTRIES]
+            # a closed group's columns, those of M^(j-1)[e], are zero
+            col = self.col_m((j - 1) % self.f, 0, 0)
+            out += [
+                ("rec", j, l, k, e)
+                for e in range(first, last + 1)
+                if col + self.stride * e not in self.zero
+                for l, k in _ENTRIES
+            ]
         return out + self.constraints
 
     def without(self, label_prefix):
@@ -254,22 +259,23 @@ def assemble_system(rho, b=None, degree_bound=None, min_degree=0):
 def _recurrence_rows(system, first):
     """Append the ("rec", j, l, k, e) rows of every slot at the degrees e
     from first to the system's degree bound to system.rows, slot by slot,
-    with one descriptor per slot to system.segments.  From first =
-    min_degree each slot's rows below the window come first; from a higher
-    first the rows below it are left out, since the system at a lower
-    degree bound with the same min_degree already has them, unchanged.
+    with one descriptor per slot to system.segments, less the rows of the
+    closed groups.  From first = min_degree each slot's rows below the
+    window come first; from a higher first the rows below it are left out,
+    since the system at a lower degree bound with the same min_degree
+    already has them, unchanged.
 
     Every window degree has a row for each of the four entries, because
     Delta_j is invertible: each of its columns is nonzero, so each row has
-    an M^(j-1) term.  An entry whose window holds an empty row raises
-    InternalCheckError.
+    an M^(j-1) term.  An entry whose window holds an empty row, stored or
+    closed, raises InternalCheckError.
 
-    Each run of closed groups (TangentSystem) among the window rows goes
-    to system.closed as its row span, and its columns to system.zero."""
+    A slot's closed groups are decided (_closed_runs) from the degrees its
+    terms land at before any row is built; the columns of each run of them
+    go to system.zero, and its rows are not built."""
     rho, p, f = system.rho, system.p, system.f
     min_degree, degree_bound, stride = system.min_degree, system.degree_bound, system.stride
     rows = system.rows
-    offsets = range(first * stride, (degree_bound + 1) * stride, stride)
     # the slot's Frobenius matrix is v * Delta * diag(v^sh, 1)
     factors = [frobenius_factor(rho, j) for j in range(f)]
 
@@ -288,14 +294,14 @@ def _recurrence_rows(system, first):
         delta, sh = factors[j]
         # coefficient e of entry (l,k) of the slot-j recurrence
         #   sum_t M^(j-1)_lt Delta_tk - sum_t Delta_lt v^(sh*(k-t)) phi(m_tk) - P_lk
-        # built column by column: the M^(j-1) terms give each window degree
-        # its row, a phi(m) term reaches degree p*d + sh*(k-t) from the column
-        # of degree d, a correction parameter degree 0, -1 or -2, and below
-        # the window only a degree some term reaches has a row.  A row's first
-        # value is a nonzero residue as given; later ones add mod p, and a 0
-        # where terms cancel stays in the row.  The column of degree d is
-        # stride * d past that of degree 0.
-        insides = []
+        # built column by column: the M^(j-1) terms give each open window
+        # degree its row, a phi(m) term reaches degree p*d + sh*(k-t) from
+        # the column of degree d, a correction parameter degree 0, -1 or -2,
+        # and below the window only a degree some term reaches has a row.  A
+        # row's first value is a nonzero residue as given; later ones add
+        # mod p, and a 0 where terms cancel stays in the row.  The column of
+        # degree d is stride * d past that of degree 0.
+        entries = []
         # the rows below the window, by (degree, entry)
         below = {}
         # the window degrees a phi-term or correction parameter lands at
@@ -306,14 +312,6 @@ def _recurrence_rows(system, first):
                 for t in (1, 2)
                 if delta[t - 1][k - 1]
             ]
-            if len(prev) == 2:
-                (c1, v1), (c2, v2) = prev
-                inside = [{c1 + o: v1, c2 + o: v2} for o in offsets]
-            elif prev:
-                ((c1, v1),) = prev
-                inside = [{c1 + o: v1} for o in offsets]
-            else:
-                inside = [{} for _o in offsets]
             # (x, column of degree 0, value, degrees d from lo to hi - 1):
             # value at the column of degree d in row p*d + x; a correction
             # parameter has d = 0 only
@@ -328,6 +326,7 @@ def _recurrence_rows(system, first):
                 name = "p%d%d_%s" % (l, k, suffix)
                 if name in _PARAM_INDEX:
                     terms.append((x, system.col_param(j, name), p - 1, 0, 1))
+            spans = []
             for x, col, val, lo, hi in terms:
                 # the first d whose degree p*d + x is first or more
                 cut = max(lo, -((x - first) // p))
@@ -336,27 +335,47 @@ def _recurrence_rows(system, first):
                         row = below.setdefault((p * d + x, n), {})
                         c = col + stride * d
                         row[c] = (row.get(c, 0) + val) % p
-                for d in range(cut, hi):
-                    row = inside[p * d + x - first]
-                    c = col + stride * d
-                    row[c] = (row.get(c, 0) + val) % p
+                spans.append((x, col, val, cut, hi))
                 landed.update(range(p * cut + x, p * hi + x, p))
-            if not all(inside):
-                raise InternalCheckError(
-                    "slot %d entry (%d,%d) has an empty recurrence row: Delta_%d has a zero column"
-                    % (j, l, k, j)
-                )
-            insides.append(inside)
+            if not prev:
+                # a window row, stored or closed, then holds only what lands
+                mine = {p * d + x for x, _c, _v, cut, hi in spans for d in range(cut, hi)}
+                if len(mine) <= degree_bound - first:
+                    raise InternalCheckError(
+                        "slot %d entry (%d,%d) has an empty recurrence row: Delta_%d has a zero column"
+                        % (j, l, k, j)
+                    )
+            entries.append((prev, spans))
         keys = tuple(sorted(below))
         rows += [below[key] for key in keys]
-        # window degree e's four rows start 4 * (e - first) past here
-        start = len(rows) - 4 * first
+        # the window degrees outside the closed runs, which alone get rows
+        opened, e = [], first
         for lo, hi in _closed_runs(landed, reach[jm], first, degree_bound):
-            system.closed.append((start + 4 * lo, start + 4 * hi))
+            opened += range(e, lo)
+            e = hi
             c = system.col_m(jm, 0, lo)
             end = c + stride * (hi - lo)
             for k in range(c, c + 4):
                 system.zero.update(range(k, end, stride))
+        opened += range(e, degree_bound + 1)
+        offsets = [stride * e for e in opened]
+        index = {e: i for i, e in enumerate(opened)}
+        insides = []
+        for prev, spans in entries:
+            if len(prev) == 2:
+                (c1, v1), (c2, v2) = prev
+                inside = [{c1 + o: v1, c2 + o: v2} for o in offsets]
+            elif prev:
+                ((c1, v1),) = prev
+                inside = [{c1 + o: v1} for o in offsets]
+            else:
+                inside = [{} for _o in offsets]
+            for x, col, val, cut, hi in spans:
+                for d in range(cut, hi):
+                    row = inside[index[p * d + x]]
+                    c = col + stride * d
+                    row[c] = (row.get(c, 0) + val) % p
+            insides.append(inside)
         rows += chain.from_iterable(zip(*insides))
         system.segments.append((j, keys, first, degree_bound))
 
@@ -399,10 +418,10 @@ def solve_claim(system):
     and onto the perturbation block (each vector split by column).  The
     rigidity claim is injective = True: no kernel direction touches the
     correction parameters.  The elimination and back-substitution continue
-    copies of the system's eliminated block with the open rows after it,
-    the closed groups' columns passed as zero columns."""
+    copies of the system's eliminated block with the rows after it, the
+    closed groups' columns passed as zero columns."""
     echelon, solved = dict(system.echelon), dict(system.solved)
-    rows = system.open_rows(system.eliminated)
+    rows = system.rows[system.eliminated :]
     basis, rank = fp_linalg.kernel_basis(rows, system.ncols, system.p, echelon, solved, system.zero)
     n = system.n_param_cols
     param_dim = fp_linalg.rank([{c: v for c, v in x.items() if c < n} for x in basis], system.p)

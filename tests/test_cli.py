@@ -27,6 +27,9 @@ from test_tangent import (
     assert_relaxed_matches_scratch,
     assert_stability_matches_scratch,
     brute_force_closed_groups,
+    open_twin_rows,
+    reference_rec_rows,
+    twin_rows,
 )
 
 
@@ -176,13 +179,14 @@ def _rho_of(config_path):
 
 
 def test_tangent_stability_solves_each_system_once(monkeypatch, capsys, f1_config):
-    """Every open row of a tangent run reaches the eliminator once, and no
-    row of a closed group does: assembly eliminates the open recurrence
-    rows, each solve feeds only the open rows after its system's eliminated
-    block (the constraint rows; for --negative-control those without the
-    pivot pin) and --stability only the open recurrence rows one Frobenius
-    step higher.  The closed groups are those a search over each system's
-    rows finds.  Each solve is one kernel_basis call."""
+    """Every stored row of a tangent run reaches the eliminator once, and
+    no row of a closed group is built: assembly eliminates the stored
+    recurrence rows, each solve feeds only the rows after its system's
+    eliminated block (the constraint rows; for --negative-control those
+    without the pivot pin) and --stability only the stored recurrence rows
+    one Frobenius step higher.  The stored rows are the twin's less the
+    closed groups a search over the twin's rows finds.  Each solve is one
+    kernel_basis call."""
     assembled, solved, fed, kernel_fed = [], [], [], []
     assemble, solve = tangent.assemble_system, tangent.solve_claim
     echelon, kernel_basis = fp_linalg._echelon, fp_linalg.kernel_basis
@@ -221,12 +225,17 @@ def test_tangent_stability_solves_each_system_once(monkeypatch, capsys, f1_confi
         higher = solved[-1]
         labels = lower.labels()
         assert len(labels) == len(lower.rows)
-        closed = closed_rows(lower) | closed_rows(higher, len(lower.rows))
-        block = [row for i, row in enumerate(lower.rows[: lower.eliminated]) if i not in closed]
+        twin = twin_rows(higher)
+        closed = brute_force_closed_groups(twin_rows(lower), lower.min_degree)
+        closed |= brute_force_closed_groups(twin, lower.degree_bound + 1)
+        assert sorted(map(repr, zip(higher.labels(), higher.rows))) == sorted(
+            map(repr, open_twin_rows(twin, closed))
+        )
+        block = lower.rows[: lower.eliminated]
         constraints = lower.rows[lower.eliminated :]
         assert block and all(lab[0] == "rec" for lab in labels[: lower.eliminated])
         assert constraints and all(lab[0] != "rec" for lab in labels[lower.eliminated :])
-        new = [row for i, row in enumerate(higher.rows) if i >= len(lower.rows) and i not in closed]
+        new = higher.rows[len(lower.rows) :]
         assert higher.rows[: len(lower.rows)] == lower.rows
         assert higher.labels()[: len(lower.rows)] == labels
         assert new and all(lab[0] == "rec" for lab in higher.labels()[len(lower.rows) :])
@@ -243,20 +252,8 @@ def test_tangent_stability_solves_each_system_once(monkeypatch, capsys, f1_confi
         every = set(ids(higher.rows))
         assert [ids(rows) for rows in fed if every & set(ids(rows))] == [ids(block)] + solves
         assert [ids(rows) for rows in kernel_fed] == solves
-        assert closed and len(new) < len(higher.rows) - len(lower.rows)
-        assert doc["rows"] == len(lower.rows) - negative
-
-
-def closed_rows(system, start=0):
-    """Indices of the rows in the closed groups, from index start on, that a
-    search over the system's rows finds."""
-    labels = system.labels()
-    groups = brute_force_closed_groups(system, start)
-    return {
-        i
-        for i in range(start, len(labels))
-        if labels[i][0] == "rec" and (labels[i][1], labels[i][4]) in groups
-    }
+        assert closed and len(new) < len(twin) - len(twin_rows(lower))
+        assert doc["rows"] == len(twin_rows(lower)) - negative
 
 
 def test_stability_matches_scratch_on_digest_profiles(f1_config, f2_config):
@@ -276,7 +273,8 @@ def test_without_and_higher_labels_on_digest_profiles(f1_config, f2_config):
     """without leaves the system it copies as it was, and two drops in turn
     remove both families from its (label, row) pairs; the higher system of
     stability_check is labeled by the lower system's labels, then by the
-    recurrence labels of the p degrees above the lower bound, slot by slot."""
+    recurrence labels of the p degrees above the lower bound, slot by slot,
+    less the closed groups a search over the twin's rows finds there."""
     for rho in (_rho_of(f1_config), _rho_of(f2_config), rho_mod.RhoBar.from_config(F3_P37_CONFIG)):
         system = tangent.assemble_system(rho)
         rows, constraints = list(system.rows), list(system.constraints)
@@ -289,14 +287,42 @@ def test_without_and_higher_labels_on_digest_profiles(f1_config, f2_config):
         ]
         low, high, _ = tangent.stability_check(rho, first=tangent.solve_claim(system))
         bound = low.system.degree_bound
+        closed = brute_force_closed_groups(twin_rows(high.system), bound + 1)
+        assert closed
         new = [
             ("rec", j, l, k, e)
             for j in range(rho.f)
             for e in range(bound + 1, bound + rho.p + 1)
+            if (j, e) not in closed
             for l, k in ((1, 1), (1, 2), (2, 1), (2, 2))
         ]
         assert high.system.labels() == low.system.labels() + new
         assert len(high.system.labels()) == len(high.system.rows)
+
+
+def test_rows_counts_every_row_of_the_solved_system(tmp_path, capsys, f1_config, f2_config):
+    """A tangent report's "rows" counts every row of the system it solves,
+    closed groups included: the degree-by-degree twin's recurrence rows and
+    the system's constraint rows, on every tangent digest profile at
+    min_degree 0 and -3, with and without --negative-control.  row_count()
+    of the system --stability solves one Frobenius step higher counts its
+    twin's recurrence rows and the lower system's constraint rows."""
+    path = tmp_path / "f3_p37.json"
+    path.write_text(json.dumps(F3_P37_CONFIG))
+    for config in (f1_config, f2_config, str(path)):
+        rho = _rho_of(config)
+        for min_degree in (0, -3):
+            system = tangent.assemble_system(rho, min_degree=min_degree)
+            for negative in (False, True):
+                argv = ["tangent", "--config", config, "--min-degree", str(min_degree)]
+                rc, doc = run(capsys, argv + ["--negative-control"] * negative)
+                solved = system.without(("pin", "p21_0")) if negative else system
+                assert rc == 0 and doc["min_degree"] == min_degree
+                assert doc["rows"] == len(reference_rec_rows(solved)) + len(solved.constraints)
+                assert doc["rows"] > len(solved.rows)
+            _, high, _ = tangent.stability_check(rho, first=tangent.solve_claim(system))
+            count = len(reference_rec_rows(high.system)) + len(system.constraints)
+            assert high.system.row_count() == count > len(high.system.rows)
 
 
 def test_residual_check_holds_without_each_constraint_family(f1_config, f2_config):
@@ -309,7 +335,8 @@ def test_residual_check_holds_without_each_constraint_family(f1_config, f2_confi
     for rho in (_rho_of(f1_config), _rho_of(f2_config), rho_mod.RhoBar.from_config(F3_P37_CONFIG)):
         for min_degree in (0, -3):
             system = tangent.assemble_system(rho, min_degree=min_degree)
-            prefixes = {lab[:2] for lab in system.labels()[system.eliminated :]}
+            assert system.labels()[system.eliminated :] == system.constraints
+            prefixes = {lab[:2] for lab in system.constraints}
             assert ("pin", "p21_0") in prefixes and ("frame", "diag") in prefixes
             for prefix in sorted(prefixes):
                 report = tangent.solve_claim(system.without(prefix))

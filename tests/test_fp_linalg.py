@@ -404,12 +404,17 @@ def tangent_profile(f, p):
 @pytest.mark.parametrize("f,p", list(itertools.product((1, 2, 3), (31, 37, 101))))
 def test_tangent_systems_match_dense_twin(f, p):
     """The full system, the one a Frobenius step higher (as stability_check
-    builds it) and the negative control without the pivot pin."""
+    builds it) and the negative control without the pivot pin, each with
+    every row, closed groups included, from the degree-by-degree twin."""
+    from test_tangent import twin_rows  # test_tangent imports this module
+
     rho = tangent_profile(f, p)
     system = assemble_system(rho)
     higher = assemble_system(rho, degree_bound=system.degree_bound + p)
     for sys_ in (system, higher, system.without(("pin", "p21_0"))):
-        assert_matches_dense_twin(sys_.rows, sys_.ncols, p)
+        rows = [row for _lab, row in twin_rows(sys_)]
+        assert len(rows) == sys_.row_count()
+        assert_matches_dense_twin(rows, sys_.ncols, p)
 
 
 def _summary(report):

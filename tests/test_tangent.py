@@ -296,6 +296,22 @@ def reference_rec_rows(system):
     return rows
 
 
+def twin_rows(system):
+    """Every (label, row) of the system, closed groups included, with the
+    recurrence rows from the degree-by-degree twin: reference_rec_rows, then
+    the constraint rows of the system and of each system it extends."""
+    out = reference_rec_rows(system)
+    while system:
+        out += zip(system.constraints, system.rows[len(system.rows) - len(system.constraints) :])
+        system = system.lower
+    return out
+
+
+def open_twin_rows(labeled, closed):
+    """The (label, row) pairs of labeled outside the closed groups (j, e)."""
+    return [(lab, row) for lab, row in labeled if lab[0] != "rec" or (lab[1], lab[4]) not in closed]
+
+
 @st.composite
 def tangent_cases(draw):
     """A non-split prime-field profile with f 1-3, a weight selector with 1
@@ -317,18 +333,23 @@ def tangent_cases(draw):
 @given(tangent_cases())
 @settings(max_examples=80, deadline=None)
 def test_assembly_matches_degree_by_degree_twin(case):
+    """The stored (label, row) pairs are the twin's, less the closed groups
+    a search over the twin's rows finds, and row_count counts those too."""
     rho, b, degree_bound, min_degree = case
     system = assemble_system(rho, b, degree_bound, min_degree)
-    expected = reference_rec_rows(system)
+    twin = twin_rows(system)
+    closed = brute_force_closed_groups(twin, min_degree)
+    assert assembled_closed_groups(system) == closed
+    assert len(system.zero) == 4 * len(closed)
+    expected = open_twin_rows(twin, closed)
     labels = system.labels()
     assert len(labels) == len(system.rows)
-    labeled = list(zip(labels, system.rows))
-    got = labeled[: len(expected)]
+    got = list(zip(labels, system.rows))
     assert got == expected
     # the same keys in the same insertion order
     assert [list(row.items()) for _lab, row in got] == [list(row.items()) for _lab, row in expected]
-    assert all(lab[0] != "rec" for lab in labels[len(expected) :])
-    assert assembled_closed_groups(system) == brute_force_closed_groups(system)
+    assert all(lab[0] != "rec" for lab in labels[system.eliminated :])
+    assert system.row_count() == len(twin)
     if rho.f == 1:
         # the slot's own M^(j-1) and phi(m) terms meet at degree 0 of entry
         # (1,1) and cancel, and the stored 0 stays in the row
@@ -339,11 +360,22 @@ def test_assembly_matches_degree_by_degree_twin(case):
 @given(tangent_cases())
 @settings(max_examples=60, deadline=None)
 def test_rows_nest_one_frobenius_step_higher(case):
-    """Every (label, row) of the system at b occurs unchanged, with its keys
-    in the same order, among the rows of the system at b + p."""
+    """Every (label, row) of the system at b, closed groups included,
+    occurs unchanged, with its keys in the same order, among those of the
+    system at b + p.  A group closed at b + p at a degree up to b is closed
+    at b (the degrees above b only reach more columns), so every row the
+    system at b stores, the one at b + p stores too."""
     rho, b, degree_bound, min_degree = case
     low = assemble_system(rho, b, degree_bound, min_degree)
     high = assemble_system(rho, b, low.degree_bound + rho.p, min_degree)
+    low_twin, high_twin = twin_rows(low), twin_rows(high)
+    full = dict(high_twin)
+    assert len(full) == len(high_twin) > len(low_twin)
+    for label, row in low_twin:
+        assert list(full[label].items()) == list(row.items()), label
+    low_closed = brute_force_closed_groups(low_twin, min_degree)
+    high_closed = brute_force_closed_groups(high_twin, min_degree)
+    assert {(j, e) for j, e in high_closed if e <= low.degree_bound} <= low_closed
     higher = dict(zip(high.labels(), high.rows))
     assert len(higher) == len(high.rows) > len(low.rows)
     for label, row in zip(low.labels(), low.rows):
@@ -367,23 +399,36 @@ def test_zero_column_of_delta_is_an_internal_error(monkeypatch, f2_mixed):
 def test_assembly_retains_few_gc_tracked_objects():
     """The rows are bare {column: int} dicts, which the cyclic collector
     does not track, and labels() derives the labels: assembling an f=3,
-    p=101 system of over 1,000 rows leaves fewer than 100 new GC-tracked
-    objects."""
+    p=101 system at degree bound 2525, which stores over 1,000 rows (and
+    counts over 30,000, closed groups included), leaves fewer than 100 new
+    GC-tracked objects."""
     rng = random.Random("tangent-gc")
     rho = random_profile(rng, 101, 3, zero_positions=(1,), deep=True)
-    assemble_system(rho)
+    assemble_system(rho, degree_bound=2525)
     gc.collect()
     enabled = gc.isenabled()
     gc.disable()
     try:
         before = len(gc.get_objects())
-        system = assemble_system(rho)
+        system = assemble_system(rho, degree_bound=2525)
         retained = len(gc.get_objects()) - before
     finally:
         if enabled:
             gc.enable()
+    assert len(twin_rows(system)) == system.row_count() > 30000
     assert len(system.rows) > 1000
     assert retained < 100, retained
+
+
+def test_system_at_the_column_cap_stores_few_rows():
+    """At the column cap (p 101, f 3, degree bound 5457: 65,530 columns)
+    the system stores under 5% of the rows it counts as dicts; the others
+    are closed groups, one per zero column, and the count is the twin's."""
+    rho = random_profile(random.Random("tangent-cap"), 101, 3, zero_positions=(), deep=True)
+    system = assemble_system(rho, degree_bound=5457)
+    assert system.ncols == 65530 <= tangent.MAX_TANGENT_COLUMNS
+    assert system.row_count() == len(system.rows) + len(system.zero) == len(twin_rows(system))
+    assert len(system.rows) < 0.05 * system.row_count()
 
 
 def _solved(report):
@@ -398,11 +443,13 @@ def _solved(report):
 
 
 def scratch_copy(system):
-    """A copy of the system with an empty eliminated block and no closed
-    group, which solve_claim solves from scratch, feeding every row."""
+    """A copy of an assembled system (or of its without() copy) holding
+    every row, closed groups included, as twin_rows gives them, with an
+    empty eliminated block and no closed group, which solve_claim solves
+    from scratch, feeding every row."""
     scratch = copy.copy(system)
-    scratch.eliminated, scratch.echelon, scratch.solved = 0, {}, {}
-    scratch.closed, scratch.zero = [], set()
+    scratch.rows = [row for _lab, row in twin_rows(system)]
+    scratch.eliminated, scratch.echelon, scratch.solved, scratch.zero = 0, {}, {}, set()
     return scratch
 
 
@@ -420,9 +467,15 @@ def assert_stability_matches_scratch(rho, b=None, degree_bound=None, min_degree=
     assert _solved(high) == _solved(scratch)
     assert high.system.ncols == scratch_system.ncols
     assert len(high.system.labels()) == len(high.system.rows)
+    # the higher system stores the twin's rows less the groups closed at the
+    # lower bound and those closed among the degrees above it
+    twin = twin_rows(scratch_system)
+    closed = brute_force_closed_groups(twin_rows(low.system), min_degree)
+    closed |= brute_force_closed_groups(twin, low.system.degree_bound + 1)
     assert sorted(map(repr, zip(high.system.labels(), high.system.rows))) == sorted(
-        map(repr, zip(scratch_system.labels(), scratch_system.rows))
+        map(repr, open_twin_rows(twin, closed))
     )
+    assert high.system.row_count() == len(twin) == scratch_system.row_count()
     assert stable == (_solved(low)[2:5] == _solved(scratch)[2:5])
     _, again, stable_again = stability_check(rho, b, degree_bound, min_degree)
     assert _solved(again) == _solved(scratch) and stable_again == stable
@@ -436,7 +489,7 @@ def assert_stability_matches_scratch(rho, b=None, degree_bound=None, min_degree=
     # the pivot columns with the zero columns are the leading columns of the
     # row space, which a solve feeding every row finds as its pivots
     every = scratch_copy(scratch_system)
-    assert every.open_rows(0) == scratch_system.rows
+    assert len(every.rows) == scratch_system.row_count()
     leading = sorted(solve_claim(every).echelon)
     assert resolved.solved == scratch.solved
     assert sorted([*high.echelon, *high.system.zero]) == leading
@@ -455,12 +508,12 @@ def assert_relaxed_matches_scratch(rho, b=None, degree_bound=None, min_degree=0)
     assert list(zip(relaxed.labels(), relaxed.rows)) == kept
     assert len(relaxed.labels()) == len(relaxed.rows) == len(system.rows) - 1
     report = solve_claim(relaxed)
-    rows = relaxed.rows
-    assert (report.kernel, report.rank) == fp_linalg.kernel_basis(rows, system.ncols, system.p)
-    # the same rows with an empty eliminated block, every one of them fed
+    # the same rows, closed groups included, with an empty eliminated
+    # block, every one of them fed
     scratch = scratch_copy(relaxed)
-    assert scratch.rows is relaxed.rows and relaxed.eliminated > 0
-    assert scratch.open_rows(0) == relaxed.rows
+    assert len(scratch.rows) == relaxed.row_count() == system.row_count() - 1
+    assert relaxed.eliminated > 0
+    assert (report.kernel, report.rank) == fp_linalg.kernel_basis(scratch.rows, system.ncols, system.p)
     assert _solved(report) == _solved(solve_claim(scratch))
     assert system.echelon == block and all(system.echelon[c] is row for c, row in block.items())
     assert system.solved == {}
@@ -510,45 +563,51 @@ def test_backend_kernel_canonical_form():
 
 
 # ---------------------------------------------------------------------------
-# closed groups against a search over the assembled rows
+# closed groups against a search over the twin's rows
 
 
-def brute_force_closed_groups(system, start=0):
-    """The (j, e), e a window degree, whose four ("rec", j, l, k, e) rows
-    from index start on name four columns between them that no other row of
-    the system names.  (Below a window from degree 0, the four rows of
-    degree -1 that name only the p_m1 parameters are such rows too; they
-    are left to the eliminator.)"""
-    labels, rows = system.labels(), system.rows
+def brute_force_closed_groups(labeled, first):
+    """The (j, e), e a window degree from first on, whose four
+    ("rec", j, l, k, e) rows among the (label, row) pairs labeled name four
+    columns between them that no other row names.  (Below a window from
+    degree 0, the four rows of degree -1 that name only the p_m1 parameters
+    are such rows too; they are left to the eliminator.)"""
     namers = {}
-    for row in rows:
+    for _lab, row in labeled:
         for c in row:
             namers[c] = namers.get(c, 0) + 1
     groups = {}
-    for i in range(start, len(rows)):
-        if labels[i][0] == "rec" and labels[i][4] >= system.min_degree:
-            groups.setdefault((labels[i][1], labels[i][4]), []).append(i)
+    for lab, row in labeled:
+        if lab[0] == "rec" and lab[4] >= first:
+            groups.setdefault((lab[1], lab[4]), []).append(row)
     closed = set()
     for key, members in groups.items():
-        cols = set().union(*(rows[i] for i in members))
-        own = sum(len(rows[i]) for i in members)
+        cols = set().union(*members)
+        own = sum(map(len, members))
         if len(members) == len(cols) == 4 and sum(namers[c] for c in cols) == own:
             closed.add(key)
     return closed
 
 
 def assembled_closed_groups(system):
-    """The (j, e) of the groups system.closed marks, each checked to be the
-    four rows of one slot and degree, with its columns in system.zero."""
-    labels, out = system.labels(), set()
-    for lo, hi in system.closed:
-        assert lo < hi and (hi - lo) % 4 == 0
-        for i in range(lo, hi, 4):
-            keys = {(lab[0], lab[1], lab[4]) for lab in labels[i : i + 4]}
-            ((rec, j, e),) = keys
-            assert rec == "rec"
-            assert set().union(*system.rows[i : i + 4]) <= system.zero
-            out.add((j, e))
+    """The (j, e) of the closed groups the system adds: e a degree of the
+    window of its recurrence rows whose four ("rec", j, l, k, e) rows it
+    does not store, the four columns of M^(j-1)[e] being in system.zero.
+    Every zero column is one of a group's, the lower system's or these."""
+    first = system.lower.degree_bound + 1 if system.lower else system.min_degree
+    stored = {(lab[1], lab[4]) for lab in system.labels() if lab[0] == "rec"}
+    out, cols = set(), set()
+    for j in range(system.f):
+        for e in range(first, system.degree_bound + 1):
+            group = {system.col_m((j - 1) % system.f, comp, e) for comp in range(4)}
+            if (j, e) not in stored:
+                assert group <= system.zero
+                out.add((j, e))
+                cols |= group
+            else:
+                assert group.isdisjoint(system.zero)
+    lower = system.lower.zero if system.lower else set()
+    assert system.zero == lower | cols
     return out
 
 
@@ -569,21 +628,23 @@ def closed_group_cases(f, p):
 
 @pytest.mark.parametrize("f,p", [(f, p) for f in (1, 2, 3) for p in (31, 37, 101)])
 def test_closed_groups_match_brute_force(f, p):
-    """The groups the assembly closes are those a search over its rows
-    finds, and so are the groups the system one Frobenius step higher adds
-    among its new rows; its zero columns are the lower system's and those
-    of its new groups, and most recurrence rows are closed."""
+    """The groups the assembly closes are those a search over the twin's
+    rows finds, and so are the groups the system one Frobenius step higher
+    adds among the degrees above the lower bound; its zero columns are the
+    lower system's and those of its new groups, and most recurrence rows
+    are closed."""
     closed_rows = rec_rows = 0
     for rho, bound, min_degree in closed_group_cases(f, p):
         system = assemble_system(rho, degree_bound=bound, min_degree=min_degree)
-        found = brute_force_closed_groups(system)
+        twin = twin_rows(system)
+        found = brute_force_closed_groups(twin, min_degree)
         assert found and assembled_closed_groups(system) == found
         assert len(system.zero) == 4 * len(found)
         closed_rows += 4 * len(found)
-        rec_rows += system.eliminated
+        rec_rows += len(twin) - len(system.constraints)
         _, high, _ = stability_check(rho, first=solve_claim(system))
         higher = high.system
-        new = brute_force_closed_groups(higher, start=len(system.rows))
+        new = brute_force_closed_groups(twin_rows(higher), system.degree_bound + 1)
         assert assembled_closed_groups(higher) == new
         assert len(higher.zero) == len(system.zero) + 4 * len(new)
         assert system.zero <= higher.zero
@@ -592,9 +653,10 @@ def test_closed_groups_match_brute_force(f, p):
 
 def test_closing_a_phi_reached_group_is_caught(monkeypatch):
     """A rule that also closes one group whose columns a phi-term of the
-    slot before names feeds that phi-row with columns its solve takes as
-    pivots and as zero at once: the solve then disagrees with the dense
-    twin and with a solve that feeds every row."""
+    slot before names leaves that group's four rows out and feeds that
+    phi-row with columns its solve takes as pivots and as zero at once: the
+    solve then disagrees with the dense twin of every row, closed groups
+    included, and with a solve that feeds all those rows."""
     rho = random_profile(random.Random("phi-reached"), 101, 2, zero_positions=(), deep=True)
     honest = assemble_system(rho)
     runs, calls = tangent._closed_runs, []
@@ -607,11 +669,16 @@ def test_closing_a_phi_reached_group_is_caught(monkeypatch):
     mutant = assemble_system(rho)
     added = assembled_closed_groups(mutant) - assembled_closed_groups(honest)
     assert len(added) == 1 and assembled_closed_groups(honest) < assembled_closed_groups(mutant)
-    assert mutant.rows == honest.rows
+    assert list(zip(mutant.labels(), mutant.rows)) == open_twin_rows(
+        list(zip(honest.labels(), honest.rows)), added
+    )
+    assert len(mutant.rows) == len(honest.rows) - 4
+    twin = twin_rows(mutant)
+    assert twin == twin_rows(honest)
     report = solve_claim(mutant)
     scratch = solve_claim(scratch_copy(mutant))
     assert _solved(scratch) == _solved(solve_claim(honest))
-    dense = dense_kernel(mutant.rows, mutant.ncols, mutant.p)
+    dense = dense_kernel([row for _lab, row in twin], mutant.ncols, mutant.p)
     assert (dense_basis(scratch.kernel, mutant.ncols, mutant.p), scratch.rank) == dense
     assert _solved(report) != _solved(scratch)
     assert (dense_basis(report.kernel, mutant.ncols, mutant.p), report.rank) != dense
