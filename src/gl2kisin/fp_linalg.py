@@ -3,21 +3,19 @@ that touch only the entries a row stores.  The forward elimination keeps a
 row whose smallest column is a new pivot as it is (the caller's dict), skips
 a one-entry row whose column has a one-entry pivot row (it reduces to zero),
 and copies and reduces any other; no pivot row is normalized, and only the
-rare reduction step inverts a lead.  `rank` and `kernel_dim` stop there.
-`kernel_basis` then back-substitutes, last pivot first, reducing mod p and
-normalizing once, only the pivot rows that name a free column or a pivot
-already solved to nonzero: any other row forces its pivot to 0.  A kernel
-vector is a {column: value} dict like a row, holding its nonzero entries.
+rare reduction step inverts a lead.  `rank` stops there.  `kernel_basis`
+then back-substitutes the whole echelon, last pivot first, reducing mod p
+and normalizing once, only the pivot rows that name a free column or a
+pivot already solved to nonzero: any other row forces its pivot to 0.  A
+kernel vector is a {column: value} dict like a row, holding its nonzero
+entries.
 
 Given `pivots`, the echelon of earlier rows, `rank` and `kernel_basis`
 continue that elimination with the new rows alone and extend the dict in
 place; pivot rows are never modified, so a caller keeping the old echelon
-passes a shallow copy.  Given also `solved`, the back-substitution that
-`kernel_basis` left for that echelon, it continues that too, in the same
-copy-it-first convention: the pivots the new rows add follow the earlier
-ones in the echelon's insertion order, and it back-substitutes those, and
-an earlier pivot only where its solution names a column the new rows
-turned into a pivot.  Solutions are replaced, never modified.
+passes a shallow copy.  The echelon alone is continued: the pivot columns
+are the leading columns of the row space, so the kernel basis read from
+it does not depend on how the rows were split.
 
 Given `zero`, columns the caller knows are forced to 0 (the tangent
 system's closed groups: rows that name those columns alone and have full
@@ -27,7 +25,7 @@ never free, it counts in the rank, and a fed row's entries on zero columns
 are left out of the copy that reduction makes of it.
 """
 
-from itertools import filterfalse, islice
+from itertools import filterfalse
 
 # The one kernel implementation; perfbench records it beside its timings.
 BACKEND = "pure"
@@ -94,7 +92,7 @@ def rank(rows, p, pivots=None):
     return len(_echelon(rows, p, pivots))
 
 
-def kernel_basis(rows, ncols, p, pivots=None, solved=None, zero=frozenset()):
+def kernel_basis(rows, ncols, p, pivots=None, *, zero=frozenset()):
     """Kernel of a sparse integer matrix mod p.
 
     rows: iterable of {column: value} dicts (values arbitrary ints).
@@ -104,37 +102,24 @@ def kernel_basis(rows, ncols, p, pivots=None, solved=None, zero=frozenset()):
     nonzero to minus that entry, a value in 1..p-1.
 
     pivots: an echelon of earlier rows on columns below ncols, extended in
-    place; the kernel is that of the earlier rows and rows together.
-
-    solved: {pivot column c: {free column j: coefficient of x_j in x_c}}
-    for the pivot columns whose x_c is nonzero, continued in place.  When it
-    is not empty, it is the back-substitution of pivots as passed, and only
-    the pivots the rows add, and an earlier pivot whose x_c names a column
-    they turned into a pivot, are back-substituted; otherwise (the default)
-    every pivot is.  A pivot row that names no free column and no pivot
-    with a nonzero solution forces its pivot to 0 and is skipped unread.
+    place; the kernel is that of the earlier rows and rows together.  Every
+    pivot of the echelon it ends with is back-substituted, last first; a
+    pivot row that names no free column and no pivot with a nonzero
+    solution forces its pivot to 0 and is skipped unread.
 
     zero: a set of columns below ncols forced to 0, none of them a column
     of pivots as passed.  The result is that of the rows followed by one
     unit row {c: 1} per zero column: the rank counts them, and no basis
-    vector names one.  No zero column becomes a pivot, and no solution left
-    in solved names one.
+    vector names one.  No zero column becomes a pivot.
     """
-    if solved is None:
-        solved = {}
-    done = len(pivots) if solved else 0
     pivots = _echelon(rows, p, pivots, zero)
-    # the pivots the echelon gained follow the back-substituted ones
-    todo = list(islice(pivots, done, None))
-    if done and (todo or zero):
-        fresh = set(todo)
-        for c in [c for c, x in solved.items() if not (fresh.isdisjoint(x) and zero.isdisjoint(x))]:
-            del solved[c]
-            todo.append(c)
     free = list(filterfalse(pivots.__contains__, filterfalse(zero.__contains__, range(ncols))))
+    # {pivot column c: {free column j: coefficient of x_j in x_c}} for the
+    # pivots whose x_c is nonzero
+    solved = {}
     # the columns whose x is not forced to 0: free ones, and solved pivots
-    live = {*free, *solved}
-    for c in sorted(todo, reverse=True):
+    live = set(free)
+    for c in sorted(pivots, reverse=True):
         row = pivots[c]
         if live.isdisjoint(row):
             continue
@@ -155,8 +140,3 @@ def kernel_basis(rows, ncols, p, pivots=None, solved=None, zero=frozenset()):
         for j, w in x.items():
             basis[j][c] = w
     return list(basis.values()), len(pivots) + len(zero)
-
-
-def kernel_dim(rows, ncols, p):
-    """Dimension of the kernel mod p, without building a basis."""
-    return ncols - rank(rows, p)

@@ -116,16 +116,13 @@ class TangentSystem:
     place of their rows, and row_count() counts them.
 
     The eliminated block: the first `eliminated` rows, whose fp_linalg
-    echelon is `echelon`, and `solved`, the back-substitution
-    fp_linalg.kernel_basis left for that echelon (empty when none was
-    done).  Both are only ever read; solve_claim continues copies of them
-    with the rows after the block.  Without `below`, the block is the
-    recurrence rows of every degree, eliminated once, not back-substituted.
-    `below` is a solve_claim report at a lower degree bound with the same
-    rho, b and min_degree: its system's rows are then the block, with the
-    report's echelon and back-substitution, and the recurrence rows of the
-    degrees above that bound follow.  The constructor adds no constraint
-    row.
+    echelon is `echelon`.  It is only ever read; solve_claim continues a
+    copy of it with the rows after the block.  Without `below`, the block
+    is the recurrence rows of every degree, eliminated once.  `below` is a
+    solve_claim report at a lower degree bound with the same rho, b and
+    min_degree: its system's rows are then the block, with the report's
+    echelon, and the recurrence rows of the degrees above that bound
+    follow.  The constructor adds no constraint row.
     """
 
     def __init__(self, rho, b, degree_bound, min_degree, below=None):
@@ -145,14 +142,14 @@ class TangentSystem:
             )
         self.segments, self.constraints = [], []
         if below is None:
-            self.lower, self.rows, self.echelon, self.solved, self.zero = None, [], {}, {}, set()
+            self.lower, self.rows, self.echelon, self.zero = None, [], {}, set()
             _recurrence_rows(self, min_degree)
             self.eliminated = len(self.rows)
             fp_linalg.rank(self.rows, self.p, self.echelon)
         else:
             self.lower, self.rows = below.system, list(below.system.rows)
             self.eliminated = len(self.rows)
-            self.echelon, self.solved = below.echelon, below.solved
+            self.echelon = below.echelon
             self.zero = set(self.lower.zero)
             _recurrence_rows(self, self.lower.degree_bound + 1)
 
@@ -190,8 +187,7 @@ class TangentSystem:
         with the given tuple; used for the negative control (drop the pivot
         pin).  Only this system's own constraint rows can be dropped, so the
         empty prefix, or one matching none of them, raises ConfigError; the
-        copy shares the block's rows, echelon and solutions, and the closed
-        groups."""
+        copy shares the block's rows and echelon, and the closed groups."""
         prefix = tuple(label_prefix)
         n, start = len(prefix), len(self.rows) - len(self.constraints)
         kept = [i for i, label in enumerate(self.constraints) if label[:n] != prefix]
@@ -406,10 +402,9 @@ class TangentReport:
     param_kernel_dim: int
     m_kernel_dim: int
     injective: bool
-    # fp_linalg's echelon of the system's rows and its back-substitution,
-    # from which a system with further rows continues both (copy them first)
+    # fp_linalg's echelon of the system's rows, from which a system with
+    # further rows continues the elimination (copy it first)
     echelon: dict
-    solved: dict
 
 
 def solve_claim(system):
@@ -417,12 +412,13 @@ def solve_claim(system):
     the dimensions of its projections onto the correction/framing block
     and onto the perturbation block (each vector split by column).  The
     rigidity claim is injective = True: no kernel direction touches the
-    correction parameters.  The elimination and back-substitution continue
-    copies of the system's eliminated block with the rows after it, the
-    closed groups' columns passed as zero columns."""
-    echelon, solved = dict(system.echelon), dict(system.solved)
+    correction parameters.  The elimination continues a copy of the
+    echelon of the system's eliminated block with the rows after it, the
+    closed groups' columns passed as zero columns, and the whole echelon is
+    back-substituted."""
+    echelon = dict(system.echelon)
     rows = system.rows[system.eliminated :]
-    basis, rank = fp_linalg.kernel_basis(rows, system.ncols, system.p, echelon, solved, system.zero)
+    basis, rank = fp_linalg.kernel_basis(rows, system.ncols, system.p, echelon, zero=system.zero)
     n = system.n_param_cols
     param_dim = fp_linalg.rank([{c: v for c, v in x.items() if c < n} for x in basis], system.p)
     m_dim = fp_linalg.rank([{c: v for c, v in x.items() if c >= n} for x in basis], system.p)
@@ -435,7 +431,6 @@ def solve_claim(system):
         m_kernel_dim=m_dim,
         injective=param_dim == 0,
         echelon=echelon,
-        solved=solved,
     )
 
 
@@ -544,8 +539,9 @@ def stability_check(rho, b=None, degree_bound=None, min_degree=0, first=None):
     Every row of the system at the bound occurs unchanged in the one at
     bound + p, and its columns come first there (TangentSystem), so the
     higher system extends the lower one (TangentSystem with below=first),
-    and solve_claim continues from its block with the recurrence rows of
-    the p degrees above the bound alone."""
+    and solve_claim continues the lower echelon with the recurrence rows of
+    the p degrees above the bound alone, then back-substitutes the echelon
+    it ends with."""
     if first is None:
         first = solve_claim(assemble_system(rho, b, degree_bound, min_degree))
     lower = first.system

@@ -16,9 +16,10 @@ from gl2kisin.tangent import assemble_system, solve_claim
 from conftest import dense_basis, random_profile
 
 
-def densified(rows, ncols, p, *state):
-    """fp_linalg.kernel_basis with its basis densified for the twins."""
-    basis, rank = fp_linalg.kernel_basis(rows, ncols, p, *state)
+def densified(rows, ncols, p, **state):
+    """fp_linalg.kernel_basis with its basis densified for the twins; the
+    state (pivots, zero) is passed by name."""
+    basis, rank = fp_linalg.kernel_basis(rows, ncols, p, **state)
     return dense_basis(basis, ncols, p), rank
 
 
@@ -112,7 +113,7 @@ def assert_matches_dense_twin(rows, ncols, p):
     expected = dense_kernel(rows, ncols, p)
     assert densified(rows, ncols, p) == expected
     assert fp_linalg.rank(rows, p) == expected[1]
-    assert fp_linalg.kernel_dim(rows, ncols, p) == len(expected[0])
+    assert ncols - fp_linalg.rank(rows, p) == len(expected[0])
     # no call changed the caller's row dicts
     assert rows == before
 
@@ -127,7 +128,7 @@ def test_kernel_matches_brute_force(system):
     basis, rank = densified(rows, ncols, p)
     assert basis == canonical_basis(kernel, ncols) == dense_kernel(rows, ncols, p)[0]
     assert rank == fp_linalg.rank(rows, p) == ncols - nullity
-    assert fp_linalg.kernel_dim(rows, ncols, p) == len(basis) == nullity
+    assert ncols - fp_linalg.rank(rows, p) == len(basis) == nullity
 
 
 @given(sparse_systems())
@@ -160,12 +161,12 @@ def test_continued_elimination_matches_one_pass(system, data):
     kept_rows = copy.deepcopy(echelon_a)
     echelon = dict(echelon_a)
     expected = dense_kernel(rows, ncols, p)
-    assert densified(b, ncols, p, echelon) == expected
+    assert densified(b, ncols, p, pivots=echelon) == expected
     assert densified(rows, ncols, p) == expected
     assert len(echelon) == expected[1]
     assert fp_linalg.rank(b, p, dict(echelon_a)) == expected[1]
     # the continued echelon is one of A + B: it adds nothing to more rows
-    assert densified([], ncols, p, dict(echelon)) == expected
+    assert densified([], ncols, p, pivots=dict(echelon)) == expected
     assert echelon_a == kept_rows and all(echelon_a[c] is row for c, row in kept.items())
     assert rows == before
 
@@ -175,40 +176,39 @@ def test_continued_elimination_matches_one_pass(system, data):
 def test_zero_columns_match_appended_unit_rows(system, data):
     """kernel_basis with zero columns Z gives what it gives for the rows
     followed by one unit row {c: 1} per column of Z, in one pass and
-    continuing an echelon and back-substitution of rows A | B that pivot on
-    no column of Z; the zero columns and the pivots it leaves are together
-    the pivots of the unit-row system, no solution names a zero column, and
-    no row dict, stored pivot row or solution is modified."""
+    continuing the echelon of rows A | B that pivot on no column of Z; the
+    zero columns and the pivots it leaves are together the pivots of the
+    unit-row system, and no row dict or stored pivot row is modified."""
     rows, ncols, p = system
     split = data.draw(st.integers(0, len(rows)))
     a, b = rows[:split], rows[split:]
-    echelon_a, solved_a = {}, {}
-    fp_linalg.kernel_basis(a, ncols, p, echelon_a, solved_a)
-    # among A's free columns, which its solutions may name
+    echelon_a = {}
+    fp_linalg.rank(a, p, echelon_a)
+    # among A's free columns, which its kernel vectors may name
     free = [c for c in range(ncols) if c not in echelon_a]
     zero = data.draw(st.sets(st.sampled_from(free))) if free else set()
     units = [{c: 1} for c in sorted(zero)]
-    before = copy.deepcopy((rows, echelon_a, solved_a))
+    before = copy.deepcopy((rows, echelon_a))
     one_echelon = {}
     expected = fp_linalg.kernel_basis(rows + units, ncols, p, one_echelon)
     assert densified(rows + units, ncols, p) == dense_kernel(rows + units, ncols, p)
     echelon = {}
     assert fp_linalg.kernel_basis(rows, ncols, p, echelon, zero=zero) == expected
     assert sorted([*echelon, *zero]) == sorted(one_echelon)
-    continued, solved = dict(echelon_a), dict(solved_a)
-    assert fp_linalg.kernel_basis(b, ncols, p, continued, solved, zero) == expected
+    continued = dict(echelon_a)
+    assert fp_linalg.kernel_basis(b, ncols, p, continued, zero=zero) == expected
     assert sorted([*continued, *zero]) == sorted(one_echelon)
-    assert zero.isdisjoint(solved) and all(zero.isdisjoint(x) for x in solved.values())
-    assert (rows, echelon_a, solved_a) == before
+    assert (rows, echelon_a) == before
 
 
 def split_case(rng):
     """Rows A | B mod p where B also has rows leading on columns that A
-    leaves free and some of A's pivot solutions name, so that continuing
-    A's back-substitution has earlier pivots to solve again whenever A's
-    kernel is not spanned by unit vectors.  The named columns come from the
-    dense twin's basis: the vector of free column j is 1 at j and 0 past
-    it, and names j when it has another nonzero entry."""
+    leaves free and some of A's kernel vectors name besides their own, so
+    that continuing A's echelon turns columns that earlier pivots depend on
+    into pivots whenever A's kernel is not spanned by unit vectors.  The
+    named columns come from the dense twin's basis: the vector of free
+    column j is 1 at j and 0 past it, and names j when it has another
+    nonzero entry."""
     p = rng.choice((2, 3, 5, 101))
     ncols = rng.randint(1, 30)
 
@@ -230,46 +230,36 @@ def split_case(rng):
     return a, b, ncols, p
 
 
-def assert_back_substitution_continues(a, b, ncols, p):
-    """Continuing A's echelon and back-substitution with B gives what one
-    pass over A + B gives, and the dense twin's kernel; A's echelon, its
-    solutions and every row dict are unchanged.  Returns A's solutions and
-    the earlier pivots whose solution named a column that B turned into a
-    pivot."""
+def assert_echelon_continues(a, b, ncols, p):
+    """A copy of A's echelon continued with B gives the dense twin's kernel
+    and rank of A + B, and what one pass over A + B gives; A's echelon and
+    every row dict are unchanged."""
     before = copy.deepcopy((a, b))
-    echelon_a, solved_a = {}, {}
-    assert densified(a, ncols, p, echelon_a, solved_a) == dense_kernel(a, ncols, p)
-    kept, kept_solved = dict(echelon_a), dict(solved_a)
-    deep = copy.deepcopy((echelon_a, solved_a))
-    echelon, solved = dict(echelon_a), dict(solved_a)
+    echelon_a = {}
+    assert densified(a, ncols, p, pivots=echelon_a) == dense_kernel(a, ncols, p)
+    kept = dict(echelon_a)
+    deep = copy.deepcopy(echelon_a)
+    echelon = dict(echelon_a)
     expected = dense_kernel(a + b, ncols, p)
-    assert densified(b, ncols, p, echelon, solved) == expected
-    one_echelon, one_solved = {}, {}
-    assert densified(a + b, ncols, p, one_echelon, one_solved) == expected
-    assert sorted(echelon) == sorted(one_echelon) and solved == one_solved
-    assert (echelon_a, solved_a) == deep
-    assert all(echelon_a[c] is row for c, row in kept.items())
-    assert all(solved_a[c] is x for c, x in kept_solved.items())
+    assert densified(b, ncols, p, pivots=echelon) == expected
+    one_echelon = {}
+    assert densified(a + b, ncols, p, pivots=one_echelon) == expected
+    assert sorted(echelon) == sorted(one_echelon)
+    assert echelon_a == deep and all(echelon_a[c] is row for c, row in kept.items())
     assert (a, b) == before
-    new = set(echelon) - set(echelon_a)
-    return solved_a, [c for c, x in solved_a.items() if not new.isdisjoint(x)]
 
 
 @given(st.randoms(use_true_random=False))
 @settings(max_examples=300, deadline=None)
-def test_continued_back_substitution_matches_one_pass(rng):
-    solved_a, again = assert_back_substitution_continues(*split_case(rng))
-    # B leads on a column that one of A's nonzero solutions names
-    assert bool(again) == bool(solved_a)
+def test_continued_split_echelon_matches_one_pass(rng):
+    assert_echelon_continues(*split_case(rng))
 
 
-def test_continuation_solves_earlier_pivots_again():
-    """Seeded split cases: B turning a column that A leaves free into a
-    pivot, with earlier solutions naming it, is common, not a corner."""
-    again = 0
-    for seed in range(200):
-        again += bool(assert_back_substitution_continues(*split_case(random.Random(seed)))[1])
-    assert again >= 100
+def test_zero_is_keyword_only():
+    """A fifth positional argument is refused, not read as the zero
+    columns."""
+    with pytest.raises(TypeError):
+        fp_linalg.kernel_basis([{0: 1}], 2, 5, {}, {1})
 
 
 def chain_case(rng, p):
@@ -302,10 +292,9 @@ def chain_case(rng, p):
 
 @pytest.mark.parametrize("p", (2, 3, 101))
 def test_chain_kernels_match_dense_twin(p):
-    """Chain systems, whole and split A | B with A's back-substitution
-    continued: the rows that only name pivots forced to 0 are skipped, and
-    the rows whose one live entry is a free column or a solved pivot are
-    not."""
+    """Chain systems, whole and split A | B with A's echelon continued:
+    the rows that only name pivots forced to 0 are skipped, and the rows
+    whose one live entry is a free column or a solved pivot are not."""
     rng = random.Random("chain:%d" % p)
     forced = nonzero = 0
     for _ in range(150):
@@ -313,7 +302,7 @@ def test_chain_kernels_match_dense_twin(p):
         forced, nonzero = forced + dead, nonzero + live
         assert_matches_dense_twin(rows, ncols, p)
         split = rng.randint(0, len(rows))
-        assert_back_substitution_continues(rows[:split], rows[split:], ncols, p)
+        assert_echelon_continues(rows[:split], rows[split:], ncols, p)
     assert forced > 1.5 * nonzero > 0
 
 

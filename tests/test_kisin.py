@@ -537,9 +537,10 @@ def torus_rows_twin(data, H):
 
 
 def torus_rigidity_dims_twin(data, H=4):
-    """All rows in one system, reduced by one kernel_dim."""
+    """All rows in one system, reduced by one rank: the kernel dimension is
+    the column count less it."""
     f = data.rho.f
-    return fp_linalg.kernel_dim(torus_rows_twin(data, H), 2 * f * (H + 1), data.rho.p), 2 * f
+    return 2 * f * (H + 1) - fp_linalg.rank(torus_rows_twin(data, H), data.rho.p), 2 * f
 
 
 # (nu', w, s) cells of the presentation table whose mu_tau + eta row is (r_j, 0)

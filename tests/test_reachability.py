@@ -105,7 +105,6 @@ UNCALLED_GROUPS = {
     },
     # read by the tests' second paths only
     "test twin": {
-        "fp_linalg.kernel_dim",
         "tangent.TangentSystem.labels",
     },
     # command-line paths no digest argv takes: a malformed argv, and an

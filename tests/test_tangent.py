@@ -449,7 +449,7 @@ def scratch_copy(system):
     from scratch, feeding every row."""
     scratch = copy.copy(system)
     scratch.rows = [row for _lab, row in twin_rows(system)]
-    scratch.eliminated, scratch.echelon, scratch.solved, scratch.zero = 0, {}, {}, set()
+    scratch.eliminated, scratch.echelon, scratch.zero = 0, {}, set()
     return scratch
 
 
@@ -482,16 +482,15 @@ def assert_stability_matches_scratch(rho, b=None, degree_bound=None, min_degree=
     # the higher system carries the lower one as its eliminated block
     block = high.system
     assert block.eliminated == len(low.system.rows)
-    assert block.echelon is first.echelon and block.solved is first.solved
+    assert block.echelon is first.echelon
     resolved = solve_claim(block)
     assert _solved(resolved) == _solved(high)
-    assert resolved.echelon == high.echelon and resolved.solved == high.solved
+    assert resolved.echelon == high.echelon
     # the pivot columns with the zero columns are the leading columns of the
     # row space, which a solve feeding every row finds as its pivots
     every = scratch_copy(scratch_system)
     assert len(every.rows) == scratch_system.row_count()
     leading = sorted(solve_claim(every).echelon)
-    assert resolved.solved == scratch.solved
     assert sorted([*high.echelon, *high.system.zero]) == leading
     assert sorted([*scratch.echelon, *scratch_system.zero]) == leading
 
@@ -516,7 +515,6 @@ def assert_relaxed_matches_scratch(rho, b=None, degree_bound=None, min_degree=0)
     assert (report.kernel, report.rank) == fp_linalg.kernel_basis(scratch.rows, system.ncols, system.p)
     assert _solved(report) == _solved(solve_claim(scratch))
     assert system.echelon == block and all(system.echelon[c] is row for c, row in block.items())
-    assert system.solved == {}
 
 
 @given(tangent_cases())
@@ -556,7 +554,7 @@ def test_backend_kernel_canonical_form():
     assert v2[2] == 1 and v2[3] == 0
     assert v3[3] == 1 and v3[2] == 0
     assert v2[0] == 7 - 3 and v2[1] == 7 - 4
-    assert fp_linalg.kernel_dim(rows, 4, 7) == 2
+    assert 4 - fp_linalg.rank(rows, 7) == 2
     # unreduced entries (negative, or >= p) give the same canonical kernel
     unreduced = [{0: 8, 2: -4}, {1: -6, 2: 11}]
     assert fp_linalg.kernel_basis(unreduced, 4, 7) == (basis, rank)
