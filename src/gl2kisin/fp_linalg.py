@@ -4,7 +4,9 @@ row whose smallest column is a new pivot as it is (the caller's dict), skips
 a one-entry row whose column has a one-entry pivot row (it reduces to zero),
 and copies and reduces any other; no pivot row is normalized, and only the
 rare reduction step inverts a lead.  `rank` stops there.  `kernel_basis`
-then back-substitutes the whole echelon, last pivot first, reducing mod p
+then reads nothing above the last free column: its scan for free columns
+stops once it has found them all, and it back-substitutes only the pivots
+below that column (every pivot above it is 0), last first, reducing mod p
 and normalizing once, only the pivot rows that name a free column or a
 pivot already solved to nonzero: any other row forces its pivot to 0.  A
 kernel vector is a {column: value} dict like a row, holding its nonzero
@@ -25,7 +27,7 @@ never free, it counts in the rank, and a fed row's entries on zero columns
 are left out of the copy that reduction makes of it.
 """
 
-from itertools import filterfalse
+from itertools import filterfalse, islice
 
 # The one kernel implementation; perfbench records it beside its timings.
 BACKEND = "pure"
@@ -102,24 +104,39 @@ def kernel_basis(rows, ncols, p, pivots=None, *, zero=frozenset()):
     nonzero to minus that entry, a value in 1..p-1.
 
     pivots: an echelon of earlier rows on columns below ncols, extended in
-    place; the kernel is that of the earlier rows and rows together.  Every
-    pivot of the echelon it ends with is back-substituted, last first; a
-    pivot row that names no free column and no pivot with a nonzero
-    solution forces its pivot to 0 and is skipped unread.
+    place; the kernel is that of the earlier rows and rows together.
 
-    zero: a set of columns below ncols forced to 0, none of them a column
-    of pivots as passed.  The result is that of the rows followed by one
-    unit row {c: 1} per zero column: the rank counts them, and no basis
-    vector names one.  No zero column becomes a pivot.
+    Past the elimination a solve reads nothing above the last free column.
+    The free columns are those below ncols outside pivots and zero
+    together, so the scan for them stops once it has found that many.  The
+    pivots of the echelon it ends with below the last free column are
+    back-substituted, last first; a pivot row that names no free column and
+    no pivot with a nonzero solution forces its pivot to 0 and is skipped
+    unread.  Every pivot above the last free column is 0 and its row is
+    never read: a pivot row names no column below its pivot, so, from the
+    last pivot down, each names only pivots already forced to 0.
+
+    zero: a set of columns below ncols forced to 0.  The result is that of
+    the rows followed by one unit row {c: 1} per zero column: the rank
+    counts them, and no basis vector names one.  No zero column becomes a
+    pivot; one that is already a pivot of the echelon passed (as one
+    eliminated without `zero` can be) is never free, is back-substituted
+    like any other pivot, and is counted twice in the rank.
     """
     pivots = _echelon(rows, p, pivots, zero)
-    free = list(filterfalse(pivots.__contains__, filterfalse(zero.__contains__, range(ncols))))
+    # a passed echelon may pivot on a zero column, so count the union
+    nfree = ncols - len(pivots) - len(zero) + len(zero.intersection(pivots))
+    scan = filterfalse(pivots.__contains__, filterfalse(zero.__contains__, range(ncols)))
+    free = list(islice(scan, nfree))
+    top = free[-1] + 1 if free else 0
     # {pivot column c: {free column j: coefficient of x_j in x_c}} for the
     # pivots whose x_c is nonzero
     solved = {}
     # the columns whose x is not forced to 0: free ones, and solved pivots
     live = set(free)
-    for c in sorted(pivots, reverse=True):
+    # a pivot row names no column below its pivot, so from the last pivot
+    # down none at or above top names a live column: those are all 0
+    for c in sorted((c for c in pivots if c < top), reverse=True):
         row = pivots[c]
         if live.isdisjoint(row):
             continue

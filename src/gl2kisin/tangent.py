@@ -25,9 +25,12 @@ from .matrices import Mat2, monomial_matrix
 # The largest system the tests and the benchmark build has 2,470 (p 101,
 # f 3, degree bound 202); one of 65,530 columns (p 101, f 3, degree bound
 # 5457, 96% of its recurrence rows in closed groups, which are not built)
-# takes 0.02-0.04 s and a 21-22 MiB peak RSS for `gl2kisin tangent`
-# (cli.main in one process per run, Python 3.11, a 2-vCPU Xeon), where
-# storing every row took 0.04-0.07 s and 37-40 MiB.
+# takes 0.02-0.03 s and a 21-22 MiB peak RSS for `gl2kisin tangent`
+# (cli.main in one process per run, Python 3.11, a 2-vCPU Xeon).  Of that,
+# assemble_system takes 8-16 ms, about half of it putting the 62,904
+# closed columns into `zero`, and solve_claim 0.1-0.3 ms: its one free
+# column is column 45, and a solve reads nothing above the last free
+# column (in-process, best of 15 per process).
 MAX_TANGENT_COLUMNS = 2**16
 
 # per-slot low-degree correction parameters; p<entry>_<degree> sits in the
@@ -53,6 +56,16 @@ _FRAME_INDEX = {n: i for i, n in enumerate(FRAME_NAMES)}
 M11, M12, M21, M22 = 0, 1, 2, 3
 # the (l, k) entries of a slot's recurrence, in row order at each degree
 _ENTRIES = ((1, 1), (1, 2), (2, 1), (2, 2))
+# the correction parameters in each entry of _ENTRIES: (v-degree, index in
+# PARAM_NAMES) of each p<l><k>_<degree> there is
+_PARAM_TERMS = tuple(
+    tuple(
+        (x, _PARAM_INDEX[name])
+        for x, suffix in ((0, "0"), (-1, "m1"), (-2, "m2"))
+        if (name := "p%d%d_%s" % (l, k, suffix)) in _PARAM_INDEX
+    )
+    for l, k in _ENTRIES
+)
 
 
 def pivot_slot(rho):
@@ -318,10 +331,8 @@ def _recurrence_rows(system, first):
                     x = sh * (k - t)
                     hi = top(x)
                     terms.append((x, system.col_m(j, 2 * t + k - 3, 0), p - val, min_degree, hi))
-            for x, suffix in ((0, "0"), (-1, "m1"), (-2, "m2")):
-                name = "p%d%d_%s" % (l, k, suffix)
-                if name in _PARAM_INDEX:
-                    terms.append((x, system.col_param(j, name), p - 1, 0, 1))
+            # col_param(j, name) is 10 * j + the name's index
+            terms += [(x, 10 * j + i, p - 1, 0, 1) for x, i in _PARAM_TERMS[n]]
             spans = []
             for x, col, val, lo, hi in terms:
                 # the first d whose degree p*d + x is first or more
@@ -414,8 +425,8 @@ def solve_claim(system):
     rigidity claim is injective = True: no kernel direction touches the
     correction parameters.  The elimination continues a copy of the
     echelon of the system's eliminated block with the rows after it, the
-    closed groups' columns passed as zero columns, and the whole echelon is
-    back-substituted."""
+    closed groups' columns passed as zero columns; the back-substitution
+    then reads only the pivots below the last free column (fp_linalg)."""
     echelon = dict(system.echelon)
     rows = system.rows[system.eliminated :]
     basis, rank = fp_linalg.kernel_basis(rows, system.ncols, system.p, echelon, zero=system.zero)
@@ -540,8 +551,8 @@ def stability_check(rho, b=None, degree_bound=None, min_degree=0, first=None):
     bound + p, and its columns come first there (TangentSystem), so the
     higher system extends the lower one (TangentSystem with below=first),
     and solve_claim continues the lower echelon with the recurrence rows of
-    the p degrees above the bound alone, then back-substitutes the echelon
-    it ends with."""
+    the p degrees above the bound alone, then back-substitutes the pivots
+    of the echelon it ends with below its last free column."""
     if first is None:
         first = solve_claim(assemble_system(rho, b, degree_bound, min_degree))
     lower = first.system

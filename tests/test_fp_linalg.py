@@ -262,6 +262,148 @@ def test_zero_is_keyword_only():
         fp_linalg.kernel_basis([{0: 1}], 2, 5, {}, {1})
 
 
+class CountingSet(set):
+    """Zero columns that record each column they are asked about."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.asked = []
+
+    def __contains__(self, c):
+        self.asked.append(c)
+        return super().__contains__(c)
+
+
+class Unreadable(dict):
+    """A pivot row that fails the test when any entry of it is read."""
+
+    def _refuse(self, *args):
+        raise AssertionError("a pivot row above the last free column was read")
+
+    __iter__ = __getitem__ = __contains__ = __len__ = get = items = keys = values = _refuse
+
+
+def last_free(echelon, ncols, zero=frozenset()):
+    return max((c for c in range(ncols) if c not in echelon and c not in zero), default=-1)
+
+
+@given(sparse_systems(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_free_column_scan_stops_at_the_last_free_column(system, data):
+    """Given an echelon and no new rows, the scan for free columns asks
+    `zero` about the columns up to the last free one and about no other,
+    and the result is that of the rows followed by the unit rows."""
+    rows, ncols, p = system
+    echelon = {}
+    fp_linalg.rank(rows, p, echelon)
+    free = [c for c in range(ncols) if c not in echelon]
+    zero = data.draw(st.sets(st.sampled_from(free))) if free else set()
+    counting = CountingSet(zero)
+    basis, rank = fp_linalg.kernel_basis([], ncols, p, dict(echelon), zero=counting)
+    units = [{c: 1} for c in sorted(zero)]
+    assert (dense_basis(basis, ncols, p), rank) == dense_kernel(rows + units, ncols, p)
+    assert counting.asked == list(range(last_free(echelon, ncols, zero) + 1))
+
+
+@given(sparse_systems())
+@settings(max_examples=200, deadline=None)
+def test_back_substitution_reads_no_pivot_row_above_the_last_free_column(system):
+    """Every pivot row above the last free column forces its pivot to 0
+    (it names no column below its pivot), so none of them is read."""
+    rows, ncols, p = system
+    echelon = {}
+    fp_linalg.rank(rows, p, echelon)
+    last = last_free(echelon, ncols)
+    guarded = {c: Unreadable(row) if c > last else row for c, row in echelon.items()}
+    assert densified([], ncols, p, pivots=guarded) == dense_kernel(rows, ncols, p)
+
+
+def dense_pivots(rows, ncols, p):
+    """The pivot columns of the dense twin."""
+    basis, _rank = dense_kernel(rows, ncols, p)
+    return set(range(ncols)) - {max(j for j, v in enumerate(x) if v) for x in basis}
+
+
+@st.composite
+def free_column_edges(draw):
+    """(rows, ncols, p, zero, free) at the edges of the last free column:
+    the last column free (a combination of the earlier ones), no column
+    free (full rank, or `zero` holding every column the rows leave free),
+    and every column free (each entry 0 mod p)."""
+    p = draw(st.sampled_from((2, 3, 5, 101)))
+    ncols = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(("last", "full rank", "zero", "every")))
+    value = st.integers(-3 * p, 3 * p)
+    cols = st.integers(0, ncols - 1)
+    row = st.dictionaries(cols, value, max_size=5)
+    lead = st.integers(1, p - 1)
+    zero = set()
+    if kind == "last":
+        # the last column is coef times the earlier ones
+        coef = draw(st.lists(value, min_size=ncols - 1, max_size=ncols - 1))
+        earlier = st.just({})
+        if ncols > 1:
+            earlier = st.dictionaries(st.integers(0, ncols - 2), value, max_size=5)
+        rows = draw(st.lists(earlier, max_size=ncols + 3))
+        rows = [{**row, ncols - 1: sum(coef[c] * v for c, v in row.items())} for row in rows]
+        free = [c for c in range(ncols) if c not in dense_pivots(rows, ncols, p)]
+        assert free[-1] == ncols - 1
+    elif kind == "full rank":
+        # one row leading on each column, shuffled, and a few more
+        leads = [
+            {**draw(st.dictionaries(st.integers(c, ncols - 1), value, max_size=3)), c: draw(lead)}
+            for c in range(ncols)
+        ]
+        rows = draw(st.permutations(leads)) + draw(st.lists(row, max_size=3))
+        free = []
+    elif kind == "zero":
+        rows = draw(st.lists(row, max_size=ncols + 3))
+        zero = set(range(ncols)) - dense_pivots(rows, ncols, p)
+        free = []
+    else:
+        rows = draw(st.lists(st.dictionaries(cols, value.map(p.__mul__), max_size=5), max_size=5))
+        free = list(range(ncols))
+    return rows, ncols, p, zero, free
+
+
+@given(free_column_edges())
+@settings(max_examples=300, deadline=None)
+def test_edges_of_the_last_free_column(case):
+    """At each edge, fed as rows and as a passed echelon, the kernel is the
+    dense twin's with the expected free columns, and the scan asks `zero`
+    about the columns up to the last free one alone."""
+    rows, ncols, p, zero, free = case
+    units = [{c: 1} for c in sorted(zero)]
+    expected = dense_kernel(rows + units, ncols, p)
+    assert [max(j for j, v in enumerate(x) if v) for x in expected[0]] == free
+    assert densified(rows, ncols, p, zero=zero) == expected
+    echelon = {}
+    fp_linalg.rank(rows, p, echelon)
+    counting = CountingSet(zero)
+    assert densified([], ncols, p, pivots=echelon, zero=counting) == expected
+    assert counting.asked == list(range(free[-1] + 1 if free else 0))
+
+
+def test_pivot_on_a_zero_column_is_pinned():
+    """An echelon may pivot on a zero column, as TangentSystem's eliminated
+    block can (its rank runs without `zero`).  The free columns are those
+    outside the pivots and zero together, here one more than ncols -
+    len(pivots) - len(zero), the zero pivot is solved like any other, and
+    the rank counts its column twice: the values, key order included, are
+    pinned."""
+    p = 5
+    echelon = {}
+    fp_linalg.rank([{0: 1, 1: 2, 5: 1}, {2: 4, 5: 3}], p, echelon)
+    assert sorted(echelon) == [0, 2]
+    basis, rank = fp_linalg.kernel_basis([{3: 2, 2: 1, 4: 1}], 6, p, echelon, zero={2})
+    assert [list(x.items()) for x in basis] == [
+        [(1, 1), (0, 3)],
+        [(4, 1), (3, 2)],
+        [(5, 1), (2, 3), (0, 4)],
+    ]
+    assert rank == 4
+
+
 def chain_case(rng, p):
     """Pivot rows along chains, most of them forcing their pivot to 0.
     Each column that is not free, last first, gets the row {c: u} plus up

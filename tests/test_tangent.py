@@ -38,6 +38,24 @@ def test_layout_frozen(f1_nonsplit):
     assert big.ncols == 194
 
 
+def test_param_terms_table(f2_mixed):
+    """_PARAM_TERMS lists, for each entry (l, k) of _ENTRIES, exactly the
+    parameters p<l><k>_0, p<l><k>_m1 and p<l><k>_m2 of PARAM_NAMES, at
+    degrees 0, -1 and -2, each with its col_param index in every slot."""
+    system = assemble_system(f2_mixed)
+    assert len(tangent._PARAM_TERMS) == len(tangent._ENTRIES)
+    for (l, k), terms in zip(tangent._ENTRIES, tangent._PARAM_TERMS):
+        named = [(x, "p%d%d_%s" % (l, k, s)) for x, s in ((0, "0"), (-1, "m1"), (-2, "m2"))]
+        expected = [(x, name) for x, name in named if name in PARAM_NAMES]
+        assert [x for x, _i in terms] == [x for x, _name in expected]
+        for j in range(system.f):
+            cols = [system.col_param(j, name) for _x, name in expected]
+            assert [10 * j + i for _x, i in terms] == cols
+    # every parameter lands in exactly one entry
+    indices = sorted(i for terms in tangent._PARAM_TERMS for _x, i in terms)
+    assert indices == list(range(len(PARAM_NAMES)))
+
+
 def test_column_indexing(f1_nonsplit, f2_mixed):
     system = assemble_system(f1_nonsplit)
     cols = [system.col_param(0, name) for name in PARAM_NAMES]
