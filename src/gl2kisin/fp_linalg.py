@@ -20,14 +20,17 @@ are the leading columns of the row space, so the kernel basis read from
 it does not depend on how the rows were split.
 
 Given `zero`, columns the caller knows are forced to 0 (the tangent
-system's closed groups: rows that name those columns alone and have full
-rank on them), `kernel_basis` answers as if one unit row {c: 1} followed the
-rows for each of them, without eliminating those rows: a zero column is
-never free, it counts in the rank, and a fed row's entries on zero columns
-are left out of the copy that reduction makes of it.
+system's closed groups: rows of full rank on those columns alone), `rank`
+and `kernel_basis` answer as if one unit row {c: 1} followed the rows for
+each of them, without eliminating those rows: a zero column is never a
+pivot or free, it counts in the rank, and a fed row's entries on zero
+columns are left out of the copy that reduction makes of it.  An echelon
+continued with `zero` must have been eliminated with it.
 """
 
 from itertools import filterfalse, islice
+
+from .errors import InternalCheckError
 
 # The one kernel implementation; perfbench records it beside its timings.
 BACKEND = "pure"
@@ -86,12 +89,16 @@ def _echelon(rows, p, pivots=None, zero=frozenset()):
     return pivots
 
 
-def rank(rows, p, pivots=None):
+def rank(rows, p, pivots=None, *, zero=frozenset()):
     """Rank mod p of a sparse integer matrix given as {column: value} rows.
 
     pivots: the echelon of earlier rows, which it extends in place; the
-    rank is then that of rows together with those earlier rows."""
-    return len(_echelon(rows, p, pivots))
+    rank is then that of rows together with those earlier rows.
+
+    zero: a set of columns forced to 0, as for kernel_basis: the rank is
+    that of the rows followed by one unit row {c: 1} per zero column, and
+    no zero column becomes a pivot."""
+    return len(_echelon(rows, p, pivots, zero)) + len(zero)
 
 
 def kernel_basis(rows, ncols, p, pivots=None, *, zero=frozenset()):
@@ -119,13 +126,13 @@ def kernel_basis(rows, ncols, p, pivots=None, *, zero=frozenset()):
     zero: a set of columns below ncols forced to 0.  The result is that of
     the rows followed by one unit row {c: 1} per zero column: the rank
     counts them, and no basis vector names one.  No zero column becomes a
-    pivot; one that is already a pivot of the echelon passed (as one
-    eliminated without `zero` can be) is never free, is back-substituted
-    like any other pivot, and is counted twice in the rank.
+    pivot, and a passed echelon that pivots on one (as one eliminated
+    without `zero` can) raises InternalCheckError.
     """
     pivots = _echelon(rows, p, pivots, zero)
-    # a passed echelon may pivot on a zero column, so count the union
-    nfree = ncols - len(pivots) - len(zero) + len(zero.intersection(pivots))
+    if zero and not zero.isdisjoint(pivots):
+        raise InternalCheckError("an echelon continued with zero columns pivots on one")
+    nfree = ncols - len(pivots) - len(zero)
     scan = filterfalse(pivots.__contains__, filterfalse(zero.__contains__, range(ncols)))
     free = list(islice(scan, nfree))
     top = free[-1] + 1 if free else 0

@@ -22,13 +22,13 @@ from .laurent import Laurent, phi_twist
 from .matrices import Mat2, monomial_matrix
 
 # assemble_system builds at most this many columns, else PreconditionError.
-# The largest system the tests and the benchmark build has 2,470 (p 101,
-# f 3, degree bound 202); one of 65,530 columns (p 101, f 3, degree bound
-# 5457, 96% of its recurrence rows in closed groups, which are not built)
-# takes 0.02-0.03 s and a 21-22 MiB peak RSS for `gl2kisin tangent`
-# (cli.main in one process per run, Python 3.11, a 2-vCPU Xeon).  Of that,
-# assemble_system takes 8-16 ms, about half of it putting the 62,904
-# closed columns into `zero`, and solve_claim 0.1-0.3 ms: its one free
+# The largest system the benchmark builds has 2,470 (p 101, f 3, degree
+# bound 202); one of 65,530 columns (p 101, f 3, degree bound 5457, 97% of
+# its recurrence rows in closed groups, which are not built) takes
+# 0.014-0.024 s and a 21-22 MiB peak RSS for `gl2kisin tangent` (cli.main
+# in one process per run, Python 3.11, a 2-vCPU Xeon).  Of that,
+# assemble_system takes 7-11 ms, about two thirds of it putting the 63,540
+# closed columns into `zero`, and solve_claim 0.1-0.2 ms: its one free
 # column is column 45, and a solve reads nothing above the last free
 # column (in-process, best of 15 per process).
 MAX_TANGENT_COLUMNS = 2**16
@@ -117,26 +117,25 @@ class TangentSystem:
     are the first ones of the system at any higher bound.
 
     Closed groups: the four rows ("rec", j, l, k, e) of a window degree e
-    at which no phi-term and no correction parameter of slot j lands, and
-    at or above the reach of slot j-1 (_closed_runs), read
-    M^(j-1)[e] Delta_j = 0.  They name the four columns of M^(j-1)[e]
-    alone, no other row names those, and Delta_j is invertible, so the
-    block is 4x4 of rank 4 and the columns are 0 in every kernel vector.
+    at which no phi-term and no correction parameter of slot j lands
+    (_closed_runs) read M^(j-1)[e] Delta_j = 0.  They name the four columns
+    of M^(j-1)[e] alone and Delta_j is invertible, so they force those
+    columns to 0 in every kernel vector, whatever other rows name them.
     No row of a closed group is built: `zero` holds the columns of the
-    closed groups, with those of the lower system when there is one (its
-    closed groups may be reached from the degrees above its bound, but
-    their rows still force their columns to 0).  fp_linalg takes `zero` in
-    place of their rows, and row_count() counts them.
+    closed groups, with those of the lower system when there is one, and
+    every elimination of the rows, the constructor's and solve_claim's,
+    takes `zero` in place of their rows, so no echelon pivots on a zero
+    column.  row_count() counts them.
 
     The eliminated block: the first `eliminated` rows, whose fp_linalg
-    echelon is `echelon`.  It is only ever read; solve_claim continues a
-    copy of it with the rows after the block.  Without `below`, the block
-    is the recurrence rows of every degree, eliminated once.  `below` is a
-    solve_claim report at a lower degree bound with the same rho, b and
-    min_degree: its system's rows are then the block, with the report's
-    echelon, and the recurrence rows of the degrees above that bound
-    follow.  The constructor adds no constraint row.
-    """
+    echelon, with the zero columns, is `echelon`.  It is only ever read;
+    solve_claim continues a copy of it with the rows after the block.
+    Without `below`, the block is the recurrence rows of every degree,
+    eliminated once.  `below` is a solve_claim report at a lower degree
+    bound with the same rho, b and min_degree: its system's rows are then
+    the block, with the report's echelon, and the recurrence rows of the
+    degrees above that bound follow.  The constructor adds no constraint
+    row."""
 
     def __init__(self, rho, b, degree_bound, min_degree, below=None):
         self.rho = rho
@@ -158,7 +157,7 @@ class TangentSystem:
             self.lower, self.rows, self.echelon, self.zero = None, [], {}, set()
             _recurrence_rows(self, min_degree)
             self.eliminated = len(self.rows)
-            fp_linalg.rank(self.rows, self.p, self.echelon)
+            fp_linalg.rank(self.rows, self.p, self.echelon, zero=self.zero)
         else:
             self.lower, self.rows = below.system, list(below.system.rows)
             self.eliminated = len(self.rows)
@@ -281,7 +280,7 @@ def _recurrence_rows(system, first):
 
     A slot's closed groups are decided (_closed_runs) from the degrees its
     terms land at before any row is built; the columns of each run of them
-    go to system.zero, and its rows are not built."""
+    go to system.zero, and only the landed window degrees get rows."""
     rho, p, f = system.rho, system.p, system.f
     min_degree, degree_bound, stride = system.min_degree, system.degree_bound, system.stride
     rows = system.rows
@@ -292,12 +291,6 @@ def _recurrence_rows(system, first):
         # one past the highest degree d whose p*d + x is at most the bound
         return min(degree_bound, (degree_bound - x) // p) + 1
 
-    # the phi-terms of the slot-j recurrence name the columns of M^j at the
-    # degrees below reach[j]
-    reach = [
-        max(top(sh * (k - t)) for l, k in _ENTRIES for t in (1, 2) if delta[l - 1][t - 1])
-        for delta, sh in factors
-    ]
     for j in range(f):
         jm = (j - 1) % f
         delta, sh = factors[j]
@@ -355,16 +348,13 @@ def _recurrence_rows(system, first):
             entries.append((prev, spans))
         keys = tuple(sorted(below))
         rows += [below[key] for key in keys]
-        # the window degrees outside the closed runs, which alone get rows
-        opened, e = [], first
-        for lo, hi in _closed_runs(landed, reach[jm], first, degree_bound):
-            opened += range(e, lo)
-            e = hi
+        # the landed window degrees, the only ones outside the closed runs
+        opened = sorted(landed)
+        for lo, hi in _closed_runs(opened, first, degree_bound):
             c = system.col_m(jm, 0, lo)
             end = c + stride * (hi - lo)
             for k in range(c, c + 4):
                 system.zero.update(range(k, end, stride))
-        opened += range(e, degree_bound + 1)
         offsets = [stride * e for e in opened]
         index = {e: i for i, e in enumerate(opened)}
         insides = []
@@ -387,16 +377,16 @@ def _recurrence_rows(system, first):
         system.segments.append((j, keys, first, degree_bound))
 
 
-def _closed_runs(landed, reach, first, last):
+def _closed_runs(landed, first, last):
     """The runs [lo, hi) of the degrees e from first to last whose four
-    slot-j rows are a closed group: e is at or above reach, the reach of
-    slot j-1, and not in landed, the degrees a phi-term or correction
-    parameter of slot j lands at."""
-    runs, lo = [], max(first, reach)
-    for e in sorted(landed) + [last + 1]:
+    slot-j rows are a closed group: e is not in landed, the ascending
+    degrees from first to last that a phi-term or correction parameter of
+    slot j lands at."""
+    runs, lo = [], first
+    for e in [*landed, last + 1]:
         if e > lo:
             runs.append((lo, e))
-        lo = max(lo, e + 1)
+        lo = e + 1
     return runs
 
 
@@ -425,8 +415,9 @@ def solve_claim(system):
     rigidity claim is injective = True: no kernel direction touches the
     correction parameters.  The elimination continues a copy of the
     echelon of the system's eliminated block with the rows after it, the
-    closed groups' columns passed as zero columns; the back-substitution
-    then reads only the pivots below the last free column (fp_linalg)."""
+    closed groups' columns passed as zero columns, as they were to the
+    elimination that made that echelon; the back-substitution then reads
+    only the pivots below the last free column (fp_linalg)."""
     echelon = dict(system.echelon)
     rows = system.rows[system.eliminated :]
     basis, rank = fp_linalg.kernel_basis(rows, system.ncols, system.p, echelon, zero=system.zero)

@@ -226,8 +226,8 @@ def test_tangent_stability_solves_each_system_once(monkeypatch, capsys, f1_confi
         labels = lower.labels()
         assert len(labels) == len(lower.rows)
         twin = twin_rows(higher)
-        closed = brute_force_closed_groups(twin_rows(lower), lower.min_degree)
-        closed |= brute_force_closed_groups(twin, lower.degree_bound + 1)
+        closed = brute_force_closed_groups(lower, lower.min_degree)
+        closed |= brute_force_closed_groups(higher, lower.degree_bound + 1)
         assert sorted(map(repr, zip(higher.labels(), higher.rows))) == sorted(
             map(repr, open_twin_rows(twin, closed))
         )
@@ -287,7 +287,7 @@ def test_without_and_higher_labels_on_digest_profiles(f1_config, f2_config):
         ]
         low, high, _ = tangent.stability_check(rho, first=tangent.solve_claim(system))
         bound = low.system.degree_bound
-        closed = brute_force_closed_groups(twin_rows(high.system), bound + 1)
+        closed = brute_force_closed_groups(high.system, bound + 1)
         assert closed
         new = [
             ("rec", j, l, k, e)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gl2kisin import fp_linalg
+from gl2kisin.errors import InternalCheckError
 from gl2kisin.tangent import assemble_system, solve_claim
 
 from conftest import dense_basis, random_profile
@@ -174,11 +175,12 @@ def test_continued_elimination_matches_one_pass(system, data):
 @given(sparse_systems(), st.data())
 @settings(max_examples=200, deadline=None)
 def test_zero_columns_match_appended_unit_rows(system, data):
-    """kernel_basis with zero columns Z gives what it gives for the rows
-    followed by one unit row {c: 1} per column of Z, in one pass and
-    continuing the echelon of rows A | B that pivot on no column of Z; the
-    zero columns and the pivots it leaves are together the pivots of the
-    unit-row system, and no row dict or stored pivot row is modified."""
+    """kernel_basis and rank with zero columns Z give what they give for
+    the rows followed by one unit row {c: 1} per column of Z, in one pass
+    and continuing the echelon of rows A | B that pivot on no column of Z,
+    or that rank eliminated with Z; the zero columns and the pivots it
+    leaves are together the pivots of the unit-row system, and no row dict
+    or stored pivot row is modified."""
     rows, ncols, p = system
     split = data.draw(st.integers(0, len(rows)))
     a, b = rows[:split], rows[split:]
@@ -192,12 +194,21 @@ def test_zero_columns_match_appended_unit_rows(system, data):
     one_echelon = {}
     expected = fp_linalg.kernel_basis(rows + units, ncols, p, one_echelon)
     assert densified(rows + units, ncols, p) == dense_kernel(rows + units, ncols, p)
+    assert fp_linalg.rank(rows, p, zero=zero) == fp_linalg.rank(rows + units, p) == expected[1]
     echelon = {}
     assert fp_linalg.kernel_basis(rows, ncols, p, echelon, zero=zero) == expected
     assert sorted([*echelon, *zero]) == sorted(one_echelon)
     continued = dict(echelon_a)
     assert fp_linalg.kernel_basis(b, ncols, p, continued, zero=zero) == expected
     assert sorted([*continued, *zero]) == sorted(one_echelon)
+    # any zero set, A eliminated with it
+    zero = data.draw(st.sets(st.integers(0, ncols - 1)))
+    units = [{c: 1} for c in sorted(zero)]
+    expected = fp_linalg.kernel_basis(rows + units, ncols, p)
+    with_zero = {}
+    assert fp_linalg.rank(a, p, with_zero, zero=zero) == fp_linalg.rank(a + units, p)
+    assert zero.isdisjoint(with_zero)
+    assert fp_linalg.kernel_basis(b, ncols, p, with_zero, zero=zero) == expected
     assert (rows, echelon_a) == before
 
 
@@ -384,24 +395,16 @@ def test_edges_of_the_last_free_column(case):
     assert counting.asked == list(range(free[-1] + 1 if free else 0))
 
 
-def test_pivot_on_a_zero_column_is_pinned():
-    """An echelon may pivot on a zero column, as TangentSystem's eliminated
-    block can (its rank runs without `zero`).  The free columns are those
-    outside the pivots and zero together, here one more than ncols -
-    len(pivots) - len(zero), the zero pivot is solved like any other, and
-    the rank counts its column twice: the values, key order included, are
-    pinned."""
+def test_pivot_on_a_zero_column_is_refused():
+    """An echelon eliminated without `zero` can pivot on a zero column; a
+    solve that continues it with that zero set raises rather than count the
+    column twice."""
     p = 5
     echelon = {}
     fp_linalg.rank([{0: 1, 1: 2, 5: 1}, {2: 4, 5: 3}], p, echelon)
     assert sorted(echelon) == [0, 2]
-    basis, rank = fp_linalg.kernel_basis([{3: 2, 2: 1, 4: 1}], 6, p, echelon, zero={2})
-    assert [list(x.items()) for x in basis] == [
-        [(1, 1), (0, 3)],
-        [(4, 1), (3, 2)],
-        [(5, 1), (2, 3), (0, 4)],
-    ]
-    assert rank == 4
+    with pytest.raises(InternalCheckError, match="pivots on one"):
+        fp_linalg.kernel_basis([{3: 2, 2: 1, 4: 1}], 6, p, echelon, zero={2})
 
 
 def chain_case(rng, p):

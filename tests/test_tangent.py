@@ -26,7 +26,6 @@ from gl2kisin.tangent import (
 )
 
 from conftest import dense_basis, random_profile
-from test_fp_linalg import dense_kernel
 
 
 def test_layout_frozen(f1_nonsplit):
@@ -356,7 +355,7 @@ def test_assembly_matches_degree_by_degree_twin(case):
     rho, b, degree_bound, min_degree = case
     system = assemble_system(rho, b, degree_bound, min_degree)
     twin = twin_rows(system)
-    closed = brute_force_closed_groups(twin, min_degree)
+    closed = brute_force_closed_groups(system, min_degree)
     assert assembled_closed_groups(system) == closed
     assert len(system.zero) == 4 * len(closed)
     expected = open_twin_rows(twin, closed)
@@ -391,8 +390,8 @@ def test_rows_nest_one_frobenius_step_higher(case):
     assert len(full) == len(high_twin) > len(low_twin)
     for label, row in low_twin:
         assert list(full[label].items()) == list(row.items()), label
-    low_closed = brute_force_closed_groups(low_twin, min_degree)
-    high_closed = brute_force_closed_groups(high_twin, min_degree)
+    low_closed = brute_force_closed_groups(low, min_degree)
+    high_closed = brute_force_closed_groups(high, min_degree)
     assert {(j, e) for j, e in high_closed if e <= low.degree_bound} <= low_closed
     higher = dict(zip(high.labels(), high.rows))
     assert len(higher) == len(high.rows) > len(low.rows)
@@ -417,18 +416,18 @@ def test_zero_column_of_delta_is_an_internal_error(monkeypatch, f2_mixed):
 def test_assembly_retains_few_gc_tracked_objects():
     """The rows are bare {column: int} dicts, which the cyclic collector
     does not track, and labels() derives the labels: assembling an f=3,
-    p=101 system at degree bound 2525, which stores over 1,000 rows (and
+    p=101 system at degree bound 3030, which stores over 1,000 rows (and
     counts over 30,000, closed groups included), leaves fewer than 100 new
     GC-tracked objects."""
     rng = random.Random("tangent-gc")
     rho = random_profile(rng, 101, 3, zero_positions=(1,), deep=True)
-    assemble_system(rho, degree_bound=2525)
+    assemble_system(rho, degree_bound=3030)
     gc.collect()
     enabled = gc.isenabled()
     gc.disable()
     try:
         before = len(gc.get_objects())
-        system = assemble_system(rho, degree_bound=2525)
+        system = assemble_system(rho, degree_bound=3030)
         retained = len(gc.get_objects()) - before
     finally:
         if enabled:
@@ -488,8 +487,8 @@ def assert_stability_matches_scratch(rho, b=None, degree_bound=None, min_degree=
     # the higher system stores the twin's rows less the groups closed at the
     # lower bound and those closed among the degrees above it
     twin = twin_rows(scratch_system)
-    closed = brute_force_closed_groups(twin_rows(low.system), min_degree)
-    closed |= brute_force_closed_groups(twin, low.system.degree_bound + 1)
+    closed = brute_force_closed_groups(low.system, min_degree)
+    closed |= brute_force_closed_groups(scratch_system, low.system.degree_bound + 1)
     assert sorted(map(repr, zip(high.system.labels(), high.system.rows))) == sorted(
         map(repr, open_twin_rows(twin, closed))
     )
@@ -582,26 +581,35 @@ def test_backend_kernel_canonical_form():
 # closed groups against a search over the twin's rows
 
 
-def brute_force_closed_groups(labeled, first):
+def brute_force_closed_groups(system, first):
     """The (j, e), e a window degree from first on, whose four
-    ("rec", j, l, k, e) rows among the (label, row) pairs labeled name four
-    columns between them that no other row names.  (Below a window from
-    degree 0, the four rows of degree -1 that name only the p_m1 parameters
-    are such rows too; they are left to the eliminator.)"""
-    namers = {}
-    for _lab, row in labeled:
-        for c in row:
-            namers[c] = namers.get(c, 0) + 1
+    ("rec", j, l, k, e) rows among the system's twin rows name four columns
+    between them and read M^(j-1)[e] Delta_j = 0 alone: the row of entry
+    (l, k) is {column of M^(j-1)_lt at e: Delta_tk}, so no phi-term and no
+    correction parameter of slot j lands in it.  (At f = 1 a phi-term of
+    degree e can land on the columns of M^(j-1)[e] themselves, at e = 1
+    when r = p - 2: the four rows then name four columns with other values,
+    and the group is open.  Below a window from degree 0, the four rows of
+    degree -1 that name only the p_m1 parameters name four columns too;
+    they are left to the eliminator.)"""
     groups = {}
-    for lab, row in labeled:
+    for lab, row in twin_rows(system):
         if lab[0] == "rec" and lab[4] >= first:
             groups.setdefault((lab[1], lab[4]), []).append(row)
     closed = set()
-    for key, members in groups.items():
-        cols = set().union(*members)
-        own = sum(map(len, members))
-        if len(members) == len(cols) == 4 and sum(namers[c] for c in cols) == own:
-            closed.add(key)
+    for (j, e), members in groups.items():
+        a11, a21, a22 = system.rho.slot_coeffs[j]
+        delta = ((a11, 0), (a21, a22))
+        alone = [
+            {
+                system.col_m((j - 1) % system.f, 2 * l + t - 3, e): delta[t - 1][k - 1]
+                for t in (1, 2)
+                if delta[t - 1][k - 1]
+            }
+            for l, k in ((1, 1), (1, 2), (2, 1), (2, 2))
+        ]
+        if members == alone:
+            closed.add((j, e))
     return closed
 
 
@@ -648,53 +656,43 @@ def test_closed_groups_match_brute_force(f, p):
     rows finds, and so are the groups the system one Frobenius step higher
     adds among the degrees above the lower bound; its zero columns are the
     lower system's and those of its new groups, and most recurrence rows
-    are closed."""
-    closed_rows = rec_rows = 0
+    are closed.  Some closed group has a column that a stored row names,
+    and neither echelon, the lower or the higher, pivots on a zero
+    column."""
+    closed_rows = rec_rows = named = 0
     for rho, bound, min_degree in closed_group_cases(f, p):
         system = assemble_system(rho, degree_bound=bound, min_degree=min_degree)
         twin = twin_rows(system)
-        found = brute_force_closed_groups(twin, min_degree)
+        found = brute_force_closed_groups(system, min_degree)
         assert found and assembled_closed_groups(system) == found
         assert len(system.zero) == 4 * len(found)
         closed_rows += 4 * len(found)
         rec_rows += len(twin) - len(system.constraints)
-        _, high, _ = stability_check(rho, first=solve_claim(system))
+        named += sum(not system.zero.isdisjoint(row) for row in system.rows)
+        low, high, _ = stability_check(rho, first=solve_claim(system))
         higher = high.system
-        new = brute_force_closed_groups(twin_rows(higher), system.degree_bound + 1)
+        new = brute_force_closed_groups(higher, system.degree_bound + 1)
         assert assembled_closed_groups(higher) == new
         assert len(higher.zero) == len(system.zero) + 4 * len(new)
         assert system.zero <= higher.zero
+        assert system.zero.isdisjoint(low.echelon) and higher.zero.isdisjoint(high.echelon)
     assert closed_rows > rec_rows / 2
+    assert named
 
 
-def test_closing_a_phi_reached_group_is_caught(monkeypatch):
-    """A rule that also closes one group whose columns a phi-term of the
-    slot before names leaves that group's four rows out and feeds that
-    phi-row with columns its solve takes as pivots and as zero at once: the
-    solve then disagrees with the dense twin of every row, closed groups
-    included, and with a solve that feeds all those rows."""
+def test_elimination_without_zero_is_refused(monkeypatch):
+    """A constructor that eliminates its rows without `zero` leaves an
+    echelon pivoting on a column of a closed group that a phi-row of the
+    slot before names, and the solve that continues it with the zero
+    columns refuses it."""
     rho = random_profile(random.Random("phi-reached"), 101, 2, zero_positions=(), deep=True)
-    honest = assemble_system(rho)
-    runs, calls = tangent._closed_runs, []
+    rank = fp_linalg.rank
 
-    def also_reached(landed, reach, first, last):
-        calls.append(reach)
-        return runs(landed, reach - (len(calls) == 1), first, last)
+    def without_zero(rows, p, pivots=None, *, zero=frozenset()):
+        return rank(rows, p, pivots)
 
-    monkeypatch.setattr(tangent, "_closed_runs", also_reached)
-    mutant = assemble_system(rho)
-    added = assembled_closed_groups(mutant) - assembled_closed_groups(honest)
-    assert len(added) == 1 and assembled_closed_groups(honest) < assembled_closed_groups(mutant)
-    assert list(zip(mutant.labels(), mutant.rows)) == open_twin_rows(
-        list(zip(honest.labels(), honest.rows)), added
-    )
-    assert len(mutant.rows) == len(honest.rows) - 4
-    twin = twin_rows(mutant)
-    assert twin == twin_rows(honest)
-    report = solve_claim(mutant)
-    scratch = solve_claim(scratch_copy(mutant))
-    assert _solved(scratch) == _solved(solve_claim(honest))
-    dense = dense_kernel([row for _lab, row in twin], mutant.ncols, mutant.p)
-    assert (dense_basis(scratch.kernel, mutant.ncols, mutant.p), scratch.rank) == dense
-    assert _solved(report) != _solved(scratch)
-    assert (dense_basis(report.kernel, mutant.ncols, mutant.p), report.rank) != dense
+    monkeypatch.setattr(fp_linalg, "rank", without_zero)
+    system = assemble_system(rho)
+    assert not system.zero.isdisjoint(system.echelon)
+    with pytest.raises(InternalCheckError, match="pivots on one"):
+        solve_claim(system)
