@@ -19,24 +19,18 @@ passes a shallow copy.  The echelon alone is continued: the pivot columns
 are the leading columns of the row space, so the kernel basis read from
 it does not depend on how the rows were split.
 
-Given `zero`, columns the caller knows are forced to 0 (the tangent
-system's closed groups: rows of full rank on those columns alone), `rank`
-and `kernel_basis` answer as if one unit row {c: 1} followed the rows for
-each of them, without eliminating those rows: a zero column is never a
-pivot or free, it counts in the rank, and a fed row's entries on zero
-columns are left out of the copy that reduction makes of it.  An echelon
-continued with `zero` must have been eliminated with it.
+Every column below ncols is an unknown: a caller that knows some of its
+unknowns are 0 gives them no column (tangent numbers only the columns that
+can be nonzero), so the elimination's work follows the columns it is given.
 """
 
 from itertools import filterfalse, islice
-
-from .errors import InternalCheckError
 
 # The one kernel implementation; perfbench records it beside its timings.
 BACKEND = "pure"
 
 
-def _echelon(rows, p, pivots=None, zero=frozenset()):
+def _echelon(rows, p, pivots=None):
     """Forward elimination: {pivot column: pivot row}.
 
     rows: iterable of {column: value} dicts (values arbitrary ints), never
@@ -48,16 +42,10 @@ def _echelon(rows, p, pivots=None, zero=frozenset()):
 
     pivots: an echelon of earlier rows in this form, extended in place and
     returned; default a new one.
-
-    zero: columns forced to 0, none of them a pivot; a row naming one is
-    read as its copy without them, and reduction drops them as they lead,
-    as if each had the pivot row {c: 1}.
     """
     if pivots is None:
         pivots = {}
     for row in rows:
-        if zero and not zero.isdisjoint(row):
-            row = {c: v for c, v in row.items() if c not in zero}
         if row and (c := min(row)) not in pivots and row[c] % p:
             pivots[c] = row
             continue
@@ -70,9 +58,6 @@ def _echelon(rows, p, pivots=None, zero=frozenset()):
                 r[c] = v
         while r:
             c = min(r)
-            if c in zero:  # reduces to nothing against the unit row {c: 1}
-                del r[c]
-                continue
             piv = pivots.get(c)
             if piv is None:
                 pivots[c] = r
@@ -89,19 +74,15 @@ def _echelon(rows, p, pivots=None, zero=frozenset()):
     return pivots
 
 
-def rank(rows, p, pivots=None, *, zero=frozenset()):
+def rank(rows, p, pivots=None):
     """Rank mod p of a sparse integer matrix given as {column: value} rows.
 
     pivots: the echelon of earlier rows, which it extends in place; the
-    rank is then that of rows together with those earlier rows.
-
-    zero: a set of columns forced to 0, as for kernel_basis: the rank is
-    that of the rows followed by one unit row {c: 1} per zero column, and
-    no zero column becomes a pivot."""
-    return len(_echelon(rows, p, pivots, zero)) + len(zero)
+    rank is then that of rows together with those earlier rows."""
+    return len(_echelon(rows, p, pivots))
 
 
-def kernel_basis(rows, ncols, p, pivots=None, *, zero=frozenset()):
+def kernel_basis(rows, ncols, p, pivots=None):
     """Kernel of a sparse integer matrix mod p.
 
     rows: iterable of {column: value} dicts (values arbitrary ints).
@@ -114,27 +95,18 @@ def kernel_basis(rows, ncols, p, pivots=None, *, zero=frozenset()):
     place; the kernel is that of the earlier rows and rows together.
 
     Past the elimination a solve reads nothing above the last free column.
-    The free columns are those below ncols outside pivots and zero
-    together, so the scan for them stops once it has found that many.  The
-    pivots of the echelon it ends with below the last free column are
-    back-substituted, last first; a pivot row that names no free column and
-    no pivot with a nonzero solution forces its pivot to 0 and is skipped
-    unread.  Every pivot above the last free column is 0 and its row is
-    never read: a pivot row names no column below its pivot, so, from the
-    last pivot down, each names only pivots already forced to 0.
-
-    zero: a set of columns below ncols forced to 0.  The result is that of
-    the rows followed by one unit row {c: 1} per zero column: the rank
-    counts them, and no basis vector names one.  No zero column becomes a
-    pivot, and a passed echelon that pivots on one (as one eliminated
-    without `zero` can) raises InternalCheckError.
+    The free columns are those below ncols outside pivots, so the scan for
+    them stops once it has found that many.  The pivots of the echelon it
+    ends with below the last free column are back-substituted, last first;
+    a pivot row that names no free column and no pivot with a nonzero
+    solution forces its pivot to 0 and is skipped unread.  Every pivot
+    above the last free column is 0 and its row is never read: a pivot row
+    names no column below its pivot, so, from the last pivot down, each
+    names only pivots already forced to 0.
     """
-    pivots = _echelon(rows, p, pivots, zero)
-    if zero and not zero.isdisjoint(pivots):
-        raise InternalCheckError("an echelon continued with zero columns pivots on one")
-    nfree = ncols - len(pivots) - len(zero)
-    scan = filterfalse(pivots.__contains__, filterfalse(zero.__contains__, range(ncols)))
-    free = list(islice(scan, nfree))
+    pivots = _echelon(rows, p, pivots)
+    nfree = ncols - len(pivots)
+    free = list(islice(filterfalse(pivots.__contains__, range(ncols)), nfree))
     top = free[-1] + 1 if free else 0
     # {pivot column c: {free column j: coefficient of x_j in x_c}} for the
     # pivots whose x_c is nonzero
@@ -163,4 +135,4 @@ def kernel_basis(rows, ncols, p, pivots=None, *, zero=frozenset()):
     for c, x in solved.items():
         for j, w in x.items():
             basis[j][c] = w
-    return list(basis.values()), len(pivots) + len(zero)
+    return list(basis.values()), len(pivots)

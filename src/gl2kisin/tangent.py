@@ -21,16 +21,16 @@ from .kisin import etale_matrices, frobenius_factor
 from .laurent import Laurent, phi_twist
 from .matrices import Mat2, monomial_matrix
 
-# assemble_system builds at most this many columns, else PreconditionError.
-# The largest system the benchmark builds has 2,470 (p 101, f 3, degree
-# bound 202); one of 65,530 columns (p 101, f 3, degree bound 5457, 97% of
-# its recurrence rows in closed groups, which are not built) takes
-# 0.014-0.024 s and a 21-22 MiB peak RSS for `gl2kisin tangent` (cli.main
-# in one process per run, Python 3.11, a 2-vCPU Xeon).  Of that,
-# assemble_system takes 7-11 ms, about two thirds of it putting the 63,540
-# closed columns into `zero`, and solve_claim 0.1-0.2 ms: its one free
-# column is column 45, and a solve reads nothing above the last free
-# column (in-process, best of 15 per process).
+# assemble_system builds at most this many columns, else PreconditionError;
+# the cap counts every column, numbered or not (TangentSystem).  The largest
+# system the benchmark builds has 2,470 (p 101, f 3, degree bound 202); one
+# of 65,530 columns (p 101, f 3, degree bound 5457, 97% of its recurrence
+# rows in closed groups, which are not built, and 1,990 of its columns
+# numbered) takes 0.006-0.012 s and a 17-18 MiB peak RSS for `gl2kisin
+# tangent` (cli.main in one process per run, Python 3.11, a 2-vCPU Xeon).
+# Of that, assemble_system takes 1.3-1.7 ms (in-process, best of 60 per
+# process) and solve_claim 0.1-0.2 ms (best of 15): its one free column is
+# column 45, and a solve reads nothing above the last free column.
 MAX_TANGENT_COLUMNS = 2**16
 
 # per-slot low-degree correction parameters; p<entry>_<degree> sits in the
@@ -90,13 +90,13 @@ class TangentSystem:
 
     rows is a list of {column: int} dicts: those of `lower`, the system
     this one extends (or None), then one run of recurrence rows per slot,
-    less its closed groups, each stood for by a descriptor (j, below, first,
-    last) in `segments`, then the constraint rows (pins, weight selectors,
-    frames), labeled by `constraints`.  labels() derives the recurrence
-    rows' labels, aligned with rows:
+    less its closed groups, each stood for by a descriptor (j, below,
+    opened) in `segments`, then the constraint rows (pins, weight
+    selectors, frames), labeled by `constraints`.  labels() derives the
+    recurrence rows' labels, aligned with rows:
         ("rec", j, *_ENTRIES[n], e) for each (e, n) in below, then
-        ("rec", j, l, k, e) for e from first to last outside slot j's
-        closed groups, (l, k) in _ENTRIES.
+        ("rec", j, l, k, e) for e in opened, the open window degrees of
+        slot j, (l, k) in _ENTRIES.
     Row labels:
       ("rec", j, l, k, e)   coefficient e of entry (l,k) of the slot-j
                             recurrence  M^(j-1) Delta_j - Delta_j Phi_j - P_j,
@@ -109,33 +109,39 @@ class TangentSystem:
       ("frame", name, None) global framing: frame_12 = frame_21 = 0 and
                             frame_11 = frame_22
 
-    Columns: 10 correction parameters per slot, then the four framing
-    parameters (n_param_cols in all), then the perturbation coefficients
-    degree-major: degree e from min_degree up holds stride = 4f columns,
-    (slot j, entry comp) at 4j + comp.  A column's index therefore does not
-    depend on the degree bound, and the columns of the system at a bound b
-    are the first ones of the system at any higher bound.
+    Dense columns, the ones col_param, col_frame and col_m name and the
+    kernel vectors of a report use: 10 correction parameters per slot, then
+    the four framing parameters (n_param_cols in all), then the
+    perturbation coefficients degree-major: degree e from min_degree up
+    holds stride = 4f columns, (slot j, entry comp) at 4j + comp.  A dense
+    column's index does not depend on the degree bound, and ncols counts
+    them.
 
     Closed groups: the four rows ("rec", j, l, k, e) of a window degree e
-    at which no phi-term and no correction parameter of slot j lands
-    (_closed_runs) read M^(j-1)[e] Delta_j = 0.  They name the four columns
-    of M^(j-1)[e] alone and Delta_j is invertible, so they force those
-    columns to 0 in every kernel vector, whatever other rows name them.
-    No row of a closed group is built: `zero` holds the columns of the
-    closed groups, with those of the lower system when there is one, and
-    every elimination of the rows, the constructor's and solve_claim's,
-    takes `zero` in place of their rows, so no echelon pivots on a zero
-    column.  row_count() counts them.
+    at which no phi-term and no correction parameter of slot j lands read
+    M^(j-1)[e] Delta_j = 0.  They name the four columns of M^(j-1)[e] alone
+    and Delta_j is invertible, so they force those columns to 0 in every
+    kernel vector, whatever other rows name them.  M^(j-1)[e] is open when
+    e is a landed degree of slot j, else closed.  No row of a closed group
+    is built, and row_count() counts them, four per closed M^(j-1)[e].
+
+    The rows name the system's own columns, which are the open ones alone:
+    `dense` maps each to its dense column.  The correction and framing
+    columns come first, as in the dense layout, then the four columns of
+    each open M^(j')[e], degree-major, so the map is monotone.  A row has
+    no entry on a closed column (it would multiply a coordinate forced to
+    0); a row left empty is still stored.  A window degree's landed status
+    does not depend on the bound above it, so the columns of the system at
+    a bound b are the first ones of the system at any higher bound.
 
     The eliminated block: the first `eliminated` rows, whose fp_linalg
-    echelon, with the zero columns, is `echelon`.  It is only ever read;
-    solve_claim continues a copy of it with the rows after the block.
-    Without `below`, the block is the recurrence rows of every degree,
-    eliminated once.  `below` is a solve_claim report at a lower degree
-    bound with the same rho, b and min_degree: its system's rows are then
-    the block, with the report's echelon, and the recurrence rows of the
-    degrees above that bound follow.  The constructor adds no constraint
-    row."""
+    echelon is `echelon`.  It is only ever read; solve_claim continues a
+    copy of it with the rows after the block.  Without `below`, the block
+    is the recurrence rows of every degree, eliminated once.  `below` is a
+    solve_claim report at a lower degree bound with the same rho, b and
+    min_degree: its system's rows are then the block, with the report's
+    echelon, and the recurrence rows of the degrees above that bound
+    follow.  The constructor adds no constraint row."""
 
     def __init__(self, rho, b, degree_bound, min_degree, below=None):
         self.rho = rho
@@ -154,15 +160,16 @@ class TangentSystem:
             )
         self.segments, self.constraints = [], []
         if below is None:
-            self.lower, self.rows, self.echelon, self.zero = None, [], {}, set()
+            self.lower, self.rows, self.echelon = None, [], {}
+            self.dense = list(range(self.n_param_cols))
             _recurrence_rows(self, min_degree)
             self.eliminated = len(self.rows)
-            fp_linalg.rank(self.rows, self.p, self.echelon, zero=self.zero)
+            fp_linalg.rank(self.rows, self.p, self.echelon)
         else:
             self.lower, self.rows = below.system, list(below.system.rows)
             self.eliminated = len(self.rows)
             self.echelon = below.echelon
-            self.zero = set(self.lower.zero)
+            self.dense = list(self.lower.dense)
             _recurrence_rows(self, self.lower.degree_bound + 1)
 
     def col_param(self, j, name):
@@ -177,21 +184,14 @@ class TangentSystem:
     def row_count(self):
         """The rows of the system, closed groups included: the stored rows,
         and the four rows of each closed group, this system's and `lower`'s,
-        one per zero column."""
-        return len(self.rows) + len(self.zero)
+        one per closed column."""
+        return len(self.rows) + self.ncols - len(self.dense)
 
     def labels(self):
         out = self.lower.labels() if self.lower else []
-        for j, below, first, last in self.segments:
+        for j, below, opened in self.segments:
             out += [("rec", j, *_ENTRIES[n], e) for e, n in below]
-            # a closed group's columns, those of M^(j-1)[e], are zero
-            col = self.col_m((j - 1) % self.f, 0, 0)
-            out += [
-                ("rec", j, l, k, e)
-                for e in range(first, last + 1)
-                if col + self.stride * e not in self.zero
-                for l, k in _ENTRIES
-            ]
+            out += [("rec", j, l, k, e) for e in opened for l, k in _ENTRIES]
         return out + self.constraints
 
     def without(self, label_prefix):
@@ -199,7 +199,7 @@ class TangentSystem:
         with the given tuple; used for the negative control (drop the pivot
         pin).  Only this system's own constraint rows can be dropped, so the
         empty prefix, or one matching none of them, raises ConfigError; the
-        copy shares the block's rows and echelon, and the closed groups."""
+        copy shares the block's rows and echelon, and the column map."""
         prefix = tuple(label_prefix)
         n, start = len(prefix), len(self.rows) - len(self.constraints)
         kept = [i for i, label in enumerate(self.constraints) if label[:n] != prefix]
@@ -278,12 +278,14 @@ def _recurrence_rows(system, first):
     an M^(j-1) term.  An entry whose window holds an empty row, stored or
     closed, raises InternalCheckError.
 
-    A slot's closed groups are decided (_closed_runs) from the degrees its
-    terms land at before any row is built; the columns of each run of them
-    go to system.zero, and only the landed window degrees get rows."""
+    Slot j' + 1's phi-terms name the columns of M^(j'+1), which slot j' + 2
+    opens, so every slot's landed degrees from first on are decided before
+    any row is built.  The open columns of those degrees are then appended
+    to system.dense, and the rows name them alone: only the landed window
+    degrees get rows, and an entry on a closed column is left out."""
     rho, p, f = system.rho, system.p, system.f
     min_degree, degree_bound, stride = system.min_degree, system.degree_bound, system.stride
-    rows = system.rows
+    rows, dense = system.rows, system.dense
     # the slot's Frobenius matrix is v * Delta * diag(v^sh, 1)
     factors = [frobenius_factor(rho, j) for j in range(f)]
 
@@ -291,30 +293,28 @@ def _recurrence_rows(system, first):
         # one past the highest degree d whose p*d + x is at most the bound
         return min(degree_bound, (degree_bound - x) // p) + 1
 
+    # coefficient e of entry (l,k) of the slot-j recurrence
+    #   sum_t M^(j-1)_lt Delta_tk - sum_t Delta_lt v^(sh*(k-t)) phi(m_tk) - P_lk
+    # built column by column: the M^(j-1) terms give each open window degree
+    # its row, a phi(m) term reaches degree p*d + sh*(k-t) from the column of
+    # degree d, a correction parameter degree 0, -1 or -2, and below the
+    # window only a degree some term reaches has a row.  A row's first value
+    # is a nonzero residue as given; later ones add mod p, and a 0 where
+    # terms cancel stays in the row.  The dense column of degree d is
+    # stride * d past that of degree 0.
+    slots = []
     for j in range(f):
-        jm = (j - 1) % f
         delta, sh = factors[j]
-        # coefficient e of entry (l,k) of the slot-j recurrence
-        #   sum_t M^(j-1)_lt Delta_tk - sum_t Delta_lt v^(sh*(k-t)) phi(m_tk) - P_lk
-        # built column by column: the M^(j-1) terms give each open window
-        # degree its row, a phi(m) term reaches degree p*d + sh*(k-t) from
-        # the column of degree d, a correction parameter degree 0, -1 or -2,
-        # and below the window only a degree some term reaches has a row.  A
-        # row's first value is a nonzero residue as given; later ones add
-        # mod p, and a 0 where terms cancel stays in the row.  The column of
-        # degree d is stride * d past that of degree 0.
         entries = []
-        # the rows below the window, by (degree, entry)
-        below = {}
+        # the terms of the rows below the window: (entry, x, column of
+        # degree 0, value, degrees d from lo to end - 1)
+        lows = []
         # the window degrees a phi-term or correction parameter lands at
         landed = set()
         for n, (l, k) in enumerate(_ENTRIES):
-            prev = [
-                (system.col_m(jm, 2 * l + t - 3, 0), delta[t - 1][k - 1])
-                for t in (1, 2)
-                if delta[t - 1][k - 1]
-            ]
-            # (x, column of degree 0, value, degrees d from lo to hi - 1):
+            # (entry comp of M^(j-1), value)
+            prev = [(2 * l + t - 3, delta[t - 1][k - 1]) for t in (1, 2) if delta[t - 1][k - 1]]
+            # (x, dense column of degree 0, value, degrees d from lo to hi - 1):
             # value at the column of degree d in row p*d + x; a correction
             # parameter has d = 0 only
             terms = []
@@ -322,8 +322,7 @@ def _recurrence_rows(system, first):
                 val = delta[l - 1][t - 1]
                 if val:
                     x = sh * (k - t)
-                    hi = top(x)
-                    terms.append((x, system.col_m(j, 2 * t + k - 3, 0), p - val, min_degree, hi))
+                    terms.append((x, system.col_m(j, 2 * t + k - 3, 0), p - val, min_degree, top(x)))
             # col_param(j, name) is 10 * j + the name's index
             terms += [(x, 10 * j + i, p - 1, 0, 1) for x, i in _PARAM_TERMS[n]]
             spans = []
@@ -331,10 +330,7 @@ def _recurrence_rows(system, first):
                 # the first d whose degree p*d + x is first or more
                 cut = max(lo, -((x - first) // p))
                 if cut > lo and first == min_degree:
-                    for d in range(lo, min(cut, hi)):
-                        row = below.setdefault((p * d + x, n), {})
-                        c = col + stride * d
-                        row[c] = (row.get(c, 0) + val) % p
+                    lows.append((n, x, col, val, lo, min(cut, hi)))
                 spans.append((x, col, val, cut, hi))
                 landed.update(range(p * cut + x, p * hi + x, p))
             if not prev:
@@ -346,48 +342,47 @@ def _recurrence_rows(system, first):
                         % (j, l, k, j)
                     )
             entries.append((prev, spans))
+        slots.append((entries, lows, sorted(landed)))
+    # M^(j-1)[e] is open iff slot j lands at e: number its four columns,
+    # degree-major, the order of their dense columns; base[j] is the dense
+    # column of M^(j-1)[0]
+    base = [system.col_m((j - 1) % f, 0, 0) for j in range(f)]
+    for c in sorted(base[j] + stride * e for j, (_e, _l, opened) in enumerate(slots) for e in opened):
+        dense += range(c, c + 4)
+    # {dense column: own column} of every numbered column
+    own = {c: i for i, c in enumerate(dense)}.get
+    for j, (entries, lows, opened) in enumerate(slots):
+        # the rows below the window, by (degree, entry)
+        below = {}
+        for n, x, col, val, lo, end in lows:
+            for d in range(lo, end):
+                row = below.setdefault((p * d + x, n), {})
+                c = own(col + stride * d)
+                if c is not None:
+                    row[c] = (row.get(c, 0) + val) % p
         keys = tuple(sorted(below))
         rows += [below[key] for key in keys]
-        # the landed window degrees, the only ones outside the closed runs
-        opened = sorted(landed)
-        for lo, hi in _closed_runs(opened, first, degree_bound):
-            c = system.col_m(jm, 0, lo)
-            end = c + stride * (hi - lo)
-            for k in range(c, c + 4):
-                system.zero.update(range(k, end, stride))
-        offsets = [stride * e for e in opened]
+        offsets = [own(base[j] + stride * e) for e in opened]
         index = {e: i for i, e in enumerate(opened)}
         insides = []
         for prev, spans in entries:
             if len(prev) == 2:
                 (c1, v1), (c2, v2) = prev
-                inside = [{c1 + o: v1, c2 + o: v2} for o in offsets]
+                inside = [{o + c1: v1, o + c2: v2} for o in offsets]
             elif prev:
                 ((c1, v1),) = prev
-                inside = [{c1 + o: v1} for o in offsets]
+                inside = [{o + c1: v1} for o in offsets]
             else:
                 inside = [{} for _o in offsets]
             for x, col, val, cut, hi in spans:
                 for d in range(cut, hi):
-                    row = inside[index[p * d + x]]
-                    c = col + stride * d
-                    row[c] = (row.get(c, 0) + val) % p
+                    c = own(col + stride * d)
+                    if c is not None:
+                        row = inside[index[p * d + x]]
+                        row[c] = (row.get(c, 0) + val) % p
             insides.append(inside)
         rows += chain.from_iterable(zip(*insides))
-        system.segments.append((j, keys, first, degree_bound))
-
-
-def _closed_runs(landed, first, last):
-    """The runs [lo, hi) of the degrees e from first to last whose four
-    slot-j rows are a closed group: e is not in landed, the ascending
-    degrees from first to last that a phi-term or correction parameter of
-    slot j lands at."""
-    runs, lo = [], first
-    for e in [*landed, last + 1]:
-        if e > lo:
-            runs.append((lo, e))
-        lo = e + 1
-    return runs
+        system.segments.append((j, keys, opened))
 
 
 # ---------------------------------------------------------------------------
@@ -414,21 +409,25 @@ def solve_claim(system):
     and onto the perturbation block (each vector split by column).  The
     rigidity claim is injective = True: no kernel direction touches the
     correction parameters.  The elimination continues a copy of the
-    echelon of the system's eliminated block with the rows after it, the
-    closed groups' columns passed as zero columns, as they were to the
-    elimination that made that echelon; the back-substitution then reads
-    only the pivots below the last free column (fp_linalg)."""
+    echelon of the system's eliminated block with the rows after it, over
+    the system's own columns, the open ones; the back-substitution then
+    reads only the pivots below the last free column (fp_linalg).  Each
+    kernel vector is mapped back to dense columns, and the rank counts the
+    closed columns, one closed row each."""
     echelon = dict(system.echelon)
     rows = system.rows[system.eliminated :]
-    basis, rank = fp_linalg.kernel_basis(rows, system.ncols, system.p, echelon, zero=system.zero)
+    dense = system.dense
+    basis, rank = fp_linalg.kernel_basis(rows, len(dense), system.p, echelon)
+    # the map is monotone, so each vector keeps its key order
+    kernel = [{dense[c]: v for c, v in x.items()} for x in basis]
     n = system.n_param_cols
-    param_dim = fp_linalg.rank([{c: v for c, v in x.items() if c < n} for x in basis], system.p)
-    m_dim = fp_linalg.rank([{c: v for c, v in x.items() if c >= n} for x in basis], system.p)
+    param_dim = fp_linalg.rank([{c: v for c, v in x.items() if c < n} for x in kernel], system.p)
+    m_dim = fp_linalg.rank([{c: v for c, v in x.items() if c >= n} for x in kernel], system.p)
     return TangentReport(
         system=system,
-        kernel=basis,
-        rank=rank,
-        kernel_dim=len(basis),
+        kernel=kernel,
+        rank=rank + system.ncols - len(dense),
+        kernel_dim=len(kernel),
         param_kernel_dim=param_dim,
         m_kernel_dim=m_dim,
         injective=param_dim == 0,

@@ -29,6 +29,7 @@ from test_tangent import (
     brute_force_closed_groups,
     open_twin_rows,
     reference_rec_rows,
+    stored_rows,
     twin_rows,
 )
 
@@ -184,9 +185,10 @@ def test_tangent_stability_solves_each_system_once(monkeypatch, capsys, f1_confi
     recurrence rows, each solve feeds only the rows after its system's
     eliminated block (the constraint rows; for --negative-control those
     without the pivot pin) and --stability only the stored recurrence rows
-    one Frobenius step higher.  The stored rows are the twin's less the
-    closed groups a search over the twin's rows finds.  Each solve is one
-    kernel_basis call."""
+    one Frobenius step higher.  The stored rows, mapped back to dense
+    columns, are the twin's less the closed groups a search over the twin's
+    rows finds, and less their entries on those groups' columns.  Each
+    solve is one kernel_basis call."""
     assembled, solved, fed, kernel_fed = [], [], [], []
     assemble, solve = tangent.assemble_system, tangent.solve_claim
     echelon, kernel_basis = fp_linalg._echelon, fp_linalg.kernel_basis
@@ -228,8 +230,8 @@ def test_tangent_stability_solves_each_system_once(monkeypatch, capsys, f1_confi
         twin = twin_rows(higher)
         closed = brute_force_closed_groups(lower, lower.min_degree)
         closed |= brute_force_closed_groups(higher, lower.degree_bound + 1)
-        assert sorted(map(repr, zip(higher.labels(), higher.rows))) == sorted(
-            map(repr, open_twin_rows(twin, closed))
+        assert sorted(map(repr, stored_rows(higher))) == sorted(
+            map(repr, open_twin_rows(higher, twin, closed))
         )
         block = lower.rows[: lower.eliminated]
         constraints = lower.rows[lower.eliminated :]

@@ -3,6 +3,7 @@ of the p^ncols vectors, and a dense reduced-row-echelon form computed
 column by column."""
 
 import copy
+import inspect
 import itertools
 import random
 
@@ -11,15 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gl2kisin import fp_linalg
-from gl2kisin.errors import InternalCheckError
 from gl2kisin.tangent import assemble_system, solve_claim
 
 from conftest import dense_basis, random_profile
 
 
 def densified(rows, ncols, p, **state):
-    """fp_linalg.kernel_basis with its basis densified for the twins; the
-    state (pivots, zero) is passed by name."""
+    """fp_linalg.kernel_basis with its basis densified for the twins; an
+    echelon to continue is passed by name."""
     basis, rank = fp_linalg.kernel_basis(rows, ncols, p, **state)
     return dense_basis(basis, ncols, p), rank
 
@@ -175,41 +175,34 @@ def test_continued_elimination_matches_one_pass(system, data):
 @given(sparse_systems(), st.data())
 @settings(max_examples=200, deadline=None)
 def test_zero_columns_match_appended_unit_rows(system, data):
-    """kernel_basis and rank with zero columns Z give what they give for
-    the rows followed by one unit row {c: 1} per column of Z, in one pass
-    and continuing the echelon of rows A | B that pivot on no column of Z,
-    or that rank eliminated with Z; the zero columns and the pivots it
-    leaves are together the pivots of the unit-row system, and no row dict
-    or stored pivot row is modified."""
+    """Columns Z that one unit row {c: 1} each forces to 0 can go unnumbered
+    instead, as the tangent system leaves its closed columns: the rows less
+    their entries on Z, with the other columns numbered in order, give the
+    kernel of the rows followed by the unit rows, mapped back with each
+    vector's key order, and its rank less |Z|, in one pass and continuing
+    the echelon of rows A | B; the pivots mapped back, with Z, are those of
+    the unit-row system, and no row dict is modified."""
     rows, ncols, p = system
-    split = data.draw(st.integers(0, len(rows)))
-    a, b = rows[:split], rows[split:]
-    echelon_a = {}
-    fp_linalg.rank(a, p, echelon_a)
-    # among A's free columns, which its kernel vectors may name
-    free = [c for c in range(ncols) if c not in echelon_a]
-    zero = data.draw(st.sets(st.sampled_from(free))) if free else set()
-    units = [{c: 1} for c in sorted(zero)]
-    before = copy.deepcopy((rows, echelon_a))
-    one_echelon = {}
-    expected = fp_linalg.kernel_basis(rows + units, ncols, p, one_echelon)
-    assert densified(rows + units, ncols, p) == dense_kernel(rows + units, ncols, p)
-    assert fp_linalg.rank(rows, p, zero=zero) == fp_linalg.rank(rows + units, p) == expected[1]
-    echelon = {}
-    assert fp_linalg.kernel_basis(rows, ncols, p, echelon, zero=zero) == expected
-    assert sorted([*echelon, *zero]) == sorted(one_echelon)
-    continued = dict(echelon_a)
-    assert fp_linalg.kernel_basis(b, ncols, p, continued, zero=zero) == expected
-    assert sorted([*continued, *zero]) == sorted(one_echelon)
-    # any zero set, A eliminated with it
     zero = data.draw(st.sets(st.integers(0, ncols - 1)))
     units = [{c: 1} for c in sorted(zero)]
-    expected = fp_linalg.kernel_basis(rows + units, ncols, p)
-    with_zero = {}
-    assert fp_linalg.rank(a, p, with_zero, zero=zero) == fp_linalg.rank(a + units, p)
-    assert zero.isdisjoint(with_zero)
-    assert fp_linalg.kernel_basis(b, ncols, p, with_zero, zero=zero) == expected
-    assert (rows, echelon_a) == before
+    dense = [c for c in range(ncols) if c not in zero]
+    own = {c: i for i, c in enumerate(dense)}
+    kept = [{own[c]: v for c, v in row.items() if c in own} for row in rows]
+    before = copy.deepcopy(rows)
+    one_echelon = {}
+    basis, rank = fp_linalg.kernel_basis(rows + units, ncols, p, one_echelon)
+    assert (dense_basis(basis, ncols, p), rank) == dense_kernel(rows + units, ncols, p)
+    split = data.draw(st.integers(0, len(kept)))
+    echelon_a = {}
+    rank_a = fp_linalg.rank(kept[:split], p, echelon_a)
+    assert rank_a + len(zero) == fp_linalg.rank(rows[:split] + units, p)
+    for echelon, fed in (({}, kept), (echelon_a, kept[split:])):
+        got, got_rank = fp_linalg.kernel_basis(fed, len(dense), p, echelon)
+        mapped = [[(dense[c], v) for c, v in x.items()] for x in got]
+        assert mapped == [list(x.items()) for x in basis]
+        assert got_rank + len(zero) == rank
+        assert sorted([*(dense[c] for c in echelon), *zero]) == sorted(one_echelon)
+    assert rows == before
 
 
 def split_case(rng):
@@ -266,15 +259,18 @@ def test_continued_split_echelon_matches_one_pass(rng):
     assert_echelon_continues(*split_case(rng))
 
 
-def test_zero_is_keyword_only():
-    """A fifth positional argument is refused, not read as the zero
-    columns."""
+def test_zero_is_no_parameter():
+    """rank and kernel_basis take the rows, ncols, p and an echelon alone:
+    a caller gives a column forced to 0 no column number."""
+    assert list(inspect.signature(fp_linalg.rank).parameters) == ["rows", "p", "pivots"]
+    params = ["rows", "ncols", "p", "pivots"]
+    assert list(inspect.signature(fp_linalg.kernel_basis).parameters) == params
     with pytest.raises(TypeError):
         fp_linalg.kernel_basis([{0: 1}], 2, 5, {}, {1})
 
 
-class CountingSet(set):
-    """Zero columns that record each column they are asked about."""
+class CountingEchelon(dict):
+    """An echelon that records each column it is asked about."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -294,26 +290,27 @@ class Unreadable(dict):
     __iter__ = __getitem__ = __contains__ = __len__ = get = items = keys = values = _refuse
 
 
-def last_free(echelon, ncols, zero=frozenset()):
-    return max((c for c in range(ncols) if c not in echelon and c not in zero), default=-1)
+def last_free(echelon, ncols):
+    return max((c for c in range(ncols) if c not in echelon), default=-1)
 
 
 @given(sparse_systems(), st.data())
 @settings(max_examples=200, deadline=None)
 def test_free_column_scan_stops_at_the_last_free_column(system, data):
-    """Given an echelon and no new rows, the scan for free columns asks
-    `zero` about the columns up to the last free one and about no other,
-    and the result is that of the rows followed by the unit rows."""
+    """Given an echelon and no new rows, the scan for free columns asks the
+    echelon about the columns up to the last free one and about no other:
+    the echelon of rows followed by unit rows on some of their free
+    columns, which moves the last free column down."""
     rows, ncols, p = system
     echelon = {}
     fp_linalg.rank(rows, p, echelon)
     free = [c for c in range(ncols) if c not in echelon]
-    zero = data.draw(st.sets(st.sampled_from(free))) if free else set()
-    counting = CountingSet(zero)
-    basis, rank = fp_linalg.kernel_basis([], ncols, p, dict(echelon), zero=counting)
-    units = [{c: 1} for c in sorted(zero)]
-    assert (dense_basis(basis, ncols, p), rank) == dense_kernel(rows + units, ncols, p)
-    assert counting.asked == list(range(last_free(echelon, ncols, zero) + 1))
+    rows = rows + [{c: 1} for c in sorted(data.draw(st.sets(st.sampled_from(free))) if free else ())]
+    echelon = {}
+    fp_linalg.rank(rows, p, echelon)
+    counting = CountingEchelon(echelon)
+    assert densified([], ncols, p, pivots=counting) == dense_kernel(rows, ncols, p)
+    assert counting.asked == list(range(last_free(echelon, ncols) + 1))
 
 
 @given(sparse_systems())
@@ -337,18 +334,17 @@ def dense_pivots(rows, ncols, p):
 
 @st.composite
 def free_column_edges(draw):
-    """(rows, ncols, p, zero, free) at the edges of the last free column:
-    the last column free (a combination of the earlier ones), no column
-    free (full rank, or `zero` holding every column the rows leave free),
+    """(rows, ncols, p, free) at the edges of the last free column: the
+    last column free (a combination of the earlier ones), no column free
+    (full rank, or unit rows on every column the other rows leave free),
     and every column free (each entry 0 mod p)."""
     p = draw(st.sampled_from((2, 3, 5, 101)))
     ncols = draw(st.integers(1, 12))
-    kind = draw(st.sampled_from(("last", "full rank", "zero", "every")))
+    kind = draw(st.sampled_from(("last", "full rank", "units", "every")))
     value = st.integers(-3 * p, 3 * p)
     cols = st.integers(0, ncols - 1)
     row = st.dictionaries(cols, value, max_size=5)
     lead = st.integers(1, p - 1)
-    zero = set()
     if kind == "last":
         # the last column is coef times the earlier ones
         coef = draw(st.lists(value, min_size=ncols - 1, max_size=ncols - 1))
@@ -367,44 +363,31 @@ def free_column_edges(draw):
         ]
         rows = draw(st.permutations(leads)) + draw(st.lists(row, max_size=3))
         free = []
-    elif kind == "zero":
+    elif kind == "units":
         rows = draw(st.lists(row, max_size=ncols + 3))
-        zero = set(range(ncols)) - dense_pivots(rows, ncols, p)
+        rows += [{c: 1} for c in sorted(set(range(ncols)) - dense_pivots(rows, ncols, p))]
         free = []
     else:
         rows = draw(st.lists(st.dictionaries(cols, value.map(p.__mul__), max_size=5), max_size=5))
         free = list(range(ncols))
-    return rows, ncols, p, zero, free
+    return rows, ncols, p, free
 
 
 @given(free_column_edges())
 @settings(max_examples=300, deadline=None)
 def test_edges_of_the_last_free_column(case):
     """At each edge, fed as rows and as a passed echelon, the kernel is the
-    dense twin's with the expected free columns, and the scan asks `zero`
-    about the columns up to the last free one alone."""
-    rows, ncols, p, zero, free = case
-    units = [{c: 1} for c in sorted(zero)]
-    expected = dense_kernel(rows + units, ncols, p)
+    dense twin's with the expected free columns, and the scan asks the
+    echelon about the columns up to the last free one alone."""
+    rows, ncols, p, free = case
+    expected = dense_kernel(rows, ncols, p)
     assert [max(j for j, v in enumerate(x) if v) for x in expected[0]] == free
-    assert densified(rows, ncols, p, zero=zero) == expected
+    assert densified(rows, ncols, p) == expected
     echelon = {}
     fp_linalg.rank(rows, p, echelon)
-    counting = CountingSet(zero)
-    assert densified([], ncols, p, pivots=echelon, zero=counting) == expected
+    counting = CountingEchelon(echelon)
+    assert densified([], ncols, p, pivots=counting) == expected
     assert counting.asked == list(range(free[-1] + 1 if free else 0))
-
-
-def test_pivot_on_a_zero_column_is_refused():
-    """An echelon eliminated without `zero` can pivot on a zero column; a
-    solve that continues it with that zero set raises rather than count the
-    column twice."""
-    p = 5
-    echelon = {}
-    fp_linalg.rank([{0: 1, 1: 2, 5: 1}, {2: 4, 5: 3}], p, echelon)
-    assert sorted(echelon) == [0, 2]
-    with pytest.raises(InternalCheckError, match="pivots on one"):
-        fp_linalg.kernel_basis([{3: 2, 2: 1, 4: 1}], 6, p, echelon, zero={2})
 
 
 def chain_case(rng, p):

@@ -1,7 +1,10 @@
 import copy
 import dataclasses
 import gc
+import inspect
+import itertools
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -324,9 +327,29 @@ def twin_rows(system):
     return out
 
 
-def open_twin_rows(labeled, closed):
-    """The (label, row) pairs of labeled outside the closed groups (j, e)."""
-    return [(lab, row) for lab, row in labeled if lab[0] != "rec" or (lab[1], lab[4]) not in closed]
+def closed_columns(system):
+    """The dense columns the system gives no column number: those of the
+    closed groups, its own and `lower`'s."""
+    return set(range(system.ncols)).difference(system.dense)
+
+
+def open_twin_rows(system, labeled, closed):
+    """The (label, row) pairs of labeled outside the closed groups (j, e),
+    each row less its entries on their columns, those of M^(j-1)[e]."""
+    shut = {system.col_m((j - 1) % system.f, comp, e) for j, e in closed for comp in range(4)}
+    return [
+        (lab, {c: v for c, v in row.items() if c not in shut})
+        for lab, row in labeled
+        if lab[0] != "rec" or (lab[1], lab[4]) not in closed
+    ]
+
+
+def stored_rows(system):
+    """The system's (label, row) pairs, each row mapped back to dense
+    columns."""
+    dense = system.dense
+    pairs = zip(system.labels(), system.rows)
+    return [(lab, {dense[c]: v for c, v in row.items()}) for lab, row in pairs]
 
 
 @st.composite
@@ -350,18 +373,20 @@ def tangent_cases(draw):
 @given(tangent_cases())
 @settings(max_examples=80, deadline=None)
 def test_assembly_matches_degree_by_degree_twin(case):
-    """The stored (label, row) pairs are the twin's, less the closed groups
-    a search over the twin's rows finds, and row_count counts those too."""
+    """The stored (label, row) pairs, mapped back to dense columns, are the
+    twin's, less the closed groups a search over the twin's rows finds and
+    less their entries on those groups' columns, and row_count counts the
+    closed groups too."""
     rho, b, degree_bound, min_degree = case
     system = assemble_system(rho, b, degree_bound, min_degree)
     twin = twin_rows(system)
     closed = brute_force_closed_groups(system, min_degree)
     assert assembled_closed_groups(system) == closed
-    assert len(system.zero) == 4 * len(closed)
-    expected = open_twin_rows(twin, closed)
+    assert len(closed_columns(system)) == 4 * len(closed)
+    expected = open_twin_rows(system, twin, closed)
     labels = system.labels()
     assert len(labels) == len(system.rows)
-    got = list(zip(labels, system.rows))
+    got = stored_rows(system)
     assert got == expected
     # the same keys in the same insertion order
     assert [list(row.items()) for _lab, row in got] == [list(row.items()) for _lab, row in expected]
@@ -372,6 +397,9 @@ def test_assembly_matches_degree_by_degree_twin(case):
         # (1,1) and cancel, and the stored 0 stays in the row
         (row,) = [row for lab, row in got if lab == ("rec", 0, 1, 1, 0)]
         assert row[system.col_m(0, 0, 0)] == 0
+    # the map is increasing, and the solve is the dense twin's
+    assert system.dense == sorted(set(system.dense))
+    assert_solve_matches_dense_twin(system)
 
 
 @given(tangent_cases())
@@ -440,11 +468,14 @@ def test_assembly_retains_few_gc_tracked_objects():
 def test_system_at_the_column_cap_stores_few_rows():
     """At the column cap (p 101, f 3, degree bound 5457: 65,530 columns)
     the system stores under 5% of the rows it counts as dicts; the others
-    are closed groups, one per zero column, and the count is the twin's."""
+    are closed groups, one per closed column, and the count is the twin's.
+    It numbers 1,990 of the columns, the ones fp_linalg sees."""
     rho = random_profile(random.Random("tangent-cap"), 101, 3, zero_positions=(), deep=True)
     system = assemble_system(rho, degree_bound=5457)
     assert system.ncols == 65530 <= tangent.MAX_TANGENT_COLUMNS
-    assert system.row_count() == len(system.rows) + len(system.zero) == len(twin_rows(system))
+    assert len(system.dense) == 1990
+    closed = len(closed_columns(system))
+    assert system.row_count() == len(system.rows) + closed == len(twin_rows(system))
     assert len(system.rows) < 0.05 * system.row_count()
 
 
@@ -461,13 +492,24 @@ def _solved(report):
 
 def scratch_copy(system):
     """A copy of an assembled system (or of its without() copy) holding
-    every row, closed groups included, as twin_rows gives them, with an
-    empty eliminated block and no closed group, which solve_claim solves
+    every row, closed groups included, as twin_rows gives them, on every
+    dense column, with an empty eliminated block, which solve_claim solves
     from scratch, feeding every row."""
     scratch = copy.copy(system)
     scratch.rows = [row for _lab, row in twin_rows(system)]
-    scratch.eliminated, scratch.echelon, scratch.zero = 0, {}, set()
+    scratch.eliminated, scratch.echelon = 0, {}
+    scratch.dense = list(range(system.ncols))
     return scratch
+
+
+def assert_solve_matches_dense_twin(system):
+    """solve_claim's kernel, rank and dims are those of fp_linalg run on
+    every row of the twin, closed groups included, at the dense ncols."""
+    report = solve_claim(system)
+    rows = [row for _lab, row in twin_rows(system)]
+    assert len(rows) == system.row_count()
+    assert (report.kernel, report.rank) == fp_linalg.kernel_basis(rows, system.ncols, system.p)
+    assert _solved(report) == _solved(solve_claim(scratch_copy(system)))
 
 
 def assert_stability_matches_scratch(rho, b=None, degree_bound=None, min_degree=0):
@@ -489,9 +531,10 @@ def assert_stability_matches_scratch(rho, b=None, degree_bound=None, min_degree=
     twin = twin_rows(scratch_system)
     closed = brute_force_closed_groups(low.system, min_degree)
     closed |= brute_force_closed_groups(scratch_system, low.system.degree_bound + 1)
-    assert sorted(map(repr, zip(high.system.labels(), high.system.rows))) == sorted(
-        map(repr, open_twin_rows(twin, closed))
+    assert sorted(map(repr, stored_rows(high.system))) == sorted(
+        map(repr, open_twin_rows(scratch_system, twin, closed))
     )
+    assert high.system.dense == scratch_system.dense
     assert high.system.row_count() == len(twin) == scratch_system.row_count()
     assert stable == (_solved(low)[2:5] == _solved(scratch)[2:5])
     _, again, stable_again = stability_check(rho, b, degree_bound, min_degree)
@@ -503,19 +546,24 @@ def assert_stability_matches_scratch(rho, b=None, degree_bound=None, min_degree=
     resolved = solve_claim(block)
     assert _solved(resolved) == _solved(high)
     assert resolved.echelon == high.echelon
-    # the pivot columns with the zero columns are the leading columns of the
-    # row space, which a solve feeding every row finds as its pivots
+    # the pivot columns, mapped back, with the closed columns are the
+    # leading columns of the row space, which a solve feeding every row on
+    # the dense columns finds as its pivots
     every = scratch_copy(scratch_system)
     assert len(every.rows) == scratch_system.row_count()
-    leading = sorted(solve_claim(every).echelon)
-    assert sorted([*high.echelon, *high.system.zero]) == leading
-    assert sorted([*scratch.echelon, *scratch_system.zero]) == leading
+    solved = solve_claim(every)
+    assert _solved(solved) == _solved(high)
+    leading = sorted(solved.echelon)
+    for report in (high, scratch):
+        dense = report.system.dense
+        assert sorted([*(dense[c] for c in report.echelon), *closed_columns(report.system)]) == leading
 
 
 def assert_relaxed_matches_scratch(rho, b=None, degree_bound=None, min_degree=0):
     """The negative control, continued from the recurrence block's echelon,
     equals a from-scratch solve of the rows left after dropping the pivot
-    pin, and leaves the assembled system's block as it was."""
+    pin, on every dense column, and leaves the assembled system's block as
+    it was."""
     system = assemble_system(rho, b, degree_bound, min_degree)
     block = dict(system.echelon)
     relaxed = system.without(("pin", "p21_0"))
@@ -526,11 +574,9 @@ def assert_relaxed_matches_scratch(rho, b=None, degree_bound=None, min_degree=0)
     report = solve_claim(relaxed)
     # the same rows, closed groups included, with an empty eliminated
     # block, every one of them fed
-    scratch = scratch_copy(relaxed)
-    assert len(scratch.rows) == relaxed.row_count() == system.row_count() - 1
+    assert relaxed.row_count() == system.row_count() - 1
     assert relaxed.eliminated > 0
-    assert (report.kernel, report.rank) == fp_linalg.kernel_basis(scratch.rows, system.ncols, system.p)
-    assert _solved(report) == _solved(solve_claim(scratch))
+    assert_solve_matches_dense_twin(relaxed)
     assert system.echelon == block and all(system.echelon[c] is row for c, row in block.items())
 
 
@@ -553,10 +599,10 @@ def test_stability_matches_scratch_solve(case):
 def test_kernel_annihilates_assembled_system(f1_nonsplit):
     system = assemble_system(f1_nonsplit)
     rows = system.rows
-    p = system.p
-    basis, rank = fp_linalg.kernel_basis(rows, system.ncols, p)
-    assert len(basis) + rank == system.ncols
-    for vec in dense_basis(basis, system.ncols, p):
+    p, ncols = system.p, len(system.dense)
+    basis, rank = fp_linalg.kernel_basis(rows, ncols, p)
+    assert len(basis) + rank == ncols
+    for vec in dense_basis(basis, ncols, p):
         for row in rows:
             assert sum(v * vec[c] for c, v in row.items()) % p == 0
 
@@ -616,22 +662,26 @@ def brute_force_closed_groups(system, first):
 def assembled_closed_groups(system):
     """The (j, e) of the closed groups the system adds: e a degree of the
     window of its recurrence rows whose four ("rec", j, l, k, e) rows it
-    does not store, the four columns of M^(j-1)[e] being in system.zero.
-    Every zero column is one of a group's, the lower system's or these."""
+    does not store, the four columns of M^(j-1)[e] having no column number.
+    Every closed column is one of a group's, the lower system's or these,
+    and the lower system's column map is the start of this one's."""
     first = system.lower.degree_bound + 1 if system.lower else system.min_degree
     stored = {(lab[1], lab[4]) for lab in system.labels() if lab[0] == "rec"}
+    shut = closed_columns(system)
     out, cols = set(), set()
     for j in range(system.f):
         for e in range(first, system.degree_bound + 1):
             group = {system.col_m((j - 1) % system.f, comp, e) for comp in range(4)}
             if (j, e) not in stored:
-                assert group <= system.zero
+                assert group <= shut
                 out.add((j, e))
                 cols |= group
             else:
-                assert group.isdisjoint(system.zero)
-    lower = system.lower.zero if system.lower else set()
-    assert system.zero == lower | cols
+                assert group.isdisjoint(shut)
+    lower = closed_columns(system.lower) if system.lower else set()
+    assert shut == lower | cols
+    if system.lower:
+        assert system.dense[: len(system.lower.dense)] == system.lower.dense
     return out
 
 
@@ -654,45 +704,89 @@ def closed_group_cases(f, p):
 def test_closed_groups_match_brute_force(f, p):
     """The groups the assembly closes are those a search over the twin's
     rows finds, and so are the groups the system one Frobenius step higher
-    adds among the degrees above the lower bound; its zero columns are the
-    lower system's and those of its new groups, and most recurrence rows
-    are closed.  Some closed group has a column that a stored row names,
-    and neither echelon, the lower or the higher, pivots on a zero
-    column."""
+    adds among the degrees above the lower bound; its closed columns are
+    the lower system's and those of its new groups, and most recurrence
+    rows are closed.  Some closed group has a column that a twin row
+    outside the closed groups names, an entry the stored row leaves out,
+    and each echelon, the lower and the higher, pivots on the system's own
+    columns alone."""
     closed_rows = rec_rows = named = 0
     for rho, bound, min_degree in closed_group_cases(f, p):
         system = assemble_system(rho, degree_bound=bound, min_degree=min_degree)
         twin = twin_rows(system)
         found = brute_force_closed_groups(system, min_degree)
         assert found and assembled_closed_groups(system) == found
-        assert len(system.zero) == 4 * len(found)
+        shut = closed_columns(system)
+        assert len(shut) == 4 * len(found)
         closed_rows += 4 * len(found)
         rec_rows += len(twin) - len(system.constraints)
-        named += sum(not system.zero.isdisjoint(row) for row in system.rows)
+        outside = [row for lab, row in twin if lab[0] == "rec" and (lab[1], lab[4]) not in found]
+        named += sum(not shut.isdisjoint(row) for row in outside)
         low, high, _ = stability_check(rho, first=solve_claim(system))
         higher = high.system
         new = brute_force_closed_groups(higher, system.degree_bound + 1)
         assert assembled_closed_groups(higher) == new
-        assert len(higher.zero) == len(system.zero) + 4 * len(new)
-        assert system.zero <= higher.zero
-        assert system.zero.isdisjoint(low.echelon) and higher.zero.isdisjoint(high.echelon)
+        assert len(closed_columns(higher)) == len(shut) + 4 * len(new)
+        assert max(low.echelon) < len(system.dense) and max(high.echelon) < len(higher.dense)
     assert closed_rows > rec_rows / 2
     assert named
 
 
-def test_elimination_without_zero_is_refused(monkeypatch):
-    """A constructor that eliminates its rows without `zero` leaves an
-    echelon pivoting on a column of a closed group that a phi-row of the
-    slot before names, and the solve that continues it with the zero
-    columns refuses it."""
+def work_bound_cases():
+    """(f, p) of the deep profiles whose eliminator sees 26f + 4 columns:
+    f 1-4 at p 31, 101 and 1,009, and f 1-3 at p 5,449, where f = 4 is
+    above the column cap."""
+    return [(f, p) for p in (31, 101, 1009, 5449) for f in range(1, 5) if (f, p) != (4, 5449)]
+
+
+@pytest.mark.parametrize("f,p", work_bound_cases())
+def test_eliminator_sees_the_open_columns_alone(monkeypatch, f, p):
+    """At the default degree bound and min_degree 0, the system numbers
+    26f + 4 columns on a deep profile of every zero pattern, whatever p, and
+    the solve passes fp_linalg that many; every stored row names them
+    alone."""
+    seen = []
+    kernel_basis = fp_linalg.kernel_basis
+
+    def recording(rows, ncols, *args):
+        seen.append(ncols)
+        return kernel_basis(rows, ncols, *args)
+
+    monkeypatch.setattr(fp_linalg, "kernel_basis", recording)
+    rng = random.Random("work:%d:%d" % (f, p))
+    for zeros in [z for k in range(f) for z in itertools.combinations(range(f), k)]:
+        system = assemble_system(random_profile(rng, p, f, zero_positions=zeros, deep=True))
+        assert solve_claim(system).injective
+        assert seen.pop() == len(system.dense) == 26 * f + 4 < system.ncols
+        assert max(c for row in system.rows for c in row) < len(system.dense)
+
+
+def mutated(module, old, new):
+    """A fresh copy of module whose source has its one occurrence of old
+    replaced by new."""
+    source = inspect.getsource(module)
+    assert source.count(old) == 1, old
+    mutant = types.ModuleType(module.__name__)
+    mutant.__package__ = module.__package__
+    exec(compile(source.replace(old, new), module.__file__, "exec"), mutant.__dict__)
+    return mutant
+
+
+def test_closed_degree_numbered_as_open_is_caught(monkeypatch):
+    """A numbering that gives every window degree's columns a number, those
+    of the closed groups included, while no row of a closed group is built,
+    leaves the closed columns free: the kernel differs from the dense
+    twin's, and residual_check rejects it."""
     rho = random_profile(random.Random("phi-reached"), 101, 2, zero_positions=(), deep=True)
-    rank = fp_linalg.rank
-
-    def without_zero(rows, p, pivots=None, *, zero=frozenset()):
-        return rank(rows, p, pivots)
-
-    monkeypatch.setattr(fp_linalg, "rank", without_zero)
+    mutant = mutated(
+        tangent,
+        "enumerate(slots) for e in opened):",
+        "enumerate(slots) for e in range(first, degree_bound + 1)):",
+    )
+    monkeypatch.setattr(tangent, "_recurrence_rows", mutant._recurrence_rows)
     system = assemble_system(rho)
-    assert not system.zero.isdisjoint(system.echelon)
-    with pytest.raises(InternalCheckError, match="pivots on one"):
-        solve_claim(system)
+    assert len(system.dense) == system.ncols
+    report = solve_claim(system)
+    rows = [row for _lab, row in twin_rows(system)]
+    assert (report.kernel, report.rank) != fp_linalg.kernel_basis(rows, system.ncols, system.p)
+    assert report.kernel_dim > 1 and not residual_check(report)
