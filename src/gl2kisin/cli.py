@@ -247,11 +247,16 @@ def cmd_kisin(args):
 def cmd_tangent(args):
     rho = _load_rho(args)
     b = _parse_ints(args.b, "--b") if args.b else None
-    system = tangent_mod.assemble_system(
-        rho, b=b, degree_bound=args.degree_bound, min_degree=args.min_degree
-    )
+    bounds = (rho, b, args.degree_bound, args.min_degree)
+    if args.stability:
+        # the full system's report, and the one a Frobenius step higher
+        report, higher, stable = tangent_mod.stability_check(*bounds)
+        system = report.system
+    else:
+        system = tangent_mod.assemble_system(*bounds)
     solved = system.without(("pin", "p21_0")) if args.negative_control else system
-    report = tangent_mod.solve_claim(solved)
+    if solved is not system or not args.stability:
+        report = tangent_mod.solve_claim(solved)
     out = {
         "degree_bound": system.degree_bound,
         "min_degree": system.min_degree,
@@ -266,10 +271,6 @@ def cmd_tangent(args):
         "residual_ok": tangent_mod.residual_check(report),
     }
     if args.stability:
-        # the full system at these degrees is solved once: here, or above
-        # when no pin was dropped
-        first = tangent_mod.solve_claim(system) if args.negative_control else report
-        _, higher, stable = tangent_mod.stability_check(rho, first=first)
         out["stability"] = {
             "higher_degree_bound": higher.system.degree_bound,
             "higher_dims": [higher.kernel_dim, higher.param_kernel_dim, higher.m_kernel_dim],

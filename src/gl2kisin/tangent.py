@@ -6,7 +6,7 @@ per slot plus four global framing parameters, and require that the
 perturbed Frobenius matrices keep the triangular coefficient structure of
 the profile after one Frobenius turn.  Everything is linear over the prime
 field, so the claim "the only solutions are global rescalings" becomes a
-kernel computation; the module assembles the system with labeled rows,
+kernel computation; the module assembles the system as sparse rows,
 solves it, and cross-checks every kernel vector by exact Laurent-series
 substitution.
 """
@@ -86,17 +86,12 @@ def _require_tangent_profile(rho):
 
 
 class TangentSystem:
-    """Labeled sparse linear system over F_p.
+    """Sparse linear system over F_p.
 
-    rows is a list of {column: int} dicts: those of `lower`, the system
-    this one extends (or None), then one run of recurrence rows per slot,
-    less its closed groups, each stood for by a descriptor (j, below,
-    opened) in `segments`, then the constraint rows (pins, weight
-    selectors, frames), labeled by `constraints`.  labels() derives the
-    recurrence rows' labels, aligned with rows:
-        ("rec", j, *_ENTRIES[n], e) for each (e, n) in below, then
-        ("rec", j, l, k, e) for e in opened, the open window degrees of
-        slot j, (l, k) in _ENTRIES.
+    rows is a list of {column: int} dicts: those of the system it extends
+    (see below), then one run of recurrence rows per slot, less its closed
+    groups, then the constraint rows (pins, weight selectors, frames),
+    labeled by `constraints`.  No other row carries a label.
     Row labels:
       ("rec", j, l, k, e)   coefficient e of entry (l,k) of the slot-j
                             recurrence  M^(j-1) Delta_j - Delta_j Phi_j - P_j,
@@ -141,7 +136,8 @@ class TangentSystem:
     solve_claim report at a lower degree bound with the same rho, b and
     min_degree: its system's rows are then the block, with the report's
     echelon, and the recurrence rows of the degrees above that bound
-    follow.  The constructor adds no constraint row."""
+    follow.  The constructor adds no constraint row, so a system built
+    with `below` has none of its own."""
 
     def __init__(self, rho, b, degree_bound, min_degree, below=None):
         self.rho = rho
@@ -158,19 +154,18 @@ class TangentSystem:
                 "the rigidity system at degrees %d..%d has %d columns, above the cap of %d"
                 % (min_degree, degree_bound, self.ncols, MAX_TANGENT_COLUMNS)
             )
-        self.segments, self.constraints = [], []
+        self.constraints = []
         if below is None:
-            self.lower, self.rows, self.echelon = None, [], {}
+            self.rows, self.echelon = [], {}
             self.dense = list(range(self.n_param_cols))
             _recurrence_rows(self, min_degree)
             self.eliminated = len(self.rows)
             fp_linalg.rank(self.rows, self.p, self.echelon)
         else:
-            self.lower, self.rows = below.system, list(below.system.rows)
+            self.rows, self.echelon = list(below.system.rows), below.echelon
             self.eliminated = len(self.rows)
-            self.echelon = below.echelon
-            self.dense = list(self.lower.dense)
-            _recurrence_rows(self, self.lower.degree_bound + 1)
+            self.dense = list(below.system.dense)
+            _recurrence_rows(self, below.system.degree_bound + 1)
 
     def col_param(self, j, name):
         return j * 10 + _PARAM_INDEX[name]
@@ -183,30 +178,21 @@ class TangentSystem:
 
     def row_count(self):
         """The rows of the system, closed groups included: the stored rows,
-        and the four rows of each closed group, this system's and `lower`'s,
-        one per closed column."""
+        and the four rows of each closed group, one per closed column, the
+        groups of the system it extends included."""
         return len(self.rows) + self.ncols - len(self.dense)
-
-    def labels(self):
-        out = self.lower.labels() if self.lower else []
-        for j, below, opened in self.segments:
-            out += [("rec", j, *_ENTRIES[n], e) for e, n in below]
-            out += [("rec", j, l, k, e) for e in opened for l, k in _ENTRIES]
-        return out + self.constraints
 
     def without(self, label_prefix):
         """Copy of the system minus all constraint rows whose label starts
         with the given tuple; used for the negative control (drop the pivot
-        pin).  Only this system's own constraint rows can be dropped, so the
-        empty prefix, or one matching none of them, raises ConfigError; the
-        copy shares the block's rows and echelon, and the column map."""
+        pin).  Only the rows labeled by `constraints` can be dropped, so
+        the empty prefix, or one matching none of them, raises ConfigError;
+        the copy shares the block's rows and echelon, and the column map."""
         prefix = tuple(label_prefix)
         n, start = len(prefix), len(self.rows) - len(self.constraints)
         kept = [i for i, label in enumerate(self.constraints) if label[:n] != prefix]
         if not prefix or len(kept) == len(self.constraints):
-            if any(label[:n] == prefix for label in self.labels()):
-                raise ConfigError("rows labeled %r are in the eliminated block" % (prefix,))
-            raise ConfigError("no row labeled %r to drop" % (prefix,))
+            raise ConfigError("no constraint row labeled %r to drop" % (prefix,))
         clone = copy.copy(self)
         clone.constraints = [self.constraints[i] for i in kept]
         clone.rows = self.rows[:start] + [self.rows[start + i] for i in kept]
@@ -267,16 +253,16 @@ def assemble_system(rho, b=None, degree_bound=None, min_degree=0):
 def _recurrence_rows(system, first):
     """Append the ("rec", j, l, k, e) rows of every slot at the degrees e
     from first to the system's degree bound to system.rows, slot by slot,
-    with one descriptor per slot to system.segments, less the rows of the
-    closed groups.  From first = min_degree each slot's rows below the
-    window come first; from a higher first the rows below it are left out,
-    since the system at a lower degree bound with the same min_degree
-    already has them, unchanged.
+    less the rows of the closed groups: each slot's rows below the window
+    by (degree, entry), then its open window degrees, each with its four
+    entries in _ENTRIES order.  From first = min_degree the rows below the
+    window are built; from a higher first they are left out, since the
+    system at a lower degree bound with the same min_degree already has
+    them, unchanged.
 
     Every window degree has a row for each of the four entries, because
     Delta_j is invertible: each of its columns is nonzero, so each row has
-    an M^(j-1) term.  An entry whose window holds an empty row, stored or
-    closed, raises InternalCheckError.
+    an M^(j-1) term.  A zero column raises InternalCheckError.
 
     Slot j' + 1's phi-terms name the columns of M^(j'+1), which slot j' + 2
     opens, so every slot's landed degrees from first on are decided before
@@ -312,8 +298,13 @@ def _recurrence_rows(system, first):
         # the window degrees a phi-term or correction parameter lands at
         landed = set()
         for n, (l, k) in enumerate(_ENTRIES):
-            # (entry comp of M^(j-1), value)
+            # (entry comp of M^(j-1), value): column k of Delta_j
             prev = [(2 * l + t - 3, delta[t - 1][k - 1]) for t in (1, 2) if delta[t - 1][k - 1]]
+            if not prev:
+                raise InternalCheckError(
+                    "slot %d entry (%d,%d) has an empty recurrence row: Delta_%d has a zero column"
+                    % (j, l, k, j)
+                )
             # (x, dense column of degree 0, value, degrees d from lo to hi - 1):
             # value at the column of degree d in row p*d + x; a correction
             # parameter has d = 0 only
@@ -333,14 +324,6 @@ def _recurrence_rows(system, first):
                     lows.append((n, x, col, val, lo, min(cut, hi)))
                 spans.append((x, col, val, cut, hi))
                 landed.update(range(p * cut + x, p * hi + x, p))
-            if not prev:
-                # a window row, stored or closed, then holds only what lands
-                mine = {p * d + x for x, _c, _v, cut, hi in spans for d in range(cut, hi)}
-                if len(mine) <= degree_bound - first:
-                    raise InternalCheckError(
-                        "slot %d entry (%d,%d) has an empty recurrence row: Delta_%d has a zero column"
-                        % (j, l, k, j)
-                    )
             entries.append((prev, spans))
         slots.append((entries, lows, sorted(landed)))
     # M^(j-1)[e] is open iff slot j lands at e: number its four columns,
@@ -360,8 +343,7 @@ def _recurrence_rows(system, first):
                 c = own(col + stride * d)
                 if c is not None:
                     row[c] = (row.get(c, 0) + val) % p
-        keys = tuple(sorted(below))
-        rows += [below[key] for key in keys]
+        rows += [below[key] for key in sorted(below)]
         offsets = [own(base[j] + stride * e) for e in opened]
         index = {e: i for i, e in enumerate(opened)}
         insides = []
@@ -369,11 +351,9 @@ def _recurrence_rows(system, first):
             if len(prev) == 2:
                 (c1, v1), (c2, v2) = prev
                 inside = [{o + c1: v1, o + c2: v2} for o in offsets]
-            elif prev:
+            else:
                 ((c1, v1),) = prev
                 inside = [{o + c1: v1} for o in offsets]
-            else:
-                inside = [{} for _o in offsets]
             for x, col, val, cut, hi in spans:
                 for d in range(cut, hi):
                     c = own(col + stride * d)
@@ -382,7 +362,6 @@ def _recurrence_rows(system, first):
                         row[c] = (row.get(c, 0) + val) % p
             insides.append(inside)
         rows += chain.from_iterable(zip(*insides))
-        system.segments.append((j, keys, opened))
 
 
 # ---------------------------------------------------------------------------
@@ -527,31 +506,28 @@ def residual_check(report):
     return True
 
 
-def stability_check(rho, b=None, degree_bound=None, min_degree=0, first=None):
-    """Solve at the degree bound and again one Frobenius step higher; the
-    reported dimensions must not move.  Returns (report, report_higher,
-    stable).
-
-    first: the caller's solve_claim report of the full system of rho at b,
-    degree_bound and min_degree, when it has one; that system is then not
-    assembled and solved a second time, and b, degree_bound and min_degree
-    are read from first.system, the arguments being ignored.
+def stability_check(rho, b=None, degree_bound=None, min_degree=0):
+    """Solve the full system of rho at b, degree_bound and min_degree
+    (assemble_system's arguments and defaults) and again one Frobenius step
+    higher; the reported dimensions must not move.  Returns (report,
+    report_higher, stable): report is the lower system's, and its system
+    is the assembled one, which a caller drops rows from with `without`.
 
     Every row of the system at the bound occurs unchanged in the one at
     bound + p, and its columns come first there (TangentSystem), so the
-    higher system extends the lower one (TangentSystem with below=first),
+    higher system extends the lower one (TangentSystem with below=report),
     and solve_claim continues the lower echelon with the recurrence rows of
     the p degrees above the bound alone, then back-substitutes the pivots
-    of the echelon it ends with below its last free column."""
-    if first is None:
-        first = solve_claim(assemble_system(rho, b, degree_bound, min_degree))
-    lower = first.system
+    of the echelon it ends with below its last free column.  Each system is
+    assembled once and solved once."""
+    report = solve_claim(assemble_system(rho, b, degree_bound, min_degree))
+    lower = report.system
     higher = solve_claim(
-        TangentSystem(rho, lower.b, lower.degree_bound + rho.p, lower.min_degree, below=first)
+        TangentSystem(rho, lower.b, lower.degree_bound + rho.p, lower.min_degree, below=report)
     )
     stable = (
-        first.kernel_dim,
-        first.param_kernel_dim,
-        first.m_kernel_dim,
+        report.kernel_dim,
+        report.param_kernel_dim,
+        report.m_kernel_dim,
     ) == (higher.kernel_dim, higher.param_kernel_dim, higher.m_kernel_dim)
-    return first, higher, stable
+    return report, higher, stable

@@ -188,7 +188,9 @@ def test_tangent_stability_solves_each_system_once(monkeypatch, capsys, f1_confi
     one Frobenius step higher.  The stored rows, mapped back to dense
     columns, are the twin's less the closed groups a search over the twin's
     rows finds, and less their entries on those groups' columns.  Each
-    solve is one kernel_basis call."""
+    solve is one kernel_basis call: the full system's, the one a step
+    higher, then for --negative-control the system without the pivot
+    pin."""
     assembled, solved, fed, kernel_fed = [], [], [], []
     assemble, solve = tangent.assemble_system, tangent.solve_claim
     echelon, kernel_basis = fp_linalg._echelon, fp_linalg.kernel_basis
@@ -224,37 +226,44 @@ def test_tangent_stability_solves_each_system_once(monkeypatch, capsys, f1_confi
         rc, doc = run(capsys, ["tangent", "--config", f1_config] + argv)
         assert rc == 0 and doc["stability"]["stable"] and doc["injective"] != negative
         (lower,) = assembled
-        higher = solved[-1]
-        labels = lower.labels()
-        assert len(labels) == len(lower.rows)
-        twin = twin_rows(higher)
+        higher = solved[1]
+        assert solved[0] is lower and higher.degree_bound == lower.degree_bound + 31
+        labels = [lab for lab, _row in stored_rows(lower)]
+        twin = twin_rows(higher, lower)
         closed = brute_force_closed_groups(lower, lower.min_degree)
         closed |= brute_force_closed_groups(higher, lower.degree_bound + 1)
-        assert sorted(map(repr, stored_rows(higher))) == sorted(
+        # stored_rows checks the order: lower's rows, then the new ones
+        higher_labels = [lab for lab, _row in stored_rows(higher, lower)]
+        assert sorted(map(repr, stored_rows(higher, lower))) == sorted(
             map(repr, open_twin_rows(higher, twin, closed))
         )
         block = lower.rows[: lower.eliminated]
         constraints = lower.rows[lower.eliminated :]
         assert block and all(lab[0] == "rec" for lab in labels[: lower.eliminated])
-        assert constraints and all(lab[0] != "rec" for lab in labels[lower.eliminated :])
+        assert constraints and labels[lower.eliminated :] == lower.constraints
         new = higher.rows[len(lower.rows) :]
         assert higher.rows[: len(lower.rows)] == lower.rows
-        assert higher.labels()[: len(lower.rows)] == labels
-        assert new and all(lab[0] == "rec" for lab in higher.labels()[len(lower.rows) :])
+        assert higher_labels[: len(lower.rows)] == labels
+        assert new and all(lab[0] == "rec" for lab in higher_labels[len(lower.rows) :])
         solves = [ids(constraints), ids(new)]
         if negative:
+            # the relaxed system is solved last
             relaxed = [
                 row
-                for lab, row in zip(labels[lower.eliminated :], constraints)
+                for lab, row in zip(lower.constraints, constraints)
                 if lab[:2] != ("pin", "p21_0")
             ]
             assert len(relaxed) == len(constraints) - 1
-            solves.insert(0, ids(relaxed))
+            assert len(solved) == 3 and solved[2].rows[lower.eliminated :] == relaxed
+            solves.append(ids(relaxed))
+        else:
+            assert len(solved) == 2
         # the other _echelon calls rank kernel projections, no system row
         every = set(ids(higher.rows))
         assert [ids(rows) for rows in fed if every & set(ids(rows))] == [ids(block)] + solves
         assert [ids(rows) for rows in kernel_fed] == solves
         assert closed and len(new) < len(twin) - len(twin_rows(lower))
+        assert len(twin) == higher.row_count()
         assert doc["rows"] == len(twin_rows(lower)) - negative
 
 
@@ -273,21 +282,22 @@ def test_stability_matches_scratch_on_digest_profiles(f1_config, f2_config):
 
 def test_without_and_higher_labels_on_digest_profiles(f1_config, f2_config):
     """without leaves the system it copies as it was, and two drops in turn
-    remove both families from its (label, row) pairs; the higher system of
-    stability_check is labeled by the lower system's labels, then by the
-    recurrence labels of the p degrees above the lower bound, slot by slot,
-    less the closed groups a search over the twin's rows finds there."""
+    remove both families from its (label, row) pairs; the rows of the
+    higher system of stability_check are those twin rows labeled by the
+    lower system's labels, then by the recurrence labels of the p degrees
+    above the lower bound, slot by slot, less the closed groups a search
+    over the twin's rows finds there."""
     for rho in (_rho_of(f1_config), _rho_of(f2_config), rho_mod.RhoBar.from_config(F3_P37_CONFIG)):
-        system = tangent.assemble_system(rho)
+        low, high, _ = tangent.stability_check(rho)
+        system = low.system
         rows, constraints = list(system.rows), list(system.constraints)
-        pairs = list(zip(system.labels(), system.rows))
+        pairs = stored_rows(system)
         relaxed = system.without(("pin", "p21_0")).without(("frame",))
         assert system.rows == rows and system.constraints == constraints
         assert all(a is b for a, b in zip(system.rows, rows))
-        assert list(zip(relaxed.labels(), relaxed.rows)) == [
+        assert stored_rows(relaxed) == [
             (lab, row) for lab, row in pairs if lab[:2] != ("pin", "p21_0") and lab[0] != "frame"
         ]
-        low, high, _ = tangent.stability_check(rho, first=tangent.solve_claim(system))
         bound = low.system.degree_bound
         closed = brute_force_closed_groups(high.system, bound + 1)
         assert closed
@@ -298,8 +308,8 @@ def test_without_and_higher_labels_on_digest_profiles(f1_config, f2_config):
             if (j, e) not in closed
             for l, k in ((1, 1), (1, 2), (2, 1), (2, 2))
         ]
-        assert high.system.labels() == low.system.labels() + new
-        assert len(high.system.labels()) == len(high.system.rows)
+        labels = [lab for lab, _row in stored_rows(high.system, system)]
+        assert labels == [lab for lab, _row in pairs] + new
 
 
 def test_rows_counts_every_row_of_the_solved_system(tmp_path, capsys, f1_config, f2_config):
@@ -322,7 +332,7 @@ def test_rows_counts_every_row_of_the_solved_system(tmp_path, capsys, f1_config,
                 assert rc == 0 and doc["min_degree"] == min_degree
                 assert doc["rows"] == len(reference_rec_rows(solved)) + len(solved.constraints)
                 assert doc["rows"] > len(solved.rows)
-            _, high, _ = tangent.stability_check(rho, first=tangent.solve_claim(system))
+            _, high, _ = tangent.stability_check(rho, min_degree=min_degree)
             count = len(reference_rec_rows(high.system)) + len(system.constraints)
             assert high.system.row_count() == count > len(high.system.rows)
 
@@ -337,7 +347,8 @@ def test_residual_check_holds_without_each_constraint_family(f1_config, f2_confi
     for rho in (_rho_of(f1_config), _rho_of(f2_config), rho_mod.RhoBar.from_config(F3_P37_CONFIG)):
         for min_degree in (0, -3):
             system = tangent.assemble_system(rho, min_degree=min_degree)
-            assert system.labels()[system.eliminated :] == system.constraints
+            labels = [lab for lab, _row in stored_rows(system)]
+            assert labels[system.eliminated :] == system.constraints
             prefixes = {lab[:2] for lab in system.constraints}
             assert ("pin", "p21_0") in prefixes and ("frame", "diag") in prefixes
             for prefix in sorted(prefixes):

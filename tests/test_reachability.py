@@ -35,7 +35,7 @@ from test_tracer_targets import tracer
 SRC = pathlib.Path(cli.__file__).parent
 
 # the uncalled defs by group; the tests below check the claims of the
-# public API, tracer target and test twin groups
+# public API and tracer target groups
 UNCALLED_GROUPS = {
     # functions in gl2kisin.__all__, and methods of the classes it exports,
     # that no command or workload calls
@@ -102,10 +102,6 @@ UNCALLED_GROUPS = {
         "matrices.Mat2.__neg__",
         "matrices.Mat2.__repr__",
         "rho.RhoBar.__repr__",
-    },
-    # read by the tests' second paths only
-    "test twin": {
-        "tangent.TangentSystem.labels",
     },
     # command-line paths no digest argv takes: a malformed argv, and an
     # oracle seed read from --config
@@ -205,13 +201,3 @@ def test_public_api_group_is_exported():
 def test_tracer_target_group_is_traced():
     targets = {"%s.%s" % (module, path) for _name, module, path in tracer.TARGETS}
     assert sorted(UNCALLED_GROUPS["tracer target"] - targets) == []
-
-
-def test_test_twin_group_is_named_in_tests():
-    """Each entry is called by name, as `.name(`, in some test file other
-    than this one."""
-    here = pathlib.Path(__file__).resolve()
-    texts = [path.read_text() for path in sorted(here.parent.glob("*.py")) if path != here]
-    for entry in UNCALLED_GROUPS["test twin"]:
-        call = "." + entry.rsplit(".", 1)[1] + "("
-        assert any(call in text for text in texts), entry

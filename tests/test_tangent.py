@@ -87,14 +87,14 @@ def test_column_indexing(f1_nonsplit, f2_mixed):
 
 
 def test_row_labels(f1_nonsplit, f2_mixed):
-    labs = assemble_system(f1_nonsplit).labels()
-    non_rec = [l for l in labs if l[0] != "rec"]
-    assert ("pin", "p21_0", 0) in non_rec
-    assert ("pin", "frame_22", None) in non_rec
-    assert ("weight", "p22_m2", 0) in non_rec
-    assert ("frame", "diag", None) in non_rec
+    labs = assemble_system(f1_nonsplit).constraints
+    assert ("pin", "p21_0", 0) in labs
+    assert ("pin", "frame_22", None) in labs
+    assert ("weight", "p22_m2", 0) in labs
+    assert ("frame", "diag", None) in labs
+    assert all(lab[0] != "rec" for lab in labs)
     # slots before the last carry matching-constant pins
-    labs2 = assemble_system(f2_mixed).labels()
+    labs2 = assemble_system(f2_mixed).constraints
     assert ("pin", "p11_0", 0) in labs2
     assert ("pin", "p22_0", 0) in labs2
     assert ("pin", "p11_0", 1) not in labs2
@@ -177,14 +177,17 @@ def test_without_unknown_label(f1_nonsplit):
 
 
 def test_without_refuses_eliminated_rows(f1_nonsplit):
-    """The recurrence rows are in the assembled system's eliminated block,
-    and the whole lower system in that of the system one step higher."""
+    """Only the system's own constraint rows can be dropped: not the
+    recurrence rows of the assembled system's eliminated block, and nothing
+    of the system one step higher, whose block is the whole lower system
+    and which has no constraint row of its own."""
     system = assemble_system(f1_nonsplit)
     for prefix in (("rec",), ("rec", 0), ()):
-        with pytest.raises(ConfigError, match="eliminated block"):
+        with pytest.raises(ConfigError, match="no constraint row labeled"):
             system.without(prefix)
-    _, high, _ = stability_check(f1_nonsplit, first=solve_claim(system))
-    with pytest.raises(ConfigError, match="eliminated block"):
+    _, high, _ = stability_check(f1_nonsplit)
+    assert high.system.constraints == []
+    with pytest.raises(ConfigError, match="no constraint row labeled"):
         high.system.without(("pin", "p21_0"))
 
 
@@ -316,20 +319,19 @@ def reference_rec_rows(system):
     return rows
 
 
-def twin_rows(system):
+def twin_rows(system, lower=None):
     """Every (label, row) of the system, closed groups included, with the
     recurrence rows from the degree-by-degree twin: reference_rec_rows, then
-    the constraint rows of the system and of each system it extends."""
-    out = reference_rec_rows(system)
-    while system:
-        out += zip(system.constraints, system.rows[len(system.rows) - len(system.constraints) :])
-        system = system.lower
-    return out
+    the system's constraint rows, or for a system built one Frobenius step
+    above `lower` (which has none of its own) those of lower."""
+    owner = system if lower is None else lower
+    start = len(owner.rows) - len(owner.constraints)
+    return reference_rec_rows(system) + list(zip(owner.constraints, owner.rows[start:]))
 
 
 def closed_columns(system):
     """The dense columns the system gives no column number: those of the
-    closed groups, its own and `lower`'s."""
+    closed groups, the ones of any system it extends included."""
     return set(range(system.ncols)).difference(system.dense)
 
 
@@ -344,12 +346,27 @@ def open_twin_rows(system, labeled, closed):
     ]
 
 
-def stored_rows(system):
-    """The system's (label, row) pairs, each row mapped back to dense
-    columns."""
+def stored_rows(system, lower=None):
+    """The system's rows, each mapped back to dense columns and labeled by
+    the twin row it equals, values and key order included.  In order they
+    are open_twin_rows of the twin less the closed groups a search over the
+    twin's rows finds; for a system built one Frobenius step above `lower`,
+    lower's stored rows, then those of the twin's recurrence rows above
+    lower's bound, slot by slot, less the groups closed there and less the
+    entries on every closed column, lower's too."""
     dense = system.dense
-    pairs = zip(system.labels(), system.rows)
-    return [(lab, {dense[c]: v for c, v in row.items()}) for lab, row in pairs]
+    got = [{dense[c]: v for c, v in row.items()} for row in system.rows]
+    if lower is None:
+        closed = brute_force_closed_groups(system, system.min_degree)
+        expected = open_twin_rows(system, twin_rows(system), closed)
+    else:
+        first = lower.degree_bound + 1
+        closed = brute_force_closed_groups(lower, lower.min_degree)
+        closed |= brute_force_closed_groups(system, first)
+        above = [(lab, row) for lab, row in reference_rec_rows(system) if lab[4] >= first]
+        expected = stored_rows(lower) + open_twin_rows(system, above, closed)
+    assert [list(row.items()) for row in got] == [list(row.items()) for _lab, row in expected]
+    return expected
 
 
 @st.composite
@@ -381,16 +398,13 @@ def test_assembly_matches_degree_by_degree_twin(case):
     system = assemble_system(rho, b, degree_bound, min_degree)
     twin = twin_rows(system)
     closed = brute_force_closed_groups(system, min_degree)
-    assert assembled_closed_groups(system) == closed
+    assert assembled_closed_groups(system, min_degree) == closed
     assert len(closed_columns(system)) == 4 * len(closed)
-    expected = open_twin_rows(system, twin, closed)
-    labels = system.labels()
-    assert len(labels) == len(system.rows)
+    # stored_rows checks the rows against the twin's, keys in order
     got = stored_rows(system)
-    assert got == expected
-    # the same keys in the same insertion order
-    assert [list(row.items()) for _lab, row in got] == [list(row.items()) for _lab, row in expected]
-    assert all(lab[0] != "rec" for lab in labels[system.eliminated :])
+    labels = [lab for lab, _row in got]
+    assert all(lab[0] == "rec" for lab in labels[: system.eliminated])
+    assert labels[system.eliminated :] == system.constraints
     assert system.row_count() == len(twin)
     if rho.f == 1:
         # the slot's own M^(j-1) and phi(m) terms meet at degree 0 of entry
@@ -421,29 +435,37 @@ def test_rows_nest_one_frobenius_step_higher(case):
     low_closed = brute_force_closed_groups(low, min_degree)
     high_closed = brute_force_closed_groups(high, min_degree)
     assert {(j, e) for j, e in high_closed if e <= low.degree_bound} <= low_closed
-    higher = dict(zip(high.labels(), high.rows))
+    higher = dict(stored_rows(high))
     assert len(higher) == len(high.rows) > len(low.rows)
-    for label, row in zip(low.labels(), low.rows):
+    assert high.dense[: len(low.dense)] == low.dense
+    for label, row in stored_rows(low):
         assert list(higher[label].items()) == list(row.items()), label
 
 
 def test_zero_column_of_delta_is_an_internal_error(monkeypatch, f2_mixed):
     """Every window row has an M^(j-1) term only because Delta_j has no zero
-    column; a Delta with one leaves empty rows, and the assembly refuses."""
+    column; a Delta with one, either column of either slot's Delta_j in
+    turn, leaves empty rows, and the assembly refuses, naming the slot and
+    the first entry of that column."""
     factor = tangent.frobenius_factor
+    message = r"slot %d entry \(1,%d\) has an empty recurrence row: Delta_%d has a zero column"
+    for zero_slot in range(f2_mixed.f):
+        for column in (0, 1):
 
-    def singular(rho, j):
-        ((d11, _d12), (d21, _d22)), sh = factor(rho, j)
-        return ((d11, 0), (d21, 0)), sh
+            def singular(rho, j, zero_slot=zero_slot, column=column):
+                delta, sh = factor(rho, j)
+                if j == zero_slot:
+                    delta = tuple(tuple(0 if k == column else d for k, d in enumerate(row)) for row in delta)
+                return delta, sh
 
-    monkeypatch.setattr(tangent, "frobenius_factor", singular)
-    with pytest.raises(InternalCheckError, match="empty recurrence row"):
-        assemble_system(f2_mixed)
+            monkeypatch.setattr(tangent, "frobenius_factor", singular)
+            with pytest.raises(InternalCheckError, match=message % (zero_slot, column + 1, zero_slot)):
+                assemble_system(f2_mixed)
 
 
 def test_assembly_retains_few_gc_tracked_objects():
     """The rows are bare {column: int} dicts, which the cyclic collector
-    does not track, and labels() derives the labels: assembling an f=3,
+    does not track, and no recurrence row has a label: assembling an f=3,
     p=101 system at degree bound 3030, which stores over 1,000 rows (and
     counts over 30,000, closed groups included), leaves fewer than 100 new
     GC-tracked objects."""
@@ -513,36 +535,36 @@ def assert_solve_matches_dense_twin(system):
 
 
 def assert_stability_matches_scratch(rho, b=None, degree_bound=None, min_degree=0):
-    """stability_check's higher report, continued from the lower echelon,
-    equals a from-scratch solve of the system at b + p, with and without a
-    caller's first report, and the lower echelon is left as it was."""
-    first = solve_claim(assemble_system(rho, b, degree_bound, min_degree))
-    echelon = dict(first.echelon)
-    low, high, stable = stability_check(rho, b, degree_bound, min_degree, first=first)
-    assert low is first and first.echelon == echelon
-    assert all(first.echelon[c] is row for c, row in echelon.items())
+    """stability_check's lower report is a solve of the assembled system,
+    and its higher report, continued from the lower echelon, equals a
+    from-scratch solve of the system at b + p; the lower echelon is left as
+    it was."""
+    low, high, stable = stability_check(rho, b, degree_bound, min_degree)
+    assembled = assemble_system(rho, b, degree_bound, min_degree)
+    assert low.system.rows == assembled.rows and low.system.constraints == assembled.constraints
+    again = solve_claim(low.system)
+    assert _solved(low) == _solved(again) == _solved(solve_claim(assembled))
+    assert low.echelon == again.echelon
     scratch_system = assemble_system(rho, b, low.system.degree_bound + rho.p, min_degree)
     scratch = solve_claim(scratch_system)
     assert _solved(high) == _solved(scratch)
     assert high.system.ncols == scratch_system.ncols
-    assert len(high.system.labels()) == len(high.system.rows)
     # the higher system stores the twin's rows less the groups closed at the
-    # lower bound and those closed among the degrees above it
+    # lower bound and those closed among the degrees above it (stored_rows
+    # checks their order)
     twin = twin_rows(scratch_system)
     closed = brute_force_closed_groups(low.system, min_degree)
     closed |= brute_force_closed_groups(scratch_system, low.system.degree_bound + 1)
-    assert sorted(map(repr, stored_rows(high.system))) == sorted(
+    assert sorted(map(repr, stored_rows(high.system, low.system))) == sorted(
         map(repr, open_twin_rows(scratch_system, twin, closed))
     )
     assert high.system.dense == scratch_system.dense
     assert high.system.row_count() == len(twin) == scratch_system.row_count()
     assert stable == (_solved(low)[2:5] == _solved(scratch)[2:5])
-    _, again, stable_again = stability_check(rho, b, degree_bound, min_degree)
-    assert _solved(again) == _solved(scratch) and stable_again == stable
     # the higher system carries the lower one as its eliminated block
     block = high.system
     assert block.eliminated == len(low.system.rows)
-    assert block.echelon is first.echelon
+    assert block.echelon is low.echelon
     resolved = solve_claim(block)
     assert _solved(resolved) == _solved(high)
     assert resolved.echelon == high.echelon
@@ -568,9 +590,9 @@ def assert_relaxed_matches_scratch(rho, b=None, degree_bound=None, min_degree=0)
     block = dict(system.echelon)
     relaxed = system.without(("pin", "p21_0"))
     assert relaxed.echelon is system.echelon and relaxed.eliminated == system.eliminated
-    kept = [(lab, row) for lab, row in zip(system.labels(), system.rows) if lab[:2] != ("pin", "p21_0")]
-    assert list(zip(relaxed.labels(), relaxed.rows)) == kept
-    assert len(relaxed.labels()) == len(relaxed.rows) == len(system.rows) - 1
+    kept = [(lab, row) for lab, row in stored_rows(system) if lab[:2] != ("pin", "p21_0")]
+    assert stored_rows(relaxed) == kept
+    assert len(relaxed.rows) == len(system.rows) - 1
     report = solve_claim(relaxed)
     # the same rows, closed groups included, with an empty eliminated
     # block, every one of them fed
@@ -659,30 +681,23 @@ def brute_force_closed_groups(system, first):
     return closed
 
 
-def assembled_closed_groups(system):
-    """The (j, e) of the closed groups the system adds: e a degree of the
-    window of its recurrence rows whose four ("rec", j, l, k, e) rows it
-    does not store, the four columns of M^(j-1)[e] having no column number.
-    Every closed column is one of a group's, the lower system's or these,
-    and the lower system's column map is the start of this one's."""
-    first = system.lower.degree_bound + 1 if system.lower else system.min_degree
-    stored = {(lab[1], lab[4]) for lab in system.labels() if lab[0] == "rec"}
+def assembled_closed_groups(system, first):
+    """The (j, e), e a window degree from first on, of the closed groups
+    the column map `dense` gives: the four columns of M^(j-1)[e] have no
+    column number.  Each window degree's four columns are numbered all or
+    none, and every closed column is one of a group's."""
     shut = closed_columns(system)
     out, cols = set(), set()
     for j in range(system.f):
-        for e in range(first, system.degree_bound + 1):
+        for e in range(system.min_degree, system.degree_bound + 1):
             group = {system.col_m((j - 1) % system.f, comp, e) for comp in range(4)}
-            if (j, e) not in stored:
-                assert group <= shut
+            if group <= shut:
                 out.add((j, e))
                 cols |= group
             else:
                 assert group.isdisjoint(shut)
-    lower = closed_columns(system.lower) if system.lower else set()
-    assert shut == lower | cols
-    if system.lower:
-        assert system.dense[: len(system.lower.dense)] == system.lower.dense
-    return out
+    assert shut == cols
+    return {(j, e) for j, e in out if e >= first}
 
 
 def closed_group_cases(f, p):
@@ -712,20 +727,21 @@ def test_closed_groups_match_brute_force(f, p):
     columns alone."""
     closed_rows = rec_rows = named = 0
     for rho, bound, min_degree in closed_group_cases(f, p):
-        system = assemble_system(rho, degree_bound=bound, min_degree=min_degree)
+        low, high, _ = stability_check(rho, degree_bound=bound, min_degree=min_degree)
+        system, higher = low.system, high.system
         twin = twin_rows(system)
         found = brute_force_closed_groups(system, min_degree)
-        assert found and assembled_closed_groups(system) == found
+        assert found and assembled_closed_groups(system, min_degree) == found
         shut = closed_columns(system)
         assert len(shut) == 4 * len(found)
         closed_rows += 4 * len(found)
         rec_rows += len(twin) - len(system.constraints)
         outside = [row for lab, row in twin if lab[0] == "rec" and (lab[1], lab[4]) not in found]
         named += sum(not shut.isdisjoint(row) for row in outside)
-        low, high, _ = stability_check(rho, first=solve_claim(system))
-        higher = high.system
         new = brute_force_closed_groups(higher, system.degree_bound + 1)
-        assert assembled_closed_groups(higher) == new
+        assert assembled_closed_groups(higher, system.degree_bound + 1) == new
+        assert assembled_closed_groups(higher, min_degree) == found | new
+        assert higher.dense[: len(system.dense)] == system.dense
         assert len(closed_columns(higher)) == len(shut) + 4 * len(new)
         assert max(low.echelon) < len(system.dense) and max(high.echelon) < len(higher.dense)
     assert closed_rows > rec_rows / 2
