@@ -33,7 +33,7 @@ from .kisin import (
 )
 from .matrices import Mat2
 from .laurent import Laurent
-from .oracles import coset_certify, random_truncated_invertible
+from .oracles import coset_certify, random_truncated_invertible, require_coset_search
 from .rho import (
     RhoBar,
     _is_int,
@@ -304,7 +304,8 @@ def cmd_d0(args):
 
 
 def _coset_trial(field, rng, prec):
-    M = random_truncated_invertible(field, rng)
+    require_coset_search(field, prec)
+    M = random_truncated_invertible(field, rng, prec, prec - 1)
     component = shape_of(M).component()
     return coset_certify(M, component, prec)
 
@@ -445,7 +446,7 @@ def build_parser():
     p = sub.add_parser("oracle", parents=[common], help="brute-force cross-checks")
     p.add_argument("--kind", choices=sorted(_BATCHES) + list(_CONFIG_KINDS), default="coset")
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--prec", type=int, default=4)
+    p.add_argument("--prec", type=int, default=4, help="coset truncation v^N; shape ignores it")
     p.add_argument("--p", type=int, default=2, help="field characteristic when no config is given")
     p.add_argument("--seed", type=int, default=None, help="override the RNG seed")
     p.add_argument("--jobs", type=int, default=1, help="worker processes")

@@ -1,9 +1,10 @@
 """Frobenius matrices of the profile, their gauge-normal-form counterparts,
 and the Iwahori double-coset classification (shape) with checkable witnesses.
 
-Slot j's Frobenius matrix is v * Delta_j * diag(v^(r_j+1), 1); the profile
-matrices and the rigidity system (tangent.py) read Delta_j and the shift
-r_j + 1 from frobenius_factor alone.
+Slot j's Frobenius matrix is v * Delta_j * diag(v^(r_j+1), 1).  Delta_j comes
+from frobenius_factor alone: the profile and gauge-form slot matrices are
+Delta_j times a monomial matrix (factor_times_monomial), and the rigidity
+system (tangent.py) reads Delta_j and the shift r_j + 1 from it.
 
 Slot i of an element's gauge form depends on the profile and the element's
 component index at i alone, so each object is built per slot (slot_matrix,
@@ -11,22 +12,16 @@ slot_recovers, torus_slot_rows; rho.type_part) and an element is composed
 from its f slots (kisin_matrices, verify_recovery, torus_rigidity_dims).
 
 Conventions: the f matrices carry superscripts (i) with i = f-1-j; the matrix
-with superscript i is built from alpha_j, beta_j, r_j and a_i.  Shapes are
-canonical (s, nu) components; an admissible element is its index tuple over
-{1, 2, 3}, as in weights.
+with superscript i is built from Delta_j and r_j, Delta_j from alpha_j,
+beta_j and a_i.  Shapes are canonical (s, nu) components; an admissible
+element is its index tuple over {1, 2, 3}, as in weights.
 """
 
 from dataclasses import dataclass
 
 from . import fp_linalg
 from .errors import ConfigError, InternalCheckError, PreconditionError
-from .laurent import (
-    Laurent,
-    div_terms,
-    inverse_terms,
-    mul_terms,
-    sub_terms,
-)
+from .laurent import div_terms, inverse_terms, mul_terms, sub_terms
 from .matrices import Mat2, monomial_matrix
 from .rho import tau_presentation, w_in_x_rho
 from .weights import ADM_COMPONENTS, _ADM_INDEX, adm_name
@@ -48,17 +43,23 @@ def frobenius_factor(rho, j):
     return ((al, 0), (a21, be)), rho.r[j] + 1
 
 
+def factor_times_monomial(rho, j, s, nu):
+    """Delta_j * s v^nu for Delta_j from frobenius_factor(rho, j) and the
+    monomial matrix s v^nu (matrices.monomial_matrix): column m of the
+    product is column m xor s of Delta_j, placed at degree nu_m."""
+    delta = frobenius_factor(rho, j)[0]
+    terms = ({d: row[m ^ s]} if row[m ^ s] else {} for row in delta for m, d in enumerate(nu))
+    return Mat2.from_terms(rho.field, *terms)
+
+
 def etale_matrices(rho):
     """The f Frobenius matrices of the profile, index i = superscript: slot
-    j = f-1-i is v * Delta_j * diag(v^sh_j, 1) for (Delta_j, sh_j) =
-    frobenius_factor(rho, j)."""
-    mats = []
-    for j in reversed(range(rho.f)):
-        delta, sh = frobenius_factor(rho, j)
-        # column 1 of Delta moves to degree sh + 1, column 2 to degree 1
-        terms = ({d: c} if c else {} for row in delta for c, d in zip(row, (sh + 1, 1)))
-        mats.append(Mat2.from_terms(rho.field, *terms))
-    return tuple(mats)
+    j = f-1-i is v * Delta_j * diag(v^(r_j+1), 1), which is
+    Delta_j * diag(v^(r_j+2), v), factor_times_monomial at s = 0 and
+    nu = (r_j + 2, 1)."""
+    return tuple(
+        factor_times_monomial(rho, j, 0, (rho.r[j] + 2, 1)) for j in reversed(range(rho.f))
+    )
 
 
 @dataclass(frozen=True)
@@ -71,24 +72,13 @@ class KisinData:
 
 def slot_matrix(rho, i, k):
     """Gauge-normal-form matrix of slot i (superscript) for the component
-    index k, built from slot_coeffs[f-1-i] alone."""
-    field = rho.field
-    mono = Laurent.monomial
-    z = Laurent.zero(field)
+    index k: Delta_j * s v^nu at j = f-1-i, for ADM_COMPONENTS[k] = (s_k, nu)
+    and s = s_k xor s_component(j).  Defined for allowed pairs: at index 3
+    on a slot with a_i != 0, which require_allowed and x_rho refuse, the
+    product keeps alpha_j a_i v at (2,1)."""
     j = rho.f - 1 - i
-    al, a21, be = rho.slot_coeffs[j]
-    if rho.s_component(j):
-        nb = field.neg(be)
-        if k == 1:
-            return Mat2(field, mono(field, nb, 2), z, z, mono(field, al, 1))
-        if k == 2:
-            return Mat2(field, z, mono(field, nb, 1), mono(field, al, 2), z)
-        return Mat2(field, mono(field, nb, 1), z, z, mono(field, al, 2))
-    if k == 1:
-        return Mat2(field, mono(field, al, 2), z, mono(field, a21, 2), mono(field, be, 1))
-    if k == 2:
-        return Mat2(field, z, mono(field, al, 1), mono(field, be, 2), mono(field, a21, 1))
-    return Mat2(field, mono(field, al, 1), z, z, mono(field, be, 2))
+    s, nu = ADM_COMPONENTS[k]
+    return factor_times_monomial(rho, j, s ^ rho.s_component(j), nu)
 
 
 def require_allowed(rho, wtilde):

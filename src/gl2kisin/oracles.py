@@ -49,7 +49,10 @@ def _val(t):
 
 def random_truncated_invertible(field, rng, prec=4, max_det_val=3):
     """Random polynomial matrix mod v^prec with det != 0 of valuation <=
-    max_det_val, so its double coset is determined by the visible window."""
+    max_det_val, so its double coset is determined by the visible window.
+    No matrix qualifies when prec < 1 or max_det_val < 0: a ConfigError."""
+    if prec < 1 or max_det_val < 0:
+        raise ConfigError("no matrix mod v^%d has det valuation <= %d" % (prec, max_det_val))
     while True:
         entries = []
         for _ in range(4):
@@ -58,6 +61,18 @@ def random_truncated_invertible(field, rng, prec=4, max_det_val=3):
         det = M.det()
         if det and det.valuation() <= max_det_val:
             return M
+
+
+def require_coset_search(field, prec):
+    """PreconditionError when a search at v^prec has over MAX_COSET_PAIRS pairs."""
+    q = field.order
+    # (q-1) q^(prec-1) unit series times q^prec series; the exponent cap
+    # keeps a huge prec from building a huge int and cannot change the answer
+    if (q - 1) * q ** min(2 * prec - 1, 64) > MAX_COSET_PAIRS:
+        raise PreconditionError(
+            "coset search over F_%d at v^%d exceeds %d candidate pairs"
+            % (q, prec, MAX_COSET_PAIRS)
+        )
 
 
 def coset_certify(M, component, prec=4):
@@ -75,18 +90,10 @@ def coset_certify(M, component, prec=4):
     two independent halves.
 
     Returns True when a witness exists, False otherwise.  Raises
-    PreconditionError when the search has more than MAX_COSET_PAIRS
-    candidate pairs.
+    PreconditionError when the search is too large (require_coset_search).
     """
     field = M.field
-    q = field.order
-    # (q-1) q^(prec-1) unit series times q^prec series; the exponent cap
-    # keeps a huge prec from building a huge int and cannot change the answer
-    if (q - 1) * q ** min(2 * prec - 1, 64) > MAX_COSET_PAIRS:
-        raise PreconditionError(
-            "coset search over F_%d at v^%d exceeds %d candidate pairs"
-            % (q, prec, MAX_COSET_PAIRS)
-        )
+    require_coset_search(field, prec)
     s, (n1, n2) = component
     det = M.det()
     if det.is_zero():

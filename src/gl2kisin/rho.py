@@ -10,8 +10,8 @@ Laurent terms do.  Index conventions (kept in ONE place because they are the
 most error-prone part of the subject): the matrix with superscript (i) uses
 alpha_j, beta_j, r_j and a_i for i = f-1-j, and the weight-set slot b_j is
 paired with a_{f-1-j}.  RhoBar.slot_coeffs is the one place that pairs slot j
-with a_{f-1-j}; the free slots, the pivot slot, the profile and gauge-form
-matrices and the rigidity system all read it.
+with a_{f-1-j}; the free slots, the pivot slot, the rigidity system and
+kisin.frobenius_factor (Delta_j of the profile and gauge-form matrices) read it.
 """
 
 import itertools

@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 import time
@@ -589,6 +590,43 @@ def test_oracle_coset(capsys):
     assert doc["p"] == 2
     assert doc["agreements"] == 6
     assert doc["failures"] == []
+
+
+def test_oracle_coset_draws_at_its_prec(capsys):
+    """--prec N draws mod v^N with det valuation <= N - 1, so every draw is
+    certifiable at v^N.  Below v^1 no matrix qualifies, and the command
+    exits 1 at once instead of drawing forever; a search over the pair cap
+    exits 2 before a matrix is drawn at that prec."""
+    argv = ["oracle", "--kind", "coset", "--trials", "30", "--seed", "7"]
+    for p, precs in (("2", range(1, 6)), ("3", range(1, 4))):
+        for prec in precs:
+            rc, doc = run(capsys, argv + ["--p", p, "--prec", str(prec)])
+            assert rc == 0 and doc["agreements"] == 30, (p, prec)
+    refusals = [
+        (prec, 1, "config error: no matrix mod v^%s has det valuation <= %d\n" % (prec, int(prec) - 1))
+        for prec in ("0", "-1")
+    ]
+    refusals += [
+        (
+            prec,
+            2,
+            "precondition failed: coset search over F_2 at v^%s exceeds 65536 candidate pairs\n"
+            % prec,
+        )
+        for prec in ("9", "1000000000")
+    ]
+    for prec, code, want in refusals:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gl2kisin.cli"] + argv + ["--prec", prec],
+            capture_output=True,
+            text=True,
+            cwd=os.path.dirname(os.path.dirname(cli.__file__)),
+            timeout=60,
+            # 1 GiB of address space: drawing at v^1000000000 fails fast
+            # with MemoryError instead of filling the host's memory
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+        )
+        assert proc.returncode == code and proc.stderr == want, prec
 
 
 def test_oracle_shape(capsys):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from gl2kisin import fp_linalg
+from gl2kisin import fp_linalg, kisin
 from gl2kisin.errors import ConfigError, PreconditionError
 from gl2kisin.fields import GF
 from gl2kisin.kisin import (
@@ -163,6 +163,41 @@ def test_recovery_random(rng):
                 rho = random_profile(rng, p, f, irreducible=irred)
                 for w in x_rho(rho):
                     assert verify_recovery(kisin_matrices(rho, w))
+
+
+def test_slot_and_profile_matrices_read_delta_from_frobenius_factor(monkeypatch):
+    """slot_matrix and etale_matrices take Delta_j from frobenius_factor
+    alone.  With its Delta_j scaled by the unit 2, every allowed slot matrix
+    is 2 Delta_j * s_j * s_k v^nu_k, and every profile matrix is
+    v * 2 Delta_j * diag(v^sh_j, 1), each a product of Mat2s here.  Recovery
+    still holds: both sides move together, since it checks the presentation
+    table, not Delta_j."""
+    factor = kisin.frobenius_factor
+
+    def scaled(rho, j):
+        delta, sh = factor(rho, j)
+        return tuple(tuple(rho.field.mul(2, d) for d in row) for row in delta), sh
+
+    monkeypatch.setattr(kisin, "frobenius_factor", scaled)
+    for name, cfg in kisin_twin_configs():
+        rho = RhoBar.from_config(cfg)
+        field, f = rho.field, rho.f
+        deltas = []
+        for j in range(f):
+            delta, sh = scaled(rho, j)
+            assert delta != factor(rho, j)[0], name
+            D = Mat2.from_terms(field, *({0: d} if d else {} for row in delta for d in row))
+            deltas.append(D)
+            want = monomial_matrix(field, 0, (1, 1)) * D * monomial_matrix(field, 0, (sh, 0))
+            assert etale_matrices(rho)[f - 1 - j] == want, (name, j)
+        for w in x_rho(rho):
+            for i, k in enumerate(w):
+                j = f - 1 - i
+                s_k, nu = ADM_COMPONENTS[k]
+                s_j = monomial_matrix(field, rho.s_component(j), (0, 0))
+                want = deltas[j] * s_j * monomial_matrix(field, s_k, nu)
+                assert kisin.slot_matrix(rho, i, k) == want, (name, i, k)
+            assert verify_recovery(kisin_matrices(rho, w)), (name, w)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from gl2kisin import oracles
 from gl2kisin.errors import ConfigError, PreconditionError
 from gl2kisin.fields import GF
 from gl2kisin.kisin import shape_of
@@ -97,6 +98,25 @@ def test_random_generator_contract():
         assert det.valuation() <= 3
         assert all(min(e.terms) >= 0 for e in M.entries() if e)
         assert all(e.degree() < 4 for e in M.entries() if e)
+
+
+def test_random_generator_refuses_an_empty_window_before_drawing(monkeypatch):
+    """Below v^1, or with a negative det valuation bound, no matrix
+    qualifies: the generator refuses before drawing a coefficient or
+    building a matrix, instead of drawing forever."""
+
+    class NoDraws(random.Random):
+        def randrange(self, *args):
+            raise AssertionError("drew a coefficient")
+
+    def no_matrix(*args):
+        raise AssertionError("built a matrix")
+
+    monkeypatch.setattr(oracles, "Mat2", no_matrix)
+    for prec, bound in ((0, -1), (-1, -2), (0, 3), (4, -1)):
+        message = "no matrix mod v\\^%d has det valuation <= %d" % (prec, bound)
+        with pytest.raises(ConfigError, match=message):
+            random_truncated_invertible(F2, NoDraws(), prec, bound)
 
 
 def test_agreement_over_f3():
